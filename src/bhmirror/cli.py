@@ -5,7 +5,7 @@ Commands: analyze, mirror, table, verify, k3.  Output formats: text
 deterministic: identical invocations produce byte-identical output.
 
 Exit status: 0 success / all checks pass, 1 verification failure,
-2 input error, 3 internal assertion failure.
+2 input error, 3 internal check failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import catalog as cat
@@ -24,6 +23,7 @@ from .geometry import (
     fit_k3_pattern,
     k3_invariants,
     lattice_mirror_verdict,
+    require_k3_shape,
     sector_grid,
 )
 from .milnor import equivariant_hilbert, fermat_monomial_basis, sector_algebra
@@ -46,6 +46,7 @@ from .poly import (
 )
 from .statespace import build_state_space, moving_vanishing_violations
 from .symmetry import (
+    DEFAULT_GROUP_CAP,
     admissible_setup,
     aut_generators,
     aut_group,
@@ -268,7 +269,8 @@ def cmd_table(args, cap: int) -> int:
 
 def cmd_k3(args, cap: int) -> int:
     W = parse_polynomial(args.polynomial)
-    _, f = split_cyclic(W)
+    k, f = split_cyclic(W)
+    require_k3_shape(is_calabi_yau(W), W.num_vars, k)
     gens = parse_group_spec(args.K, f, cap)
     pair = build_mirror_pair(W, gens, cap)
     report = fit_k3_pattern(sector_grid(pair.source_table))
@@ -412,10 +414,7 @@ def cmd_verify(args, cap: int) -> int:
         if not cases and args.case != "krawitz-scan":
             raise InputError(f"no catalog case named {args.case!r}")
 
-    results: list[dict] = []
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        for case_results in pool.map(lambda c: _check_case(c, cap), cases):
-            results.extend(case_results)
+    results = [r for case in cases for r in _check_case(case, cap)]
 
     if not args.case or args.case == "krawitz-scan":
         bad = []
@@ -492,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cap = int(os.environ.get("BHMIRROR_MAX_GROUP", 10**6))
     handlers = {
         "analyze": cmd_analyze,
         "mirror": cmd_mirror,
@@ -501,12 +499,13 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args, cap)
+        cap_text = os.environ.get("BHMIRROR_MAX_GROUP", str(DEFAULT_GROUP_CAP)).strip()
+        if not cap_text.isdecimal() or int(cap_text) == 0:
+            raise InputError(
+                f"BHMIRROR_MAX_GROUP must be a positive integer, not {cap_text!r}")
+        return handlers[args.command](args, int(cap_text))
     except InternalError as exc:
         print(f"internal error [{exc.code}]: {exc}", file=sys.stderr)
-        return 3
-    except AssertionError as exc:
-        print(f"internal error [Assertion]: {exc}", file=sys.stderr)
         return 3
     except BHMirrorError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)

@@ -165,20 +165,25 @@ def _match_weighted(actual: WeightedDiamond, expected: WeightedDiamond) -> bool:
     return extra == exp_total
 
 
-def fit_k3_pattern(grid: SectorGrid) -> K3Report:
-    """Solve the closed-form table parameters from designated cells, then
-    verify every cell of the grid against the rebuilt pattern."""
-    if not grid.calabi_yau or grid.num_vars != 4:
+def require_k3_shape(calabi_yau: bool, num_vars: int, k: int) -> None:
+    """Reject setups outside the K3 patterns: Calabi-Yau in four variables,
+    with cyclic order 4 or an odd prime p such that p - 1 divides 24."""
+    if not calabi_yau or num_vars != 4:
         raise PatternMismatchError(
             "pattern fitting applies to Calabi-Yau setups in four variables")
-    k = grid.k
-    if k == 4:
-        return _fit_order4(grid)
-    if not _is_prime(k) or k == 2:
+    if k != 4 and (not _is_prime(k) or k == 2):
         raise PatternMismatchError(f"unsupported cyclic order {k} (need 4 or an odd prime)")
     if not check_prime_divisibility(k):
         raise PatternMismatchError(f"no K3 setup exists for prime order {k}: "
                                    f"{k - 1} does not divide 24")
+
+
+def fit_k3_pattern(grid: SectorGrid) -> K3Report:
+    """Solve the closed-form table parameters from designated cells, then
+    verify every cell of the grid against the rebuilt pattern."""
+    require_k3_shape(grid.calabi_yau, grid.num_vars, grid.k)
+    if grid.k == 4:
+        return _fit_order4(grid)
     return _fit_prime(grid)
 
 

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import NotFermatError
+from .errors import InternalError, NotFermatError
 from .poly import InvertiblePolynomial, RestrictedPolynomial, exponent_inverse, restrict
-from .symmetry import Symmetry, add, age, identity, pairing, scale, symmetry
+from .symmetry import Symmetry, add, age, identity, scale, symmetry
 
 SeriesCoefficients = dict[int, dict[Symmetry, int]]
 
@@ -113,10 +113,13 @@ def equivariant_hilbert(R: RestrictedPolynomial) -> GroupRingSeries:
         series = _multiply(series, factor, bound)
     for m, keys in series.items():
         for key, mult in keys.items():
-            assert mult > 0, f"negative multiplicity {mult} at degree {m}"
-            assert _is_dual_symmetry(P, key), f"key {key} is not a dual symmetry"
+            if mult <= 0 or not _is_dual_symmetry(P, key):
+                raise InternalError(f"multiplicity {mult} of key {key} at degree {m}: "
+                                    "not positive, or the key is not a dual character")
     result = GroupRingSeries(series, bound)
-    assert result.total_dimension == R.milnor_dimension
+    if result.total_dimension != R.milnor_dimension:
+        raise InternalError(f"series dimension {result.total_dimension} is not the "
+                            f"Milnor number {R.milnor_dimension}")
     return result
 
 
@@ -174,18 +177,12 @@ class SectorAlgebra:
         return sum(self.table.values())
 
 
-def sector_algebra(P: InvertiblePolynomial, h: Sequence[Fraction],
-                   invariance: Iterable[Symmetry] = ()) -> SectorAlgebra:
-    """Age-shifted sector algebra, keeping only keys annihilating `invariance`.
-
-    Invariance under a subgroup K is equivalent to the key pairing to zero
-    with every generator of K, i.e. the key lying in the dual of K.
-    """
+def sector_algebra(P: InvertiblePolynomial, h: Sequence[Fraction]) -> SectorAlgebra:
+    """Age-shifted sector algebra, with every dual-group key kept."""
     h = symmetry(h)
     R = restrict(P, h)
     series = equivariant_hilbert(R)
     shift = age(h)
-    gens = tuple(invariance)
     d = P.degree
     nfix = len(R.fixed_vars)
     table: dict[tuple[Symmetry, Fraction, Fraction], int] = {}
@@ -194,7 +191,5 @@ def sector_algebra(P: InvertiblePolynomial, h: Sequence[Fraction],
         q = shift + charge
         p = shift + nfix - charge
         for key, mult in keys.items():
-            if all(pairing(P, g, key) == 0 for g in gens):
-                label = (key, p, q)
-                table[label] = table.get(label, 0) + mult
+            table[(key, p, q)] = mult
     return SectorAlgebra(h, R.fixed_vars, table)

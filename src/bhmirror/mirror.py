@@ -28,11 +28,12 @@ from .statespace import (
     unprojected_state_space,
 )
 from .symmetry import (
+    DEFAULT_GROUP_CAP,
     AdmissibleSetup,
     Symmetry,
     admissible_setup,
-    aut_group,
-    pairing,
+    annihilator,
+    embed_inner,
     symmetry,
 )
 
@@ -56,7 +57,6 @@ class VerificationReport:
     name: str
     items: list[CheckItem] = field(default_factory=list)
     cells_checked: int = 0
-    notes: list[str] = field(default_factory=list)
 
     @property
     def violations(self) -> list[CheckItem]:
@@ -85,7 +85,7 @@ class MirrorPair:
 
 def build_mirror_pair(W: InvertiblePolynomial,
                       K_generators: Iterable[Sequence[Fraction]] = (),
-                      cap: int = 10**6) -> MirrorPair:
+                      cap: int = DEFAULT_GROUP_CAP) -> MirrorPair:
     """Construct the transposed setup with the dual invariance group.
 
     The invariance group of the mirror is the annihilator of the whole
@@ -94,28 +94,21 @@ def build_mirror_pair(W: InvertiblePolynomial,
     failure is reported as a duality violation (a bug, not bad input).
     """
     setup = admissible_setup(W, K_generators, cap)
-    Wv = transpose(W)
-    coset_group_gens = (setup.j, setup.s) + tuple(
-        (Fraction(0),) + g for g in setup.K_inner.generators)
-    K_mirror_embedded = tuple(
-        h for h in aut_group(Wv, cap)
-        if all(pairing(W, g, h) == 0 for g in coset_group_gens))
+    K_gens = tuple(embed_inner(g) for g in setup.K_inner.generators)
+    K_mirror_embedded = annihilator(W, (setup.j, setup.s) + K_gens,
+                                    setup.group_order, cap)
     if any(h[0] != 0 for h in K_mirror_embedded):
         raise DualityViolationError(
             "the dual of the coset group does not fix the cyclic variable")
     K_mirror = tuple(h[1:] for h in K_mirror_embedded)
     try:
-        mirror_setup = admissible_setup(Wv, K_mirror, cap)
+        mirror_setup = admissible_setup(transpose(W), K_mirror, cap)
     except NotAdmissibleError as exc:
         raise DualityViolationError(f"mirror group is not admissible: {exc}") from exc
     if mirror_setup.k != setup.k:
         raise DualityViolationError("cyclic exponents of the pair differ")
 
-    K_embedded_full = tuple((Fraction(0),) + g for g in setup.K_inner.elements)
-    K_dual = tuple(sorted(
-        h for h in aut_group(Wv, cap)
-        if all(pairing(W, g, h) == 0 for g in K_embedded_full)))
-    if K_dual != mirror_setup.G_elements:
+    if annihilator(W, K_gens, setup.K_inner.order, cap) != mirror_setup.G_elements:
         raise DualityViolationError(
             "dual of K does not equal the mirror coset group")
 
@@ -127,7 +120,7 @@ def build_mirror_pair(W: InvertiblePolynomial,
 # transpose duality of unprojected state spaces
 # ---------------------------------------------------------------------------
 
-def verify_krawitz(P: InvertiblePolynomial, cap: int = 10**6) -> VerificationReport:
+def verify_krawitz(P: InvertiblePolynomial, cap: int = DEFAULT_GROUP_CAP) -> VerificationReport:
     """Check dim U_h^key(P) at (p, q) = dim U_key^h(transpose) at (N-p, q)
     for every sector/key pair, N the number of variables."""
     report = VerificationReport(name=f"krawitz[{P}]")

@@ -18,6 +18,7 @@ from typing import Sequence
 from .errors import (
     DegenerateRestrictionError,
     DegenerateShapeError,
+    InternalError,
     NonPositiveWeightError,
     NonSquareError,
     NotCyclicSplitError,
@@ -106,7 +107,8 @@ class RestrictedPolynomial:
         total = Fraction(1)
         for i in self.fixed_vars:
             total *= Fraction(d - self.parent.weights[i], self.parent.weights[i])
-        assert total.denominator == 1 and total > 0
+        if total.denominator != 1 or total <= 0:
+            raise InternalError(f"Milnor number {total} is not a positive integer")
         return int(total)
 
     @property
@@ -151,7 +153,8 @@ def exponent_inverse(P: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...
 
 def exponent_determinant(P: InvertiblePolynomial) -> int:
     _, det = invert_matrix(P.exponents)
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise InternalError(f"determinant {det} of an integer matrix is not an integer")
     return abs(int(det))
 
 

@@ -25,12 +25,15 @@ from .errors import (
     ZOutOfRangeError,
 )
 from .milnor import sector_algebra
-from .poly import InvertiblePolynomial, transpose
+from .poly import InvertiblePolynomial
 from .symmetry import (
+    DEFAULT_GROUP_CAP,
     AdmissibleSetup,
     Symmetry,
     add,
+    annihilator,
     aut_group,
+    embed_inner,
     neg,
     pairing,
     scale,
@@ -90,7 +93,8 @@ class UnprojectedTable:
         return sum(self.entries.values())
 
 
-def unprojected_state_space(P: InvertiblePolynomial, cap: int = 10**6) -> UnprojectedTable:
+def unprojected_state_space(P: InvertiblePolynomial,
+                            cap: int = DEFAULT_GROUP_CAP) -> UnprojectedTable:
     """Sum of the age-shifted sector algebras over every diagonal symmetry."""
     entries: dict[tuple[Symmetry, Symmetry, Fraction, Fraction], int] = {}
     for h in aut_group(P, cap):
@@ -99,18 +103,6 @@ def unprojected_state_space(P: InvertiblePolynomial, cap: int = 10**6) -> Unproj
             label = (h, key, p, q)
             entries[label] = entries.get(label, 0) + dim
     return UnprojectedTable(P, entries)
-
-
-def _dual_key_set(setup: AdmissibleSetup, cap: int = 10**6) -> frozenset[Symmetry]:
-    """Keys invariant under K: the annihilator of K inside the dual group."""
-    W = setup.W
-    Wv = transpose(W)
-    gens = setup.K_inner.generators
-    embedded = tuple((Fraction(0),) + g for g in gens)
-    keys = frozenset(h for h in aut_group(Wv, cap)
-                     if all(pairing(W, g, h) == 0 for g in embedded))
-    assert len(keys) * setup.K_inner.order == aut_group(Wv, cap).order
-    return keys
 
 
 def _make_label(setup: AdmissibleSetup, sector: Symmetry, key: Symmetry,
@@ -138,9 +130,11 @@ def _make_label(setup: AdmissibleSetup, sector: Symmetry, key: Symmetry,
     return StateLabel(sector, key, p, q, dj, ds, qj, qs, weight, side, x, y, z)
 
 
-def build_state_space(setup: AdmissibleSetup, cap: int = 10**6) -> StateTable:
+def build_state_space(setup: AdmissibleSetup, cap: int = DEFAULT_GROUP_CAP) -> StateTable:
     """The K-invariant state space over the labelled cosets j^a s^b K."""
-    allowed = _dual_key_set(setup, cap)
+    allowed = frozenset(annihilator(
+        setup.W, (embed_inner(g) for g in setup.K_inner.generators),
+        setup.K_inner.order, cap))
     entries: dict[StateLabel, int] = {}
     for coset in setup.cosets.values():
         for h in coset:
@@ -196,7 +190,8 @@ def twist(setup: AdmissibleSetup, label: StateLabel) -> StateLabel:
     p = label.p - 1 + Fraction(2 * z, k)
     q = label.q
     out = _make_label(setup, sector, key, p, q)
-    assert (out.side, out.x, out.y, out.z) == (FIXED, label.x, label.y, label.z)
+    if (out.side, out.x, out.y, out.z) != (FIXED, label.x, label.y, label.z):
+        raise DualityViolationError(f"twist broke (X, Y, Z) at {label.sector}")
     return out
 
 
@@ -213,7 +208,8 @@ def elevator_moving(setup: AdmissibleSetup, label: StateLabel, z_new: int) -> St
     p = label.p - Fraction(delta, k)
     q = label.q + Fraction(delta, k)
     out = _make_label(setup, label.sector, key, p, q)
-    assert (out.side, out.x, out.y, out.z) == (MOVING, label.x, label.y, z_new)
+    if (out.side, out.x, out.y, out.z) != (MOVING, label.x, label.y, z_new):
+        raise DualityViolationError(f"moving elevator broke (X, Y, Z) at {label.sector}")
     return out
 
 
@@ -230,7 +226,8 @@ def elevator_fixed(setup: AdmissibleSetup, label: StateLabel, z_new: int) -> Sta
     p = label.p + Fraction(delta, k)
     q = label.q + Fraction(delta, k)
     out = _make_label(setup, sector, label.key, p, q)
-    assert (out.side, out.x, out.y, out.z) == (FIXED, label.x, label.y, z_new)
+    if (out.side, out.x, out.y, out.z) != (FIXED, label.x, label.y, z_new):
+        raise DualityViolationError(f"fixed elevator broke (X, Y, Z) at {label.sector}")
     return out
 
 

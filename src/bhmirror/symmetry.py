@@ -13,8 +13,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
+    DualityViolationError,
     GradingCollisionError,
     GroupTooLargeError,
+    InternalError,
     NotAdmissibleError,
     NotInGroupError,
 )
@@ -60,10 +62,6 @@ def age(g: Symmetry) -> Fraction:
 def in_sl(g: Symmetry) -> bool:
     """True iff the symmetry has determinant 1, i.e. integral age."""
     return age(g) % 1 == 0
-
-
-def fixed_variables(g: Symmetry) -> tuple[int, ...]:
-    return tuple(i for i, a in enumerate(g) if a % 1 == 0)
 
 
 def is_symmetry_of(P: InvertiblePolynomial, g: Sequence[Fraction]) -> bool:
@@ -131,7 +129,9 @@ def dual_generators(P: InvertiblePolynomial) -> tuple[Symmetry, ...]:
 def aut_group(P: InvertiblePolynomial, cap: int = DEFAULT_GROUP_CAP) -> SymmetryGroup:
     """The full diagonal symmetry group; its order equals |det E|."""
     group = enumerate_group(P, aut_generators(P), cap)
-    assert group.order == exponent_determinant(P)
+    if group.order != exponent_determinant(P):
+        raise InternalError(
+            f"|Aut| = {group.order} differs from |det E| = {exponent_determinant(P)}")
     return group
 
 
@@ -170,20 +170,26 @@ def pairing(P: InvertiblePolynomial, g: Sequence[Fraction], h: Sequence[Fraction
     return total % 1
 
 
-def dual_group(H: SymmetryGroup, cap: int = DEFAULT_GROUP_CAP) -> SymmetryGroup:
-    """Annihilator of H inside the symmetry group of the transpose.
+def annihilator(P: InvertiblePolynomial, generators: Iterable[Sequence[Fraction]],
+                order: int, cap: int = DEFAULT_GROUP_CAP) -> tuple[Symmetry, ...]:
+    """Sorted elements of the transpose's symmetry group that pair to zero
+    with every generator.  `order` is the order of the group the generators
+    span; the duality is perfect, so a product of orders other than |det E|
+    raises DualityViolationError."""
+    gens = tuple(generators)
+    full = aut_group(transpose(P), cap)  # its order is checked to be |det E|
+    elements = tuple(h for h in full if all(pairing(P, g, h) == 0 for g in gens))
+    if len(elements) * order != full.order:
+        raise DualityViolationError(
+            f"annihilator of order {len(elements)} times group order {order} "
+            f"differs from |det E| = {full.order}")
+    return elements
 
-    The orders multiply to |det E|, so this is a perfect duality; that is
-    asserted on every call.
-    """
-    P = H.polynomial
-    Pv = transpose(P)
-    full = aut_group(Pv, cap)
-    gens = H.generators if H.generators else H.elements
-    elements = tuple(h for h in full
-                     if all(pairing(P, g, h) == 0 for g in gens))
-    assert len(elements) * H.order == full.order
-    return SymmetryGroup(Pv, elements, elements)
+
+def dual_group(H: SymmetryGroup, cap: int = DEFAULT_GROUP_CAP) -> SymmetryGroup:
+    """Annihilator of H inside the symmetry group of the transpose."""
+    elements = annihilator(H.polynomial, H.generators, H.order, cap)
+    return SymmetryGroup(transpose(H.polynomial), elements, elements)
 
 
 # ---------------------------------------------------------------------------

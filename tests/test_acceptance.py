@@ -50,9 +50,8 @@ def criterion(number, description):
 
 
 @pytest.fixture(scope="module")
-def catalog_pairs():
-    return {case.name: build_mirror_pair(case.parse(), case.K_generators())
-            for case in ADMISSIBLE_CASES}
+def catalog_pairs(pair_cache):
+    return {case.name: pair_cache(case.name) for case in ADMISSIBLE_CASES}
 
 
 def test_criterion_1_elliptic_grid():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bhmirror import cli
 from bhmirror.cli import main
 
 
@@ -78,10 +79,14 @@ class TestTable:
         total = sum(int(line.rsplit(",", 1)[1]) for line in lines[1:])
         assert total == 16  # total dimension over all slices
 
-    def test_group_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BHMIRROR_MAX_GROUP", "10")
+    @pytest.mark.parametrize("value, error", [
+        ("10", "GroupTooLarge"), ("abc", "Input"), ("0", "Input"), ("-3", "Input"),
+    ])
+    def test_group_cap_env(self, capsys, monkeypatch, value, error):
+        monkeypatch.setenv("BHMIRROR_MAX_GROUP", value)
         code, _, err = run(capsys, "analyze", "x0^4+x1^4+x2^4+x3^4")
-        assert code == 2 and "GroupTooLarge" in err
+        assert code == 2 and f"error [{error}]" in err
+        assert "Traceback" not in err
 
     def test_sl_invariance_gives_the_mirror_grid(self, capsys):
         # invariance under the inner determinant-one group reproduces the
@@ -132,6 +137,15 @@ class TestK3Command:
         code, out, _ = run(capsys, "k3", "x0^13+x1^3*x2+x2^2*x3+x3^2*x1")
         assert code == 0
         assert "mirror lattices" in out and "(10, 1)" in out
+
+    def test_unsupported_order_fails_before_the_pair(self, capsys, monkeypatch):
+        def build(*args):
+            pytest.fail("k3 built the mirror pair of an order-9 setup")
+
+        monkeypatch.setattr(cli, "build_mirror_pair", build)
+        code, out, err = run(capsys, "k3", "x0^9+x1^2+x2^3+x3^18",
+                             "--K", "gen:[1/2,0,1/2]")
+        assert code == 2 and "error [PatternMismatch]" in err and out == ""
 
 
 class TestVerify:

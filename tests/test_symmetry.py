@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bhmirror.errors import (
+    DualityViolationError,
     GradingCollisionError,
     GroupTooLargeError,
     NotAdmissibleError,
@@ -14,6 +15,7 @@ from bhmirror.symmetry import (
     add,
     admissible_setup,
     age,
+    annihilator,
     aut_generators,
     aut_group,
     dual_group,
@@ -151,6 +153,12 @@ class TestDualGroup:
 
     def test_full_group_dual_trivial(self):
         assert dual_group(aut_group(QUARTIC)).order == 1
+
+    def test_annihilator_checks_the_order_identity(self):
+        j = j_element(QUARTIC)
+        assert len(annihilator(QUARTIC, (j,), 4)) == 64
+        with pytest.raises(DualityViolationError):
+            annihilator(QUARTIC, (j,), 2)
 
     def test_order_product(self):
         H = enumerate_group(QUARTIC, [(F(1, 4), F(3, 4), F(0), F(0))])
