@@ -15,16 +15,29 @@ algebra provably vanishes.
 
 Fermat-supported restrictions admit direct monomial enumeration, kept as
 an independent oracle against the series engine.
+
+The series depends only on the parent and the fixed-variable set, not on
+the sector, so `equivariant_hilbert` is memoized on the restriction (a
+bounded cache keyed on parent and fixed variables; the returned series is
+shared and never mutated).  Its checks run once per distinct fixed set;
+`sector_algebra` applies the age shift of each sector afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import InternalError, NotFermatError
-from .poly import InvertiblePolynomial, RestrictedPolynomial, exponent_inverse, restrict
+from .poly import (
+    InvertiblePolynomial,
+    RestrictedPolynomial,
+    common_denominator,
+    exponent_inverse,
+    restrict,
+)
 from .symmetry import Symmetry, add, age, identity, scale, symmetry
 
 SeriesCoefficients = dict[int, dict[Symmetry, int]]
@@ -89,13 +102,12 @@ def _variable_factor(char: Symmetry, w: int, d: int, bound: int) -> SeriesCoeffi
 
 def _is_dual_symmetry(P: InvertiblePolynomial, key: Symmetry) -> bool:
     n = P.num_vars
-    for j in range(n):
-        phase = sum(Fraction(P.exponents[i][j]) * key[i] for i in range(n))
-        if phase % 1 != 0:
-            return False
-    return True
+    D, scaled = common_denominator(key)
+    return all(sum(P.exponents[i][j] * scaled[i] for i in range(n)) % D == 0
+               for j in range(n))
 
 
+@lru_cache(maxsize=128)  # 2^n fixed sets for each side of a pair, n <= 6
 def equivariant_hilbert(R: RestrictedPolynomial) -> GroupRingSeries:
     """Dual-group-graded Hilbert series of the Milnor algebra of R.
 

@@ -5,6 +5,11 @@ exponent matrix E (row i = exponent vector of monomial i).  All arithmetic
 is exact: weights solve E*q = 1 over the rationals and are scaled to the
 least integer degree.  Every polynomial decomposes into Fermat, chain and
 loop atoms; inputs for which no such decomposition exists are rejected.
+
+Cached (bounded, keyed on frozen values): one Gauss-Jordan elimination
+per exponent matrix serves the weights, `exponent_inverse` and
+`exponent_determinant`; `transpose` per polynomial; and the surviving rows
+of a restriction per exponent matrix and fixed set.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
@@ -146,13 +152,27 @@ def invert_matrix(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[Fraction, 
     return inverse, det
 
 
+def common_denominator(vector: Sequence) -> tuple[int, tuple[int, ...]]:
+    """The least common denominator D of a rational vector, and D times it."""
+    entries = [a if isinstance(a, Fraction) else Fraction(a) for a in vector]
+    D = lcm(*(a.denominator for a in entries))
+    return D, tuple(a.numerator * (D // a.denominator) for a in entries)
+
+
+@lru_cache(maxsize=256)
+def _exact_inverse(E: Matrix) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
+    """invert_matrix, memoized on the exponent matrix: one elimination
+    serves the weights, the inverse and the determinant."""
+    return invert_matrix(E)
+
+
 def exponent_inverse(P: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...]:
-    inverse, _ = invert_matrix(P.exponents)
+    inverse, _ = _exact_inverse(P.exponents)
     return inverse
 
 
 def exponent_determinant(P: InvertiblePolynomial) -> int:
-    _, det = invert_matrix(P.exponents)
+    _, det = _exact_inverse(P.exponents)
     if det.denominator != 1:
         raise InternalError(f"determinant {det} of an integer matrix is not an integer")
     return abs(int(det))
@@ -171,7 +191,7 @@ def solve_weights(exponents: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     n = len(exponents)
     if any(len(row) != n for row in exponents):
         raise NonSquareError("exponent matrix must be square")
-    inverse, _ = invert_matrix(exponents)
+    inverse, _ = _exact_inverse(tuple(tuple(row) for row in exponents))
     q = [sum(row) for row in inverse]
     if any(qi <= 0 for qi in q):
         raise NonPositiveWeightError(f"weight vector {q} has a non-positive entry")
@@ -424,8 +444,13 @@ def format_polynomial(P: InvertiblePolynomial) -> str:
 # basic operations
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def transpose(P: InvertiblePolynomial) -> InvertiblePolynomial:
-    """Transpose the exponent matrix; variable order is preserved."""
+    """Transpose the exponent matrix; variable order is preserved.
+
+    Memoized on P, so every request for the transpose of one polynomial
+    returns the same object.
+    """
     E = tuple(tuple(P.exponents[i][j] for i in range(P.num_vars)) for j in range(P.num_vars))
     return from_exponents(E, P.var_names)
 
@@ -476,21 +501,28 @@ def restrict(P: InvertiblePolynomial, symmetry: Sequence[Fraction]) -> Restricte
     """
     if len(symmetry) != P.num_vars:
         raise NotInGroupError("symmetry has the wrong number of entries")
+    D, scaled = common_denominator(symmetry)
     for i, row in enumerate(P.exponents):
-        phase = sum(Fraction(e) * a for e, a in zip(row, symmetry))
-        if phase % 1 != 0:
+        if sum(e * x for e, x in zip(row, scaled)) % D != 0:
             raise NotInGroupError(f"symmetry does not fix monomial {i}")
-    fixed = tuple(i for i, a in enumerate(symmetry) if a % 1 == 0)
+    fixed = tuple(i for i, x in enumerate(scaled) if x % D == 0)
+    return RestrictedPolynomial(P, fixed, _restriction_rows(P.exponents, fixed))
+
+
+@lru_cache(maxsize=256)
+def _restriction_rows(E: Matrix, fixed: tuple[int, ...]) -> tuple[int, ...]:
+    """Rows of E supported on the fixed variables, checked to form a
+    non-degenerate square block; memoized on the fixed set."""
     fixed_set = set(fixed)
-    rows = tuple(i for i, row in enumerate(P.exponents)
+    rows = tuple(i for i, row in enumerate(E)
                  if all(e == 0 for j, e in enumerate(row) if j not in fixed_set))
     if len(rows) != len(fixed):
         raise DegenerateRestrictionError(
             f"{len(rows)} monomials survive on {len(fixed)} fixed variables")
     if fixed:
-        sub = [tuple(P.exponents[r][j] for j in fixed) for r in rows]
+        sub = [tuple(E[r][j] for j in fixed) for r in rows]
         try:
             classify_atoms(sub)
         except DegenerateShapeError as exc:
             raise DegenerateRestrictionError(f"restriction is degenerate: {exc}") from exc
-    return RestrictedPolynomial(P, fixed, rows)
+    return rows

@@ -4,12 +4,22 @@ A diagonal symmetry is a vector [a_0, ..., a_n] of rationals mod 1, acting
 on variables by x_i -> exp(2*pi*i*a_i) x_i.  Groups are enumerated
 explicitly as sorted element lists; the duality pairing between symmetries
 of P and of its transpose is the closed form (E*g) . h mod 1.
+
+Internally a group is closed over integer vectors mod D, D the least
+common denominator of its generators, and converted to `Fraction` once at
+the end; the annihilator tests (E*g) . (D*h) = 0 mod D on integers.
+Cached: `aut_group` enumerates once per polynomial (bounded cache keyed on
+the polynomial; the cap is checked against |det E| on every call, before
+the cache is consulted), and a group's element set is built once per
+`SymmetryGroup` object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -22,6 +32,7 @@ from .errors import (
 )
 from .poly import (
     InvertiblePolynomial,
+    common_denominator,
     exponent_determinant,
     exponent_inverse,
     split_cyclic,
@@ -67,8 +78,8 @@ def in_sl(g: Symmetry) -> bool:
 def is_symmetry_of(P: InvertiblePolynomial, g: Sequence[Fraction]) -> bool:
     if len(g) != P.num_vars:
         return False
-    return all(sum(Fraction(e) * a for e, a in zip(row, g)) % 1 == 0
-               for row in P.exponents)
+    D, scaled = common_denominator(g)
+    return all(sum(e * x for e, x in zip(row, scaled)) % D == 0 for row in P.exponents)
 
 
 @dataclass(frozen=True)
@@ -81,8 +92,12 @@ class SymmetryGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _element_set(self) -> frozenset[Symmetry]:
+        return frozenset(self.elements)
+
     def __contains__(self, g) -> bool:
-        return symmetry(g) in set(self.elements)
+        return symmetry(g) in self._element_set
 
     def __iter__(self):
         return iter(self.elements)
@@ -90,18 +105,26 @@ class SymmetryGroup:
 
 def enumerate_group(P: InvertiblePolynomial, generators: Iterable[Sequence[Fraction]],
                     cap: int = DEFAULT_GROUP_CAP) -> SymmetryGroup:
-    """Breadth-first closure of the generators inside (Q/Z)^N."""
+    """Breadth-first closure of the generators inside (Q/Z)^N.
+
+    Runs on the integer vectors D*g mod D, D the least common denominator
+    of the generators; a -> a/D is monotone, so sorting the integer
+    vectors sorts the symmetries.
+    """
     gens = tuple(symmetry(g) for g in generators)
     for g in gens:
         if not is_symmetry_of(P, g):
             raise NotInGroupError(f"{g} does not fix the polynomial")
-    elements = {identity(P.num_vars)}
+    D = lcm(*(a.denominator for g in gens for a in g))
+    steps = tuple(dict.fromkeys(tuple(a.numerator * (D // a.denominator) for a in g)
+                                for g in gens))
+    elements = {(0,) * P.num_vars}
     frontier = list(elements)
     while frontier:
         nxt = []
         for e in frontier:
-            for g in gens:
-                candidate = add(e, g)
+            for g in steps:
+                candidate = tuple((x + y) % D for x, y in zip(e, g))
                 if candidate not in elements:
                     elements.add(candidate)
                     nxt.append(candidate)
@@ -109,7 +132,10 @@ def enumerate_group(P: InvertiblePolynomial, generators: Iterable[Sequence[Fract
                         raise GroupTooLargeError(
                             f"group exceeds the enumeration cap of {cap}")
         frontier = nxt
-    return SymmetryGroup(P, gens, tuple(sorted(elements)))
+    # D is the exponent of the group, so it never exceeds the order
+    fractions = [Fraction(a, D) for a in range(D)]
+    return SymmetryGroup(P, gens, tuple(tuple(fractions[a] for a in e)
+                                        for e in sorted(elements)))
 
 
 def aut_generators(P: InvertiblePolynomial) -> tuple[Symmetry, ...]:
@@ -127,11 +153,25 @@ def dual_generators(P: InvertiblePolynomial) -> tuple[Symmetry, ...]:
 
 
 def aut_group(P: InvertiblePolynomial, cap: int = DEFAULT_GROUP_CAP) -> SymmetryGroup:
-    """The full diagonal symmetry group; its order equals |det E|."""
-    group = enumerate_group(P, aut_generators(P), cap)
-    if group.order != exponent_determinant(P):
-        raise InternalError(
-            f"|Aut| = {group.order} differs from |det E| = {exponent_determinant(P)}")
+    """The full diagonal symmetry group; its order equals |det E|.
+
+    Raises GroupTooLargeError before enumerating anything when |det E|
+    exceeds the cap.
+    """
+    if exponent_determinant(P) > cap:
+        raise GroupTooLargeError(f"group exceeds the enumeration cap of {cap}")
+    return _aut_group(P)
+
+
+@lru_cache(maxsize=4)
+def _aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
+    det = exponent_determinant(P)
+    try:
+        group = enumerate_group(P, aut_generators(P), det)
+    except GroupTooLargeError as exc:
+        raise InternalError(f"|Aut| exceeds |det E| = {det}") from exc
+    if group.order != det:
+        raise InternalError(f"|Aut| = {group.order} differs from |det E| = {det}")
     return group
 
 
@@ -151,6 +191,20 @@ def s_element(W: InvertiblePolynomial) -> Symmetry:
     return (Fraction(1, k),) + (Fraction(0),) * (W.num_vars - 1)
 
 
+def _fixed_monomial_vector(P: InvertiblePolynomial, g: Sequence[Fraction]) -> tuple[int, ...]:
+    """E*g, which is integral exactly when g fixes every monomial of P."""
+    if len(g) != P.num_vars:
+        raise NotInGroupError("pairing applied to vectors of the wrong length")
+    D, scaled = common_denominator(g)
+    out = []
+    for i, row in enumerate(P.exponents):
+        entry, rest = divmod(sum(e * x for e, x in zip(row, scaled)), D)
+        if rest != 0:
+            raise NotInGroupError(f"left argument does not fix monomial {i}")
+        out.append(entry)
+    return tuple(out)
+
+
 def pairing(P: InvertiblePolynomial, g: Sequence[Fraction], h: Sequence[Fraction]) -> Fraction:
     """Duality pairing of g in Aut_P with h in Aut of the transpose.
 
@@ -158,16 +212,11 @@ def pairing(P: InvertiblePolynomial, g: Sequence[Fraction], h: Sequence[Fraction
     inverse matrix) this evaluates to h_i, which pins the identification of
     the dual group with the character group.
     """
-    n = P.num_vars
-    if len(g) != n or len(h) != n:
+    if len(h) != P.num_vars:
         raise NotInGroupError("pairing applied to vectors of the wrong length")
-    total = Fraction(0)
-    for i, row in enumerate(P.exponents):
-        entry = sum(Fraction(e) * Fraction(a) for e, a in zip(row, g))
-        if entry % 1 != 0:
-            raise NotInGroupError(f"left argument does not fix monomial {i}")
-        total += entry * Fraction(h[i])
-    return total % 1
+    v = _fixed_monomial_vector(P, g)
+    D, scaled = common_denominator(h)
+    return Fraction(sum(x * y for x, y in zip(v, scaled)) % D, D)
 
 
 def annihilator(P: InvertiblePolynomial, generators: Iterable[Sequence[Fraction]],
@@ -175,15 +224,24 @@ def annihilator(P: InvertiblePolynomial, generators: Iterable[Sequence[Fraction]
     """Sorted elements of the transpose's symmetry group that pair to zero
     with every generator.  `order` is the order of the group the generators
     span; the duality is perfect, so a product of orders other than |det E|
-    raises DualityViolationError."""
-    gens = tuple(generators)
+    raises DualityViolationError.
+
+    With D = |det E|, every h in the transpose's group has D*h integral, so
+    h is kept iff (E*g) . (D*h) = 0 mod D for every generator g.
+    """
     full = aut_group(transpose(P), cap)  # its order is checked to be |det E|
-    elements = tuple(h for h in full if all(pairing(P, g, h) == 0 for g in gens))
-    if len(elements) * order != full.order:
+    D = full.order
+    vectors = [_fixed_monomial_vector(P, g) for g in generators]
+    elements = []
+    for h in full:
+        scaled = [a.numerator * (D // a.denominator) for a in h]
+        if all(sum(x * y for x, y in zip(v, scaled)) % D == 0 for v in vectors):
+            elements.append(h)
+    if len(elements) * order != D:
         raise DualityViolationError(
             f"annihilator of order {len(elements)} times group order {order} "
-            f"differs from |det E| = {full.order}")
-    return elements
+            f"differs from |det E| = {D}")
+    return tuple(elements)
 
 
 def dual_group(H: SymmetryGroup, cap: int = DEFAULT_GROUP_CAP) -> SymmetryGroup:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -87,6 +88,14 @@ class TestTable:
         code, _, err = run(capsys, "analyze", "x0^4+x1^4+x2^4+x3^4")
         assert code == 2 and f"error [{error}]" in err
         assert "Traceback" not in err
+
+    def test_group_too_large_fails_fast(self, capsys):
+        # |det E| = 8 * 10^9: rejected from the determinant, before any
+        # element is enumerated
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "x0^2000+x1^2000+x2^2000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "error [GroupTooLarge]" in err and out == ""
 
     def test_sl_invariance_gives_the_mirror_grid(self, capsys):
         # invariance under the inner determinant-one group reproduces the

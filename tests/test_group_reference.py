@@ -1,0 +1,138 @@
+"""The integer-coded group kernel against a plain `Fraction` reference.
+
+The reference below is the straightforward encoding: a breadth-first
+closure over `Fraction` vectors mod 1, the pairing (E*g) . h mod 1 in
+`Fraction` arithmetic, and an annihilator that filters the transpose's
+group by that pairing.  The library must agree with it element for
+element on random invertible polynomials of up to four variables.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from bhmirror.poly import from_exponents, transpose
+from bhmirror.symmetry import (
+    annihilator,
+    aut_generators,
+    aut_group,
+    dual_group,
+    enumerate_group,
+    pairing,
+)
+
+
+def ref_symmetry(g):
+    return tuple(Fraction(a) % 1 for a in g)
+
+
+def ref_closure(P, generators):
+    gens = [ref_symmetry(g) for g in generators]
+    elements = {(Fraction(0),) * P.num_vars}
+    frontier = list(elements)
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                candidate = tuple((a + b) % 1 for a, b in zip(e, g))
+                if candidate not in elements:
+                    elements.add(candidate)
+                    nxt.append(candidate)
+        frontier = nxt
+    return tuple(sorted(elements))
+
+
+def ref_pairing(P, g, h):
+    total = Fraction(0)
+    for i, row in enumerate(P.exponents):
+        entry = sum(Fraction(e) * Fraction(a) for e, a in zip(row, g))
+        assert entry % 1 == 0, f"left argument does not fix monomial {i}"
+        total += entry * Fraction(h[i])
+    return total % 1
+
+
+def ref_annihilator(P, generators):
+    Pv = transpose(P)
+    full = ref_closure(Pv, aut_generators(Pv))
+    return tuple(h for h in full if all(ref_pairing(P, g, h) == 0 for g in generators))
+
+
+ATOMS = {
+    "fermat": lambda a, b, c: [[a]],
+    "chain2": lambda a, b, c: [[a, 1], [0, b]],
+    "loop2": lambda a, b, c: [[a, 1], [1, b]],
+    "chain3": lambda a, b, c: [[a, 1, 0], [0, b, 1], [0, 0, c]],
+    "loop3": lambda a, b, c: [[a, 1, 0], [0, b, 1], [1, 0, c]],
+}
+
+
+@st.composite
+def small_polynomials(draw):
+    """Block sums of Fermat, chain and loop atoms on at most 4 variables,
+    with exponents 2..4 and the variables shuffled; |det E| <= 260."""
+    blocks = []
+    n = 0
+    for kind in draw(st.lists(st.sampled_from(sorted(ATOMS)), min_size=1, max_size=4)):
+        block = ATOMS[kind](*(draw(st.integers(2, 4)) for _ in range(3)))
+        if n + len(block) <= 4:
+            blocks.append(block)
+            n += len(block)
+    rows = []
+    offset = 0
+    for block in blocks:
+        for row in block:
+            rows.append([0] * offset + row + [0] * (n - offset - len(row)))
+        offset += len(block)
+    perm = draw(st.permutations(range(n)))
+    return from_exponents([[row[perm[j]] for j in range(n)] for row in rows])
+
+
+@st.composite
+def polynomial_and_generators(draw):
+    """A polynomial and a few elements of its group as generators, some
+    written with unreduced entries."""
+    P = draw(small_polynomials())
+    elements = ref_closure(P, aut_generators(P))
+    picks = draw(st.lists(st.integers(0, len(elements) - 1), max_size=3))
+    shifts = draw(st.lists(st.integers(-2, 2), min_size=len(picks), max_size=len(picks)))
+    gens = [tuple(a + s for a in elements[i]) for i, s in zip(picks, shifts)]
+    return P, gens
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_polynomials())
+def test_aut_group_matches_reference(P):
+    group = aut_group(P)
+    assert group.generators == tuple(ref_symmetry(g) for g in aut_generators(P))
+    assert group.elements == ref_closure(P, aut_generators(P))
+
+
+@settings(deadline=None, max_examples=40)
+@given(polynomial_and_generators())
+def test_enumerate_group_matches_reference(case):
+    P, gens = case
+    group = enumerate_group(P, gens)
+    assert group.generators == tuple(ref_symmetry(g) for g in gens)
+    assert group.elements == ref_closure(P, gens)
+
+
+@settings(deadline=None, max_examples=40)
+@given(polynomial_and_generators())
+def test_annihilator_and_dual_match_reference(case):
+    P, gens = case
+    H = enumerate_group(P, gens)
+    expected = ref_annihilator(P, gens)
+    assert annihilator(P, gens, H.order) == expected
+    dual = dual_group(H)
+    assert dual.polynomial == transpose(P)
+    assert dual.generators == dual.elements == expected
+
+
+@settings(deadline=None, max_examples=40)
+@given(polynomial_and_generators(), st.data())
+def test_pairing_matches_reference(case, data):
+    P, gens = case
+    duals = ref_closure(transpose(P), aut_generators(transpose(P)))
+    h = duals[data.draw(st.integers(0, len(duals) - 1))]
+    for g in gens:
+        assert pairing(P, g, h) == ref_pairing(P, g, h)
