@@ -113,18 +113,23 @@ def load_catalog(path: str) -> tuple[CatalogCase, ...]:
     """Read a catalog file: a JSON list (or {"cases": [...]}) of objects
     with fields name, polynomial, and optional K (list of vectors) and tags."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise InputError(f"catalog {path} is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
         data = data.get("cases", [])
+    if not isinstance(data, list):
+        raise InputError(f'catalog {path} is neither a list nor {{"cases": [...]}}')
     cases = []
     for obj in data:
-        try:
-            cases.append(CatalogCase(
-                name=obj["name"],
-                polynomial=obj["polynomial"],
-                K=tuple(obj.get("K", ())),
-                tags=frozenset(obj.get("tags", ())),
-            ))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed catalog entry {obj!r}: {exc}") from exc
+        if not (isinstance(obj, dict)
+                and isinstance(obj.get("name"), str)
+                and isinstance(obj.get("polynomial"), str)
+                and all(isinstance(v, list) and all(isinstance(x, str) for x in v)
+                        for v in (obj.get("K", []), obj.get("tags", [])))):
+            raise InputError(f"malformed catalog entry {obj!r}: name and polynomial "
+                             "must be strings, K and tags lists of strings")
+        cases.append(CatalogCase(obj["name"], obj["polynomial"],
+                                 tuple(obj.get("K", ())), frozenset(obj.get("tags", ()))))
     return tuple(cases)

@@ -34,11 +34,11 @@ from .errors import InternalError, NotFermatError
 from .poly import (
     InvertiblePolynomial,
     RestrictedPolynomial,
-    common_denominator,
     exponent_inverse,
     restrict,
+    transpose,
 )
-from .symmetry import Symmetry, add, age, identity, scale, symmetry
+from .symmetry import Symmetry, add, age, identity, is_symmetry_of, scale, symmetry
 
 SeriesCoefficients = dict[int, dict[Symmetry, int]]
 
@@ -100,13 +100,6 @@ def _variable_factor(char: Symmetry, w: int, d: int, bound: int) -> SeriesCoeffi
     return {m: keys for m, keys in out.items() if keys}
 
 
-def _is_dual_symmetry(P: InvertiblePolynomial, key: Symmetry) -> bool:
-    n = P.num_vars
-    D, scaled = common_denominator(key)
-    return all(sum(P.exponents[i][j] * scaled[i] for i in range(n)) % D == 0
-               for j in range(n))
-
-
 @lru_cache(maxsize=128)  # 2^n fixed sets for each side of a pair, n <= 6
 def equivariant_hilbert(R: RestrictedPolynomial) -> GroupRingSeries:
     """Dual-group-graded Hilbert series of the Milnor algebra of R.
@@ -123,9 +116,10 @@ def equivariant_hilbert(R: RestrictedPolynomial) -> GroupRingSeries:
         char = symmetry(inv[i])
         factor = _variable_factor(char, P.weights[i], P.degree, bound)
         series = _multiply(series, factor, bound)
+    dual = transpose(P)
     for m, keys in series.items():
         for key, mult in keys.items():
-            if mult <= 0 or not _is_dual_symmetry(P, key):
+            if mult <= 0 or not is_symmetry_of(dual, key):
                 raise InternalError(f"multiplicity {mult} of key {key} at degree {m}: "
                                     "not positive, or the key is not a dual character")
     result = GroupRingSeries(series, bound)

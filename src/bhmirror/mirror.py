@@ -56,7 +56,10 @@ class CheckItem:
 class VerificationReport:
     name: str
     items: list[CheckItem] = field(default_factory=list)
-    cells_checked: int = 0
+
+    @property
+    def cells_checked(self) -> int:
+        return len(self.items)
 
     @property
     def violations(self) -> list[CheckItem]:
@@ -66,9 +69,16 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def add(self, statement: str, cell: Cell, lhs: int, rhs: int) -> None:
-        self.items.append(CheckItem(statement, cell, lhs, rhs))
-        self.cells_checked += 1
+    def compare(self, statement: str, lhs: dict[Cell, int], rhs: dict[Cell, int],
+                empty: str | None = None) -> None:
+        """Record lhs against rhs, both maps cell -> dimension, at every cell
+        of either map in sorted order; a missing cell has dimension 0.  When
+        both maps are empty and `empty` is given, record that statement once
+        at the empty cell (), zero against zero."""
+        if not (lhs or rhs) and empty is not None:
+            statement, lhs = empty, {(): 0}
+        for cell in sorted({*lhs, *rhs}):
+            self.items.append(CheckItem(statement, cell, lhs.get(cell, 0), rhs.get(cell, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +133,17 @@ def build_mirror_pair(W: InvertiblePolynomial,
 def verify_krawitz(P: InvertiblePolynomial, cap: int = DEFAULT_GROUP_CAP) -> VerificationReport:
     """Check dim U_h^key(P) at (p, q) = dim U_key^h(transpose) at (N-p, q)
     for every sector/key pair, N the number of variables."""
-    report = VerificationReport(name=f"krawitz[{P}]")
-    N = P.num_vars
-    U = unprojected_state_space(P, cap)
-    Uv = unprojected_state_space(transpose(P), cap)
-    cells = set(U.entries)
-    cells.update((h, key, N - p, q) for (key, h, p, q) in Uv.entries)
-    for cell in sorted(cells):
-        h, key, p, q = cell
-        lhs = U.entries.get(cell, 0)
-        rhs = Uv.entries.get((key, h, N - p, q), 0)
-        report.cells_checked += 1
-        if lhs != rhs:
-            report.items.append(CheckItem("krawitz", cell, lhs, rhs))
+    return _transpose_duality(f"krawitz[{P}]", "krawitz", P.num_vars,
+                              unprojected_state_space(P, cap).entries,
+                              unprojected_state_space(transpose(P), cap).entries)
+
+
+def _transpose_duality(name: str, statement: str, N: int, lhs: dict, rhs: dict) -> VerificationReport:
+    """Compare two maps (sector, key, p, q) -> dimension: lhs at
+    (sector, key, p, q) against rhs at (key, sector, N - p, q)."""
+    report = VerificationReport(name)
+    report.compare(statement, lhs, {(key, sector, N - p, q): dim
+                                    for (sector, key, p, q), dim in rhs.items()})
     return report
 
 
@@ -280,67 +288,57 @@ def verify_lg_mirror(pair: MirrorPair) -> VerificationReport:
     slices = slice_weight_bidegrees(pair.source_table)
     slicesV = slice_weight_bidegrees(pair.target_table)
     report = VerificationReport(name="lg-mirror")
-
-    # part 1
-    cells = {(p, q) for (w, p, q) in slices[0] if w == 0}
-    cells.update((n + 1 - p, q) for (w, p, q) in slicesV[0] if w != 0)
-    for p, q in sorted(cells):
-        lhs = slices[0].get((0, p, q), 0)
-        rhs = sum(slicesV[0].get((i, n + 1 - p, q), 0) for i in range(1, k))
-        report.add("part1", (p, q), lhs, rhs)
-
-    # part 2
+    report.compare("part1", *_part1(slices, slicesV, n, (0,), range(1, k)))
     for i in range(1, k):
-        shift = Fraction(i, k)
-
-        def padded(slc, b0, p, q):
-            total = slc[i].get((0, p + shift, q + shift), 0)
-            total += sum(b0.get((w, p + 1, q), 0) for w in range(1, k - i))
-            total += sum(b0.get((w, p, q + 1), 0) for w in range(k - i + 1, k))
-            return total
-
-        cells = set()
-        for (w, p, q) in slices[i]:
-            if w == 0:
-                cells.add((p - shift, q - shift))
-        for (w, p, q) in slicesV[i]:
-            if w == 0:
-                cells.add((n - (p - shift), q - shift))
-        for (w, p, q) in slices[0]:
-            if 0 < w < k - i:
-                cells.add((p - 1, q))
-            elif w > k - i:
-                cells.add((p, q - 1))
-        for (w, p, q) in slicesV[0]:
-            if 0 < w < k - i:
-                cells.add((n - (p - 1), q))
-            elif w > k - i:
-                cells.add((n - p, q - 1))
-        for p, q in sorted(cells):
-            lhs = padded(slices, slices[0], p, q)
-            rhs = padded(slicesV, slicesV[0], n - p, q)
-            report.add(f"part2[i={i}]", (p, q), lhs, rhs)
-
-    # part 3
+        report.compare(f"part2[i={i}]", *_part2(slices, slicesV, n, k, i))
     for b in range(1, k):
         for t in range(1, k):
+            statement = f"part3[b={b},t={t}]"
             shift_l = Fraction(b, k)
             shift_r = Fraction(k - t, k)
-            cells = {(p - shift_l, q - shift_l)
-                     for (w, p, q) in slices[b] if w == t}
-            cells.update((n - (p - shift_r), q - shift_r)
-                         for (w, p, q) in slicesV[(k - t) % k] if w == (k - b) % k)
-            statement = f"part3[b={b},t={t}]"
-            if not cells:
-                vacuous = (b * t) % k != 0
-                report.add(statement + ("/vacuous" if vacuous else ""), (), 0, 0)
-                continue
-            for p, q in sorted(cells):
-                lhs = slices[b].get((t, p + shift_l, q + shift_l), 0)
-                rhs = slicesV[(k - t) % k].get(
-                    ((k - b) % k, n - p + shift_r, q + shift_r), 0)
-                report.add(statement, (p, q), lhs, rhs)
+            report.compare(statement,
+                           _cells((slices[b], (t,), shift_l, shift_l)),
+                           _reflect(_cells((slicesV[k - t], (k - b,), shift_r, shift_r)), n),
+                           empty=statement + ("/vacuous" if (b * t) % k != 0 else ""))
     return report
+
+
+def _cells(*parts) -> dict[Cell, int]:
+    """Sum weight spaces of slices into (p, q) cells.  Each part is
+    (slice, weights, dp, dq): the entries (w, p, q) of the slice with w in
+    weights go to the cell (p - dp, q - dq)."""
+    out: dict[Cell, int] = {}
+    for slc, weights, dp, dq in parts:
+        for (w, p, q), dim in slc.items():
+            if w in weights:
+                cell = (p - dp, q - dq)
+                out[cell] = out.get(cell, 0) + dim
+    return out
+
+
+def _reflect(cells: dict[Cell, int], m: int) -> dict[Cell, int]:
+    """The mirror side of an identity: the value at (p, q) is read at (m - p, q)."""
+    return {(m - p, q): dim for (p, q), dim in cells.items()}
+
+
+def _part1(slices, slicesV, n, left, right) -> tuple[dict[Cell, int], dict[Cell, int]]:
+    """The `left` weights of slice 0 at (p, q) against the `right` weights
+    of the mirror slice 0 at (n+1-p, q)."""
+    return (_cells((slices[0], left, 0, 0)),
+            _reflect(_cells((slicesV[0], right, 0, 0)), n + 1))
+
+
+def _part2(slices, slicesV, n, k, i) -> tuple[dict[Cell, int], dict[Cell, int]]:
+    """The padded weight-0 part of slice i against the same construction on
+    the mirror at (n-p, q)."""
+    shift = Fraction(i, k)
+
+    def padded(slc):
+        return _cells((slc[i], (0,), shift, shift),
+                      (slc[0], range(1, k - i), 1, 0),
+                      (slc[0], range(k - i + 1, k), 0, 1))
+
+    return padded(slices), _reflect(padded(slicesV), n)
 
 
 def _require_weight_sum_multiple(W: InvertiblePolynomial) -> None:
@@ -355,53 +353,28 @@ def verify_pair_duality(pair: MirrorPair) -> VerificationReport:
     """Per-cell transpose duality of the two state tables: the dimension at
     (sector, key, p, q) matches the mirror at (key, sector, N - p, q).
     Holds with no condition on the weights."""
-    N = pair.source.W.num_vars
-    lhs_cells = {(lab.sector, lab.key, lab.p, lab.q): dim
-                 for lab, dim in pair.source_table.entries.items()}
-    rhs_cells = {(lab.sector, lab.key, lab.p, lab.q): dim
-                 for lab, dim in pair.target_table.entries.items()}
-    report = VerificationReport(name="pair-duality")
-    cells = set(lhs_cells)
-    cells.update((key, sector, N - p, q) for (sector, key, p, q) in rhs_cells)
-    for cell in sorted(cells):
-        sector, key, p, q = cell
-        lhs = lhs_cells.get(cell, 0)
-        rhs = rhs_cells.get((key, sector, N - p, q), 0)
-        report.cells_checked += 1
-        if lhs != rhs:
-            report.items.append(CheckItem("pair-duality", cell, lhs, rhs))
-    return report
+    def cells(table: StateTable) -> dict:
+        return {(lab.sector, lab.key, lab.p, lab.q): dim for lab, dim in table.entries.items()}
+
+    return _transpose_duality("pair-duality", "pair-duality", pair.source.W.num_vars,
+                              cells(pair.source_table), cells(pair.target_table))
 
 
 def verify_order2_exchange(pair: MirrorPair) -> VerificationReport:
     """The two identities special to k = 2: the plus/minus exchange on the
-    untwisted slice and the self-mirror identity of the s-twisted slice."""
+    untwisted slice (LG part 1, and part 1 with the weights swapped) and the
+    self-mirror identity of the s-twisted slice (LG part 2 at i = 1)."""
     _require_weight_sum_multiple(pair.source.W)
-    k = pair.source.k
-    if k != 2:
+    if pair.source.k != 2:
         raise NotAdmissibleError("the exchange corollary applies to k = 2 only")
     n = pair.source.W.num_vars - 1
     slices = slice_weight_bidegrees(pair.source_table)
     slicesV = slice_weight_bidegrees(pair.target_table)
     report = VerificationReport(name="order2-exchange")
-
-    for sign, left, right in (("plus", 0, 1), ("minus", 1, 0)):
-        cells = {(p, q) for (w, p, q) in slices[0] if w == left}
-        cells.update((n + 1 - p, q) for (w, p, q) in slicesV[0] if w == right)
-        for p, q in sorted(cells):
-            lhs = slices[0].get((left, p, q), 0)
-            rhs = slicesV[0].get((right, n + 1 - p, q), 0)
-            report.add(f"exchange[{sign}]", (p, q), lhs, rhs)
-
-    half = Fraction(1, 2)
-    cells = {(p - half, q - half) for (w, p, q) in slices[1] if w == 0}
-    cells.update((n - (p - half), q - half) for (w, p, q) in slicesV[1] if w == 0)
-    if not cells:
-        report.add("s-slice-self-mirror/vacuous", (), 0, 0)
-    for p, q in sorted(cells):
-        lhs = slices[1].get((0, p + half, q + half), 0)
-        rhs = slicesV[1].get((0, n - p + half, q + half), 0)
-        report.add("s-slice-self-mirror", (p, q), lhs, rhs)
+    report.compare("exchange[plus]", *_part1(slices, slicesV, n, (0,), (1,)))
+    report.compare("exchange[minus]", *_part1(slices, slicesV, n, (1,), (0,)))
+    report.compare("s-slice-self-mirror", *_part2(slices, slicesV, n, 2, 1),
+                   empty="s-slice-self-mirror/vacuous")
     return report
 
 

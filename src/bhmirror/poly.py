@@ -159,6 +159,22 @@ def common_denominator(vector: Sequence) -> tuple[int, tuple[int, ...]]:
     return D, tuple(a.numerator * (D // a.denominator) for a in entries)
 
 
+def monomial_phases(P: InvertiblePolynomial, D: int, scaled: Sequence[int]) -> tuple[int, ...]:
+    """E*g for the diagonal symmetry g = scaled/D, on integers: entry i is
+    the phase, in turns, by which g multiplies monomial i.  Raises
+    NotInGroupError unless g has one entry per variable and every entry of
+    E*g is an integer (g fixes P).  Takes `common_denominator(g)`."""
+    if len(scaled) != P.num_vars:
+        raise NotInGroupError(f"{len(scaled)} entries for {P.num_vars} variables")
+    phases = []
+    for i, row in enumerate(P.exponents):
+        phase, rest = divmod(sum(e * x for e, x in zip(row, scaled)), D)
+        if rest != 0:
+            raise NotInGroupError(f"symmetry does not fix monomial {i}")
+        phases.append(phase)
+    return tuple(phases)
+
+
 @lru_cache(maxsize=256)
 def _exact_inverse(E: Matrix) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
     """invert_matrix, memoized on the exponent matrix: one elimination
@@ -499,12 +515,8 @@ def restrict(P: InvertiblePolynomial, symmetry: Sequence[Fraction]) -> Restricte
     result is non-degenerate (square with a valid atom decomposition);
     a failure is an error, never silent.
     """
-    if len(symmetry) != P.num_vars:
-        raise NotInGroupError("symmetry has the wrong number of entries")
     D, scaled = common_denominator(symmetry)
-    for i, row in enumerate(P.exponents):
-        if sum(e * x for e, x in zip(row, scaled)) % D != 0:
-            raise NotInGroupError(f"symmetry does not fix monomial {i}")
+    monomial_phases(P, D, scaled)
     fixed = tuple(i for i, x in enumerate(scaled) if x % D == 0)
     return RestrictedPolynomial(P, fixed, _restriction_rows(P.exponents, fixed))
 

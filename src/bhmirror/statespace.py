@@ -237,15 +237,8 @@ def elevator_fixed(setup: AdmissibleSetup, label: StateLabel, z_new: int) -> Sta
 
 def slice_weight_bidegrees(table: StateTable) -> dict[int, dict[tuple[int, Fraction, Fraction], int]]:
     """Per slice b: map (weight, p, q) -> dimension of the Q_j = 0 part."""
-    k = table.setup.k
-    out: dict[int, dict[tuple[int, Fraction, Fraction], int]] = {b: {} for b in range(k)}
-    for lab, dim in table.entries.items():
-        if lab.qj != 0:
-            continue
-        b = int(lab.ds * k)
-        cell = (lab.weight, lab.p, lab.q)
-        out[b][cell] = out[b].get(cell, 0) + dim
-    return out
+    return {b: fjrw_state_space(table, b).dimensions_by(lambda lab: (lab.weight, lab.p, lab.q))
+            for b in range(table.setup.k)}
 
 
 def moving_vanishing_violations(table: StateTable) -> list[StateLabel]:

@@ -35,6 +35,7 @@ from .poly import (
     common_denominator,
     exponent_determinant,
     exponent_inverse,
+    monomial_phases,
     split_cyclic,
     transpose,
 )
@@ -76,10 +77,11 @@ def in_sl(g: Symmetry) -> bool:
 
 
 def is_symmetry_of(P: InvertiblePolynomial, g: Sequence[Fraction]) -> bool:
-    if len(g) != P.num_vars:
+    try:
+        monomial_phases(P, *common_denominator(g))
+    except NotInGroupError:
         return False
-    D, scaled = common_denominator(g)
-    return all(sum(e * x for e, x in zip(row, scaled)) % D == 0 for row in P.exponents)
+    return True
 
 
 @dataclass(frozen=True)
@@ -191,20 +193,6 @@ def s_element(W: InvertiblePolynomial) -> Symmetry:
     return (Fraction(1, k),) + (Fraction(0),) * (W.num_vars - 1)
 
 
-def _fixed_monomial_vector(P: InvertiblePolynomial, g: Sequence[Fraction]) -> tuple[int, ...]:
-    """E*g, which is integral exactly when g fixes every monomial of P."""
-    if len(g) != P.num_vars:
-        raise NotInGroupError("pairing applied to vectors of the wrong length")
-    D, scaled = common_denominator(g)
-    out = []
-    for i, row in enumerate(P.exponents):
-        entry, rest = divmod(sum(e * x for e, x in zip(row, scaled)), D)
-        if rest != 0:
-            raise NotInGroupError(f"left argument does not fix monomial {i}")
-        out.append(entry)
-    return tuple(out)
-
-
 def pairing(P: InvertiblePolynomial, g: Sequence[Fraction], h: Sequence[Fraction]) -> Fraction:
     """Duality pairing of g in Aut_P with h in Aut of the transpose.
 
@@ -214,7 +202,7 @@ def pairing(P: InvertiblePolynomial, g: Sequence[Fraction], h: Sequence[Fraction
     """
     if len(h) != P.num_vars:
         raise NotInGroupError("pairing applied to vectors of the wrong length")
-    v = _fixed_monomial_vector(P, g)
+    v = monomial_phases(P, *common_denominator(g))
     D, scaled = common_denominator(h)
     return Fraction(sum(x * y for x, y in zip(v, scaled)) % D, D)
 
@@ -231,7 +219,7 @@ def annihilator(P: InvertiblePolynomial, generators: Iterable[Sequence[Fraction]
     """
     full = aut_group(transpose(P), cap)  # its order is checked to be |det E|
     D = full.order
-    vectors = [_fixed_monomial_vector(P, g) for g in generators]
+    vectors = [monomial_phases(P, *common_denominator(g)) for g in generators]
     elements = []
     for h in full:
         scaled = [a.numerator * (D // a.denominator) for a in h]
@@ -266,8 +254,7 @@ class AdmissibleSetup:
     W: InvertiblePolynomial
     k: int
     f: InvertiblePolynomial
-    K_inner: SymmetryGroup            # subgroup of Aut_f, in f coordinates
-    K_embedded: tuple[Symmetry, ...]  # same elements, with a leading zero
+    K_inner: SymmetryGroup  # subgroup of Aut_f, in f coordinates
     j: Symmetry
     s: Symmetry
     labels: dict[Symmetry, tuple[int, int]]
@@ -297,7 +284,8 @@ def admissible_setup(W: InvertiblePolynomial, K_generators: Iterable[Sequence[Fr
 
     Raises GradingCollision if two labels name the same coset: the
     (a/k, b/k)-gradings would not be single-valued, and no convention is
-    guessed.
+    guessed.  Raises GroupTooLargeError before building any coset when the
+    coset group, of order k^2 |K|, exceeds the cap.
     """
     k, f = split_cyclic(W)
     K_inner = enumerate_group(f, tuple(symmetry(g) for g in K_generators), cap)
@@ -308,6 +296,8 @@ def admissible_setup(W: InvertiblePolynomial, K_generators: Iterable[Sequence[Fr
     for g in K_inner:
         if not in_sl(g):
             raise NotAdmissibleError(f"K contains {g}, which is outside SL_f")
+    if k * k * K_inner.order > cap:
+        raise GroupTooLargeError(f"group exceeds the enumeration cap of {cap}")
 
     j = j_element(W)
     s = s_element(W)
@@ -325,4 +315,4 @@ def admissible_setup(W: InvertiblePolynomial, K_generators: Iterable[Sequence[Fr
                         "the (d_j, d_s) grading is not single-valued")
                 labels[element] = (a, b)
             cosets[(a, b)] = coset
-    return AdmissibleSetup(W, k, f, K_inner, K_embedded, j, s, labels, cosets)
+    return AdmissibleSetup(W, k, f, K_inner, j, s, labels, cosets)

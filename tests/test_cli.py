@@ -89,11 +89,12 @@ class TestTable:
         assert code == 2 and f"error [{error}]" in err
         assert "Traceback" not in err
 
-    def test_group_too_large_fails_fast(self, capsys):
-        # |det E| = 8 * 10^9: rejected from the determinant, before any
-        # element is enumerated
+    @pytest.mark.parametrize("command", ["analyze", "table"])
+    def test_group_too_large_fails_fast(self, capsys, command):
+        # |det E| = 8 * 10^9 and a coset group of order 4 * 10^6: rejected
+        # from the orders, before any element or coset is built
         start = time.perf_counter()
-        code, out, err = run(capsys, "analyze", "x0^2000+x1^2000+x2^2000")
+        code, out, err = run(capsys, command, "x0^2000+x1^2000+x2^2000")
         assert time.perf_counter() - start < 1.0
         assert code == 2 and "error [GroupTooLarge]" in err and out == ""
 
@@ -183,6 +184,19 @@ class TestVerify:
         ]))
         code, out, _ = run(capsys, "verify", "--catalog", str(path), "--case", "local")
         assert code == 0 and "local: lg-mirror" in out
+
+    @pytest.mark.parametrize("content", [
+        "[{",
+        "5",
+        '[{"name": "bad", "polynomial": 5}]',
+        '[{"name": "bad", "polynomial": "x0^2+x1^2", "K": [5]}]',
+    ], ids=["invalid-json", "scalar", "polynomial-not-string", "K-not-strings"])
+    def test_malformed_catalog_is_an_input_error(self, capsys, tmp_path, content):
+        path = tmp_path / "cases.json"
+        path.write_text(content)
+        code, out, err = run(capsys, "verify", "--catalog", str(path))
+        assert code == 2 and "error [Input]" in err
+        assert "Traceback" not in err and out == ""
 
     def test_failure_exit_code(self, capsys, tmp_path):
         # an admissible setup that breaks the theorem's weight hypothesis

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from bhmirror import mirror
 from bhmirror.errors import NotAdmissibleError, NotCalabiYauError
 from bhmirror.milnor import sector_algebra
 from bhmirror.mirror import (
     FermatState,
+    MirrorPair,
     build_mirror_pair,
     fermat_elevator_moving,
     fermat_mirror_map,
@@ -20,7 +22,12 @@ from bhmirror.mirror import (
     verify_pair_duality,
 )
 from bhmirror.poly import direct_sum, parse_polynomial, transpose
-from bhmirror.statespace import fjrw_state_space, unprojected_state_space
+from bhmirror.statespace import (
+    StateTable,
+    UnprojectedTable,
+    fjrw_state_space,
+    unprojected_state_space,
+)
 from bhmirror.symmetry import identity, pairing, symmetry
 
 F = Fraction
@@ -176,6 +183,51 @@ class TestLgMirrorTheorem:
     def test_order2(self, pair_cache):
         for name in ("k2-elliptic", "k2-chain", "k2-k3-sextic"):
             assert verify_order2_exchange(pair_cache(name)).passed
+
+
+class TestFailurePaths:
+    """A table with one dimension raised by 1 must fail at that cell."""
+
+    @pytest.mark.parametrize("name", ["toy-k2", "k2-elliptic"])
+    @pytest.mark.parametrize("verify, statement", [
+        (verify_pair_duality, "pair-duality"),
+        (verify_lg_mirror, "part1"),
+        (verify_order2_exchange, "exchange[plus]"),
+    ])
+    def test_bumped_source_entry(self, pair_cache, name, verify, statement):
+        pair = pair_cache(name)
+        entries = dict(pair.source_table.entries)
+        lab = next(lab for lab in entries
+                   if lab.qj == 0 and lab.ds == 0 and lab.weight == 0)
+        entries[lab] += 1
+        bumped = MirrorPair(pair.source, StateTable(pair.source, entries),
+                            pair.target, pair.target_table)
+        report = verify(bumped)
+        assert not report.passed
+        [violation] = report.violations
+        assert violation.statement == statement
+        assert violation.cell[-2:] == (lab.p, lab.q)
+        assert violation.lhs == violation.rhs + 1
+        assert report.cells_checked == len(report.items)
+
+    def test_krawitz_bumped_side(self, monkeypatch):
+        P = parse_polynomial("x^3*y+y^4")
+        real = mirror.unprojected_state_space
+        cell = next(iter(real(P).entries))
+
+        def bumped(Q, cap):
+            U = real(Q, cap)
+            if Q == P:
+                U = UnprojectedTable(Q, {**U.entries, cell: U.entries[cell] + 1})
+            return U
+
+        monkeypatch.setattr(mirror, "unprojected_state_space", bumped)
+        report = verify_krawitz(P)
+        [violation] = report.violations
+        assert violation.statement == "krawitz"
+        assert violation.cell == cell
+        assert violation.lhs == violation.rhs + 1
+        assert report.cells_checked == len(report.items)
 
 
 class TestCyReindex:
