@@ -118,7 +118,7 @@ def load_catalog(path: str) -> tuple[CatalogCase, ...]:
         except ValueError as exc:
             raise InputError(f"catalog {path} is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
-        data = data.get("cases", [])
+        data = data.get("cases")
     if not isinstance(data, list):
         raise InputError(f'catalog {path} is neither a list nor {{"cases": [...]}}')
     cases = []

@@ -4,7 +4,8 @@ A sector grid arranges the Q_j = 0 part of a state table into a k x k
 array: row b collects the cosets with d_s = b/k, column a those with
 d_j = a/k.  In the Calabi-Yau case bidegrees are reindexed by (-1, -1)
 and then shifted down by (b/k, b/k) per row, which lands every cell on
-integer positions (the cohomology of the corresponding fixed locus).
+integer positions (the cohomology of the corresponding fixed locus).  The
+grid keeps one map, read off `statespace.sector_cells`.
 
 For K3 setups (four variables, Calabi-Yau) with cyclic order 4 or an odd
 prime, the whole grid is a closed-form pattern in a handful of integer
@@ -14,13 +15,15 @@ parameters; fitting is strict, any residual cell mismatch is an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+
 from .errors import (
     DualityViolationError,
     NonIntegralLatticeError,
     PatternMismatchError,
 )
 from .poly import is_calabi_yau
-from .statespace import StateTable
+from .statespace import StateTable, sector_cells
 
 Diamond = dict[tuple, int]
 WeightedDiamond = dict[tuple, int]   # (p, q, weight) -> dim
@@ -31,17 +34,20 @@ class SectorGrid:
     k: int
     num_vars: int
     calabi_yau: bool
-    diamonds: dict[tuple[int, int], Diamond]
     weighted: dict[tuple[int, int], WeightedDiamond]
 
     def total(self, b: int, a: int) -> int:
-        return sum(self.diamonds.get((b, a), {}).values())
+        return sum(self.weighted.get((b, a), {}).values())
 
     def row_totals(self) -> list[list[int]]:
         return [[self.total(b, a) for a in range(self.k)] for b in range(self.k)]
 
     def cell(self, b: int, a: int) -> Diamond:
-        return dict(self.diamonds.get((b, a), {}))
+        """The (p, q) diamond of a cell, summed over the weights."""
+        out: Diamond = {}
+        for (p, q, _), dim in self.weighted.get((b, a), {}).items():
+            out[(p, q)] = out.get((p, q), 0) + dim
+        return out
 
     def weighted_cell(self, b: int, a: int) -> WeightedDiamond:
         return dict(self.weighted.get((b, a), {}))
@@ -49,30 +55,19 @@ class SectorGrid:
 
 def sector_grid(table: StateTable) -> SectorGrid:
     """Arrange the Q_j = 0 part by (d_s, d_j); reindex when Calabi-Yau."""
-    setup = table.setup
-    k = setup.k
-    cy = is_calabi_yau(setup.W)
-    diamonds: dict[tuple[int, int], Diamond] = {}
+    k = table.setup.k
+    cy = is_calabi_yau(table.setup.W)
     weighted: dict[tuple[int, int], WeightedDiamond] = {}
-    for lab, dim in table.entries.items():
-        if lab.qj != 0:
-            continue
-        b = int(lab.ds * k)
-        a = int(lab.dj * k)
+    for (b, a, weight, p, q), dim in sector_cells(table).items():
         if cy:
-            p = lab.p - 1 - lab.ds
-            q = lab.q - 1 - lab.ds
+            shift = 1 + Fraction(b, k)
+            p, q = p - shift, q - shift
             if p.denominator != 1 or q.denominator != 1:
                 raise DualityViolationError(
                     f"non-integral display bidegree ({p}, {q}) in cell ({b}, {a})")
             p, q = int(p), int(q)
-        else:
-            p, q = lab.p, lab.q
-        cell = diamonds.setdefault((b, a), {})
-        cell[(p, q)] = cell.get((p, q), 0) + dim
-        wcell = weighted.setdefault((b, a), {})
-        wcell[(p, q, lab.weight)] = wcell.get((p, q, lab.weight), 0) + dim
-    return SectorGrid(k, setup.W.num_vars, cy, diamonds, weighted)
+        weighted.setdefault((b, a), {})[(p, q, weight)] = dim
+    return SectorGrid(k, table.setup.W.num_vars, cy, weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +228,7 @@ def _verify_pattern(grid: SectorGrid, expected: dict) -> None:
             raise PatternMismatchError(
                 f"cell {cell_index}: computed {sorted(actual.items())} does not "
                 f"match pattern {sorted(expected[cell_index].items())}")
-    stray = set(grid.diamonds) - set(expected)
-    stray = {cell for cell in stray if grid.total(*cell)}
+    stray = {cell for cell in set(grid.weighted) - set(expected) if grid.total(*cell)}
     if stray:
         raise PatternMismatchError(f"unexpected nonzero cells {sorted(stray)}")
 

@@ -10,7 +10,8 @@ Entries split into a moving side (Q_s != 0; the sector fixes x0, so the
 cyclic symmetry acts on the form with nonzero weight) and a fixed side
 (Q_s = 0).  The twist exchanges the two sides at constant (X, Y, Z);
 elevators move along Z on either side.  Both are dimension-preserving
-relabelings with prescribed bidegree shifts.
+relabelings with prescribed bidegree shifts, sharing one body.  One pass
+over the Q_j = 0 part, `sector_cells`, feeds the LG slices and the grid.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     ZOutOfRangeError,
 )
 from .milnor import sector_algebra
-from .poly import InvertiblePolynomial
+from .poly import InvertiblePolynomial, common_denominator
 from .symmetry import (
     DEFAULT_GROUP_CAP,
     AdmissibleSetup,
@@ -34,8 +35,6 @@ from .symmetry import (
     annihilator,
     aut_group,
     embed_inner,
-    neg,
-    pairing,
     scale,
 )
 
@@ -96,13 +95,9 @@ class UnprojectedTable:
 def unprojected_state_space(P: InvertiblePolynomial,
                             cap: int = DEFAULT_GROUP_CAP) -> UnprojectedTable:
     """Sum of the age-shifted sector algebras over every diagonal symmetry."""
-    entries: dict[tuple[Symmetry, Symmetry, Fraction, Fraction], int] = {}
-    for h in aut_group(P, cap):
-        alg = sector_algebra(P, h)
-        for (key, p, q), dim in alg.table.items():
-            label = (h, key, p, q)
-            entries[label] = entries.get(label, 0) + dim
-    return UnprojectedTable(P, entries)
+    return UnprojectedTable(P, {(h, key, p, q): dim
+                                for h in aut_group(P, cap)
+                                for (key, p, q), dim in sector_algebra(P, h).table.items()})
 
 
 def _make_label(setup: AdmissibleSetup, sector: Symmetry, key: Symmetry,
@@ -110,24 +105,22 @@ def _make_label(setup: AdmissibleSetup, sector: Symmetry, key: Symmetry,
     """Assemble the full label and cross-check the redundant coordinates."""
     k = setup.k
     a, b = setup.labels[sector]
-    dj = Fraction(a, k)
-    ds = Fraction(b, k)
-    qj = pairing(setup.W, setup.j, key)
-    qs = pairing(setup.W, setup.s, key)
-    if (k * qs) % 1 != 0 or (k * qj) % 1 != 0:
-        raise DualityViolationError(
-            f"charges ({qj}, {qs}) of key {key} are not multiples of 1/{k}")
-    weight = int((k * qs) % k)
-    side = MOVING if qs != 0 else FIXED
+    D, scaled = common_denominator(key)
+    dot_j, dot_s = (sum(x * y for x, y in zip(v, scaled)) for v in setup.charge_vectors)
+    if (k * dot_j) % D or (k * dot_s) % D:
+        raise DualityViolationError(f"charges of key {key} are not multiples of 1/{k}")
+    kqj = k * dot_j // D % k
+    weight = k * dot_s // D % k
+    side = MOVING if weight != 0 else FIXED
     if (side == MOVING) != ((a + b) % k == 0):
         raise DualityViolationError(
             f"side of sector {sector}, key {key} contradicts its coset label")
-    x = a
-    y = int((k * (qs - qj)) % k)
+    y = (weight - kqj) % k
     z = weight if side == MOVING else (a + b) % k
     if z == 0:
         raise DualityViolationError(f"Z = 0 on entry {sector}, {key}")
-    return StateLabel(sector, key, p, q, dj, ds, qj, qs, weight, side, x, y, z)
+    return StateLabel(sector, key, p, q, Fraction(a, k), Fraction(b, k),
+                      Fraction(kqj, k), Fraction(weight, k), weight, side, a, y, z)
 
 
 def build_state_space(setup: AdmissibleSetup, cap: int = DEFAULT_GROUP_CAP) -> StateTable:
@@ -135,16 +128,10 @@ def build_state_space(setup: AdmissibleSetup, cap: int = DEFAULT_GROUP_CAP) -> S
     allowed = frozenset(annihilator(
         setup.W, (embed_inner(g) for g in setup.K_inner.generators),
         setup.K_inner.order, cap))
-    entries: dict[StateLabel, int] = {}
-    for coset in setup.cosets.values():
-        for h in coset:
-            alg = sector_algebra(setup.W, h)
-            for (key, p, q), dim in alg.table.items():
-                if key not in allowed:
-                    continue
-                label = _make_label(setup, h, key, p, q)
-                entries[label] = entries.get(label, 0) + dim
-    return StateTable(setup, entries)
+    return StateTable(setup, {_make_label(setup, h, key, p, q): dim
+                              for h in setup.labels
+                              for (key, p, q), dim in sector_algebra(setup.W, h).table.items()
+                              if key in allowed})
 
 
 def fjrw_state_space(table: StateTable, b: int) -> StateTable:
@@ -175,70 +162,67 @@ def narrow_broad_split(table: StateTable) -> tuple[StateTable, StateTable]:
 # twist and elevators (dimension-preserving relabelings)
 # ---------------------------------------------------------------------------
 
+def _relabel(setup: AdmissibleSetup, label: StateLabel, name: str, side: str, out_side: str,
+             z_new: int, sector_power: int, key_power: int, dp: int, dq: int) -> StateLabel:
+    """The twist and the elevators: sector * s^sector_power, key * s^key_power,
+    (p, q) + (dp, dq)/k, and the image checked to land at (out_side, X, Y, z_new)."""
+    if label.side != side:
+        raise SideMismatchError(f"{name} applies to {side} entries")
+    k = setup.k
+    if not 0 < z_new < k:
+        raise ZOutOfRangeError(f"target level {z_new} outside 1..{k - 1}")
+    sector = add(label.sector, scale(setup.s, sector_power))
+    key = add(label.key, scale(setup.s, key_power))
+    out = _make_label(setup, sector, key, label.p + Fraction(dp, k), label.q + Fraction(dq, k))
+    if (out.side, out.x, out.y, out.z) != (out_side, label.x, label.y, z_new):
+        raise DualityViolationError(f"{name} broke (X, Y, Z) at {label.sector}")
+    return out
+
+
 def twist(setup: AdmissibleSetup, label: StateLabel) -> StateLabel:
     """Move a moving entry to the fixed side at the same (X, Y, Z).
 
     Strips the x0-part of the form and multiplies the sector by s^Z; the
     bidegree transforms as (p, q) -> (p - 1 + 2Z/k, q).
     """
-    if label.side != MOVING:
-        raise SideMismatchError("twist applies to moving entries")
-    k = setup.k
     z = label.z
-    sector = add(label.sector, scale(setup.s, z))
-    key = add(label.key, neg(scale(setup.s, z)))
-    p = label.p - 1 + Fraction(2 * z, k)
-    q = label.q
-    out = _make_label(setup, sector, key, p, q)
-    if (out.side, out.x, out.y, out.z) != (FIXED, label.x, label.y, label.z):
-        raise DualityViolationError(f"twist broke (X, Y, Z) at {label.sector}")
-    return out
+    return _relabel(setup, label, "twist", MOVING, FIXED, z, z, -z, 2 * z - setup.k, 0)
 
 
 def elevator_moving(setup: AdmissibleSetup, label: StateLabel, z_new: int) -> StateLabel:
     """Shift a moving entry from Z to z_new by the x0-multiplication map;
     (p, q) -> (p - (z_new - Z)/k, q + (z_new - Z)/k)."""
-    if label.side != MOVING:
-        raise SideMismatchError("moving elevator applied to a fixed entry")
-    k = setup.k
-    if not 0 < z_new < k:
-        raise ZOutOfRangeError(f"target level {z_new} outside 1..{k - 1}")
     delta = z_new - label.z
-    key = add(label.key, scale(setup.s, delta))
-    p = label.p - Fraction(delta, k)
-    q = label.q + Fraction(delta, k)
-    out = _make_label(setup, label.sector, key, p, q)
-    if (out.side, out.x, out.y, out.z) != (MOVING, label.x, label.y, z_new):
-        raise DualityViolationError(f"moving elevator broke (X, Y, Z) at {label.sector}")
-    return out
+    return _relabel(setup, label, "moving elevator", MOVING, MOVING, z_new, 0, delta, -delta, delta)
 
 
 def elevator_fixed(setup: AdmissibleSetup, label: StateLabel, z_new: int) -> StateLabel:
     """Shift a fixed entry from Z to z_new by multiplying the sector by a
     power of s; (p, q) -> (p + (z_new - Z)/k, q + (z_new - Z)/k)."""
-    if label.side != FIXED:
-        raise SideMismatchError("fixed elevator applied to a moving entry")
-    k = setup.k
-    if not 0 < z_new < k:
-        raise ZOutOfRangeError(f"target level {z_new} outside 1..{k - 1}")
     delta = z_new - label.z
-    sector = add(label.sector, scale(setup.s, delta))
-    p = label.p + Fraction(delta, k)
-    q = label.q + Fraction(delta, k)
-    out = _make_label(setup, sector, label.key, p, q)
-    if (out.side, out.x, out.y, out.z) != (FIXED, label.x, label.y, z_new):
-        raise DualityViolationError(f"fixed elevator broke (X, Y, Z) at {label.sector}")
-    return out
+    return _relabel(setup, label, "fixed elevator", FIXED, FIXED, z_new, delta, 0, delta, delta)
 
 
 # ---------------------------------------------------------------------------
 # aggregations used by the mirror verifiers and the grids
 # ---------------------------------------------------------------------------
 
+def sector_cells(table: StateTable) -> dict[tuple[int, int, int, Fraction, Fraction], int]:
+    """The Q_j = 0 part in one pass, (b, a, weight, p, q) -> dimension: row
+    b = k*d_s is the slice `fjrw_state_space(table, b)`, column a = X."""
+    k = table.setup.k
+    cells = table.dimensions_by(
+        lambda lab: lab.qj == 0 and (int(lab.ds * k), lab.x, lab.weight, lab.p, lab.q))
+    cells.pop(False, None)
+    return cells
+
+
 def slice_weight_bidegrees(table: StateTable) -> dict[int, dict[tuple[int, Fraction, Fraction], int]]:
     """Per slice b: map (weight, p, q) -> dimension of the Q_j = 0 part."""
-    return {b: fjrw_state_space(table, b).dimensions_by(lambda lab: (lab.weight, lab.p, lab.q))
-            for b in range(table.setup.k)}
+    out: dict[int, dict] = {b: {} for b in range(table.setup.k)}
+    for (b, _, weight, p, q), dim in sector_cells(table).items():
+        out[b][weight, p, q] = out[b].get((weight, p, q), 0) + dim
+    return out
 
 
 def moving_vanishing_violations(table: StateTable) -> list[StateLabel]:

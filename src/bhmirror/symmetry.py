@@ -5,13 +5,13 @@ on variables by x_i -> exp(2*pi*i*a_i) x_i.  Groups are enumerated
 explicitly as sorted element lists; the duality pairing between symmetries
 of P and of its transpose is the closed form (E*g) . h mod 1.
 
-Internally a group is closed over integer vectors mod D, D the least
-common denominator of its generators, and converted to `Fraction` once at
-the end; the annihilator tests (E*g) . (D*h) = 0 mod D on integers.
+Internally a group is closed by cyclic extension over integer vectors mod
+D, D the least common denominator of its generators, and converted to
+`Fraction` once at the end; the annihilator tests (E*g) . (D*h) = 0 mod D.
 Cached: `aut_group` enumerates once per polynomial (bounded cache keyed on
 the polynomial; the cap is checked against |det E| on every call, before
-the cache is consulted), and a group's element set is built once per
-`SymmetryGroup` object.
+the cache is consulted), a group's element set once per `SymmetryGroup`,
+and the integer vectors E*j, E*s once per `AdmissibleSetup`.
 """
 
 from __future__ import annotations
@@ -107,7 +107,9 @@ class SymmetryGroup:
 
 def enumerate_group(P: InvertiblePolynomial, generators: Iterable[Sequence[Fraction]],
                     cap: int = DEFAULT_GROUP_CAP) -> SymmetryGroup:
-    """Breadth-first closure of the generators inside (Q/Z)^N.
+    """Closure of the generators inside (Q/Z)^N by cyclic extension: a
+    generator g in the group H so far is skipped, else the cosets H + g,
+    H + 2g, ... join until one is H, so the work is linear in |G|.
 
     Runs on the integer vectors D*g mod D, D the least common denominator
     of the generators; a -> a/D is monotone, so sorting the integer
@@ -121,19 +123,17 @@ def enumerate_group(P: InvertiblePolynomial, generators: Iterable[Sequence[Fract
     steps = tuple(dict.fromkeys(tuple(a.numerator * (D // a.denominator) for a in g)
                                 for g in gens))
     elements = {(0,) * P.num_vars}
-    frontier = list(elements)
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in steps:
-                candidate = tuple((x + y) % D for x, y in zip(e, g))
-                if candidate not in elements:
-                    elements.add(candidate)
-                    nxt.append(candidate)
-                    if len(elements) > cap:
-                        raise GroupTooLargeError(
-                            f"group exceeds the enumeration cap of {cap}")
-        frontier = nxt
+    for g in steps:
+        if g in elements:
+            continue
+        coset = list(elements)
+        while True:
+            coset = [tuple((x + y) % D for x, y in zip(e, g)) for e in coset]
+            if coset[0] in elements:
+                break
+            if len(elements) + len(coset) > cap:
+                raise GroupTooLargeError(f"group exceeds the enumeration cap of {cap}")
+            elements.update(coset)
     # D is the exponent of the group, so it never exceeds the order
     fractions = [Fraction(a, D) for a in range(D)]
     return SymmetryGroup(P, gens, tuple(tuple(fractions[a] for a in e)
@@ -247,7 +247,7 @@ class AdmissibleSetup:
     """The groups attached to W = x0^k + f and K with j_f^k in K within SL_f.
 
     G is the union of the k*k cosets j^a s^b K; the label map records the
-    single-valued gradings (a/k, b/k) of every element.  H is the b = 0
+    single-valued gradings (a/k, b/k) of every element, coset by coset.  H is the b = 0
     part, the group generated by K and the grading symmetry of W.
     """
 
@@ -257,8 +257,7 @@ class AdmissibleSetup:
     K_inner: SymmetryGroup  # subgroup of Aut_f, in f coordinates
     j: Symmetry
     s: Symmetry
-    labels: dict[Symmetry, tuple[int, int]]
-    cosets: dict[tuple[int, int], tuple[Symmetry, ...]]
+    labels: dict[Symmetry, tuple[int, int]]  # in coset order, each coset sorted
 
     @property
     def H_elements(self) -> tuple[Symmetry, ...]:
@@ -271,6 +270,11 @@ class AdmissibleSetup:
     @property
     def group_order(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def charge_vectors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """E*j and E*s on integers: Q_j = (E*j) . key mod 1, and likewise Q_s."""
+        return tuple(monomial_phases(self.W, *common_denominator(g)) for g in (self.j, self.s))
 
 
 def embed_inner(g: Sequence[Fraction]) -> Symmetry:
@@ -303,16 +307,13 @@ def admissible_setup(W: InvertiblePolynomial, K_generators: Iterable[Sequence[Fr
     s = s_element(W)
     K_embedded = tuple(embed_inner(g) for g in K_inner)
     labels: dict[Symmetry, tuple[int, int]] = {}
-    cosets: dict[tuple[int, int], tuple[Symmetry, ...]] = {}
     for a in range(k):
         for b in range(k):
             shift = add(scale(j, a), scale(s, b))
-            coset = tuple(sorted(add(shift, g) for g in K_embedded))
-            for element in coset:
+            for element in sorted(add(shift, g) for g in K_embedded):
                 if element in labels:
                     raise GradingCollisionError(
                         f"cosets {labels[element]} and {(a, b)} coincide; "
                         "the (d_j, d_s) grading is not single-valued")
                 labels[element] = (a, b)
-            cosets[(a, b)] = coset
-    return AdmissibleSetup(W, k, f, K_inner, j, s, labels, cosets)
+    return AdmissibleSetup(W, k, f, K_inner, j, s, labels)

@@ -131,6 +131,15 @@ class TestMirror:
         code, _, err = run(capsys, "mirror", "x^2", "--group", "nonsense")
         assert code == 2
 
+    def test_many_generators_close_fast(self, capsys):
+        # --group SL passes all 2,401 elements of SL as generators; closure
+        # by cyclic extension skips those already in the group
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "mirror", "x0^7+x1^7+x2^7+x3^7+x4^7",
+                           "--group", "SL", "--format", "json")
+        assert time.perf_counter() - start < 3.0
+        assert code == 0 and json.loads(out)["dual_group_order"] == 7
+
 
 class TestK3Command:
     def test_quartic(self, capsys):
@@ -190,7 +199,10 @@ class TestVerify:
         "5",
         '[{"name": "bad", "polynomial": 5}]',
         '[{"name": "bad", "polynomial": "x0^2+x1^2", "K": [5]}]',
-    ], ids=["invalid-json", "scalar", "polynomial-not-string", "K-not-strings"])
+        "{}",
+        '{"case": []}',
+    ], ids=["invalid-json", "scalar", "polynomial-not-string", "K-not-strings",
+            "empty-object", "cases-misspelt"])
     def test_malformed_catalog_is_an_input_error(self, capsys, tmp_path, content):
         path = tmp_path / "cases.json"
         path.write_text(content)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bhmirror.catalog import ADMISSIBLE_CASES
 from bhmirror.errors import NonIntegralLatticeError, PatternMismatchError
 from bhmirror.geometry import (
     SectorGrid,
@@ -12,6 +13,7 @@ from bhmirror.geometry import (
     lattice_mirror_verdict,
     sector_grid,
 )
+from bhmirror.statespace import fjrw_state_space, slice_weight_bidegrees
 
 F = Fraction
 
@@ -94,7 +96,30 @@ class TestSectorGrid:
         grid = sector_grid(pair_cache("k2-6squares").source_table)
         assert not grid.calabi_yau
         assert any(isinstance(p, Fraction) and p.denominator == 1
-                   for cell in grid.diamonds.values() for (p, _) in cell)
+                   for cell in grid.weighted.values() for (p, _, _) in cell)
+
+
+class TestOnePassViews:
+    @pytest.mark.parametrize("name", [case.name for case in ADMISSIBLE_CASES])
+    def test_views_match_the_slices(self, pair_cache, name):
+        # the one-pass LG slices and grid against the per-slice reference
+        pair = pair_cache(name)
+        for table in (pair.source_table, pair.target_table):
+            slices = slice_weight_bidegrees(table)
+            grid = sector_grid(table)
+            totals = grid.row_totals()
+            for b in range(grid.k):
+                reference = fjrw_state_space(table, b)
+                assert slices[b] == reference.dimensions_by(
+                    lambda lab: (lab.weight, lab.p, lab.q))
+                assert sum(totals[b]) == reference.total_dimension
+                for a in range(grid.k):
+                    assert grid.total(b, a) == reference.filter(
+                        lambda lab: lab.x == a).total_dimension
+                    summed: dict = {}
+                    for (p, q, _), dim in grid.weighted_cell(b, a).items():
+                        summed[(p, q)] = summed.get((p, q), 0) + dim
+                    assert grid.cell(b, a) == summed
 
 
 class TestGridInvariants:
@@ -167,7 +192,7 @@ class TestK3Fit:
             fit_k3_pattern(grid)
 
     def test_prime_divisibility_gates_eleven(self):
-        fake = SectorGrid(11, 4, True, {}, {})
+        fake = SectorGrid(11, 4, True, {})
         with pytest.raises(PatternMismatchError, match="divide 24"):
             fit_k3_pattern(fake)
 
