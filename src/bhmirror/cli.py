@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import catalog as cat
@@ -37,6 +38,7 @@ from .mirror import (
 from .poly import (
     InvertiblePolynomial,
     format_polynomial,
+    format_vector,
     is_calabi_yau,
     is_fermat_diagonal,
     parse_polynomial,
@@ -52,7 +54,6 @@ from .symmetry import (
     aut_group,
     dual_group,
     enumerate_group,
-    in_sl,
     j_element,
     s_element,
     sl_subgroup,
@@ -64,10 +65,6 @@ SCHEMA = "bhmirror/1"
 
 def _fmt_frac(x) -> str:
     return str(Fraction(x))
-
-
-def _fmt_vec(g) -> str:
-    return "[" + ", ".join(_fmt_frac(a) for a in g) + "]"
 
 
 def parse_group_spec(spec: str, P: InvertiblePolynomial, cap: int):
@@ -101,7 +98,6 @@ def parse_group_spec(spec: str, P: InvertiblePolynomial, cap: int):
 def cmd_analyze(args, cap: int) -> int:
     P = parse_polynomial(args.polynomial)
     aut = aut_group(P, cap)
-    sl = sum(1 for g in aut if in_sl(g))
     try:
         k, _ = split_cyclic(P)
         s = s_element(P)
@@ -119,7 +115,7 @@ def cmd_analyze(args, cap: int) -> int:
                    "variables": [P.var_names[v] for v in a.variables],
                    "exponents": list(a.exponents)} for a in P.atoms],
         "aut_order": aut.order,
-        "sl_order": sl,
+        "sl_order": sl_subgroup(P, cap).order,
         "j": [_fmt_frac(x) for x in j_element(P)],
         "s": [_fmt_frac(x) for x in s] if s else None,
         "k": k,
@@ -136,9 +132,9 @@ def cmd_analyze(args, cap: int) -> int:
         for a in data["atoms"])
     print(f"atoms:      {atoms}")
     print(f"aut_order:  {data['aut_order']}   sl_order: {data['sl_order']}")
-    print(f"j:          {_fmt_vec(j_element(P))}")
+    print(f"j:          {format_vector(j_element(P))}")
     if s is not None:
-        print(f"s:          {_fmt_vec(s)}   (k = {k})")
+        print(f"s:          {format_vector(s)}   (k = {k})")
     else:
         print("s:          none (not of the split form x0^k + f)")
     return 0
@@ -171,7 +167,7 @@ def cmd_mirror(args, cap: int) -> int:
     print(f"group H    : order {H.order}")
     print(f"dual H'    : order {Hv.order}, elements:")
     for g in Hv.elements:
-        print(f"  {_fmt_vec(g)}")
+        print(f"  {format_vector(g)}")
     return 0
 
 
@@ -179,27 +175,31 @@ def cmd_mirror(args, cap: int) -> int:
 # table
 # ---------------------------------------------------------------------------
 
-def _grid_json(grid: SectorGrid, with_diamonds: bool, with_weights: bool) -> list:
+# The cell views of a sector grid, as (JSON name, text title, cell reader);
+# a reader maps (grid, b, a) to {(p, q) or (p, q, weight): dim}
+GRID_VIEWS = (("diamond", "diamonds (p, q) -> dim:", SectorGrid.cell),
+              ("weights", "weights (p, q, w) -> dim:", SectorGrid.weighted_cell))
+
+
+def _grid_json(grid: SectorGrid, views: list) -> list:
     rows = []
     for b in range(grid.k):
         cells = []
         for a in range(grid.k):
             cell: dict = {"a": a, "total": grid.total(b, a)}
-            if with_diamonds:
-                cell["diamond"] = [
-                    {"p": _fmt_frac(p), "q": _fmt_frac(q), "dim": dim}
-                    for (p, q), dim in sorted(grid.cell(b, a).items())]
-            if with_weights:
-                cell["weights"] = [
-                    {"p": _fmt_frac(p), "q": _fmt_frac(q), "weight": w, "dim": dim}
-                    for (p, q, w), dim in sorted(grid.weighted_cell(b, a).items())]
+            for name, _, read in views:
+                cell[name] = []
+                for (p, q, *weight), dim in sorted(read(grid, b, a).items()):
+                    entry = {"p": _fmt_frac(p), "q": _fmt_frac(q), "dim": dim}
+                    if weight:
+                        entry["weight"] = weight[0]
+                    cell[name].append(entry)
             cells.append(cell)
         rows.append({"b": b, "cells": cells})
     return rows
 
 
-def _print_grid_text(grid: SectorGrid, setup, with_diamonds: bool,
-                     with_weights: bool) -> None:
+def _print_grid_text(grid: SectorGrid, setup, views: list) -> None:
     k = grid.k
     print(f"W = {format_polynomial(setup.W)}")
     print(f"k = {k}   K-order = {setup.K_inner.order}   "
@@ -213,23 +213,14 @@ def _print_grid_text(grid: SectorGrid, setup, with_diamonds: bool,
     for b in range(k):
         label = "H[id]" if b == 0 else f"H[s^{b}]"
         print(f"{label:8s}" + "".join(f"{v:>{width}}" for v in totals[b]))
-    if with_diamonds:
-        print("diamonds (p, q) -> dim:")
+    for _, title, read in views:
+        print(title)
         for b in range(k):
             for a in range(k):
-                cell = grid.cell(b, a)
+                cell = read(grid, b, a)
                 if cell:
-                    body = "  ".join(f"({_fmt_frac(p)},{_fmt_frac(q)}):{d}"
-                                     for (p, q), d in sorted(cell.items()))
-                    print(f"  [b={b},a={a}] {body}")
-    if with_weights:
-        print("weights (p, q, w) -> dim:")
-        for b in range(k):
-            for a in range(k):
-                cell = grid.weighted_cell(b, a)
-                if cell:
-                    body = "  ".join(f"({_fmt_frac(p)},{_fmt_frac(q)},{w}):{d}"
-                                     for (p, q, w), d in sorted(cell.items()))
+                    body = "  ".join("(" + ",".join(map(_fmt_frac, pos)) + f"):{d}"
+                                     for pos, d in sorted(cell.items()))
                     print(f"  [b={b},a={a}] {body}")
 
 
@@ -239,6 +230,7 @@ def cmd_table(args, cap: int) -> int:
     gens = parse_group_spec(args.K, f, cap)
     setup = admissible_setup(W, gens, cap)
     grid = sector_grid(build_state_space(setup, cap))
+    views = [view for view, wanted in zip(GRID_VIEWS, (args.diamonds, args.weights)) if wanted]
     if args.format == "json":
         data = {
             "schema": SCHEMA,
@@ -246,9 +238,9 @@ def cmd_table(args, cap: int) -> int:
             "polynomial": format_polynomial(W),
             "k": grid.k,
             "K_order": setup.K_inner.order,
-            "K_generators": [_fmt_vec(g) for g in setup.K_inner.generators],
+            "K_generators": [format_vector(g) for g in setup.K_inner.generators],
             "calabi_yau": grid.calabi_yau,
-            "rows": _grid_json(grid, args.diamonds, args.weights),
+            "rows": _grid_json(grid, views),
         }
         print(json.dumps(data, indent=2, sort_keys=True))
         return 0
@@ -259,7 +251,7 @@ def cmd_table(args, cap: int) -> int:
                 for (p, q, w), dim in sorted(grid.weighted_cell(b, a).items()):
                     print(f"{b},{a},{_fmt_frac(p)},{_fmt_frac(q)},{w},{dim}")
         return 0
-    _print_grid_text(grid, setup, args.diamonds, args.weights)
+    _print_grid_text(grid, setup, views)
     return 0
 
 
@@ -267,35 +259,35 @@ def cmd_table(args, cap: int) -> int:
 # k3
 # ---------------------------------------------------------------------------
 
+def _k3_read_off(pair):
+    """Both grids' K3 fits: (report, mirror report, inv, mirror inv, lattice or None)."""
+    report = fit_k3_pattern(sector_grid(pair.source_table))
+    mirror_report = fit_k3_pattern(sector_grid(pair.target_table))
+    lattice = lattice_mirror_verdict(report, mirror_report) if report.kind == "prime" else None
+    return report, mirror_report, k3_invariants(report), k3_invariants(mirror_report), lattice
+
+
 def cmd_k3(args, cap: int) -> int:
     W = parse_polynomial(args.polynomial)
     k, f = split_cyclic(W)
     require_k3_shape(is_calabi_yau(W), W.num_vars, k)
     gens = parse_group_spec(args.K, f, cap)
     pair = build_mirror_pair(W, gens, cap)
-    report = fit_k3_pattern(sector_grid(pair.source_table))
-    mirror_report = fit_k3_pattern(sector_grid(pair.target_table))
-    inv = k3_invariants(report)
-    minv = k3_invariants(mirror_report)
-    lattice = None
-    if report.kind == "prime":
-        lattice = lattice_mirror_verdict(report, mirror_report)
+    report, mirror_report, inv, minv, lattice = _k3_read_off(pair)
     data = {
         "schema": SCHEMA,
         "command": "k3",
         "polynomial": format_polynomial(W),
         "mirror_polynomial": format_polynomial(pair.target.W),
         "K_order": pair.source.K_inner.order,
-        "K_generators": [_fmt_vec(g) for g in pair.source.K_inner.generators],
+        "K_generators": [format_vector(g) for g in pair.source.K_inner.generators],
         "mirror_K_order": pair.target.K_inner.order,
         "order": report.order,
         "kind": report.kind,
         "parameters": dict(sorted(report.params.items())),
         "mirror_parameters": dict(sorted(mirror_report.params.items())),
-        "invariants": {"f1": inv.f1, "N1": inv.N1, "g1": inv.g1,
-                       "N2": inv.N2, "g2": inv.g2},
-        "mirror_invariants": {"f1": minv.f1, "N1": minv.N1, "g1": minv.g1,
-                              "N2": minv.N2, "g2": minv.g2},
+        "invariants": asdict(inv),
+        "mirror_invariants": asdict(minv),
         "lattice": lattice,
     }
     if args.format == "json":
@@ -340,29 +332,27 @@ def _check_case(case: cat.CatalogCase, cap: int) -> list[dict]:
     pair = build_mirror_pair(W, case.K_generators(), cap)
     setup = pair.source
 
-    # Milnor dimensions: sector totals match the weight-product formula
+    # One pass over the sectors: totals against the Milnor numbers, and the
+    # series engine against direct monomial enumeration for Fermat W
+    sectors = setup.G_elements
+    fermat = is_fermat_diagonal(W)
     mismatch = []
-    for h in setup.G_elements:
-        alg = sector_algebra(W, h)
-        expected = restrict(W, h).milnor_dimension
-        if alg.total_dimension != expected:
-            mismatch.append(_fmt_vec(h))
-    record("milnor-dimensions", not mismatch,
-           f"{len(setup.G_elements)} sectors" if not mismatch else f"bad: {mismatch}")
-
-    # Fermat oracle: series engine against direct monomial enumeration
-    if is_fermat_diagonal(W):
-        bad = 0
-        for h in setup.G_elements:
-            R = restrict(W, h)
-            series = equivariant_hilbert(R)
+    bad = 0
+    for h in sectors:
+        R = restrict(W, h)
+        if sector_algebra(W, h).total_dimension != R.milnor_dimension:
+            mismatch.append(format_vector(h))
+        if fermat:
             oracle: dict = {}
             for _, key, degree in fermat_monomial_basis(R):
                 bucket = oracle.setdefault(degree, {})
                 bucket[key] = bucket.get(key, 0) + 1
-            if oracle != series.coefficients:
+            if oracle != equivariant_hilbert(R).coefficients:
                 bad += 1
-        record("fermat-oracle", bad == 0, f"{len(setup.G_elements)} sectors")
+    record("milnor-dimensions", not mismatch,
+           f"{len(sectors)} sectors" if not mismatch else f"bad: {mismatch}")
+    if fermat:
+        record("fermat-oracle", bad == 0, f"{len(sectors)} sectors")
 
     violations = moving_vanishing_violations(pair.source_table)
     record("vanishing", not violations, f"{len(violations)} violations" if violations else "")
@@ -383,9 +373,7 @@ def _check_case(case: cat.CatalogCase, cap: int) -> list[dict]:
 
     if "k3" in case.tags and (setup.k == 4 or setup.k in (3, 5, 7, 13)):
         try:
-            rep = fit_k3_pattern(sector_grid(pair.source_table))
-            mrep = fit_k3_pattern(sector_grid(pair.target_table))
-            inv, minv = k3_invariants(rep), k3_invariants(mrep)
+            rep, _, inv, minv, lattice = _k3_read_off(pair)
             ok = inv.N1 == minv.g1 + 1 and minv.N1 == inv.g1 + 1
             detail = f"N1={inv.N1} g1'={minv.g1}"
             if rep.kind == "order4":
@@ -395,7 +383,6 @@ def _check_case(case: cat.CatalogCase, cap: int) -> list[dict]:
             else:
                 p = rep.order
                 ok = ok and inv.f1 + minv.f1 + 4 == 24 * (p - 2) // (p - 1)
-                lattice = lattice_mirror_verdict(rep, mrep)
                 ok = ok and lattice["mirror_ok"]
                 detail += f" lattice=({lattice['r']},{lattice['a']})"
             record("k3-corollaries", ok, detail)

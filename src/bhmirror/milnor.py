@@ -13,8 +13,10 @@ prod chi_i^{b_i} at degree sum b_i w_i.  Division is truncated geometric
 expansion; the truncation bound is the socle degree, above which the
 algebra provably vanishes.
 
-Fermat-supported restrictions admit direct monomial enumeration, kept as
-an independent oracle against the series engine.
+Keys are integer vectors mod the inverse matrix's common denominator, each
+distinct key converted to `Fraction` once, before the checks.  Direct
+monomial enumeration, on `Fraction` keys, is kept for Fermat-supported
+restrictions as an independent oracle against the series engine.
 
 The series depends only on the parent and the fixed-variable set, not on
 the sector, so `equivariant_hilbert` is memoized on the restriction (a
@@ -34,13 +36,16 @@ from .errors import InternalError, NotFermatError
 from .poly import (
     InvertiblePolynomial,
     RestrictedPolynomial,
+    common_denominator,
     exponent_inverse,
+    format_vector,
     restrict,
     transpose,
 )
 from .symmetry import Symmetry, add, age, identity, is_symmetry_of, scale, symmetry
 
 SeriesCoefficients = dict[int, dict[Symmetry, int]]
+IntegerSeries = dict[int, dict[tuple[int, ...], int]]  # keys as integer vectors mod D
 
 
 @dataclass(frozen=True)
@@ -59,8 +64,8 @@ class GroupRingSeries:
         return sum(sum(keys.values()) for keys in self.coefficients.values())
 
 
-def _multiply(A: SeriesCoefficients, B: SeriesCoefficients, bound: int) -> SeriesCoefficients:
-    out: SeriesCoefficients = {}
+def _multiply(A: IntegerSeries, B: IntegerSeries, bound: int, D: int) -> IntegerSeries:
+    out: IntegerSeries = {}
     for ma, keys_a in A.items():
         for mb, keys_b in B.items():
             m = ma + mb
@@ -69,7 +74,7 @@ def _multiply(A: SeriesCoefficients, B: SeriesCoefficients, bound: int) -> Serie
             bucket = out.setdefault(m, {})
             for ka, ca in keys_a.items():
                 for kb, cb in keys_b.items():
-                    key = add(ka, kb)
+                    key = tuple((x + y) % D for x, y in zip(ka, kb))
                     c = bucket.get(key, 0) + ca * cb
                     if c == 0:
                         bucket.pop(key, None)
@@ -78,19 +83,19 @@ def _multiply(A: SeriesCoefficients, B: SeriesCoefficients, bound: int) -> Serie
     return {m: keys for m, keys in out.items() if keys}
 
 
-def _variable_factor(char: Symmetry, w: int, d: int, bound: int) -> SeriesCoefficients:
+def _variable_factor(char: tuple[int, ...], w: int, d: int, bound: int, D: int) -> IntegerSeries:
     """chi t^w (1 - chi^{-1} t^{d-w}) / (1 - chi t^w), expanded to the bound."""
-    out: SeriesCoefficients = {}
+    out: IntegerSeries = {}
     r = 0
     while (r + 1) * w <= bound:
         bucket = out.setdefault((r + 1) * w, {})
-        key = scale(char, r + 1)
+        key = tuple((r + 1) * x % D for x in char)
         bucket[key] = bucket.get(key, 0) + 1
         r += 1
     r = 0
     while d + r * w <= bound:
         bucket = out.setdefault(d + r * w, {})
-        key = scale(char, r)
+        key = tuple(r * x % D for x in char)
         c = bucket.get(key, 0) - 1
         if c == 0:
             del bucket[key]
@@ -109,19 +114,25 @@ def equivariant_hilbert(R: RestrictedPolynomial) -> GroupRingSeries:
     the Koszul closed form holds with characters attached.
     """
     P = R.parent
-    inv = exponent_inverse(P)
+    n = P.num_vars
+    D, scaled = common_denominator([a for row in exponent_inverse(P) for a in row])
     bound = R.top_degree
-    series: SeriesCoefficients = {0: {identity(P.num_vars): 1}}
+    integer_series: IntegerSeries = {0: {(0,) * n: 1}}
     for i in R.fixed_vars:
-        char = symmetry(inv[i])
-        factor = _variable_factor(char, P.weights[i], P.degree, bound)
-        series = _multiply(series, factor, bound)
+        char = tuple(x % D for x in scaled[i * n:(i + 1) * n])
+        factor = _variable_factor(char, P.weights[i], P.degree, bound, D)
+        integer_series = _multiply(integer_series, factor, bound, D)
+    as_fractions = {key: tuple(Fraction(x, D) for x in key)
+                    for bucket in integer_series.values() for key in bucket}
+    series: SeriesCoefficients = {m: {as_fractions[key]: mult for key, mult in bucket.items()}
+                                  for m, bucket in integer_series.items()}
     dual = transpose(P)
     for m, keys in series.items():
         for key, mult in keys.items():
             if mult <= 0 or not is_symmetry_of(dual, key):
-                raise InternalError(f"multiplicity {mult} of key {key} at degree {m}: "
-                                    "not positive, or the key is not a dual character")
+                raise InternalError(f"multiplicity {mult} of key {format_vector(key)} at "
+                                    f"degree {m}: not positive, or the key is not a "
+                                    "dual character")
     result = GroupRingSeries(series, bound)
     if result.total_dimension != R.milnor_dimension:
         raise InternalError(f"series dimension {result.total_dimension} is not the "

@@ -4,7 +4,9 @@ A polynomial with as many monomials as variables is encoded by its square
 exponent matrix E (row i = exponent vector of monomial i).  All arithmetic
 is exact: weights solve E*q = 1 over the rationals and are scaled to the
 least integer degree.  Every polynomial decomposes into Fermat, chain and
-loop atoms; inputs for which no such decomposition exists are rejected.
+loop atoms; inputs for which no such decomposition exists are rejected,
+and so are inputs of more than MAX_VARIABLES variables, before any
+elimination.  `format_vector` renders every symmetry or key shown to a user.
 
 Cached (bounded, keyed on frozen values): one Gauss-Jordan elimination
 per exponent matrix serves the weights, `exponent_inverse` and
@@ -210,7 +212,7 @@ def solve_weights(exponents: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     inverse, _ = _exact_inverse(tuple(tuple(row) for row in exponents))
     q = [sum(row) for row in inverse]
     if any(qi <= 0 for qi in q):
-        raise NonPositiveWeightError(f"weight vector {q} has a non-positive entry")
+        raise NonPositiveWeightError(f"weight vector {format_vector(q)} has a non-positive entry")
     degree = lcm(*(qi.denominator for qi in q)) if q else 1
     weights = tuple(int(qi * degree) for qi in q)
     return weights, degree
@@ -296,6 +298,12 @@ def _atoms_from_matching(exponents: Matrix, head: list[int], succ: list[int | No
     return tuple(atoms)
 
 
+def _check_variable_count(n: int) -> None:
+    if n > MAX_VARIABLES:
+        raise TooManyVariablesError(
+            f"{n} variables exceed the supported maximum of {MAX_VARIABLES}")
+
+
 def classify_atoms(exponents: Sequence[Sequence[int]]) -> tuple[Atom, ...]:
     """Decompose the exponent matrix into Fermat/chain/loop atoms.
 
@@ -305,9 +313,7 @@ def classify_atoms(exponents: Sequence[Sequence[int]]) -> tuple[Atom, ...]:
     deterministic.
     """
     n = len(exponents)
-    if n > MAX_VARIABLES:
-        raise TooManyVariablesError(
-            f"{n} variables exceed the supported maximum of {MAX_VARIABLES}")
+    _check_variable_count(n)
     E = tuple(tuple(int(e) for e in row) for row in exponents)
     for j in range(n):
         if all(E[i][j] == 0 for i in range(n)):
@@ -348,6 +354,7 @@ def from_exponents(exponents: Sequence[Sequence[int]],
     if any(len(row) != n for row in exponents):
         raise NonSquareError(
             f"{n} monomials on {len(exponents[0]) if exponents else 0} variables")
+    _check_variable_count(n)  # before the cubic elimination in solve_weights
     E = tuple(tuple(int(e) for e in row) for row in exponents)
     if any(e < 0 for row in E for e in row):
         raise DegenerateShapeError("negative exponent")
@@ -440,6 +447,12 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
             f"{len(monomials)} monomials on {len(var_order)} variables")
     E = tuple(tuple(mono.get(name, 0) for name in var_order) for mono in monomials)
     return from_exponents(E, var_order)
+
+
+def format_vector(g: Sequence) -> str:
+    """Render a rational vector as [a, b, ...] with exact entries; every
+    message and output line that shows a symmetry or key uses it."""
+    return "[" + ", ".join(str(Fraction(a)) for a in g) + "]"
 
 
 def format_polynomial(P: InvertiblePolynomial) -> str:

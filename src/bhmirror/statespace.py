@@ -26,7 +26,7 @@ from .errors import (
     ZOutOfRangeError,
 )
 from .milnor import sector_algebra
-from .poly import InvertiblePolynomial, common_denominator
+from .poly import InvertiblePolynomial, common_denominator, format_vector
 from .symmetry import (
     DEFAULT_GROUP_CAP,
     AdmissibleSetup,
@@ -108,17 +108,20 @@ def _make_label(setup: AdmissibleSetup, sector: Symmetry, key: Symmetry,
     D, scaled = common_denominator(key)
     dot_j, dot_s = (sum(x * y for x, y in zip(v, scaled)) for v in setup.charge_vectors)
     if (k * dot_j) % D or (k * dot_s) % D:
-        raise DualityViolationError(f"charges of key {key} are not multiples of 1/{k}")
+        raise DualityViolationError(
+            f"charges of key {format_vector(key)} are not multiples of 1/{k}")
     kqj = k * dot_j // D % k
     weight = k * dot_s // D % k
     side = MOVING if weight != 0 else FIXED
     if (side == MOVING) != ((a + b) % k == 0):
         raise DualityViolationError(
-            f"side of sector {sector}, key {key} contradicts its coset label")
+            f"side of sector {format_vector(sector)}, key {format_vector(key)} "
+            "contradicts its coset label")
     y = (weight - kqj) % k
     z = weight if side == MOVING else (a + b) % k
     if z == 0:
-        raise DualityViolationError(f"Z = 0 on entry {sector}, {key}")
+        raise DualityViolationError(
+            f"Z = 0 on entry {format_vector(sector)}, {format_vector(key)}")
     return StateLabel(sector, key, p, q, Fraction(a, k), Fraction(b, k),
                       Fraction(kqj, k), Fraction(weight, k), weight, side, a, y, z)
 
@@ -175,7 +178,7 @@ def _relabel(setup: AdmissibleSetup, label: StateLabel, name: str, side: str, ou
     key = add(label.key, scale(setup.s, key_power))
     out = _make_label(setup, sector, key, label.p + Fraction(dp, k), label.q + Fraction(dq, k))
     if (out.side, out.x, out.y, out.z) != (out_side, label.x, label.y, z_new):
-        raise DualityViolationError(f"{name} broke (X, Y, Z) at {label.sector}")
+        raise DualityViolationError(f"{name} broke (X, Y, Z) at {format_vector(label.sector)}")
     return out
 
 

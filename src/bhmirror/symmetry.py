@@ -35,6 +35,7 @@ from .poly import (
     common_denominator,
     exponent_determinant,
     exponent_inverse,
+    format_vector,
     monomial_phases,
     split_cyclic,
     transpose,
@@ -118,7 +119,7 @@ def enumerate_group(P: InvertiblePolynomial, generators: Iterable[Sequence[Fract
     gens = tuple(symmetry(g) for g in generators)
     for g in gens:
         if not is_symmetry_of(P, g):
-            raise NotInGroupError(f"{g} does not fix the polynomial")
+            raise NotInGroupError(f"{format_vector(g)} does not fix the polynomial")
     D = lcm(*(a.denominator for g in gens for a in g))
     steps = tuple(dict.fromkeys(tuple(a.numerator * (D // a.denominator) for a in g)
                                 for g in gens))
@@ -178,7 +179,9 @@ def _aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
 
 
 def sl_subgroup(P: InvertiblePolynomial, cap: int = DEFAULT_GROUP_CAP) -> SymmetryGroup:
-    elements = tuple(g for g in aut_group(P, cap) if in_sl(g))
+    """The integral-age symmetries: pairing with j^T is the age (E^T j^T = 1)."""
+    Pv = transpose(P)
+    elements = annihilator(Pv, (j_element(Pv),), Pv.degree, cap)
     return SymmetryGroup(P, elements, elements)
 
 
@@ -296,10 +299,10 @@ def admissible_setup(W: InvertiblePolynomial, K_generators: Iterable[Sequence[Fr
     jf_k = scale(j_element(f), k)
     if jf_k not in K_inner:
         raise NotAdmissibleError(
-            f"j_f^{k} = {jf_k} is not in K (add it as a generator)")
+            f"j_f^{k} = {format_vector(jf_k)} is not in K (add it as a generator)")
     for g in K_inner:
         if not in_sl(g):
-            raise NotAdmissibleError(f"K contains {g}, which is outside SL_f")
+            raise NotAdmissibleError(f"K contains {format_vector(g)}, which is outside SL_f")
     if k * k * K_inner.order > cap:
         raise GroupTooLargeError(f"group exceeds the enumeration cap of {cap}")
 

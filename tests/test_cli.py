@@ -98,6 +98,25 @@ class TestTable:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and "error [GroupTooLarge]" in err and out == ""
 
+    def test_too_many_variables_fails_fast(self, capsys):
+        # a 150-variable chain: the count is rejected before the weights
+        # are solved by an elimination cubic in the number of variables
+        chain = "+".join(f"x{i}^2*x{i + 1}" for i in range(149)) + "+x149^3"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", chain)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and "error [TooManyVariables]" in err and out == ""
+
+    @pytest.mark.parametrize("polynomial, spec, vector", [
+        ("x0^3+x1^3+x2^3", "gen:[1/3]", "[1/3]"),                # NotInGroup
+        ("x0^2+x1^2", "J", "[1/2]"),                             # outside SL_f
+        ("x0^2+x1^4+x2^4", "trivial", "[1/2, 1/2]"),             # j_f^k not in K
+    ])
+    def test_error_messages_print_exact_vectors(self, capsys, polynomial, spec, vector):
+        code, out, err = run(capsys, "table", polynomial, "--K", spec)
+        assert code == 2 and out == ""
+        assert vector in err and "Fraction(" not in err
+
     def test_sl_invariance_gives_the_mirror_grid(self, capsys):
         # invariance under the inner determinant-one group reproduces the
         # table of the dual setup of the plain quartic

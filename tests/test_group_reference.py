@@ -2,16 +2,19 @@
 
 The reference below is the straightforward encoding: a breadth-first
 closure over `Fraction` vectors mod 1, the pairing (E*g) . h mod 1 in
-`Fraction` arithmetic, and an annihilator that filters the transpose's
-group by that pairing.  The library must agree with it element for
-element on random invertible polynomials of up to four variables.
+`Fraction` arithmetic, an annihilator that filters the transpose's
+group by that pairing, SL as the elements of integral age, and the
+dual-group-graded Milnor series expanded on `Fraction` keys.  The library
+must agree with it element for element on random invertible polynomials
+of up to four variables.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from bhmirror.poly import from_exponents, transpose
+from bhmirror.milnor import equivariant_hilbert
+from bhmirror.poly import exponent_inverse, from_exponents, restrict, transpose
 from bhmirror.symmetry import (
     annihilator,
     aut_generators,
@@ -19,6 +22,7 @@ from bhmirror.symmetry import (
     dual_group,
     enumerate_group,
     pairing,
+    sl_subgroup,
 )
 
 
@@ -55,6 +59,34 @@ def ref_annihilator(P, generators):
     Pv = transpose(P)
     full = ref_closure(Pv, aut_generators(Pv))
     return tuple(h for h in full if all(ref_pairing(P, g, h) == 0 for g in generators))
+
+
+def ref_series(R):
+    """Product over the fixed variables of chi t^w (1 - chi^{-1} t^{d-w}) /
+    (1 - chi t^w), truncated at the socle degree, with `Fraction` keys."""
+    P = R.parent
+    n, d, bound = P.num_vars, P.degree, R.top_degree
+    series = {(0, ref_symmetry([0] * n)): 1}
+    for i in R.fixed_vars:
+        char, w = ref_symmetry(exponent_inverse(P)[i]), P.weights[i]
+        factor = {}
+        for r in range(1, bound // w + 1):
+            factor[r * w, ref_symmetry(r * a for a in char)] = 1
+        for r in range((bound - d) // w + 1 if bound >= d else 0):
+            term = (d + r * w, ref_symmetry(r * a for a in char))
+            factor[term] = factor.get(term, 0) - 1
+        product = {}
+        for (m1, k1), c1 in series.items():
+            for (m2, k2), c2 in factor.items():
+                if m1 + m2 <= bound:
+                    term = (m1 + m2, ref_symmetry(a + b for a, b in zip(k1, k2)))
+                    product[term] = product.get(term, 0) + c1 * c2
+        series = product
+    out = {}
+    for (m, key), c in series.items():
+        if c:
+            out.setdefault(m, {})[key] = c
+    return out
 
 
 ATOMS = {
@@ -136,3 +168,18 @@ def test_pairing_matches_reference(case, data):
     h = duals[data.draw(st.integers(0, len(duals) - 1))]
     for g in gens:
         assert pairing(P, g, h) == ref_pairing(P, g, h)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_polynomials())
+def test_sl_subgroup_matches_integral_age(P):
+    expected = tuple(g for g in ref_closure(P, aut_generators(P)) if sum(g) % 1 == 0)
+    assert sl_subgroup(P).elements == expected
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_polynomials())
+def test_series_matches_fraction_expansion(P):
+    fixed_sets = {restrict(P, h).fixed_vars: restrict(P, h) for h in aut_group(P)}
+    for R in fixed_sets.values():
+        assert equivariant_hilbert.__wrapped__(R).coefficients == ref_series(R)
