@@ -49,5 +49,5 @@ B = parse_polynomial("z^3")
 together = unprojected_state_space(direct_sum(A, B))
 convolved = thom_sebastiani_convolution(
     unprojected_state_space(A), unprojected_state_space(B))
-assert together.entries == convolved
+assert together == convolved
 print("disjoint-sum state space equals the convolution of the factors")

@@ -40,7 +40,6 @@ from .symmetry import (
 )
 from .milnor import (
     GroupRingSeries,
-    SectorAlgebra,
     equivariant_hilbert,
     fermat_monomial_basis,
     sector_algebra,
@@ -48,7 +47,6 @@ from .milnor import (
 from .statespace import (
     StateLabel,
     StateTable,
-    UnprojectedTable,
     build_state_space,
     elevator_fixed,
     elevator_moving,

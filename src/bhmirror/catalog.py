@@ -58,8 +58,10 @@ def parse_vector(text: str) -> tuple[Fraction, ...]:
         body = body[1:-1]
     try:
         return tuple(Fraction(part.strip()) for part in body.split(",") if part.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"cannot parse rational vector {text!r}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise InputError(f"cannot parse rational vector {text!r}: zero denominator") from exc
 
 
 # Every case satisfies the group hypothesis of the mirror identities:

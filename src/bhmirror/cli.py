@@ -27,7 +27,7 @@ from .geometry import (
     require_k3_shape,
     sector_grid,
 )
-from .milnor import equivariant_hilbert, fermat_monomial_basis, sector_algebra
+from .milnor import equivariant_hilbert, fermat_monomial_basis
 from .mirror import (
     build_mirror_pair,
     verify_krawitz,
@@ -340,14 +340,15 @@ def _check_case(case: cat.CatalogCase, cap: int) -> list[dict]:
     bad = 0
     for h in sectors:
         R = restrict(W, h)
-        if sector_algebra(W, h).total_dimension != R.milnor_dimension:
+        series = equivariant_hilbert(R)
+        if series.total_dimension != R.milnor_dimension:
             mismatch.append(format_vector(h))
         if fermat:
             oracle: dict = {}
             for _, key, degree in fermat_monomial_basis(R):
                 bucket = oracle.setdefault(degree, {})
                 bucket[key] = bucket.get(key, 0) + 1
-            if oracle != equivariant_hilbert(R).coefficients:
+            if oracle != series.coefficients:
                 bad += 1
     record("milnor-dimensions", not mismatch,
            f"{len(sectors)} sectors" if not mismatch else f"bad: {mismatch}")
@@ -401,7 +402,13 @@ def cmd_verify(args, cap: int) -> int:
         if not cases and args.case != "krawitz-scan":
             raise InputError(f"no catalog case named {args.case!r}")
 
-    results = [r for case in cases for r in _check_case(case, cap)]
+    results = []
+    for case in cases:
+        try:
+            results += _check_case(case, cap)
+        except BHMirrorError as exc:
+            exc.args = (f"case {case.name!r}: {exc}",)
+            raise
 
     if not args.case or args.case == "krawitz-scan":
         bad = []

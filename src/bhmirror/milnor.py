@@ -22,7 +22,8 @@ The series depends only on the parent and the fixed-variable set, not on
 the sector, so `equivariant_hilbert` is memoized on the restriction (a
 bounded cache keyed on parent and fixed variables; the returned series is
 shared and never mutated).  Its checks run once per distinct fixed set;
-`sector_algebra` applies the age shift of each sector afterwards.
+`sector_algebra` applies the age shift of each sector afterwards and
+returns the sector's entries as ((key, p, q), dimension) pairs.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class GroupRingSeries:
     """Finite map degree -> (dual-group key -> positive multiplicity)."""
 
     coefficients: SeriesCoefficients
-    truncation_bound: int
 
     def specialize(self) -> dict[int, int]:
         """Forget the keys: the ordinary Hilbert function."""
@@ -133,7 +133,7 @@ def equivariant_hilbert(R: RestrictedPolynomial) -> GroupRingSeries:
                 raise InternalError(f"multiplicity {mult} of key {format_vector(key)} at "
                                     f"degree {m}: not positive, or the key is not a "
                                     "dual character")
-    result = GroupRingSeries(series, bound)
+    result = GroupRingSeries(series)
     if result.total_dimension != R.milnor_dimension:
         raise InternalError(f"series dimension {result.total_dimension} is not the "
                             f"Milnor number {R.milnor_dimension}")
@@ -176,37 +176,21 @@ def fermat_monomial_basis(R: RestrictedPolynomial) -> list[tuple[tuple[int, ...]
     return basis
 
 
-@dataclass(frozen=True)
-class SectorAlgebra:
-    """Bigraded, dual-group-labelled Milnor algebra of one sector.
+def sector_algebra(P: InvertiblePolynomial,
+                   h: Sequence[Fraction]) -> list[tuple[tuple[Symmetry, Fraction, Fraction], int]]:
+    """Age-shifted sector algebra of h as ((key, p, q), dimension) pairs,
+    with every dual-group key kept; `dict()` of the list is its table.
 
-    table maps (key, p, q) to a dimension, with
-    q = age(h) + degree/d and p = age(h) + #fixed - degree/d,
-    so p + q - 2 age(h) = #fixed on every entry.
+    Degree m of the series sits at q = age(h) + m/d and
+    p = age(h) + #fixed - m/d, so p + q - 2 age(h) = #fixed on every entry.
     """
-
-    sector: Symmetry
-    fixed_vars: tuple[int, ...]
-    table: dict[tuple[Symmetry, Fraction, Fraction], int]
-
-    @property
-    def total_dimension(self) -> int:
-        return sum(self.table.values())
-
-
-def sector_algebra(P: InvertiblePolynomial, h: Sequence[Fraction]) -> SectorAlgebra:
-    """Age-shifted sector algebra, with every dual-group key kept."""
     h = symmetry(h)
     R = restrict(P, h)
-    series = equivariant_hilbert(R)
     shift = age(h)
-    d = P.degree
     nfix = len(R.fixed_vars)
-    table: dict[tuple[Symmetry, Fraction, Fraction], int] = {}
-    for m, keys in series.coefficients.items():
-        charge = Fraction(m, d)
-        q = shift + charge
-        p = shift + nfix - charge
-        for key, mult in keys.items():
-            table[(key, p, q)] = mult
-    return SectorAlgebra(h, R.fixed_vars, table)
+    entries = []
+    for m, keys in equivariant_hilbert(R).coefficients.items():
+        charge = Fraction(m, P.degree)
+        p, q = shift + nfix - charge, shift + charge
+        entries += [((key, p, q), mult) for key, mult in keys.items()]
+    return entries

@@ -22,7 +22,6 @@ from .errors import (
 from .poly import InvertiblePolynomial, is_calabi_yau, is_fermat_diagonal, transpose
 from .statespace import (
     StateTable,
-    UnprojectedTable,
     build_state_space,
     slice_weight_bidegrees,
     unprojected_state_space,
@@ -54,7 +53,6 @@ class CheckItem:
 
 @dataclass
 class VerificationReport:
-    name: str
     items: list[CheckItem] = field(default_factory=list)
 
     @property
@@ -133,26 +131,25 @@ def build_mirror_pair(W: InvertiblePolynomial,
 def verify_krawitz(P: InvertiblePolynomial, cap: int = DEFAULT_GROUP_CAP) -> VerificationReport:
     """Check dim U_h^key(P) at (p, q) = dim U_key^h(transpose) at (N-p, q)
     for every sector/key pair, N the number of variables."""
-    return _transpose_duality(f"krawitz[{P}]", "krawitz", P.num_vars,
-                              unprojected_state_space(P, cap).entries,
-                              unprojected_state_space(transpose(P), cap).entries)
+    return _transpose_duality("krawitz", P.num_vars, unprojected_state_space(P, cap),
+                              unprojected_state_space(transpose(P), cap))
 
 
-def _transpose_duality(name: str, statement: str, N: int, lhs: dict, rhs: dict) -> VerificationReport:
+def _transpose_duality(statement: str, N: int, lhs: dict, rhs: dict) -> VerificationReport:
     """Compare two maps (sector, key, p, q) -> dimension: lhs at
     (sector, key, p, q) against rhs at (key, sector, N - p, q)."""
-    report = VerificationReport(name)
+    report = VerificationReport()
     report.compare(statement, lhs, {(key, sector, N - p, q): dim
                                     for (sector, key, p, q), dim in rhs.items()})
     return report
 
 
-def thom_sebastiani_convolution(U1: UnprojectedTable, U2: UnprojectedTable) -> dict:
-    """Label-level convolution of two unprojected tables: sectors and keys
+def thom_sebastiani_convolution(U1: dict, U2: dict) -> dict:
+    """Label-level convolution of two unprojected maps: sectors and keys
     concatenate, bidegrees add."""
     out: dict = {}
-    for (h1, k1, p1, q1), d1 in U1.entries.items():
-        for (h2, k2, p2, q2), d2 in U2.entries.items():
+    for (h1, k1, p1, q1), d1 in U1.items():
+        for (h2, k2, p2, q2), d2 in U2.items():
             cell = (h1 + h2, k1 + k2, p1 + p2, q1 + q2)
             out[cell] = out.get(cell, 0) + d1 * d2
     return out
@@ -287,7 +284,7 @@ def verify_lg_mirror(pair: MirrorPair) -> VerificationReport:
     n = pair.source.W.num_vars - 1
     slices = slice_weight_bidegrees(pair.source_table)
     slicesV = slice_weight_bidegrees(pair.target_table)
-    report = VerificationReport(name="lg-mirror")
+    report = VerificationReport()
     report.compare("part1", *_part1(slices, slicesV, n, (0,), range(1, k)))
     for i in range(1, k):
         report.compare(f"part2[i={i}]", *_part2(slices, slicesV, n, k, i))
@@ -356,7 +353,7 @@ def verify_pair_duality(pair: MirrorPair) -> VerificationReport:
     def cells(table: StateTable) -> dict:
         return {(lab.sector, lab.key, lab.p, lab.q): dim for lab, dim in table.entries.items()}
 
-    return _transpose_duality("pair-duality", "pair-duality", pair.source.W.num_vars,
+    return _transpose_duality("pair-duality", pair.source.W.num_vars,
                               cells(pair.source_table), cells(pair.target_table))
 
 
@@ -370,7 +367,7 @@ def verify_order2_exchange(pair: MirrorPair) -> VerificationReport:
     n = pair.source.W.num_vars - 1
     slices = slice_weight_bidegrees(pair.source_table)
     slicesV = slice_weight_bidegrees(pair.target_table)
-    report = VerificationReport(name="order2-exchange")
+    report = VerificationReport()
     report.compare("exchange[plus]", *_part1(slices, slicesV, n, (0,), (1,)))
     report.compare("exchange[minus]", *_part1(slices, slicesV, n, (1,), (0,)))
     report.compare("s-slice-self-mirror", *_part2(slices, slicesV, n, 2, 1),

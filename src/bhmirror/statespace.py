@@ -4,7 +4,9 @@ For W = x0^k + f and an admissible K, the big state space collects the
 K-invariant sector algebras over the k^2 labelled cosets j^a s^b K.  Every
 entry carries four mod-1 gradings: the coset labels d_j = a/k, d_s = b/k
 and the charges Q_j, Q_s of its dual-group key, packed redundantly into
-coordinates (X, Y, Z) that are cross-checked at construction time.
+coordinates (X, Y, Z) that are cross-checked at construction time.  With
+no invariance taken, the unprojected state space is the plain map
+(sector, key, p, q) -> dimension over every diagonal symmetry.
 
 Entries split into a moving side (Q_s != 0; the sector fixes x0, so the
 cyclic symmetry acts on the form with nonzero weight) and a fixed side
@@ -80,24 +82,13 @@ class StateTable:
         return out
 
 
-@dataclass(frozen=True)
-class UnprojectedTable:
-    """Full double decomposition over all sectors, with no invariance taken."""
-
-    polynomial: InvertiblePolynomial
-    entries: dict[tuple[Symmetry, Symmetry, Fraction, Fraction], int]
-
-    @property
-    def total_dimension(self) -> int:
-        return sum(self.entries.values())
-
-
-def unprojected_state_space(P: InvertiblePolynomial,
-                            cap: int = DEFAULT_GROUP_CAP) -> UnprojectedTable:
-    """Sum of the age-shifted sector algebras over every diagonal symmetry."""
-    return UnprojectedTable(P, {(h, key, p, q): dim
-                                for h in aut_group(P, cap)
-                                for (key, p, q), dim in sector_algebra(P, h).table.items()})
+def unprojected_state_space(P: InvertiblePolynomial, cap: int = DEFAULT_GROUP_CAP
+                            ) -> dict[tuple[Symmetry, Symmetry, Fraction, Fraction], int]:
+    """Sum of the age-shifted sector algebras over every diagonal symmetry,
+    with no invariance taken: the map (sector, key, p, q) -> dimension."""
+    return {(h, key, p, q): dim
+            for h in aut_group(P, cap)
+            for (key, p, q), dim in sector_algebra(P, h)}
 
 
 def _make_label(setup: AdmissibleSetup, sector: Symmetry, key: Symmetry,
@@ -133,7 +124,7 @@ def build_state_space(setup: AdmissibleSetup, cap: int = DEFAULT_GROUP_CAP) -> S
         setup.K_inner.order, cap))
     return StateTable(setup, {_make_label(setup, h, key, p, q): dim
                               for h in setup.labels
-                              for (key, p, q), dim in sector_algebra(setup.W, h).table.items()
+                              for (key, p, q), dim in sector_algebra(setup.W, h)
                               if key in allowed})
 
 

@@ -118,6 +118,9 @@ def enumerate_group(P: InvertiblePolynomial, generators: Iterable[Sequence[Fract
     """
     gens = tuple(symmetry(g) for g in generators)
     for g in gens:
+        if len(g) != P.num_vars:
+            raise NotInGroupError(
+                f"{format_vector(g)} has {len(g)} entries for {P.num_vars} variables")
         if not is_symmetry_of(P, g):
             raise NotInGroupError(f"{format_vector(g)} does not fix the polynomial")
     D = lcm(*(a.denominator for g in gens for a in g))
@@ -256,7 +259,6 @@ class AdmissibleSetup:
 
     W: InvertiblePolynomial
     k: int
-    f: InvertiblePolynomial
     K_inner: SymmetryGroup  # subgroup of Aut_f, in f coordinates
     j: Symmetry
     s: Symmetry
@@ -319,4 +321,4 @@ def admissible_setup(W: InvertiblePolynomial, K_generators: Iterable[Sequence[Fr
                         f"cosets {labels[element]} and {(a, b)} coincide; "
                         "the (d_j, d_s) grading is not single-valued")
                 labels[element] = (a, b)
-    return AdmissibleSetup(W, k, f, K_inner, j, s, labels)
+    return AdmissibleSetup(W, k, K_inner, j, s, labels)

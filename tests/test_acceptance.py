@@ -103,7 +103,7 @@ def test_criterion_3_one_variable_units():
             for b in range(1, k):
                 expected[((F(0),), (F(b, k),), 1 - F(b, k), F(b, k))] = 1
                 expected[((F(b, k),), (F(0),), F(b, k), F(b, k))] = 1
-            assert U.entries == expected, f"k = {k}"
+            assert U == expected, f"k = {k}"
 
 
 def test_criterion_4_krawitz_duality():

@@ -59,11 +59,12 @@ def test_sector_shift_is_applied_per_sector():
     # two sectors with the same (empty) fixed set share one series but
     # carry their own ages
     P = parse_polynomial("x0^4+x1^4")
-    a = sector_algebra(P, (F(1, 4), F(1, 4)))
-    b = sector_algebra(P, (F(3, 4), F(3, 4)))
-    assert a.fixed_vars == b.fixed_vars == ()
-    assert set(a.table) == {((F(0), F(0)), F(1, 2), F(1, 2))}
-    assert set(b.table) == {((F(0), F(0)), F(3, 2), F(3, 2))}
+    ha, hb = (F(1, 4), F(1, 4)), (F(3, 4), F(3, 4))
+    a = dict(sector_algebra(P, ha))
+    b = dict(sector_algebra(P, hb))
+    assert restrict(P, ha).fixed_vars == restrict(P, hb).fixed_vars == ()
+    assert set(a) == {((F(0), F(0)), F(1, 2), F(1, 2))}
+    assert set(b) == {((F(0), F(0)), F(3, 2), F(3, 2))}
 
 
 def test_transpose_and_inverse_are_computed_once():

@@ -117,6 +117,19 @@ class TestTable:
         assert code == 2 and out == ""
         assert vector in err and "Fraction(" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("mirror", "x^3+y^3", "--group", "gen:[1/0,0]"),
+         "error [Input]: cannot parse rational vector '[1/0,0]': zero denominator"),
+        (("mirror", "x^3+y^3", "--group", "gen:[1/3]"),
+         "error [NotInGroup]: [1/3] has 1 entries for 2 variables"),
+        (("table", "x0^3+x1^3+x2^3", "--K", "gen:[1/3]"),
+         "error [NotInGroup]: [1/3] has 1 entries for 2 variables"),
+    ], ids=["zero-denominator", "mirror-short-vector", "table-short-vector"])
+    def test_bad_vectors_name_their_fault(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err and "Fraction(" not in err
+
     def test_sl_invariance_gives_the_mirror_grid(self, capsys):
         # invariance under the inner determinant-one group reproduces the
         # table of the dual setup of the plain quartic
@@ -228,6 +241,17 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--catalog", str(path))
         assert code == 2 and "error [Input]" in err
         assert "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("polynomial, error", [
+        ("x0^3+*x1", "SyntaxError"),
+        ("x0^3+x1^3+x2", "DegenerateShape"),
+    ], ids=["syntax", "shape"])
+    def test_bad_case_is_named(self, capsys, tmp_path, polynomial, error):
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps([{"name": "bad-one", "polynomial": polynomial}]))
+        code, out, err = run(capsys, "verify", "--catalog", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error [{error}]: case 'bad-one': ")
 
     def test_failure_exit_code(self, capsys, tmp_path):
         # an admissible setup that breaks the theorem's weight hypothesis

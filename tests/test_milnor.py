@@ -103,30 +103,30 @@ class TestSectorAlgebra:
     def test_free_sector_on_diagonal(self):
         P = parse_polynomial("x^5")
         for i in range(1, 5):
-            alg = sector_algebra(P, (F(i, 5),))
-            assert alg.table == {((F(0),), F(i, 5), F(i, 5)): 1}
+            alg = dict(sector_algebra(P, (F(i, 5),)))
+            assert alg == {((F(0),), F(i, 5), F(i, 5)): 1}
 
     def test_bidegree_sum_rule(self):
         from bhmirror.symmetry import age
         for h in aut_group(ELLIPTIC):
-            alg = sector_algebra(ELLIPTIC, h)
-            for (_, p, q), _ in alg.table.items():
-                assert p + q - 2 * age(h) == len(alg.fixed_vars)
+            alg = dict(sector_algebra(ELLIPTIC, h))
+            for (_, p, q), _ in alg.items():
+                assert p + q - 2 * age(h) == len(restrict(ELLIPTIC, h).fixed_vars)
 
     def test_elliptic_untwisted_grading_filter(self):
         # of the ten untwisted classes exactly two have integral j-charge
-        alg = sector_algebra(ELLIPTIC, identity(3))
-        assert alg.total_dimension == 10
+        alg = dict(sector_algebra(ELLIPTIC, identity(3)))
+        assert sum(alg.values()) == 10
         j = j_element(ELLIPTIC)
-        invariant = {(p, q): dim for (key, p, q), dim in alg.table.items()
+        invariant = {(p, q): dim for (key, p, q), dim in alg.items()
                      if pairing(ELLIPTIC, j, key) == 0}
         assert invariant == {(F(2), F(1)): 1, (F(1), F(2)): 1}
 
     def test_invariance_filter_matches_manual(self):
         j = j_element(QUARTIC)
-        alg = sector_algebra(QUARTIC, identity(4))
+        alg = dict(sector_algebra(QUARTIC, identity(4)))
         keys = set(annihilator(QUARTIC, (j,), 4))
-        kept = {lab: dim for lab, dim in alg.table.items() if lab[0] in keys}
-        manual = {lab: dim for lab, dim in alg.table.items()
+        kept = {lab: dim for lab, dim in alg.items() if lab[0] in keys}
+        manual = {lab: dim for lab, dim in alg.items()
                   if pairing(QUARTIC, j, lab[0]) == 0}
         assert kept == manual

@@ -24,7 +24,6 @@ from bhmirror.mirror import (
 from bhmirror.poly import direct_sum, parse_polynomial, transpose
 from bhmirror.statespace import (
     StateTable,
-    UnprojectedTable,
     fjrw_state_space,
     unprojected_state_space,
 )
@@ -65,8 +64,8 @@ class TestKrawitz:
         U = unprojected_state_space(parse_polynomial(f"x^{k}"))
         # the identity-sector class of key b sits opposite the free sector b
         for b in range(1, k):
-            assert U.entries[((F(0),), (F(b, k),), 1 - F(b, k), F(b, k))] == 1
-            assert U.entries[((F(b, k),), (F(0),), F(b, k), F(b, k))] == 1
+            assert U[((F(0),), (F(b, k),), 1 - F(b, k), F(b, k))] == 1
+            assert U[((F(b, k),), (F(0),), F(b, k), F(b, k))] == 1
 
     def test_loop_full_scan(self):
         report = verify_krawitz(parse_polynomial("x^2*y+y^2*x"))
@@ -90,7 +89,7 @@ class TestThomSebastiani:
         U = unprojected_state_space(direct_sum(P1, P2))
         convolved = thom_sebastiani_convolution(
             unprojected_state_space(P1), unprojected_state_space(P2))
-        assert U.entries == convolved
+        assert U == convolved
 
 
 class TestFermatStates:
@@ -101,7 +100,7 @@ class TestFermatStates:
         aggregated: dict = {}
         for s in states:
             aggregated[s.label] = aggregated.get(s.label, 0) + 1
-        assert aggregated == U.entries
+        assert aggregated == U
 
     def test_one_variable_map(self):
         P = parse_polynomial("x^6")
@@ -213,12 +212,12 @@ class TestFailurePaths:
     def test_krawitz_bumped_side(self, monkeypatch):
         P = parse_polynomial("x^3*y+y^4")
         real = mirror.unprojected_state_space
-        cell = next(iter(real(P).entries))
+        cell = next(iter(real(P)))
 
         def bumped(Q, cap):
             U = real(Q, cap)
             if Q == P:
-                U = UnprojectedTable(Q, {**U.entries, cell: U.entries[cell] + 1})
+                U = {**U, cell: U[cell] + 1}
             return U
 
         monkeypatch.setattr(mirror, "unprojected_state_space", bumped)
@@ -250,8 +249,8 @@ class TestMovingBecomesFixed:
         s = symmetry([F(1, 4), 0, 0, 0])
         U = unprojected_state_space(W)
         Uv = unprojected_state_space(transpose(W))
-        invariant = sum(dim for (h, key, _, _), dim in U.entries.items()
+        invariant = sum(dim for (h, key, _, _), dim in U.items()
                         if pairing(W, s, key) == 0)
-        mirror_moved = sum(dim for (h, _, _, _), dim in Uv.entries.items()
+        mirror_moved = sum(dim for (h, _, _, _), dim in Uv.items()
                            if h[0] != 0)
         assert invariant == mirror_moved

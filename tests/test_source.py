@@ -1,8 +1,13 @@
 """Source-level rules for the library."""
 
 import ast
+import hashlib
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import bhmirror
@@ -30,3 +35,22 @@ def test_benchmark_layers_exist():
                for name in names
                if not hasattr(importlib.import_module(f"bhmirror.{module}"), name)]
     assert not missing, f"benchmark layers missing from bhmirror: {missing}"
+
+
+def test_traced_benchmark_pair_matches_its_golden(tmp_path):
+    # perfbench reads the state-table label fields, `series.coefficients`,
+    # `table.entries` and `setup.labels`; a reshaped record breaks its traced
+    # run, which the rest of this suite never starts
+    root = Path(__file__).parent.parent
+    op = "pair x0^8+x1^8+x2^4+x3^2"
+    golden = json.loads((root / "perfbench" / "goldens.json").read_text())["ops"][op]
+    spans = tmp_path / "spans.json"
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("BHMIRROR_MAX_GROUP", None)
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "child.py"),
+                           "--trace", str(spans), *op.split()],
+                          capture_output=True, cwd=root, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(spans.read_text())["spans"]
+    assert hashlib.sha256(proc.stdout).hexdigest() == golden["stdout_sha256"]

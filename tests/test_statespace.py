@@ -52,12 +52,12 @@ class TestUnprojected:
             expected[((F(0),), (F(b, k),), 1 - F(b, k), F(b, k))] = 1
         for i in range(1, k):
             expected[((F(i, k),), (F(0),), F(i, k), F(i, k))] = 1
-        assert U.entries == expected
+        assert U == expected
 
     def test_quartic_untwisted_total(self):
         P = parse_polynomial("x0^4+x1^4+x2^4+x3^4")
         U = unprojected_state_space(P)
-        untwisted = sum(dim for (h, _, _, _), dim in U.entries.items()
+        untwisted = sum(dim for (h, _, _, _), dim in U.items()
                         if h == identity(4))
         assert untwisted == 81
 
@@ -66,7 +66,7 @@ class TestUnprojected:
         P = parse_polynomial("x0^4+x1^4+x2^4+x3^4")
         U = unprojected_state_space(P)
         sl = sl_subgroup(P).elements
-        for (h, key, _, _), dim in U.entries.items():
+        for (h, key, _, _), dim in U.items():
             broad = any(a == 0 for a in h)
             invariant = all(pairing(P, g, key) == 0 for g in sl)
             if broad and invariant:
