@@ -62,7 +62,6 @@ from .mirror import (
     build_mirror_pair,
     fermat_mirror_map,
     fermat_states,
-    lg_to_cy_reindex,
     verify_krawitz,
     verify_lg_mirror,
     verify_order2_exchange,

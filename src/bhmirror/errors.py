@@ -93,10 +93,6 @@ class ZOutOfRangeError(InputError):
     """Elevator/twist level outside 1..k-1."""
 
 
-class NotCalabiYauError(InputError):
-    """Operation requires the Calabi-Yau weight condition."""
-
-
 class PatternMismatchError(InputError):
     """A K3 sector grid does not fit the closed-form table pattern."""
 

@@ -183,8 +183,8 @@ def sector_algebra(P: InvertiblePolynomial,
 
     Degree m of the series sits at q = age(h) + m/d and
     p = age(h) + #fixed - m/d, so p + q - 2 age(h) = #fixed on every entry.
+    `restrict` and `age` both reduce h mod 1, so h need not be normalized.
     """
-    h = symmetry(h)
     R = restrict(P, h)
     shift = age(h)
     nfix = len(R.fixed_vars)

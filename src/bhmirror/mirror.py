@@ -4,22 +4,20 @@ The mirror of (W, K) is (transpose of W, annihilator of the full coset
 group), and the induced state spaces satisfy three families of exact
 bigraded-dimension identities relating weight spaces of the slices of one
 side to those of the other.  All checks here are exact integer identities
-per bidegree cell; reports carry every compared cell.
+per bidegree cell; reports carry every compared cell.  Transpose duality
+builds two maps: the source cells and the reflected mirror cells.  Cells
+keep state-space bidegrees; `geometry.sector_grid` applies the (-1, -1)
+Calabi-Yau shift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (
-    DualityViolationError,
-    NotAdmissibleError,
-    NotCalabiYauError,
-    NotFermatError,
-)
-from .poly import InvertiblePolynomial, is_calabi_yau, is_fermat_diagonal, transpose
+from .errors import DualityViolationError, NotAdmissibleError, NotFermatError
+from .poly import InvertiblePolynomial, is_fermat_diagonal, transpose
 from .statespace import (
     StateTable,
     build_state_space,
@@ -116,7 +114,7 @@ def build_mirror_pair(W: InvertiblePolynomial,
     if mirror_setup.k != setup.k:
         raise DualityViolationError("cyclic exponents of the pair differ")
 
-    if annihilator(W, K_gens, setup.K_inner.order, cap) != mirror_setup.G_elements:
+    if set(annihilator(W, K_gens, setup.K_inner.order, cap)) != mirror_setup.labels.keys():
         raise DualityViolationError(
             "dual of K does not equal the mirror coset group")
 
@@ -132,15 +130,17 @@ def verify_krawitz(P: InvertiblePolynomial, cap: int = DEFAULT_GROUP_CAP) -> Ver
     """Check dim U_h^key(P) at (p, q) = dim U_key^h(transpose) at (N-p, q)
     for every sector/key pair, N the number of variables."""
     return _transpose_duality("krawitz", P.num_vars, unprojected_state_space(P, cap),
-                              unprojected_state_space(transpose(P), cap))
+                              unprojected_state_space(transpose(P), cap).items())
 
 
-def _transpose_duality(statement: str, N: int, lhs: dict, rhs: dict) -> VerificationReport:
-    """Compare two maps (sector, key, p, q) -> dimension: lhs at
-    (sector, key, p, q) against rhs at (key, sector, N - p, q)."""
+def _transpose_duality(statement: str, N: int, lhs: dict,
+                       rhs: Iterable[tuple[Cell, int]]) -> VerificationReport:
+    """Compare lhs, a map (sector, key, p, q) -> dimension, against the
+    mirror side, given as ((sector, key, p, q), dimension) pairs and read
+    at (key, sector, N - p, q)."""
     report = VerificationReport()
     report.compare(statement, lhs, {(key, sector, N - p, q): dim
-                                    for (sector, key, p, q), dim in rhs.items()})
+                                    for (sector, key, p, q), dim in rhs})
     return report
 
 
@@ -350,11 +350,11 @@ def verify_pair_duality(pair: MirrorPair) -> VerificationReport:
     """Per-cell transpose duality of the two state tables: the dimension at
     (sector, key, p, q) matches the mirror at (key, sector, N - p, q).
     Holds with no condition on the weights."""
-    def cells(table: StateTable) -> dict:
-        return {(lab.sector, lab.key, lab.p, lab.q): dim for lab, dim in table.entries.items()}
+    def cells(table: StateTable) -> Iterable[tuple[Cell, int]]:
+        return (((lab.sector, lab.key, lab.p, lab.q), dim) for lab, dim in table.entries.items())
 
     return _transpose_duality("pair-duality", pair.source.W.num_vars,
-                              cells(pair.source_table), cells(pair.target_table))
+                              dict(cells(pair.source_table)), cells(pair.target_table))
 
 
 def verify_order2_exchange(pair: MirrorPair) -> VerificationReport:
@@ -373,17 +373,3 @@ def verify_order2_exchange(pair: MirrorPair) -> VerificationReport:
     report.compare("s-slice-self-mirror", *_part2(slices, slicesV, n, 2, 1),
                    empty="s-slice-self-mirror/vacuous")
     return report
-
-
-# ---------------------------------------------------------------------------
-# Calabi-Yau reindexing
-# ---------------------------------------------------------------------------
-
-def lg_to_cy_reindex(table: StateTable) -> StateTable:
-    """Shift every bidegree by (-1, -1), translating state-space bidegrees
-    into geometric ones.  Requires the Calabi-Yau weight condition."""
-    if not is_calabi_yau(table.setup.W):
-        raise NotCalabiYauError("reindexing requires sum of weights = degree")
-    entries = {replace(lab, p=lab.p - 1, q=lab.q - 1): dim
-               for lab, dim in table.entries.items()}
-    return StateTable(table.setup, entries)

@@ -26,6 +26,7 @@ from typing import Sequence
 from .errors import (
     DegenerateRestrictionError,
     DegenerateShapeError,
+    InputError,
     InternalError,
     NonPositiveWeightError,
     NonSquareError,
@@ -93,21 +94,12 @@ class RestrictedPolynomial:
     """Restriction of a polynomial to a subset of variables.
 
     Holds the rows of the parent exponent matrix supported entirely on the
-    fixed variables; weights and degree are inherited from the parent (the
-    grading is never re-normalized).
+    fixed variables; the grading is the parent's (never re-normalized).
     """
 
     parent: InvertiblePolynomial
     fixed_vars: tuple[int, ...]
     row_indices: tuple[int, ...]
-
-    @property
-    def weights(self) -> tuple[int, ...]:
-        return tuple(self.parent.weights[i] for i in self.fixed_vars)
-
-    @property
-    def degree(self) -> int:
-        return self.parent.degree
 
     @property
     def milnor_dimension(self) -> int:
@@ -478,10 +470,15 @@ def transpose(P: InvertiblePolynomial) -> InvertiblePolynomial:
     """Transpose the exponent matrix; variable order is preserved.
 
     Memoized on P, so every request for the transpose of one polynomial
-    returns the same object.
+    returns the same object.  An input error names the polynomial whose
+    transpose could not be built.
     """
     E = tuple(tuple(P.exponents[i][j] for i in range(P.num_vars)) for j in range(P.num_vars))
-    return from_exponents(E, P.var_names)
+    try:
+        return from_exponents(E, P.var_names)
+    except InputError as exc:
+        exc.args = (f"transpose of {format_polynomial(P)}: {exc}",)
+        raise
 
 
 def direct_sum(P: InvertiblePolynomial, Q: InvertiblePolynomial) -> InvertiblePolynomial:

@@ -91,11 +91,11 @@ def unprojected_state_space(P: InvertiblePolynomial, cap: int = DEFAULT_GROUP_CA
             for (key, p, q), dim in sector_algebra(P, h)}
 
 
-def _make_label(setup: AdmissibleSetup, sector: Symmetry, key: Symmetry,
-                p: Fraction, q: Fraction) -> StateLabel:
-    """Assemble the full label and cross-check the redundant coordinates."""
+def _make_label(setup: AdmissibleSetup, sector: Symmetry, coset: tuple[int, int],
+                key: Symmetry, p: Fraction, q: Fraction) -> StateLabel:
+    """Assemble the full label in coset (a, b); cross-check the redundant coordinates."""
     k = setup.k
-    a, b = setup.labels[sector]
+    a, b = coset
     D, scaled = common_denominator(key)
     dot_j, dot_s = (sum(x * y for x, y in zip(v, scaled)) for v in setup.charge_vectors)
     if (k * dot_j) % D or (k * dot_s) % D:
@@ -122,8 +122,8 @@ def build_state_space(setup: AdmissibleSetup, cap: int = DEFAULT_GROUP_CAP) -> S
     allowed = frozenset(annihilator(
         setup.W, (embed_inner(g) for g in setup.K_inner.generators),
         setup.K_inner.order, cap))
-    return StateTable(setup, {_make_label(setup, h, key, p, q): dim
-                              for h in setup.labels
+    return StateTable(setup, {_make_label(setup, h, coset, key, p, q): dim
+                              for h, coset in setup.labels.items()
                               for (key, p, q), dim in sector_algebra(setup.W, h)
                               if key in allowed})
 
@@ -167,7 +167,8 @@ def _relabel(setup: AdmissibleSetup, label: StateLabel, name: str, side: str, ou
         raise ZOutOfRangeError(f"target level {z_new} outside 1..{k - 1}")
     sector = add(label.sector, scale(setup.s, sector_power))
     key = add(label.key, scale(setup.s, key_power))
-    out = _make_label(setup, sector, key, label.p + Fraction(dp, k), label.q + Fraction(dq, k))
+    out = _make_label(setup, sector, setup.labels[sector], key,
+                      label.p + Fraction(dp, k), label.q + Fraction(dq, k))
     if (out.side, out.x, out.y, out.z) != (out_side, label.x, label.y, z_new):
         raise DualityViolationError(f"{name} broke (X, Y, Z) at {format_vector(label.sector)}")
     return out

@@ -8,6 +8,9 @@ of P and of its transpose is the closed form (E*g) . h mod 1.
 Internally a group is closed by cyclic extension over integer vectors mod
 D, D the least common denominator of its generators, and converted to
 `Fraction` once at the end; the annihilator tests (E*g) . (D*h) = 0 mod D.
+`enumerate_group` normalizes its generators, and `age` is read off the
+integer code D*g.  A setup's coset group is its `labels` map, in coset
+order j^a s^b K and unsorted within a coset.
 Cached: `aut_group` enumerates once per polynomial (bounded cache keyed on
 the polynomial; the cap is checked against |det E| on every call, before
 the cache is consulted), a group's element set once per `SymmetryGroup`,
@@ -67,9 +70,11 @@ def scale(g: Symmetry, m: int) -> Symmetry:
     return tuple((m * a) % 1 for a in g)
 
 
-def age(g: Symmetry) -> Fraction:
-    """Sum of the entries, taken with representatives in [0, 1)."""
-    return sum((a % 1 for a in g), Fraction(0))
+def age(g: Sequence[Fraction]) -> Fraction:
+    """Sum of the entries, taken with representatives in [0, 1), read off
+    the integer code D*g mod D."""
+    D, scaled = common_denominator(g)
+    return Fraction(sum(x % D for x in scaled), D)
 
 
 def in_sl(g: Symmetry) -> bool:
@@ -262,15 +267,11 @@ class AdmissibleSetup:
     K_inner: SymmetryGroup  # subgroup of Aut_f, in f coordinates
     j: Symmetry
     s: Symmetry
-    labels: dict[Symmetry, tuple[int, int]]  # in coset order, each coset sorted
+    labels: dict[Symmetry, tuple[int, int]]  # in coset order
 
     @property
     def H_elements(self) -> tuple[Symmetry, ...]:
         return tuple(sorted(g for g, (a, b) in self.labels.items() if b == 0))
-
-    @property
-    def G_elements(self) -> tuple[Symmetry, ...]:
-        return tuple(sorted(self.labels))
 
     @property
     def group_order(self) -> int:
@@ -297,7 +298,7 @@ def admissible_setup(W: InvertiblePolynomial, K_generators: Iterable[Sequence[Fr
     coset group, of order k^2 |K|, exceeds the cap.
     """
     k, f = split_cyclic(W)
-    K_inner = enumerate_group(f, tuple(symmetry(g) for g in K_generators), cap)
+    K_inner = enumerate_group(f, K_generators, cap)
     jf_k = scale(j_element(f), k)
     if jf_k not in K_inner:
         raise NotAdmissibleError(
@@ -315,7 +316,7 @@ def admissible_setup(W: InvertiblePolynomial, K_generators: Iterable[Sequence[Fr
     for a in range(k):
         for b in range(k):
             shift = add(scale(j, a), scale(s, b))
-            for element in sorted(add(shift, g) for g in K_embedded):
+            for element in (add(shift, g) for g in K_embedded):
                 if element in labels:
                     raise GradingCollisionError(
                         f"cosets {labels[element]} and {(a, b)} coincide; "

@@ -172,7 +172,7 @@ def test_criterion_7_engine_cross_check(catalog_pairs):
                 continue
             covered += 1
             setup = catalog_pairs[case.name].source
-            for h in setup.G_elements:
+            for h in setup.labels:
                 R = restrict(W, h)
                 series = equivariant_hilbert(R)
                 oracle: dict = {}
@@ -192,7 +192,7 @@ def test_criterion_8_milnor_dimensions(catalog_pairs):
         for case in ADMISSIBLE_CASES:
             W = case.parse()
             setup = catalog_pairs[case.name].source
-            for h in setup.G_elements:
+            for h in setup.labels:
                 R = restrict(W, h)
                 assert equivariant_hilbert(R).total_dimension == R.milnor_dimension
 

@@ -130,6 +130,18 @@ class TestTable:
         assert code == 2 and out == ""
         assert message in err and "Fraction(" not in err
 
+    @pytest.mark.parametrize("argv, polynomial", [
+        (("analyze", "x*y+y^3"), "x*y + y^3"),
+        (("table", "x0^3+x1*x2+x2^3"), "x0^3 + x1*x2 + x2^3"),
+        (("mirror", "x*y+y^3", "--group", "trivial"), "x*y + y^3"),
+    ], ids=["analyze", "table", "mirror"])
+    def test_degenerate_transpose_names_the_transpose(self, capsys, argv, polynomial):
+        # the input is fine; the weight error belongs to its transpose
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"error [NonPositiveWeight]: transpose of {polynomial}: weight vector" in err
+        assert "Traceback" not in err
+
     def test_sl_invariance_gives_the_mirror_grid(self, capsys):
         # invariance under the inner determinant-one group reproduces the
         # table of the dual setup of the plain quartic

@@ -13,9 +13,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from bhmirror.milnor import equivariant_hilbert
+from bhmirror.milnor import equivariant_hilbert, sector_algebra
 from bhmirror.poly import exponent_inverse, from_exponents, restrict, transpose
 from bhmirror.symmetry import (
+    age,
     annihilator,
     aut_generators,
     aut_group,
@@ -23,6 +24,7 @@ from bhmirror.symmetry import (
     enumerate_group,
     pairing,
     sl_subgroup,
+    symmetry,
 )
 
 
@@ -183,3 +185,21 @@ def test_series_matches_fraction_expansion(P):
     fixed_sets = {restrict(P, h).fixed_vars: restrict(P, h) for h in aut_group(P)}
     for R in fixed_sets.values():
         assert equivariant_hilbert.__wrapped__(R).coefficients == ref_series(R)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=24), max_size=6))
+def test_age_matches_fraction_sum(g):
+    # entries >= 1 and negative entries reduce mod 1 like the `Fraction` sum
+    assert age(g) == sum((a % 1 for a in g), Fraction(0))
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_polynomials(), st.data())
+def test_sector_algebra_ignores_integer_shifts(P, data):
+    # `sector_algebra` takes unnormalized group elements
+    elements = aut_group(P).elements
+    h = elements[data.draw(st.integers(0, len(elements) - 1))]
+    shift = data.draw(st.lists(st.integers(-2, 2), min_size=P.num_vars, max_size=P.num_vars))
+    shifted = tuple(a + s for a, s in zip(h, shift))
+    assert sector_algebra(P, shifted) == sector_algebra(P, symmetry(shifted))

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from bhmirror import mirror
-from bhmirror.errors import NotAdmissibleError, NotCalabiYauError
+from bhmirror.errors import DualityViolationError, NotAdmissibleError
+from bhmirror.geometry import sector_grid
 from bhmirror.milnor import sector_algebra
 from bhmirror.mirror import (
     FermatState,
@@ -14,7 +15,6 @@ from bhmirror.mirror import (
     fermat_states,
     fermat_twist,
     fermat_twist_inverse,
-    lg_to_cy_reindex,
     thom_sebastiani_convolution,
     verify_krawitz,
     verify_lg_mirror,
@@ -24,7 +24,6 @@ from bhmirror.mirror import (
 from bhmirror.poly import direct_sum, parse_polynomial, transpose
 from bhmirror.statespace import (
     StateTable,
-    fjrw_state_space,
     unprojected_state_space,
 )
 from bhmirror.symmetry import identity, pairing, symmetry
@@ -228,19 +227,33 @@ class TestFailurePaths:
         assert violation.lhs == violation.rhs + 1
         assert report.cells_checked == len(report.items)
 
+    def test_bad_dual_of_k_is_caught(self, monkeypatch):
+        # the second annihilator of build_mirror_pair is Ann(K), which must
+        # equal the mirror coset group; one element short must be reported
+        real = mirror.annihilator
+        calls = []
+
+        def short(*args):
+            elements = real(*args)
+            calls.append(elements)
+            return elements[:-1] if len(calls) == 2 else elements
+
+        monkeypatch.setattr(mirror, "annihilator", short)
+        with pytest.raises(DualityViolationError,
+                           match="dual of K does not equal the mirror coset group"):
+            build_mirror_pair(parse_polynomial("x0^4+x1^4+x2^4+x3^4"))
+        assert len(calls) == 2
+
 
 class TestCyReindex:
     def test_elliptic_diamond(self, pair_cache):
-        pair = pair_cache("elliptic-sextic")
-        reindexed = lg_to_cy_reindex(pair.source_table)
-        dims = fjrw_state_space(reindexed, 0).dimensions_by(lambda lab: (lab.p, lab.q))
-        assert dims == {(F(1), F(0)): 1, (F(0), F(1)): 1,
-                        (F(0), F(0)): 1, (F(1), F(1)): 1}
-
-    def test_requires_calabi_yau(self, pair_cache):
-        pair = pair_cache("k2-6squares")
-        with pytest.raises(NotCalabiYauError):
-            lg_to_cy_reindex(pair.source_table)
+        # row 0 of the grid is the untwisted slice shifted by (-1, -1)
+        grid = sector_grid(pair_cache("elliptic-sextic").source_table)
+        dims: dict = {}
+        for a in range(grid.k):
+            for pq, dim in grid.cell(0, a).items():
+                dims[pq] = dims.get(pq, 0) + dim
+        assert dims == {(1, 0): 1, (0, 1): 1, (0, 0): 1, (1, 1): 1}
 
 
 class TestMovingBecomesFixed:

@@ -23,18 +23,35 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the library: {found}"
 
 
-def test_benchmark_layers_exist():
-    # perfbench/spans.py looks these names up to wrap them; a renamed
-    # function breaks the traced benchmark run, which this suite never starts
+def _load_spans():
     path = Path(__file__).parent.parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_layers_exist():
+    # perfbench/spans.py looks these names up to wrap them; a renamed
+    # function breaks the traced benchmark run, which this suite never starts
+    spans = _load_spans()
     missing = [f"{module}.{name}"
                for module, names in spans.LAYERS.items()
                for name in names
                if not hasattr(importlib.import_module(f"bhmirror.{module}"), name)]
     assert not missing, f"benchmark layers missing from bhmirror: {missing}"
+
+
+# The exact per-layer counters of the traced octic pair (64 and 512 sectors)
+OCTIC_COUNTERS = {
+    "milnor.equivariant_hilbert.calls": 576,
+    "milnor.equivariant_hilbert.distinct_fixed_sets": 16,
+    "milnor.equivariant_hilbert.series_terms": 2772,
+    "statespace.build_state_space.entries": 840,
+    "statespace.build_state_space.sectors": 576,
+    "mirror.verify_pair_duality.cells": 420,
+    "mirror.verify_lg_mirror.cells": 80,
+}
 
 
 def test_traced_benchmark_pair_matches_its_golden(tmp_path):
@@ -52,5 +69,9 @@ def test_traced_benchmark_pair_matches_its_golden(tmp_path):
                            "--trace", str(spans), *op.split()],
                           capture_output=True, cwd=root, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(spans.read_text())["spans"]
+    traced = json.loads(spans.read_text())["spans"]
+    assert traced
     assert hashlib.sha256(proc.stdout).hexdigest() == golden["stdout_sha256"]
+    layer = _load_spans().summarize([traced])
+    assert {name: layer[name] for name in OCTIC_COUNTERS} == OCTIC_COUNTERS
+
