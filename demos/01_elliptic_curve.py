@@ -13,11 +13,9 @@ from bhmirror import (
     build_state_space,
     fjrw_state_space,
     j_element,
-    narrow_broad_split,
     parse_polynomial,
     s_element,
     sector_grid,
-    weight_decomposition,
 )
 
 W = parse_polynomial("x0^6+x1^3+x2^2")
@@ -47,14 +45,14 @@ slice0 = fjrw_state_space(table, 0)
 print("\nuntwisted slice by bidegree:",
       {(str(p), str(q)): d for (p, q), d
        in sorted(slice0.dimensions_by(lambda lab: (lab.p, lab.q)).items())})
-narrow, broad = narrow_broad_split(slice0)
-print("narrow part (sectors fixing nothing):", narrow.total_dimension)
-print("broad part  (monomial classes):      ", broad.total_dimension)
+parts = slice0.dimensions_by(lambda lab: "narrow" if all(lab.sector) else "broad")
+print("narrow part (sectors fixing nothing):", parts.get("narrow", 0))
+print("broad part  (monomial classes):      ", parts.get("broad", 0))
 
 # Weight decomposition of the antidiagonal cell in row 3: the two classes
 # carry the two nontrivial characters of the order-2 fixed locus.
 slice3 = fjrw_state_space(table, 3)
-for w, part in weight_decomposition(slice3).items():
-    anti = part.filter(lambda lab: lab.dj == lab.ds)
-    if anti.total_dimension:
-        print(f"row 3, antidiagonal, character {w}: dim {anti.total_dimension}")
+cells = slice3.dimensions_by(lambda lab: (lab.dj == lab.ds, lab.weight))
+for (antidiagonal, w), dim in sorted(cells.items()):
+    if antidiagonal:
+        print(f"row 3, antidiagonal, character {w}: dim {dim}")

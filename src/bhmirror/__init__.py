@@ -51,10 +51,8 @@ from .statespace import (
     elevator_fixed,
     elevator_moving,
     fjrw_state_space,
-    narrow_broad_split,
     twist,
     unprojected_state_space,
-    weight_decomposition,
 )
 from .mirror import (
     FermatState,

@@ -55,6 +55,7 @@ from .symmetry import (
     dual_group,
     enumerate_group,
     j_element,
+    require_within_cap,
     s_element,
     sl_subgroup,
 )
@@ -147,6 +148,7 @@ def cmd_mirror(args, cap: int) -> int:
     P = parse_polynomial(args.polynomial)
     Pv = transpose(P)
     gens = parse_group_spec(args.group, P, cap)
+    require_within_cap(P, cap)  # bounds H and its dual before either is built
     H = enumerate_group(P, gens, cap)
     Hv = dual_group(H, cap)
     data = {
@@ -228,7 +230,7 @@ def cmd_table(args, cap: int) -> int:
     _, f = split_cyclic(W)
     gens = parse_group_spec(args.K, f, cap)
     setup = admissible_setup(W, gens, cap)
-    grid = sector_grid(build_state_space(setup, cap))
+    grid = sector_grid(build_state_space(setup))
     views = [view for view, wanted in zip(GRID_VIEWS, (args.diamonds, args.weights)) if wanted]
     if args.format == "json":
         data = {

@@ -96,7 +96,8 @@ def build_mirror_pair(W: InvertiblePolynomial,
 
     The invariance group of the mirror is the annihilator of the whole
     coset group of the source; the mirror's own coset group must then
-    coincide with the annihilator of K.  Both facts are verified and any
+    coincide with the annihilator of K, and the source's coset group with
+    the annihilator of the mirror's K.  These facts are verified and any
     failure is reported as a duality violation (a bug, not bad input).
     """
     setup = admissible_setup(W, K_generators, cap)
@@ -113,13 +114,12 @@ def build_mirror_pair(W: InvertiblePolynomial,
         raise DualityViolationError(f"mirror group is not admissible: {exc}") from exc
     if mirror_setup.k != setup.k:
         raise DualityViolationError("cyclic exponents of the pair differ")
-
-    if set(annihilator(W, K_gens, setup.K_inner.order, cap)) != mirror_setup.labels.keys():
+    if setup.keys != mirror_setup.labels.keys() or mirror_setup.keys != setup.labels.keys():
         raise DualityViolationError(
             "dual of K does not equal the mirror coset group")
 
-    return MirrorPair(setup, build_state_space(setup, cap),
-                      mirror_setup, build_state_space(mirror_setup, cap))
+    return MirrorPair(setup, build_state_space(setup),
+                      mirror_setup, build_state_space(mirror_setup))
 
 
 # ---------------------------------------------------------------------------

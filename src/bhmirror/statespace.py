@@ -1,10 +1,11 @@
 """State spaces of invertible polynomials with a cyclic automorphism.
 
 For W = x0^k + f and an admissible K, the big state space collects the
-K-invariant sector algebras over the k^2 labelled cosets j^a s^b K.  Every
-entry carries four mod-1 gradings: the coset labels d_j = a/k, d_s = b/k
-and the charges Q_j, Q_s of its dual-group key, packed redundantly into
-coordinates (X, Y, Z) that are cross-checked at construction time.  With
+K-invariant sector algebras (keys in the setup's Ann(K)) over the k^2
+labelled cosets j^a s^b K.  Every entry carries four mod-1 gradings: the
+coset labels d_j = a/k, d_s = b/k and the charges Q_j, Q_s of its
+dual-group key, packed redundantly into coordinates (X, Y, Z) that are
+cross-checked at construction time.  With
 no invariance taken, the unprojected state space is the plain map
 (sector, key, p, q) -> dimension over every diagonal symmetry.
 
@@ -13,7 +14,8 @@ cyclic symmetry acts on the form with nonzero weight) and a fixed side
 (Q_s = 0).  The twist exchanges the two sides at constant (X, Y, Z);
 elevators move along Z on either side.  Both are dimension-preserving
 relabelings with prescribed bidegree shifts, sharing one body.  One pass
-over the Q_j = 0 part, `sector_cells`, feeds the LG slices and the grid.
+over the Q_j = 0 part, `sector_cells`, feeds the LG slices and the grid;
+every other view of a table is one `dimensions_by` pass.
 """
 
 from __future__ import annotations
@@ -29,16 +31,7 @@ from .errors import (
 )
 from .milnor import sector_algebra
 from .poly import InvertiblePolynomial, common_denominator, format_vector
-from .symmetry import (
-    DEFAULT_GROUP_CAP,
-    AdmissibleSetup,
-    Symmetry,
-    add,
-    annihilator,
-    aut_group,
-    embed_inner,
-    scale,
-)
+from .symmetry import DEFAULT_GROUP_CAP, AdmissibleSetup, Symmetry, add, aut_group, scale
 
 MOVING = "moving"
 FIXED = "fixed"
@@ -69,10 +62,6 @@ class StateTable:
     @property
     def total_dimension(self) -> int:
         return sum(self.entries.values())
-
-    def filter(self, predicate: Callable[[StateLabel], bool]) -> "StateTable":
-        return StateTable(self.setup,
-                          {lab: dim for lab, dim in self.entries.items() if predicate(lab)})
 
     def dimensions_by(self, key_fn: Callable[[StateLabel], object]) -> dict:
         out: dict = {}
@@ -117,15 +106,13 @@ def _make_label(setup: AdmissibleSetup, sector: Symmetry, coset: tuple[int, int]
                       Fraction(kqj, k), Fraction(weight, k), weight, side, a, y, z)
 
 
-def build_state_space(setup: AdmissibleSetup, cap: int = DEFAULT_GROUP_CAP) -> StateTable:
-    """The K-invariant state space over the labelled cosets j^a s^b K."""
-    allowed = frozenset(annihilator(
-        setup.W, (embed_inner(g) for g in setup.K_inner.generators),
-        setup.K_inner.order, cap))
+def build_state_space(setup: AdmissibleSetup) -> StateTable:
+    """The K-invariant state space over the labelled cosets j^a s^b K: the
+    entries of each sector whose key lies in the setup's keys, Ann(K)."""
     return StateTable(setup, {_make_label(setup, h, coset, key, p, q): dim
                               for h, coset in setup.labels.items()
                               for (key, p, q), dim in sector_algebra(setup.W, h)
-                              if key in allowed})
+                              if key in setup.keys})
 
 
 def fjrw_state_space(table: StateTable, b: int) -> StateTable:
@@ -134,22 +121,8 @@ def fjrw_state_space(table: StateTable, b: int) -> StateTable:
     Summing the slices over b recovers the whole Q_j = 0 part of the table.
     """
     ds = Fraction(b % table.setup.k, table.setup.k)
-    return table.filter(lambda lab: lab.qj == 0 and lab.ds == ds)
-
-
-def weight_decomposition(table: StateTable) -> dict[int, StateTable]:
-    """Group entries by the character k*Q_s of the cyclic symmetry action."""
-    out: dict[int, dict[StateLabel, int]] = {}
-    for lab, dim in table.entries.items():
-        out.setdefault(lab.weight, {})[lab] = dim
-    return {w: StateTable(table.setup, entries) for w, entries in sorted(out.items())}
-
-
-def narrow_broad_split(table: StateTable) -> tuple[StateTable, StateTable]:
-    """Narrow entries sit in sectors fixing no variables; broad is the rest."""
-    narrow = table.filter(lambda lab: all(a != 0 for a in lab.sector))
-    broad = table.filter(lambda lab: any(a == 0 for a in lab.sector))
-    return narrow, broad
+    return StateTable(table.setup, {lab: dim for lab, dim in table.entries.items()
+                                    if lab.qj == 0 and lab.ds == ds})
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ on variables by x_i -> exp(2*pi*i*a_i) x_i.  Groups are enumerated
 explicitly as sorted element lists; the duality pairing between symmetries
 of P and of its transpose is the closed form (E*g) . h mod 1.
 
-Internally a group is closed by cyclic extension over integer vectors mod
-D, D the least common denominator of its generators, and converted to
-`Fraction` once at the end; the annihilator tests (E*g) . (D*h) = 0 mod D.
-`enumerate_group` normalizes its generators, and `age` is read off the
-integer code D*g.  A setup's coset group is its `labels` map, in coset
-order j^a s^b K and unsorted within a coset.
+Internally one kernel, `_closure`, closes every group by cyclic extension
+over integer vectors mod D, D the least common denominator of its
+generators; the annihilator tests (E*g) . (D*h) = 0 mod D.  `age` is read
+off the integer code D*g.  A setup reads its `labels` (the coset group, in
+coset order j^a s^b K) off the closure order of (K, s, j), and carries its
+keys, Ann(K).  |det E|, checked before any closure, bounds every group.
 Cached: `aut_group` enumerates once per polynomial (bounded cache keyed on
 the polynomial; the cap is checked against |det E| on every call, before
 the cache is consulted), a group's element set once per `SymmetryGroup`,
@@ -111,27 +111,20 @@ class SymmetryGroup:
         return iter(self.elements)
 
 
-def enumerate_group(P: InvertiblePolynomial, generators: Iterable[Sequence[Fraction]],
-                    cap: int = DEFAULT_GROUP_CAP) -> SymmetryGroup:
-    """Closure of the generators inside (Q/Z)^N by cyclic extension: a
-    generator g in the group H so far is skipped, else the cosets H + g,
+def _closure(gens: Sequence[Symmetry], num_vars: int, cap: int
+             ) -> tuple[list[Fraction], list[tuple[int, ...]]]:
+    """Closure of normalized generators inside (Q/Z)^N by cyclic extension:
+    a generator g in the group H so far is skipped, else the cosets H + g,
     H + 2g, ... join until one is H, so the work is linear in |G|.
 
     Runs on the integer vectors D*g mod D, D the least common denominator
-    of the generators; a -> a/D is monotone, so sorting the integer
-    vectors sorts the symmetries.
+    of the generators.  Returns the lookup table a -> a/D and the codes in
+    closure order: H, then H + g, H + 2g, ... for each generator in turn.
     """
-    gens = tuple(symmetry(g) for g in generators)
-    for g in gens:
-        if len(g) != P.num_vars:
-            raise NotInGroupError(
-                f"{format_vector(g)} has {len(g)} entries for {P.num_vars} variables")
-        if not is_symmetry_of(P, g):
-            raise NotInGroupError(f"{format_vector(g)} does not fix the polynomial")
     D = lcm(*(a.denominator for g in gens for a in g))
     steps = tuple(dict.fromkeys(tuple(a.numerator * (D // a.denominator) for a in g)
                                 for g in gens))
-    elements = {(0,) * P.num_vars}
+    elements = {(0,) * num_vars: None}
     for g in steps:
         if g in elements:
             continue
@@ -142,11 +135,24 @@ def enumerate_group(P: InvertiblePolynomial, generators: Iterable[Sequence[Fract
                 break
             if len(elements) + len(coset) > cap:
                 raise GroupTooLargeError(f"group exceeds the enumeration cap of {cap}")
-            elements.update(coset)
+            elements.update(dict.fromkeys(coset))
     # D is the exponent of the group, so it never exceeds the order
-    fractions = [Fraction(a, D) for a in range(D)]
-    return SymmetryGroup(P, gens, tuple(tuple(fractions[a] for a in e)
-                                        for e in sorted(elements)))
+    return [Fraction(a, D) for a in range(D)], list(elements)
+
+
+def enumerate_group(P: InvertiblePolynomial, generators: Iterable[Sequence[Fraction]],
+                    cap: int = DEFAULT_GROUP_CAP) -> SymmetryGroup:
+    """The group the generators span, closed by `_closure`; a -> a/D is
+    monotone, so sorting the integer codes sorts the symmetries."""
+    gens = tuple(symmetry(g) for g in generators)
+    for g in gens:
+        if len(g) != P.num_vars:
+            raise NotInGroupError(
+                f"{format_vector(g)} has {len(g)} entries for {P.num_vars} variables")
+        if not is_symmetry_of(P, g):
+            raise NotInGroupError(f"{format_vector(g)} does not fix the polynomial")
+    fractions, codes = _closure(gens, P.num_vars, cap)
+    return SymmetryGroup(P, gens, tuple(tuple(fractions[a] for a in e) for e in sorted(codes)))
 
 
 def aut_generators(P: InvertiblePolynomial) -> tuple[Symmetry, ...]:
@@ -169,9 +175,14 @@ def aut_group(P: InvertiblePolynomial, cap: int = DEFAULT_GROUP_CAP) -> Symmetry
     Raises GroupTooLargeError before enumerating anything when |det E|
     exceeds the cap.
     """
+    require_within_cap(P, cap)
+    return _aut_group(P)
+
+
+def require_within_cap(P: InvertiblePolynomial, cap: int) -> None:
+    """Reject |det E| above the cap: it bounds every group of P and of its transpose."""
     if exponent_determinant(P) > cap:
         raise GroupTooLargeError(f"group exceeds the enumeration cap of {cap}")
-    return _aut_group(P)
 
 
 @lru_cache(maxsize=4)
@@ -259,7 +270,8 @@ class AdmissibleSetup:
 
     G is the union of the k*k cosets j^a s^b K; the label map records the
     single-valued gradings (a/k, b/k) of every element, coset by coset.  H is the b = 0
-    part, the group generated by K and the grading symmetry of W.
+    part, the group generated by K and the grading symmetry of W.  The keys,
+    Ann(K), are the dual-group elements a K-invariant state may carry.
     """
 
     W: InvertiblePolynomial
@@ -268,6 +280,7 @@ class AdmissibleSetup:
     j: Symmetry
     s: Symmetry
     labels: dict[Symmetry, tuple[int, int]]  # in coset order
+    keys: frozenset[Symmetry]  # Ann(K), inside the transpose's group
 
     @property
     def H_elements(self) -> tuple[Symmetry, ...]:
@@ -292,34 +305,35 @@ def admissible_setup(W: InvertiblePolynomial, K_generators: Iterable[Sequence[Fr
                      cap: int = DEFAULT_GROUP_CAP) -> AdmissibleSetup:
     """Validate j_f^k in K within SL_f and label the k^2 cosets j^a s^b K.
 
-    Raises GradingCollision if two labels name the same coset: the
-    (a/k, b/k)-gradings would not be single-valued, and no convention is
-    guessed.  Raises GroupTooLargeError before building any coset when the
-    coset group, of order k^2 |K|, exceeds the cap.
+    The closure of (K, s, j) runs K, its s-cosets, then their j-shifts, so
+    block i of |K| elements is the coset (a, b) = divmod(i, k).  A shorter
+    closure means two labels name one coset (GradingCollisionError): the
+    (a/k, b/k)-gradings would not be single-valued.  |det E|, checked first,
+    bounds K, the coset group and Ann(K).
     """
     k, f = split_cyclic(W)
+    require_within_cap(W, cap)
     K_inner = enumerate_group(f, K_generators, cap)
-    jf_k = scale(j_element(f), k)
+    jf_k = symmetry(k * a for a in j_element(f))
     if jf_k not in K_inner:
         raise NotAdmissibleError(
             f"j_f^{k} = {format_vector(jf_k)} is not in K (add it as a generator)")
     for g in K_inner:
         if not in_sl(g):
             raise NotAdmissibleError(f"K contains {format_vector(g)}, which is outside SL_f")
-    if k * k * K_inner.order > cap:
-        raise GroupTooLargeError(f"group exceeds the enumeration cap of {cap}")
 
     j = j_element(W)
     s = s_element(W)
-    K_embedded = tuple(embed_inner(g) for g in K_inner)
-    labels: dict[Symmetry, tuple[int, int]] = {}
-    for a in range(k):
-        for b in range(k):
-            shift = add(scale(j, a), scale(s, b))
-            for element in (add(shift, g) for g in K_embedded):
-                if element in labels:
-                    raise GradingCollisionError(
-                        f"cosets {labels[element]} and {(a, b)} coincide; "
-                        "the (d_j, d_s) grading is not single-valued")
-                labels[element] = (a, b)
-    return AdmissibleSetup(W, k, K_inner, j, s, labels)
+    K_gens = tuple(embed_inner(g) for g in K_inner.generators)
+    fractions, codes = _closure(K_gens + (s, j), W.num_vars, cap)
+    sk_order = k * K_inner.order  # |<s, K>|
+    if len(codes) < k * sk_order:
+        # j^a is the first power of j in <s, K>; its first entry a/k puts it in s^a K
+        a = len(codes) // sk_order
+        raise GradingCollisionError(
+            f"cosets {(0, a)} and {(a, 0)} coincide; "
+            "the (d_j, d_s) grading is not single-valued")
+    labels = {tuple(fractions[a] for a in e): divmod(i // K_inner.order, k)
+              for i, e in enumerate(codes)}
+    keys = frozenset(annihilator(W, K_gens, K_inner.order, cap))
+    return AdmissibleSetup(W, k, K_inner, j, s, labels, keys)

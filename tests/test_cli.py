@@ -89,12 +89,18 @@ class TestTable:
         assert code == 2 and f"error [{error}]" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["analyze", "table"])
-    def test_group_too_large_fails_fast(self, capsys, command):
-        # |det E| = 8 * 10^9 and a coset group of order 4 * 10^6: rejected
-        # from the orders, before any element or coset is built
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "x0^2000+x1^2000+x2^2000"],
+        ["table", "x0^2000+x1^2000+x2^2000"],
+        ["mirror", "x^100000000", "--group", "J"],
+        ["mirror", "x^999999+y^2", "--group", "J"],
+        ["table", "x0^2+x1^3000000", "--K", "gen:[1/3000000]"],
+    ], ids=["analyze", "table", "mirror-one-variable", "mirror-two-variables", "table-big-K"])
+    def test_group_too_large_fails_fast(self, capsys, argv):
+        # |det E| above the cap bounds every group of the command: rejected
+        # from |det E|, before any subgroup, coset or dual is closed
         start = time.perf_counter()
-        code, out, err = run(capsys, command, "x0^2000+x1^2000+x2^2000")
+        code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 2 and "error [GroupTooLarge]" in err and out == ""
 

@@ -4,25 +4,30 @@ The reference below is the straightforward encoding: a breadth-first
 closure over `Fraction` vectors mod 1, the pairing (E*g) . h mod 1 in
 `Fraction` arithmetic, an annihilator that filters the transpose's
 group by that pairing, SL as the elements of integral age, and the
-dual-group-graded Milnor series expanded on `Fraction` keys.  The library
+dual-group-graded Milnor series expanded on `Fraction` keys, and the k^2
+cosets j^a s^b K of a cyclic setup labelled by a triple loop.  The library
 must agree with it element for element on random invertible polynomials
 of up to four variables.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from bhmirror.errors import GradingCollisionError
 from bhmirror.milnor import equivariant_hilbert, sector_algebra
-from bhmirror.poly import exponent_inverse, from_exponents, restrict, transpose
+from bhmirror.poly import exponent_inverse, from_exponents, restrict, split_cyclic, transpose
 from bhmirror.symmetry import (
+    admissible_setup,
     age,
     annihilator,
     aut_generators,
     aut_group,
     dual_group,
     enumerate_group,
+    j_element,
     pairing,
+    s_element,
     sl_subgroup,
     symmetry,
 )
@@ -91,6 +96,25 @@ def ref_series(R):
     return out
 
 
+def ref_coset_labels(W, generators):
+    """The cosets j^a s^b K of W = x0^k + f, a outer and b inner, each
+    element labelled (a, b) by a triple loop on `Fraction` vectors; the
+    message of the first repeated element instead, if any."""
+    k, f = split_cyclic(W)
+    j, s = j_element(W), s_element(W)
+    labels = {}
+    for a in range(k):
+        for b in range(k):
+            shift = tuple((a * x + b * y) % 1 for x, y in zip(j, s))
+            for g in ref_closure(f, generators):
+                element = tuple((x + y) % 1 for x, y in zip(shift, (Fraction(0),) + g))
+                if element in labels:
+                    return (f"cosets {labels[element]} and {(a, b)} coincide; "
+                            "the (d_j, d_s) grading is not single-valued")
+                labels[element] = (a, b)
+    return labels
+
+
 ATOMS = {
     "fermat": lambda a, b, c: [[a]],
     "chain2": lambda a, b, c: [[a, 1], [0, b]],
@@ -101,14 +125,14 @@ ATOMS = {
 
 
 @st.composite
-def small_polynomials(draw):
-    """Block sums of Fermat, chain and loop atoms on at most 4 variables,
-    with exponents 2..4 and the variables shuffled; |det E| <= 260."""
+def small_polynomials(draw, max_vars=4):
+    """Block sums of Fermat, chain and loop atoms on at most `max_vars`
+    variables, with exponents 2..4 and the variables shuffled; |det E| <= 260."""
     blocks = []
     n = 0
-    for kind in draw(st.lists(st.sampled_from(sorted(ATOMS)), min_size=1, max_size=4)):
+    for kind in draw(st.lists(st.sampled_from(sorted(ATOMS)), min_size=1, max_size=max_vars)):
         block = ATOMS[kind](*(draw(st.integers(2, 4)) for _ in range(3)))
-        if n + len(block) <= 4:
+        if n + len(block) <= max_vars:
             blocks.append(block)
             n += len(block)
     rows = []
@@ -131,6 +155,20 @@ def polynomial_and_generators(draw):
     shifts = draw(st.lists(st.integers(-2, 2), min_size=len(picks), max_size=len(picks)))
     gens = [tuple(a + s for a in elements[i]) for i, s in zip(picks, shifts)]
     return P, gens
+
+
+@st.composite
+def cyclic_setups(draw):
+    """W = x0^k + f with f on at most 3 variables and k <= 12 a multiple of
+    the denominator of age(j_f), and generators of K: j_f^k and up to two
+    elements of SL_f.  K lies in SL_f; the cosets collide when j_f^a lies
+    in K for some a < k."""
+    f = draw(small_polynomials(max_vars=3))
+    k = age(j_element(f)).denominator * draw(st.integers(1, 3))
+    assume(2 <= k <= 12)
+    picks = draw(st.lists(st.sampled_from(sl_subgroup(f).elements), max_size=2))
+    W = from_exponents([[k] + [0] * f.num_vars] + [[0, *row] for row in f.exponents])
+    return W, [symmetry(k * a for a in j_element(f))] + picks
 
 
 @settings(deadline=None, max_examples=40)
@@ -203,3 +241,19 @@ def test_sector_algebra_ignores_integer_shifts(P, data):
     shift = data.draw(st.lists(st.integers(-2, 2), min_size=P.num_vars, max_size=P.num_vars))
     shifted = tuple(a + s for a, s in zip(h, shift))
     assert sector_algebra(P, shifted) == sector_algebra(P, symmetry(shifted))
+
+
+@settings(deadline=None, max_examples=60)
+@given(cyclic_setups())
+def test_coset_labels_match_reference(case):
+    # the closure order of (K, s, j) against the triple loop: same labels
+    # in the same coset order, or the same collision message
+    W, gens = case
+    expected = ref_coset_labels(W, gens)
+    try:
+        labels = admissible_setup(W, gens).labels
+    except GradingCollisionError as exc:
+        assert str(exc) == expected
+    else:
+        assert labels == expected
+        assert list(labels.values()) == list(expected.values())

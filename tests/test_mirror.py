@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -163,15 +164,12 @@ class TestLgMirrorTheorem:
     def test_elliptic_part3_statement(self, pair_cache):
         # the two antidiagonal classes match the two elevator-related cells
         pair = pair_cache("elliptic-sextic")
-        table = pair.source_table
-        half = table.filter(lambda lab: lab.dj == F(1, 2) and lab.ds == F(1, 2)
-                            and lab.qj == 0)
-        a24 = table.filter(lambda lab: lab.dj == F(1, 3) and lab.ds == F(2, 3)
-                           and lab.qj == 0)
-        a42 = table.filter(lambda lab: lab.dj == F(2, 3) and lab.ds == F(1, 3)
-                           and lab.qj == 0)
-        assert half.total_dimension == 2
-        assert a24.total_dimension + a42.total_dimension == 2
+        cells = pair.source_table.dimensions_by(lambda lab: (lab.qj == 0, lab.dj, lab.ds))
+        half = cells.get((True, F(1, 2), F(1, 2)), 0)
+        a24 = cells.get((True, F(1, 3), F(2, 3)), 0)
+        a42 = cells.get((True, F(2, 3), F(1, 3)), 0)
+        assert half == 2
+        assert a24 + a42 == 2
 
     def test_part3_vacuous_cells_reported(self, pair_cache):
         report = verify_lg_mirror(pair_cache("fermat-quartic"))
@@ -227,18 +225,22 @@ class TestFailurePaths:
         assert violation.lhs == violation.rhs + 1
         assert report.cells_checked == len(report.items)
 
-    def test_bad_dual_of_k_is_caught(self, monkeypatch):
-        # the second annihilator of build_mirror_pair is Ann(K), which must
-        # equal the mirror coset group; one element short must be reported
-        real = mirror.annihilator
+    @pytest.mark.parametrize("call", [1, 2], ids=["source", "mirror"])
+    def test_bad_dual_of_k_is_caught(self, monkeypatch, call):
+        # each setup's keys, Ann(K), must equal the other side's coset group;
+        # one key short on the source setup (call 1) or the mirror setup
+        # (call 2) must be reported
+        real = mirror.admissible_setup
         calls = []
 
         def short(*args):
-            elements = real(*args)
-            calls.append(elements)
-            return elements[:-1] if len(calls) == 2 else elements
+            setup = real(*args)
+            calls.append(setup)
+            if len(calls) == call:
+                setup = dataclasses.replace(setup, keys=setup.keys - {next(iter(setup.keys))})
+            return setup
 
-        monkeypatch.setattr(mirror, "annihilator", short)
+        monkeypatch.setattr(mirror, "admissible_setup", short)
         with pytest.raises(DualityViolationError,
                            match="dual of K does not equal the mirror coset group"):
             build_mirror_pair(parse_polynomial("x0^4+x1^4+x2^4+x3^4"))

@@ -42,8 +42,13 @@ def test_benchmark_layers_exist():
     assert not missing, f"benchmark layers missing from bhmirror: {missing}"
 
 
-# The exact per-layer counters of the traced octic pair (64 and 512 sectors)
+# The exact per-layer counters of the traced octic pair (64 and 512 sectors);
+# three `aut_group` calls: each setup's Ann(K) and the mirror's K
 OCTIC_COUNTERS = {
+    "symmetry.aut_group.calls": 3,
+    "symmetry.enumerate_group.calls": 3,
+    "symmetry.enumerate_group.elements": 521,
+    "symmetry.admissible_setup.calls": 2,
     "milnor.equivariant_hilbert.calls": 576,
     "milnor.equivariant_hilbert.distinct_fixed_sets": 16,
     "milnor.equivariant_hilbert.series_terms": 2772,

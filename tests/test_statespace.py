@@ -12,10 +12,8 @@ from bhmirror.statespace import (
     elevator_moving,
     fjrw_state_space,
     moving_vanishing_violations,
-    narrow_broad_split,
     twist,
     unprojected_state_space,
-    weight_decomposition,
 )
 from bhmirror.symmetry import (
     admissible_setup,
@@ -117,7 +115,7 @@ class TestFjrwSlices:
         setup, table = elliptic
         per_slice = sum(fjrw_state_space(table, b).total_dimension
                         for b in range(setup.k))
-        whole = table.filter(lambda lab: lab.qj == 0).total_dimension
+        whole = table.dimensions_by(lambda lab: lab.qj == 0)[True]
         assert per_slice == whole
 
 
@@ -201,46 +199,46 @@ class TestTwistAndElevators:
 class TestWeightDecomposition:
     def test_fixed_entries_have_weight_zero(self, elliptic):
         _, table = elliptic
-        for weight, part in weight_decomposition(table).items():
-            for lab in part.entries:
-                assert lab.weight == weight
-                if lab.side == FIXED:
-                    assert weight == 0
+        by_side = table.dimensions_by(lambda lab: (lab.side, lab.weight))
+        assert {w for side, w in by_side if side == FIXED} == {0}
 
     def test_elliptic_antidiagonal_weight_parts(self, elliptic):
         _, table = elliptic
         slice3 = fjrw_state_space(table, 3)
-        parts = weight_decomposition(slice3)
-        cell = slice3.filter(lambda lab: lab.dj == F(1, 2)).total_dimension
+        by_weight = slice3.dimensions_by(lambda lab: (lab.dj, lab.weight))
+        cell = sum(dim for (dj, _), dim in by_weight.items() if dj == F(1, 2))
         assert cell == 2
-        by_weight = {w: p.filter(lambda lab: lab.dj == F(1, 2)).total_dimension
-                     for w, p in parts.items()}
-        assert by_weight.get(2, 0) == 1 and by_weight.get(4, 0) == 1
+        assert by_weight.get((F(1, 2), 2), 0) == 1 and by_weight.get((F(1, 2), 4), 0) == 1
 
     def test_quartic_untwisted_middle_weights(self, quartic):
         _, table = quartic
-        untwisted = fjrw_state_space(table, 0).filter(
-            lambda lab: lab.dj == 0 and (lab.p, lab.q) == (F(2), F(2)))
-        weights = {w: p.total_dimension
-                   for w, p in weight_decomposition(untwisted).items()}
+        cells = fjrw_state_space(table, 0).dimensions_by(
+            lambda lab: (lab.dj, lab.p, lab.q, lab.weight))
+        weights = {w: dim for (dj, p, q, w), dim in cells.items()
+                   if dj == 0 and (p, q) == (F(2), F(2))}
         assert weights == {1: 6, 2: 7, 3: 6}
+
+
+def _narrow(lab) -> bool:
+    """Narrow entries sit in sectors fixing no variables; broad is the rest."""
+    return all(a != 0 for a in lab.sector)
 
 
 class TestNarrowBroad:
     def test_elliptic_untwisted_split(self, elliptic):
         _, table = elliptic
-        narrow, broad = narrow_broad_split(fjrw_state_space(table, 0))
-        assert narrow.dimensions_by(lambda lab: (lab.p, lab.q)) == {
+        cells = fjrw_state_space(table, 0).dimensions_by(lambda lab: (_narrow(lab), lab.p, lab.q))
+        assert {(p, q): dim for (narrow, p, q), dim in cells.items() if narrow} == {
             (F(1), F(1)): 1, (F(2), F(2)): 1}
-        assert broad.dimensions_by(lambda lab: (lab.p, lab.q)) == {
+        assert {(p, q): dim for (narrow, p, q), dim in cells.items() if not narrow} == {
             (F(2), F(1)): 1, (F(1), F(2)): 1}
 
     def test_untwisted_sector_is_broad(self, quartic):
         _, table = quartic
-        untwisted_sector = table.filter(lambda lab: lab.sector == identity(4))
-        narrow, broad = narrow_broad_split(untwisted_sector)
-        assert narrow.total_dimension == 0
-        assert broad.total_dimension == untwisted_sector.total_dimension
+        parts = table.dimensions_by(lambda lab: (lab.sector == identity(4), _narrow(lab)))
+        assert parts.get((True, True), 0) == 0
+        assert parts[True, False] == table.dimensions_by(
+            lambda lab: lab.sector == identity(4))[True]
 
 
 class TestVanishing:
