@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -48,14 +47,13 @@ from .poly import (
 )
 from .statespace import build_state_space, moving_vanishing_violations
 from .symmetry import (
-    DEFAULT_GROUP_CAP,
     admissible_setup,
     aut_generators,
     aut_group,
     dual_group,
     enumerate_group,
+    group_cap,
     j_element,
-    require_within_cap,
     s_element,
     sl_subgroup,
 )
@@ -67,7 +65,7 @@ def _fmt_frac(x) -> str:
     return str(Fraction(x))
 
 
-def parse_group_spec(spec: str, P: InvertiblePolynomial, cap: int):
+def parse_group_spec(spec: str, P: InvertiblePolynomial):
     """Presets J | SL | full | trivial, or explicit `gen:[..];gen:[..]`."""
     spec = spec.strip()
     if spec == "trivial":
@@ -75,7 +73,7 @@ def parse_group_spec(spec: str, P: InvertiblePolynomial, cap: int):
     if spec == "J":
         return (j_element(P),)
     if spec == "SL":
-        return sl_subgroup(P, cap).elements
+        return sl_subgroup(P).elements
     if spec == "full":
         return aut_generators(P)
     gens = []
@@ -95,9 +93,9 @@ def parse_group_spec(spec: str, P: InvertiblePolynomial, cap: int):
 # analyze
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(args, cap: int) -> int:
+def cmd_analyze(args) -> int:
     P = parse_polynomial(args.polynomial)
-    aut = aut_group(P, cap)
+    aut = aut_group(P)
     try:
         k, _ = split_cyclic(P)
         s = s_element(P)
@@ -115,7 +113,7 @@ def cmd_analyze(args, cap: int) -> int:
                    "variables": [P.var_names[v] for v in a.variables],
                    "exponents": list(a.exponents)} for a in P.atoms],
         "aut_order": aut.order,
-        "sl_order": sl_subgroup(P, cap).order,
+        "sl_order": sl_subgroup(P).order,
         "j": [_fmt_frac(x) for x in j_element(P)],
         "s": [_fmt_frac(x) for x in s] if s else None,
         "k": k,
@@ -144,13 +142,11 @@ def cmd_analyze(args, cap: int) -> int:
 # mirror
 # ---------------------------------------------------------------------------
 
-def cmd_mirror(args, cap: int) -> int:
+def cmd_mirror(args) -> int:
     P = parse_polynomial(args.polynomial)
     Pv = transpose(P)
-    gens = parse_group_spec(args.group, P, cap)
-    require_within_cap(P, cap)  # bounds H and its dual before either is built
-    H = enumerate_group(P, gens, cap)
-    Hv = dual_group(H, cap)
+    H = enumerate_group(P, parse_group_spec(args.group, P))
+    Hv = dual_group(H)
     data = {
         "schema": SCHEMA,
         "command": "mirror",
@@ -225,11 +221,10 @@ def _print_grid_text(grid: SectorGrid, setup, views: list) -> None:
                     print(f"  [b={b},a={a}] {body}")
 
 
-def cmd_table(args, cap: int) -> int:
+def cmd_table(args) -> int:
     W = parse_polynomial(args.polynomial)
     _, f = split_cyclic(W)
-    gens = parse_group_spec(args.K, f, cap)
-    setup = admissible_setup(W, gens, cap)
+    setup = admissible_setup(W, parse_group_spec(args.K, f))
     grid = sector_grid(build_state_space(setup))
     views = [view for view, wanted in zip(GRID_VIEWS, (args.diamonds, args.weights)) if wanted]
     if args.format == "json":
@@ -268,12 +263,11 @@ def _k3_read_off(pair):
     return report, mirror_report, k3_invariants(report), k3_invariants(mirror_report), lattice
 
 
-def cmd_k3(args, cap: int) -> int:
+def cmd_k3(args) -> int:
     W = parse_polynomial(args.polynomial)
     k, f = split_cyclic(W)
     require_k3_shape(is_calabi_yau(W), W.num_vars, k)
-    gens = parse_group_spec(args.K, f, cap)
-    pair = build_mirror_pair(W, gens, cap)
+    pair = build_mirror_pair(W, parse_group_spec(args.K, f))
     report, mirror_report, inv, minv, lattice = _k3_read_off(pair)
     data = {
         "schema": SCHEMA,
@@ -319,7 +313,7 @@ def _cells_json(report) -> list[dict]:
              "pass": item.ok} for item in report.items]
 
 
-def _check_case(case: cat.CatalogCase, cap: int) -> list[dict]:
+def _check_case(case: cat.CatalogCase) -> list[dict]:
     results = []
 
     def record(check: str, passed: bool, detail: str = "", cells=None) -> None:
@@ -330,7 +324,7 @@ def _check_case(case: cat.CatalogCase, cap: int) -> list[dict]:
         results.append(entry)
 
     W = case.parse()
-    pair = build_mirror_pair(W, case.K_generators(), cap)
+    pair = build_mirror_pair(W, case.K_generators())
     setup = pair.source
 
     # Totals against the Milnor numbers, and the series engine against
@@ -355,7 +349,7 @@ def _check_case(case: cat.CatalogCase, cap: int) -> list[dict]:
             oracle_ok = oracle_ok and oracle == series.coefficients
     record("milnor-dimensions", not mismatch,
            f"{len(sectors)} sectors" if not mismatch
-           else f"bad: {[format_vector(h) for h in sorted(mismatch)]}")
+           else f"bad: {[format_vector(h, setup.N) for h in sorted(mismatch)]}")
     if fermat:
         record("fermat-oracle", oracle_ok, f"{len(sectors)} sectors")
 
@@ -396,7 +390,7 @@ def _check_case(case: cat.CatalogCase, cap: int) -> list[dict]:
     return results
 
 
-def cmd_verify(args, cap: int) -> int:
+def cmd_verify(args) -> int:
     if args.catalog:
         cases = cat.load_catalog(args.catalog)
     else:
@@ -409,7 +403,7 @@ def cmd_verify(args, cap: int) -> int:
     results = []
     for case in cases:
         try:
-            results += _check_case(case, cap)
+            results += _check_case(case)
         except BHMirrorError as exc:
             exc.args = (f"case {case.name!r}: {exc}",)
             raise
@@ -418,7 +412,7 @@ def cmd_verify(args, cap: int) -> int:
         bad = []
         checked = 0
         for text in cat.KRAWITZ_POLYNOMIALS:
-            rep = verify_krawitz(parse_polynomial(text), cap)
+            rep = verify_krawitz(parse_polynomial(text))
             checked += rep.cells_checked
             if not rep.passed:
                 bad.append(text)
@@ -497,11 +491,8 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        cap_text = os.environ.get("BHMIRROR_MAX_GROUP", str(DEFAULT_GROUP_CAP)).strip()
-        if not cap_text.isdecimal() or int(cap_text) == 0:
-            raise InputError(
-                f"BHMIRROR_MAX_GROUP must be a positive integer, not {cap_text!r}")
-        return handlers[args.command](args, int(cap_text))
+        group_cap()  # a bad BHMIRROR_MAX_GROUP fails every command first
+        return handlers[args.command](args)
     except InternalError as exc:
         print(f"internal error [{exc.code}]: {exc}", file=sys.stderr)
         return 3

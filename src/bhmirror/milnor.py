@@ -13,10 +13,9 @@ prod chi_i^{b_i} at degree sum b_i w_i.  Division is truncated geometric
 expansion; the truncation bound is the socle degree, above which the
 algebra provably vanishes.
 
-Keys are integer vectors mod the inverse matrix's common denominator, each
-distinct key converted to `Fraction` once, before the checks.  Direct
-monomial enumeration, on `Fraction` keys, is kept for Fermat-supported
-restrictions as an independent oracle against the series engine.
+Keys are codes mod N = |det E| (see `poly`), composed and checked to be dual
+characters on the integers.  Direct monomial enumeration is kept for
+Fermat-supported restrictions as an oracle independent of the series engine.
 
 The series depends only on the parent and the fixed-variable set, not on
 the sector, so `equivariant_hilbert` is memoized on the restriction (a
@@ -31,27 +30,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import InternalError, NotFermatError
 from .poly import (
+    Code,
     InvertiblePolynomial,
     RestrictedPolynomial,
-    common_denominator,
-    exponent_inverse,
+    dual_characters,
+    exponent_determinant,
+    fixes,
     format_vector,
     restrict,
     transpose,
 )
-from .symmetry import Symmetry, add, age, identity, is_symmetry_of, scale, symmetry
 
-SeriesCoefficients = dict[int, dict[Symmetry, int]]
-IntegerSeries = dict[int, dict[tuple[int, ...], int]]  # keys as integer vectors mod D
+SeriesCoefficients = dict[int, dict[Code, int]]  # keys as codes mod |det E|
 
 
 @dataclass(frozen=True)
 class GroupRingSeries:
-    """Finite map degree -> (dual-group key -> positive multiplicity)."""
+    """Finite map degree -> (dual-group key, a code -> positive multiplicity)."""
 
     coefficients: SeriesCoefficients
 
@@ -64,8 +62,8 @@ class GroupRingSeries:
         return sum(sum(keys.values()) for keys in self.coefficients.values())
 
 
-def _multiply(A: IntegerSeries, B: IntegerSeries, bound: int, D: int) -> IntegerSeries:
-    out: IntegerSeries = {}
+def _multiply(A: SeriesCoefficients, B: SeriesCoefficients, bound: int, N: int) -> SeriesCoefficients:
+    out: SeriesCoefficients = {}
     for ma, keys_a in A.items():
         for mb, keys_b in B.items():
             m = ma + mb
@@ -74,7 +72,7 @@ def _multiply(A: IntegerSeries, B: IntegerSeries, bound: int, D: int) -> Integer
             bucket = out.setdefault(m, {})
             for ka, ca in keys_a.items():
                 for kb, cb in keys_b.items():
-                    key = tuple((x + y) % D for x, y in zip(ka, kb))
+                    key = tuple((x + y) % N for x, y in zip(ka, kb))
                     c = bucket.get(key, 0) + ca * cb
                     if c == 0:
                         bucket.pop(key, None)
@@ -83,19 +81,19 @@ def _multiply(A: IntegerSeries, B: IntegerSeries, bound: int, D: int) -> Integer
     return {m: keys for m, keys in out.items() if keys}
 
 
-def _variable_factor(char: tuple[int, ...], w: int, d: int, bound: int, D: int) -> IntegerSeries:
+def _variable_factor(char: Code, w: int, d: int, bound: int, N: int) -> SeriesCoefficients:
     """chi t^w (1 - chi^{-1} t^{d-w}) / (1 - chi t^w), expanded to the bound."""
-    out: IntegerSeries = {}
+    out: SeriesCoefficients = {}
     r = 0
     while (r + 1) * w <= bound:
         bucket = out.setdefault((r + 1) * w, {})
-        key = tuple((r + 1) * x % D for x in char)
+        key = tuple((r + 1) * x % N for x in char)
         bucket[key] = bucket.get(key, 0) + 1
         r += 1
     r = 0
     while d + r * w <= bound:
         bucket = out.setdefault(d + r * w, {})
-        key = tuple(r * x % D for x in char)
+        key = tuple(r * x % N for x in char)
         c = bucket.get(key, 0) - 1
         if c == 0:
             del bucket[key]
@@ -114,23 +112,18 @@ def equivariant_hilbert(R: RestrictedPolynomial) -> GroupRingSeries:
     the Koszul closed form holds with characters attached.
     """
     P = R.parent
-    n = P.num_vars
-    D, scaled = common_denominator([a for row in exponent_inverse(P) for a in row])
+    N = exponent_determinant(P)
+    chars = dual_characters(P)
     bound = R.top_degree
-    integer_series: IntegerSeries = {0: {(0,) * n: 1}}
+    series: SeriesCoefficients = {0: {(0,) * P.num_vars: 1}}
     for i in R.fixed_vars:
-        char = tuple(x % D for x in scaled[i * n:(i + 1) * n])
-        factor = _variable_factor(char, P.weights[i], P.degree, bound, D)
-        integer_series = _multiply(integer_series, factor, bound, D)
-    as_fractions = {key: tuple(Fraction(x, D) for x in key)
-                    for bucket in integer_series.values() for key in bucket}
-    series: SeriesCoefficients = {m: {as_fractions[key]: mult for key, mult in bucket.items()}
-                                  for m, bucket in integer_series.items()}
+        factor = _variable_factor(chars[i], P.weights[i], P.degree, bound, N)
+        series = _multiply(series, factor, bound, N)
     dual = transpose(P)
     for m, keys in series.items():
         for key, mult in keys.items():
-            if mult <= 0 or not is_symmetry_of(dual, key):
-                raise InternalError(f"multiplicity {mult} of key {format_vector(key)} at "
+            if mult <= 0 or not fixes(dual, N, key):
+                raise InternalError(f"multiplicity {mult} of key {format_vector(key, N)} at "
                                     f"degree {m}: not positive, or the key is not a "
                                     "dual character")
     result = GroupRingSeries(series)
@@ -140,7 +133,7 @@ def equivariant_hilbert(R: RestrictedPolynomial) -> GroupRingSeries:
     return result
 
 
-def fermat_monomial_basis(R: RestrictedPolynomial) -> list[tuple[tuple[int, ...], Symmetry, int]]:
+def fermat_monomial_basis(R: RestrictedPolynomial) -> list[tuple[tuple[int, ...], Code, int]]:
     """Monomial basis (b, key, degree) for Fermat-supported restrictions.
 
     Valid when every atom of the parent meeting the fixed set is a Fermat
@@ -158,35 +151,35 @@ def fermat_monomial_basis(R: RestrictedPolynomial) -> list[tuple[tuple[int, ...]
             raise NotFermatError(
                 f"variables {touching} lie in a {atom.kind} atom")
         tops[atom.variables[0]] = atom.exponents[0]
-    inv = exponent_inverse(P)
-    chars = {i: symmetry(inv[i]) for i in R.fixed_vars}
+    N = exponent_determinant(P)
+    chars = dual_characters(P)
 
-    basis: list[tuple[tuple[int, ...], Symmetry, int]] = []
+    basis: list[tuple[tuple[int, ...], Code, int]] = []
 
-    def rec(pos: int, b: list[int], key: Symmetry, degree: int) -> None:
+    def rec(pos: int, b: list[int], key: Code, degree: int) -> None:
         if pos == len(R.fixed_vars):
             basis.append((tuple(b), key, degree))
             return
         i = R.fixed_vars[pos]
         for bi in range(1, tops[i]):
-            rec(pos + 1, b + [bi], add(key, scale(chars[i], bi)),
+            rec(pos + 1, b + [bi], tuple((x + bi * c) % N for x, c in zip(key, chars[i])),
                 degree + bi * P.weights[i])
 
-    rec(0, [], identity(P.num_vars), 0)
+    rec(0, [], (0,) * P.num_vars, 0)
     return basis
 
 
 def sector_algebra(P: InvertiblePolynomial,
-                   h: Sequence[Fraction]) -> list[tuple[tuple[Symmetry, Fraction, Fraction], int]]:
-    """Age-shifted sector algebra of h as ((key, p, q), dimension) pairs,
-    with every dual-group key kept; `dict()` of the list is its table.
+                   h: Code) -> list[tuple[tuple[Code, Fraction, Fraction], int]]:
+    """Age-shifted algebra of the sector with code h as ((key, p, q),
+    dimension) pairs, with every key kept; `dict()` of the list is its table.
 
     Degree m of the series sits at q = age(h) + m/d and
-    p = age(h) + #fixed - m/d, so p + q - 2 age(h) = #fixed on every entry.
-    `restrict` and `age` both reduce h mod 1, so h need not be normalized.
+    p = age(h) + #fixed - m/d, so p + q - 2 age(h) = #fixed on every entry;
+    the entries of h lie in [0, N), so age(h) = sum(h)/N.
     """
     R = restrict(P, h)
-    shift = age(h)
+    shift = Fraction(sum(h), exponent_determinant(P))
     nfix = len(R.fixed_vars)
     entries = []
     for m, keys in equivariant_hilbert(R).coefficients.items():

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DualityViolationError, NotAdmissibleError, NotFermatError
-from .poly import InvertiblePolynomial, is_fermat_diagonal, transpose
+from .poly import InvertiblePolynomial, decoder, encode, is_fermat_diagonal, transpose
 from .statespace import (
     StateTable,
     build_state_space,
@@ -25,12 +25,10 @@ from .statespace import (
     unprojected_state_space,
 )
 from .symmetry import (
-    DEFAULT_GROUP_CAP,
     AdmissibleSetup,
     Symmetry,
     admissible_setup,
     annihilator,
-    embed_inner,
     symmetry,
 )
 
@@ -90,8 +88,7 @@ class MirrorPair:
 
 
 def build_mirror_pair(W: InvertiblePolynomial,
-                      K_generators: Iterable[Sequence[Fraction]] = (),
-                      cap: int = DEFAULT_GROUP_CAP) -> MirrorPair:
+                      K_generators: Iterable[Sequence[Fraction]] = ()) -> MirrorPair:
     """Construct the transposed setup with the dual invariance group.
 
     The invariance group of the mirror is the annihilator of the whole
@@ -100,16 +97,15 @@ def build_mirror_pair(W: InvertiblePolynomial,
     the annihilator of the mirror's K.  These facts are verified and any
     failure is reported as a duality violation (a bug, not bad input).
     """
-    setup = admissible_setup(W, K_generators, cap)
-    K_gens = tuple(embed_inner(g) for g in setup.K_inner.generators)
-    K_mirror_embedded = annihilator(W, (setup.j, setup.s) + K_gens,
-                                    setup.group_order, cap)
+    setup = admissible_setup(W, K_generators)
+    K_gens = tuple(encode(W, (0, *g)) for g in setup.K_inner.generators)
+    K_mirror_embedded = annihilator(W, (setup.j, setup.s) + K_gens, setup.group_order)
     if any(h[0] != 0 for h in K_mirror_embedded):
         raise DualityViolationError(
             "the dual of the coset group does not fix the cyclic variable")
-    K_mirror = tuple(h[1:] for h in K_mirror_embedded)
+    K_mirror = tuple(map(decoder(setup.N), (h[1:] for h in K_mirror_embedded)))
     try:
-        mirror_setup = admissible_setup(transpose(W), K_mirror, cap)
+        mirror_setup = admissible_setup(transpose(W), K_mirror)
     except NotAdmissibleError as exc:
         raise DualityViolationError(f"mirror group is not admissible: {exc}") from exc
     if mirror_setup.k != setup.k:
@@ -126,11 +122,11 @@ def build_mirror_pair(W: InvertiblePolynomial,
 # transpose duality of unprojected state spaces
 # ---------------------------------------------------------------------------
 
-def verify_krawitz(P: InvertiblePolynomial, cap: int = DEFAULT_GROUP_CAP) -> VerificationReport:
+def verify_krawitz(P: InvertiblePolynomial) -> VerificationReport:
     """Check dim U_h^key(P) at (p, q) = dim U_key^h(transpose) at (N-p, q)
     for every sector/key pair, N the number of variables."""
-    return _transpose_duality("krawitz", P.num_vars, unprojected_state_space(P, cap),
-                              unprojected_state_space(transpose(P), cap).items())
+    return _transpose_duality("krawitz", P.num_vars, unprojected_state_space(P),
+                              unprojected_state_space(transpose(P)).items())
 
 
 def _transpose_duality(statement: str, N: int, lhs: dict,

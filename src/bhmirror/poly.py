@@ -6,7 +6,9 @@ is exact: weights solve E*q = 1 over the rationals and are scaled to the
 least integer degree.  Every polynomial decomposes into Fermat, chain and
 loop atoms; inputs for which no such decomposition exists are rejected,
 and so are inputs of more than MAX_VARIABLES variables, before any
-elimination.  `format_vector` renders every symmetry or key shown to a user.
+elimination.  A symmetry g of P or of its transpose lies in (1/N)Z^n,
+N = |det E|, and is held as its code N*g mod N (`encode`, `decoder`);
+`format_vector` renders every symmetry or key shown to a user.
 
 Cached (bounded, keyed on frozen values): one Gauss-Jordan elimination
 per exponent matrix serves the weights, `exponent_inverse` and
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     DegenerateRestrictionError,
@@ -40,6 +42,7 @@ from .errors import (
 MAX_VARIABLES = 12
 
 Matrix = tuple[tuple[int, ...], ...]
+Code = tuple[int, ...]  # a diagonal symmetry g as N*g mod N, N = |det E|
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ def monomial_phases(P: InvertiblePolynomial, D: int, scaled: Sequence[int]) -> t
     """E*g for the diagonal symmetry g = scaled/D, on integers: entry i is
     the phase, in turns, by which g multiplies monomial i.  Raises
     NotInGroupError unless g has one entry per variable and every entry of
-    E*g is an integer (g fixes P).  Takes `common_denominator(g)`."""
+    E*g is an integer (g fixes P).  Takes a code and N, or `common_denominator(g)`."""
     if len(scaled) != P.num_vars:
         raise NotInGroupError(f"{len(scaled)} entries for {P.num_vars} variables")
     phases = []
@@ -186,6 +189,37 @@ def exponent_determinant(P: InvertiblePolynomial) -> int:
     if det.denominator != 1:
         raise InternalError(f"determinant {det} of an integer matrix is not an integer")
     return abs(int(det))
+
+
+def fixes(P: InvertiblePolynomial, N: int, code: Code) -> bool:
+    """True iff the symmetry code/N multiplies every monomial of P by 1."""
+    return all(sum(e * x for e, x in zip(row, code)) % N == 0 for row in P.exponents)
+
+
+def encode(P: InvertiblePolynomial, g: Sequence) -> Code:
+    """The code N*g mod N of a diagonal symmetry g of P, N = |det E|; raises
+    NotInGroupError unless g has one entry per variable and fixes P."""
+    if len(g) != P.num_vars:
+        raise NotInGroupError(f"{format_vector(g)} has {len(g)} entries for {P.num_vars} variables")
+    N = exponent_determinant(P)
+    D, scaled = common_denominator(g)
+    code = tuple(x * (N // D) % N for x in scaled)
+    if N % D or not fixes(P, N, code):
+        raise NotInGroupError(f"{format_vector(g)} does not fix the polynomial")
+    return code
+
+
+def decoder(N: int) -> Callable[[Code], tuple[Fraction, ...]]:
+    """code -> code/N as a `Fraction` vector; each distinct entry is made once per decoder."""
+    entry = lru_cache(maxsize=None)(lambda x: Fraction(x, N))
+    return lambda code: tuple(map(entry, code))
+
+
+def dual_characters(P: InvertiblePolynomial) -> tuple[Code, ...]:
+    """Row i of E^{-1} as a code: the dual character of x_i, a symmetry of the transpose."""
+    N = exponent_determinant(P)
+    return tuple(tuple(a.numerator * (N // a.denominator) % N for a in row)
+                 for row in exponent_inverse(P))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +444,11 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
             if i >= len(tokens) or tokens[i][0] != "num":
                 raise PolynomialSyntaxError("expected an integer exponent",
                                             tokens[i][2] if i < len(tokens) else len(text))
-            exp = int(tokens[i][1])
+            try:
+                exp = int(tokens[i][1])
+            except ValueError:  # more digits than `int` converts from text
+                raise PolynomialSyntaxError("exponent has too many digits",
+                                            tokens[i][2]) from None
             if exp < 1:
                 raise PolynomialSyntaxError("exponent must be a positive integer", tokens[i][2])
             i += 1
@@ -441,10 +479,10 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
     return from_exponents(E, var_order)
 
 
-def format_vector(g: Sequence) -> str:
-    """Render a rational vector as [a, b, ...] with exact entries; every
+def format_vector(g: Sequence, N: int = 1) -> str:
+    """Render a rational vector, or a code mod N, as [a, b, ...]; every
     message and output line that shows a symmetry or key uses it."""
-    return "[" + ", ".join(str(Fraction(a)) for a in g) + "]"
+    return "[" + ", ".join(str(Fraction(a, N)) for a in g) + "]"
 
 
 def format_polynomial(P: InvertiblePolynomial) -> str:
@@ -518,16 +556,16 @@ def split_cyclic(P: InvertiblePolynomial) -> tuple[int, InvertiblePolynomial]:
     return k, f
 
 
-def restrict(P: InvertiblePolynomial, symmetry: Sequence[Fraction]) -> RestrictedPolynomial:
-    """Restriction of P to the variables fixed by a diagonal symmetry.
+def restrict(P: InvertiblePolynomial, symmetry: Code) -> RestrictedPolynomial:
+    """Restriction of P to the variables fixed by the symmetry with this code.
 
     Keeps the rows supported entirely on the fixed set and verifies the
     result is non-degenerate (square with a valid atom decomposition);
     a failure is an error, never silent.
     """
-    D, scaled = common_denominator(symmetry)
-    monomial_phases(P, D, scaled)
-    fixed = tuple(i for i, x in enumerate(scaled) if x % D == 0)
+    N = exponent_determinant(P)
+    monomial_phases(P, N, symmetry)
+    fixed = tuple(i for i, x in enumerate(symmetry) if x % N == 0)
     return RestrictedPolynomial(P, fixed, _restriction_rows(P.exponents, fixed))
 
 

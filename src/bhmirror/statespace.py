@@ -15,13 +15,15 @@ cyclic symmetry acts on the form with nonzero weight) and a fixed side
 elevators move along Z on either side.  Both are dimension-preserving
 relabelings with prescribed bidegree shifts, sharing one body.  One pass
 over the Q_j = 0 part, `sector_cells`, feeds the LG slices and the grid;
-every other view of a table is one `dimensions_by` pass.
+every other view of a table is one `dimensions_by` pass.  Sectors and keys
+are codes (see `poly`) until a label or the unprojected map decodes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from .errors import (
@@ -30,8 +32,8 @@ from .errors import (
     ZOutOfRangeError,
 )
 from .milnor import sector_algebra
-from .poly import InvertiblePolynomial, common_denominator, format_vector
-from .symmetry import DEFAULT_GROUP_CAP, AdmissibleSetup, Symmetry, add, aut_group, scale
+from .poly import Code, InvertiblePolynomial, decoder, encode, format_vector, transpose
+from .symmetry import AdmissibleSetup, Symmetry, aut_group
 
 MOVING = "moving"
 FIXED = "fixed"
@@ -71,45 +73,47 @@ class StateTable:
         return out
 
 
-def unprojected_state_space(P: InvertiblePolynomial, cap: int = DEFAULT_GROUP_CAP
+def unprojected_state_space(P: InvertiblePolynomial
                             ) -> dict[tuple[Symmetry, Symmetry, Fraction, Fraction], int]:
     """Sum of the age-shifted sector algebras over every diagonal symmetry,
     with no invariance taken: the map (sector, key, p, q) -> dimension."""
-    return {(h, key, p, q): dim
-            for h in aut_group(P, cap)
-            for (key, p, q), dim in sector_algebra(P, h)}
+    group = aut_group(P)
+    decode = decoder(group.order)
+    return {(h, decode(key), p, q): dim
+            for h, code in zip(group.elements, group.codes)
+            for (key, p, q), dim in sector_algebra(P, code)}
 
 
-def _make_label(setup: AdmissibleSetup, sector: Symmetry, coset: tuple[int, int],
-                key: Symmetry, p: Fraction, q: Fraction) -> StateLabel:
-    """Assemble the full label in coset (a, b); cross-check the redundant coordinates."""
-    k = setup.k
+def _make_label(setup: AdmissibleSetup, sector: Code, coset: tuple[int, int], key: Code,
+                p: Fraction, q: Fraction, decode: Callable[[Code], Symmetry]) -> StateLabel:
+    """Assemble the label in coset (a, b) from codes; cross-check the redundant coordinates."""
+    k, N = setup.k, setup.N
     a, b = coset
-    D, scaled = common_denominator(key)
-    dot_j, dot_s = (sum(x * y for x, y in zip(v, scaled)) for v in setup.charge_vectors)
-    if (k * dot_j) % D or (k * dot_s) % D:
+    dot_j, dot_s = (sum(x * y for x, y in zip(v, key)) for v in setup.charge_vectors)
+    if (k * dot_j) % N or (k * dot_s) % N:
         raise DualityViolationError(
-            f"charges of key {format_vector(key)} are not multiples of 1/{k}")
-    kqj = k * dot_j // D % k
-    weight = k * dot_s // D % k
+            f"charges of key {format_vector(key, N)} are not multiples of 1/{k}")
+    kqj = k * dot_j // N % k
+    weight = k * dot_s // N % k
     side = MOVING if weight != 0 else FIXED
     if (side == MOVING) != ((a + b) % k == 0):
         raise DualityViolationError(
-            f"side of sector {format_vector(sector)}, key {format_vector(key)} "
+            f"side of sector {format_vector(sector, N)}, key {format_vector(key, N)} "
             "contradicts its coset label")
     y = (weight - kqj) % k
     z = weight if side == MOVING else (a + b) % k
     if z == 0:
         raise DualityViolationError(
-            f"Z = 0 on entry {format_vector(sector)}, {format_vector(key)}")
-    return StateLabel(sector, key, p, q, Fraction(a, k), Fraction(b, k),
+            f"Z = 0 on entry {format_vector(sector, N)}, {format_vector(key, N)}")
+    return StateLabel(decode(sector), decode(key), p, q, Fraction(a, k), Fraction(b, k),
                       Fraction(kqj, k), Fraction(weight, k), weight, side, a, y, z)
 
 
 def build_state_space(setup: AdmissibleSetup) -> StateTable:
     """The K-invariant state space over the labelled cosets j^a s^b K: the
     entries of each sector whose key lies in the setup's keys, Ann(K)."""
-    return StateTable(setup, {_make_label(setup, h, coset, key, p, q): dim
+    decode = lru_cache(maxsize=None)(decoder(setup.N))  # each distinct code once
+    return StateTable(setup, {_make_label(setup, h, coset, key, p, q, decode): dim
                               for h, coset in setup.labels.items()
                               for (key, p, q), dim in sector_algebra(setup.W, h)
                               if key in setup.keys})
@@ -135,13 +139,15 @@ def _relabel(setup: AdmissibleSetup, label: StateLabel, name: str, side: str, ou
     (p, q) + (dp, dq)/k, and the image checked to land at (out_side, X, Y, z_new)."""
     if label.side != side:
         raise SideMismatchError(f"{name} applies to {side} entries")
-    k = setup.k
+    k, N = setup.k, setup.N
     if not 0 < z_new < k:
         raise ZOutOfRangeError(f"target level {z_new} outside 1..{k - 1}")
-    sector = add(label.sector, scale(setup.s, sector_power))
-    key = add(label.key, scale(setup.s, key_power))
+    sector = tuple((x + sector_power * y) % N
+                   for x, y in zip(encode(setup.W, label.sector), setup.s))
+    key = tuple((x + key_power * y) % N
+                for x, y in zip(encode(transpose(setup.W), label.key), setup.s))
     out = _make_label(setup, sector, setup.labels[sector], key,
-                      label.p + Fraction(dp, k), label.q + Fraction(dq, k))
+                      label.p + Fraction(dp, k), label.q + Fraction(dq, k), decoder(N))
     if (out.side, out.x, out.y, out.z) != (out_side, label.x, label.y, z_new):
         raise DualityViolationError(f"{name} broke (X, Y, Z) at {format_vector(label.sector)}")
     return out

@@ -5,37 +5,41 @@ on variables by x_i -> exp(2*pi*i*a_i) x_i.  Groups are enumerated
 explicitly as sorted element lists; the duality pairing between symmetries
 of P and of its transpose is the closed form (E*g) . h mod 1.
 
-Internally one kernel, `_closure`, closes every group by cyclic extension
-over integer vectors mod D, D the least common denominator of its
-generators; the annihilator tests (E*g) . (D*h) = 0 mod D.  `age` is read
-off the integer code D*g.  A setup reads its `labels` (the coset group, in
-coset order j^a s^b K) off the closure order of (K, s, j), and carries its
-keys, Ann(K).  |det E|, checked before any closure, bounds every group.
+N = |det E| is the one bound, checked by `require_within_cap` before any
+closure, and the one modulus: inside the engine a symmetry is its code
+N*g mod N (see `poly`).  One kernel, `_closure`, closes every group over
+codes; the annihilator keeps the codes h with (E*g) . h = 0 mod N.  A
+setup's `labels` (the coset group in coset order j^a s^b K, read off the
+closure order of (K, s, j)) and keys, Ann(K), are codes.
 Cached: `aut_group` enumerates once per polynomial (bounded cache keyed on
-the polynomial; the cap is checked against |det E| on every call, before
-the cache is consulted), a group's element set once per `SymmetryGroup`,
-and the integer vectors E*j, E*s once per `AdmissibleSetup`.
+the polynomial; the cap is checked on every call, before the cache is
+consulted), a group's element set and codes once per `SymmetryGroup`, and
+the integer vectors E*j, E*s once per `AdmissibleSetup`.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
     DualityViolationError,
     GradingCollisionError,
     GroupTooLargeError,
+    InputError,
     InternalError,
     NotAdmissibleError,
     NotInGroupError,
 )
 from .poly import (
+    Code,
     InvertiblePolynomial,
     common_denominator,
+    decoder,
+    encode,
     exponent_determinant,
     exponent_inverse,
     format_vector,
@@ -46,7 +50,26 @@ from .poly import (
 
 Symmetry = tuple[Fraction, ...]
 
-DEFAULT_GROUP_CAP = 10**6
+
+def group_cap() -> int:
+    """BHMIRROR_MAX_GROUP, the only variable read: a positive integer, 10^6
+    by default; any other value is an InputError."""
+    text = os.environ.get("BHMIRROR_MAX_GROUP", str(10**6)).strip()
+    try:
+        cap = int(text) if text.isdecimal() else 0
+    except ValueError:  # more digits than `int` converts from text
+        cap = 0
+    if cap == 0:
+        shown = text if len(text) <= 40 else text[:20] + "..."
+        raise InputError(f"BHMIRROR_MAX_GROUP must be a positive integer, not {shown!r}")
+    return cap
+
+
+def require_within_cap(P: InvertiblePolynomial) -> None:
+    """Reject |det E| above the cap: it bounds every group of P and of its transpose."""
+    cap = group_cap()
+    if exponent_determinant(P) > cap:
+        raise GroupTooLargeError(f"group exceeds the enumeration cap of {cap}")
 
 
 def symmetry(entries: Iterable) -> Symmetry:
@@ -82,14 +105,6 @@ def in_sl(g: Symmetry) -> bool:
     return age(g) % 1 == 0
 
 
-def is_symmetry_of(P: InvertiblePolynomial, g: Sequence[Fraction]) -> bool:
-    try:
-        monomial_phases(P, *common_denominator(g))
-    except NotInGroupError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class SymmetryGroup:
     polynomial: InvertiblePolynomial
@@ -110,49 +125,45 @@ class SymmetryGroup:
     def __iter__(self):
         return iter(self.elements)
 
+    @cached_property
+    def codes(self) -> tuple[Code, ...]:
+        """The elements as codes mod |det E|, in the same order."""
+        N = exponent_determinant(self.polynomial)
+        return tuple(tuple(a.numerator * (N // a.denominator) for a in g) for g in self.elements)
 
-def _closure(gens: Sequence[Symmetry], num_vars: int, cap: int
-             ) -> tuple[list[Fraction], list[tuple[int, ...]]]:
-    """Closure of normalized generators inside (Q/Z)^N by cyclic extension:
-    a generator g in the group H so far is skipped, else the cosets H + g,
-    H + 2g, ... join until one is H, so the work is linear in |G|.
 
-    Runs on the integer vectors D*g mod D, D the least common denominator
-    of the generators.  Returns the lookup table a -> a/D and the codes in
-    closure order: H, then H + g, H + 2g, ... for each generator in turn.
+def _closure(steps: Sequence[Code], num_vars: int, N: int) -> list[Code]:
+    """Closure of codes mod N by cyclic extension: a step g in the group H
+    so far is skipped, else the cosets H + g, H + 2g, ... join until one is
+    H, so the work is linear in |G| <= N.  Returns the codes in closure
+    order: H, then H + g, H + 2g, ... for each step in turn.
     """
-    D = lcm(*(a.denominator for g in gens for a in g))
-    steps = tuple(dict.fromkeys(tuple(a.numerator * (D // a.denominator) for a in g)
-                                for g in gens))
     elements = {(0,) * num_vars: None}
-    for g in steps:
+    shared = {}.setdefault  # one int object per residue, shared by every code
+    for g in dict.fromkeys(steps):
         if g in elements:
             continue
         coset = list(elements)
         while True:
-            coset = [tuple((x + y) % D for x, y in zip(e, g)) for e in coset]
+            coset = [tuple([shared(v := (x + y) % N, v) for x, y in zip(e, g)]) for e in coset]
             if coset[0] in elements:
                 break
-            if len(elements) + len(coset) > cap:
-                raise GroupTooLargeError(f"group exceeds the enumeration cap of {cap}")
             elements.update(dict.fromkeys(coset))
-    # D is the exponent of the group, so it never exceeds the order
-    return [Fraction(a, D) for a in range(D)], list(elements)
+    return list(elements)
 
 
-def enumerate_group(P: InvertiblePolynomial, generators: Iterable[Sequence[Fraction]],
-                    cap: int = DEFAULT_GROUP_CAP) -> SymmetryGroup:
-    """The group the generators span, closed by `_closure`; a -> a/D is
-    monotone, so sorting the integer codes sorts the symmetries."""
+def enumerate_group(P: InvertiblePolynomial,
+                    generators: Iterable[Sequence[Fraction]]) -> SymmetryGroup:
+    """The group the generators span, closed by `_closure` once |det E|,
+    which bounds it, is within the cap; code -> code/N is monotone, so
+    sorting the codes sorts the symmetries."""
+    require_within_cap(P)
     gens = tuple(symmetry(g) for g in generators)
-    for g in gens:
-        if len(g) != P.num_vars:
-            raise NotInGroupError(
-                f"{format_vector(g)} has {len(g)} entries for {P.num_vars} variables")
-        if not is_symmetry_of(P, g):
-            raise NotInGroupError(f"{format_vector(g)} does not fix the polynomial")
-    fractions, codes = _closure(gens, P.num_vars, cap)
-    return SymmetryGroup(P, gens, tuple(tuple(fractions[a] for a in e) for e in sorted(codes)))
+    N = exponent_determinant(P)
+    codes = tuple(sorted(_closure([encode(P, g) for g in gens], P.num_vars, N)))
+    group = SymmetryGroup(P, gens, tuple(map(decoder(N), codes)))
+    vars(group)["codes"] = codes  # seeds the cached property: no re-encoding
+    return group
 
 
 def aut_generators(P: InvertiblePolynomial) -> tuple[Symmetry, ...]:
@@ -162,45 +173,30 @@ def aut_generators(P: InvertiblePolynomial) -> tuple[Symmetry, ...]:
     return tuple(symmetry(inv[i][j] for i in range(n)) for j in range(n))
 
 
-def dual_generators(P: InvertiblePolynomial) -> tuple[Symmetry, ...]:
-    """Rows of the inverse exponent matrix: the generators dual to the
-    columns, spanning the symmetry group of the transposed polynomial."""
-    inv = exponent_inverse(P)
-    return tuple(symmetry(row) for row in inv)
-
-
-def aut_group(P: InvertiblePolynomial, cap: int = DEFAULT_GROUP_CAP) -> SymmetryGroup:
+def aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
     """The full diagonal symmetry group; its order equals |det E|.
 
     Raises GroupTooLargeError before enumerating anything when |det E|
     exceeds the cap.
     """
-    require_within_cap(P, cap)
+    require_within_cap(P)
     return _aut_group(P)
-
-
-def require_within_cap(P: InvertiblePolynomial, cap: int) -> None:
-    """Reject |det E| above the cap: it bounds every group of P and of its transpose."""
-    if exponent_determinant(P) > cap:
-        raise GroupTooLargeError(f"group exceeds the enumeration cap of {cap}")
 
 
 @lru_cache(maxsize=4)
 def _aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
     det = exponent_determinant(P)
-    try:
-        group = enumerate_group(P, aut_generators(P), det)
-    except GroupTooLargeError as exc:
-        raise InternalError(f"|Aut| exceeds |det E| = {det}") from exc
+    group = enumerate_group(P, aut_generators(P))
     if group.order != det:
         raise InternalError(f"|Aut| = {group.order} differs from |det E| = {det}")
     return group
 
 
-def sl_subgroup(P: InvertiblePolynomial, cap: int = DEFAULT_GROUP_CAP) -> SymmetryGroup:
+def sl_subgroup(P: InvertiblePolynomial) -> SymmetryGroup:
     """The integral-age symmetries: pairing with j^T is the age (E^T j^T = 1)."""
     Pv = transpose(P)
-    elements = annihilator(Pv, (j_element(Pv),), Pv.degree, cap)
+    codes = annihilator(Pv, (encode(Pv, j_element(Pv)),), Pv.degree)
+    elements = tuple(map(decoder(exponent_determinant(P)), codes))
     return SymmetryGroup(P, elements, elements)
 
 
@@ -229,35 +225,33 @@ def pairing(P: InvertiblePolynomial, g: Sequence[Fraction], h: Sequence[Fraction
     return Fraction(sum(x * y for x, y in zip(v, scaled)) % D, D)
 
 
-def annihilator(P: InvertiblePolynomial, generators: Iterable[Sequence[Fraction]],
-                order: int, cap: int = DEFAULT_GROUP_CAP) -> tuple[Symmetry, ...]:
-    """Sorted elements of the transpose's symmetry group that pair to zero
-    with every generator.  `order` is the order of the group the generators
-    span; the duality is perfect, so a product of orders other than |det E|
-    raises DualityViolationError.
+def annihilator(P: InvertiblePolynomial, generators: Iterable[Code], order: int) -> tuple[Code, ...]:
+    """Sorted codes of the transpose's symmetries that pair to zero with
+    every generator, a code of a symmetry of P.  `order` is the order of
+    the group the generators span; the duality is perfect, so a product of
+    orders other than |det E| raises DualityViolationError.
 
-    With D = |det E|, every h in the transpose's group has D*h integral, so
-    h is kept iff (E*g) . (D*h) = 0 mod D for every generator g.
+    P and its transpose share N = |det E|, so h is kept iff
+    (E*g) . h = 0 mod N for every generator g.
     """
-    full = aut_group(transpose(P), cap)  # its order is checked to be |det E|
-    D = full.order
-    vectors = [monomial_phases(P, *common_denominator(g)) for g in generators]
-    elements = []
-    for h in full:
-        scaled = [a.numerator * (D // a.denominator) for a in h]
-        if all(sum(x * y for x, y in zip(v, scaled)) % D == 0 for v in vectors):
-            elements.append(h)
-    if len(elements) * order != D:
+    full = aut_group(transpose(P))  # its order is checked to be |det E|
+    N = full.order
+    vectors = [monomial_phases(P, N, g) for g in generators]
+    elements = tuple(h for h in full.codes
+                     if all(sum(x * y for x, y in zip(v, h)) % N == 0 for v in vectors))
+    if len(elements) * order != N:
         raise DualityViolationError(
             f"annihilator of order {len(elements)} times group order {order} "
-            f"differs from |det E| = {D}")
-    return tuple(elements)
+            f"differs from |det E| = {N}")
+    return elements
 
 
-def dual_group(H: SymmetryGroup, cap: int = DEFAULT_GROUP_CAP) -> SymmetryGroup:
+def dual_group(H: SymmetryGroup) -> SymmetryGroup:
     """Annihilator of H inside the symmetry group of the transpose."""
-    elements = annihilator(H.polynomial, H.generators, H.order, cap)
-    return SymmetryGroup(transpose(H.polynomial), elements, elements)
+    P = H.polynomial
+    codes = annihilator(P, [encode(P, g) for g in H.generators], H.order)
+    elements = tuple(map(decoder(exponent_determinant(P)), codes))
+    return SymmetryGroup(transpose(P), elements, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -269,22 +263,19 @@ class AdmissibleSetup:
     """The groups attached to W = x0^k + f and K with j_f^k in K within SL_f.
 
     G is the union of the k*k cosets j^a s^b K; the label map records the
-    single-valued gradings (a/k, b/k) of every element, coset by coset.  H is the b = 0
-    part, the group generated by K and the grading symmetry of W.  The keys,
-    Ann(K), are the dual-group elements a K-invariant state may carry.
+    single-valued gradings (a/k, b/k) of every element, coset by coset.  The
+    keys, Ann(K), are the dual-group elements a K-invariant state may carry.
+    All are codes mod N = |det E| of W, and of its transpose.
     """
 
     W: InvertiblePolynomial
     k: int
     K_inner: SymmetryGroup  # subgroup of Aut_f, in f coordinates
-    j: Symmetry
-    s: Symmetry
-    labels: dict[Symmetry, tuple[int, int]]  # in coset order
-    keys: frozenset[Symmetry]  # Ann(K), inside the transpose's group
-
-    @property
-    def H_elements(self) -> tuple[Symmetry, ...]:
-        return tuple(sorted(g for g, (a, b) in self.labels.items() if b == 0))
+    N: int
+    j: Code
+    s: Code
+    labels: dict[Code, tuple[int, int]]  # in coset order
+    keys: frozenset[Code]  # Ann(K), inside the transpose's group
 
     @property
     def group_order(self) -> int:
@@ -292,17 +283,12 @@ class AdmissibleSetup:
 
     @cached_property
     def charge_vectors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """E*j and E*s on integers: Q_j = (E*j) . key mod 1, and likewise Q_s."""
-        return tuple(monomial_phases(self.W, *common_denominator(g)) for g in (self.j, self.s))
+        """E*j and E*s on integers: Q_j = (E*j) . key/N mod 1, and likewise Q_s."""
+        return tuple(monomial_phases(self.W, self.N, g) for g in (self.j, self.s))
 
 
-def embed_inner(g: Sequence[Fraction]) -> Symmetry:
-    """View a symmetry of f as a symmetry of W = x0^k + f fixing x0."""
-    return (Fraction(0),) + symmetry(g)
-
-
-def admissible_setup(W: InvertiblePolynomial, K_generators: Iterable[Sequence[Fraction]] = (),
-                     cap: int = DEFAULT_GROUP_CAP) -> AdmissibleSetup:
+def admissible_setup(W: InvertiblePolynomial,
+                     K_generators: Iterable[Sequence[Fraction]] = ()) -> AdmissibleSetup:
     """Validate j_f^k in K within SL_f and label the k^2 cosets j^a s^b K.
 
     The closure of (K, s, j) runs K, its s-cosets, then their j-shifts, so
@@ -312,8 +298,8 @@ def admissible_setup(W: InvertiblePolynomial, K_generators: Iterable[Sequence[Fr
     bounds K, the coset group and Ann(K).
     """
     k, f = split_cyclic(W)
-    require_within_cap(W, cap)
-    K_inner = enumerate_group(f, K_generators, cap)
+    require_within_cap(W)
+    K_inner = enumerate_group(f, K_generators)
     jf_k = symmetry(k * a for a in j_element(f))
     if jf_k not in K_inner:
         raise NotAdmissibleError(
@@ -322,10 +308,10 @@ def admissible_setup(W: InvertiblePolynomial, K_generators: Iterable[Sequence[Fr
         if not in_sl(g):
             raise NotAdmissibleError(f"K contains {format_vector(g)}, which is outside SL_f")
 
-    j = j_element(W)
-    s = s_element(W)
-    K_gens = tuple(embed_inner(g) for g in K_inner.generators)
-    fractions, codes = _closure(K_gens + (s, j), W.num_vars, cap)
+    N = exponent_determinant(W)
+    j, s = encode(W, j_element(W)), encode(W, s_element(W))
+    K_gens = tuple(encode(W, (0, *g)) for g in K_inner.generators)  # fixing x0
+    codes = _closure(K_gens + (s, j), W.num_vars, N)
     sk_order = k * K_inner.order  # |<s, K>|
     if len(codes) < k * sk_order:
         # j^a is the first power of j in <s, K>; its first entry a/k puts it in s^a K
@@ -333,7 +319,6 @@ def admissible_setup(W: InvertiblePolynomial, K_generators: Iterable[Sequence[Fr
         raise GradingCollisionError(
             f"cosets {(0, a)} and {(a, 0)} coincide; "
             "the (d_j, d_s) grading is not single-valued")
-    labels = {tuple(fractions[a] for a in e): divmod(i // K_inner.order, k)
-              for i, e in enumerate(codes)}
-    keys = frozenset(annihilator(W, K_gens, K_inner.order, cap))
-    return AdmissibleSetup(W, k, K_inner, j, s, labels, keys)
+    labels = {e: divmod(i // K_inner.order, k) for i, e in enumerate(codes)}
+    keys = frozenset(annihilator(W, K_gens, K_inner.order))
+    return AdmissibleSetup(W, k, K_inner, N, j, s, labels, keys)

@@ -5,27 +5,65 @@ from fractions import Fraction
 
 import pytest
 
-from bhmirror.errors import GroupTooLargeError
+from bhmirror.errors import GroupTooLargeError, InputError
 from bhmirror.milnor import equivariant_hilbert, sector_algebra
-from bhmirror.poly import exponent_inverse, invert_matrix, parse_polynomial, restrict, transpose
-from bhmirror.symmetry import SymmetryGroup, aut_group, enumerate_group, j_element
+from bhmirror.poly import (
+    encode,
+    exponent_inverse,
+    invert_matrix,
+    parse_polynomial,
+    restrict,
+    transpose,
+)
+from bhmirror.symmetry import (
+    SymmetryGroup,
+    admissible_setup,
+    aut_group,
+    enumerate_group,
+    j_element,
+)
 
 F = Fraction
 
 
-def test_cap_is_checked_after_a_cached_success():
+def test_cap_is_checked_after_a_cached_success(monkeypatch):
     P = parse_polynomial("x0^3+x1^5+x2^2*x3+x3^3*x2")
     order = aut_group(P).order
     assert aut_group(P) is aut_group(P)
+    monkeypatch.setenv("BHMIRROR_MAX_GROUP", str(order - 1))
     with pytest.raises(GroupTooLargeError, match=f"cap of {order - 1}$"):
-        aut_group(P, cap=order - 1)
+        aut_group(P)
 
 
-def test_group_too_large_is_not_cached():
+def test_group_too_large_is_not_cached(monkeypatch):
     P = parse_polynomial("x0^7+x1^6*x2+x2^4")
+    monkeypatch.setenv("BHMIRROR_MAX_GROUP", "10")
     with pytest.raises(GroupTooLargeError):
-        aut_group(P, cap=10)
-    assert aut_group(P, cap=7 * 6 * 4).order == 7 * 6 * 4
+        aut_group(P)
+    monkeypatch.setenv("BHMIRROR_MAX_GROUP", str(7 * 6 * 4))
+    assert aut_group(P).order == 7 * 6 * 4
+
+
+def test_library_calls_read_the_cap_variable(monkeypatch):
+    # |det E| = 64 for the setup's W, 16 for its inner polynomial
+    W = parse_polynomial("x0^4+x1^4+x2^2+x3^2")
+    monkeypatch.setenv("BHMIRROR_MAX_GROUP", "63")
+    for call in (lambda: aut_group(W), lambda: admissible_setup(W)):
+        with pytest.raises(GroupTooLargeError, match="cap of 63$"):
+            call()
+    monkeypatch.setenv("BHMIRROR_MAX_GROUP", "64")
+    assert aut_group(W).order == 64 and admissible_setup(W).group_order == 16
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1e6", "9" * 5000])
+def test_library_calls_reject_a_bad_cap(monkeypatch, value):
+    P = parse_polynomial("x0^4+x1^4+x2^2+x3^2")
+    monkeypatch.setenv("BHMIRROR_MAX_GROUP", value)
+    for call in (lambda: aut_group(P), lambda: admissible_setup(P)):
+        with pytest.raises(InputError, match="BHMIRROR_MAX_GROUP must be a positive integer") \
+                as caught:
+            call()
+        assert type(caught.value) is InputError
 
 
 def test_group_too_large_fails_before_enumerating(monkeypatch):
@@ -39,16 +77,22 @@ def test_group_too_large_fails_before_enumerating(monkeypatch):
         aut_group(parse_polynomial("x0^2000+x1^2000+x2^2000"))
 
 
-def test_subgroup_enumeration_keeps_its_cap():
+def test_subgroup_enumeration_keeps_its_cap(monkeypatch):
+    # |det E| = 256 bounds the order-16 subgroup, and the cap is checked
+    # against it, also once Aut is cached
     P = parse_polynomial("x0^4+x1^4+x2^4+x3^4")
     aut_group(P)
+    gens = [(F(1, 4), 0, 0, 0), (0, F(1, 4), 0, 0)]
+    monkeypatch.setenv("BHMIRROR_MAX_GROUP", "255")
     with pytest.raises(GroupTooLargeError):
-        enumerate_group(P, [(F(1, 4), 0, 0, 0), (0, F(1, 4), 0, 0)], cap=15)
+        enumerate_group(P, gens)
+    monkeypatch.setenv("BHMIRROR_MAX_GROUP", "256")
+    assert enumerate_group(P, gens).order == 16
 
 
 def test_memoized_series_equals_a_fresh_expansion():
     P = parse_polynomial("x0^4+x1^3*x2+x2^3*x1+x3^4")
-    for h in aut_group(P).elements[:40]:
+    for h in aut_group(P).codes[:40]:
         R = restrict(P, h)
         cached = equivariant_hilbert(R)
         assert equivariant_hilbert(restrict(P, h)) is cached
@@ -59,12 +103,13 @@ def test_sector_shift_is_applied_per_sector():
     # two sectors with the same (empty) fixed set share one series but
     # carry their own ages
     P = parse_polynomial("x0^4+x1^4")
-    ha, hb = (F(1, 4), F(1, 4)), (F(3, 4), F(3, 4))
+    ha, hb = encode(P, (F(1, 4), F(1, 4))), encode(P, (F(3, 4), F(3, 4)))
+    assert (ha, hb) == ((4, 4), (12, 12))  # codes mod |det E| = 16
     a = dict(sector_algebra(P, ha))
     b = dict(sector_algebra(P, hb))
     assert restrict(P, ha).fixed_vars == restrict(P, hb).fixed_vars == ()
-    assert set(a) == {((F(0), F(0)), F(1, 2), F(1, 2))}
-    assert set(b) == {((F(0), F(0)), F(3, 2), F(3, 2))}
+    assert set(a) == {((0, 0), F(1, 2), F(1, 2))}
+    assert set(b) == {((0, 0), F(3, 2), F(3, 2))}
 
 
 def test_transpose_and_inverse_are_computed_once():

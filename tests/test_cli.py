@@ -82,6 +82,8 @@ class TestTable:
 
     @pytest.mark.parametrize("value, error", [
         ("10", "GroupTooLarge"), ("abc", "Input"), ("0", "Input"), ("-3", "Input"),
+        # more digits than `int` converts from text
+        pytest.param("9" * 5000, "Input", id="5000digits-Input"),
     ])
     def test_group_cap_env(self, capsys, monkeypatch, value, error):
         monkeypatch.setenv("BHMIRROR_MAX_GROUP", value)
@@ -103,6 +105,17 @@ class TestTable:
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 2 and "error [GroupTooLarge]" in err and out == ""
+
+    @pytest.mark.parametrize("digits, error", [
+        (5000, "SyntaxError"),     # more digits than `int` converts from text
+        (4000, "GroupTooLarge"),   # read, then rejected from |det E|
+    ])
+    def test_huge_exponent_fails_fast(self, capsys, digits, error):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "x^" + "9" * digits + "+y^2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and f"error [{error}]" in err and out == ""
+        assert "Traceback" not in err
 
     def test_too_many_variables_fails_fast(self, capsys):
         # a 150-variable chain: the count is rejected before the weights

@@ -3,11 +3,12 @@
 The reference below is the straightforward encoding: a breadth-first
 closure over `Fraction` vectors mod 1, the pairing (E*g) . h mod 1 in
 `Fraction` arithmetic, an annihilator that filters the transpose's
-group by that pairing, SL as the elements of integral age, and the
-dual-group-graded Milnor series expanded on `Fraction` keys, and the k^2
-cosets j^a s^b K of a cyclic setup labelled by a triple loop.  The library
-must agree with it element for element on random invertible polynomials
-of up to four variables.
+group by that pairing, SL as the elements of integral age, the
+dual-group-graded Milnor series expanded on `Fraction` keys and shifted
+by the age into a sector algebra, and the k^2 cosets j^a s^b K of a cyclic
+setup labelled by a triple loop.  The library holds symmetries as codes
+mod |det E|; decoded, they must agree with the reference element for
+element on random invertible polynomials of up to four variables.
 """
 
 from fractions import Fraction
@@ -16,7 +17,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bhmirror.errors import GradingCollisionError
 from bhmirror.milnor import equivariant_hilbert, sector_algebra
-from bhmirror.poly import exponent_inverse, from_exponents, restrict, split_cyclic, transpose
+from bhmirror.poly import (
+    RestrictedPolynomial,
+    decoder,
+    encode,
+    exponent_determinant,
+    exponent_inverse,
+    from_exponents,
+    restrict,
+    split_cyclic,
+    transpose,
+)
 from bhmirror.symmetry import (
     admissible_setup,
     age,
@@ -93,6 +104,19 @@ def ref_series(R):
     for (m, key), c in series.items():
         if c:
             out.setdefault(m, {})[key] = c
+    return out
+
+
+def ref_sector_algebra(P, h):
+    """The series of the variables fixed by h, on `Fraction` keys, at
+    q = age(h) + m/d and p = age(h) + #fixed - m/d."""
+    fixed = tuple(i for i, a in enumerate(h) if a == 0)
+    shift = sum(h, Fraction(0))
+    out = {}
+    for m, keys in ref_series(RestrictedPolynomial(P, fixed, ())).items():
+        charge = Fraction(m, P.degree)
+        for key, c in keys.items():
+            out[key, shift + len(fixed) - charge, shift + charge] = c
     return out
 
 
@@ -194,7 +218,8 @@ def test_annihilator_and_dual_match_reference(case):
     P, gens = case
     H = enumerate_group(P, gens)
     expected = ref_annihilator(P, gens)
-    assert annihilator(P, gens, H.order) == expected
+    codes = annihilator(P, [encode(P, g) for g in gens], H.order)
+    assert tuple(map(decoder(exponent_determinant(P)), codes)) == expected
     dual = dual_group(H)
     assert dual.polynomial == transpose(P)
     assert dual.generators == dual.elements == expected
@@ -220,9 +245,12 @@ def test_sl_subgroup_matches_integral_age(P):
 @settings(deadline=None, max_examples=40)
 @given(small_polynomials())
 def test_series_matches_fraction_expansion(P):
-    fixed_sets = {restrict(P, h).fixed_vars: restrict(P, h) for h in aut_group(P)}
+    decode = decoder(exponent_determinant(P))
+    fixed_sets = {restrict(P, h).fixed_vars: restrict(P, h) for h in aut_group(P).codes}
     for R in fixed_sets.values():
-        assert equivariant_hilbert.__wrapped__(R).coefficients == ref_series(R)
+        series = equivariant_hilbert.__wrapped__(R).coefficients
+        assert {m: {decode(key): c for key, c in keys.items()}
+                for m, keys in series.items()} == ref_series(R)
 
 
 @settings(deadline=None, max_examples=100)
@@ -234,26 +262,34 @@ def test_age_matches_fraction_sum(g):
 
 @settings(deadline=None, max_examples=40)
 @given(small_polynomials(), st.data())
-def test_sector_algebra_ignores_integer_shifts(P, data):
-    # `sector_algebra` takes unnormalized group elements
+def test_sector_algebra_matches_reference(P, data):
+    # the sector is given unnormalized; its code reduces it mod 1
     elements = aut_group(P).elements
     h = elements[data.draw(st.integers(0, len(elements) - 1))]
     shift = data.draw(st.lists(st.integers(-2, 2), min_size=P.num_vars, max_size=P.num_vars))
-    shifted = tuple(a + s for a, s in zip(h, shift))
-    assert sector_algebra(P, shifted) == sector_algebra(P, symmetry(shifted))
+    code = encode(P, tuple(a + s for a, s in zip(h, shift)))
+    decode = decoder(exponent_determinant(P))
+    assert decode(code) == h
+    assert {(decode(key), p, q): dim for (key, p, q), dim in sector_algebra(P, code)} == \
+        ref_sector_algebra(P, h)
 
 
 @settings(deadline=None, max_examples=60)
 @given(cyclic_setups())
 def test_coset_labels_match_reference(case):
     # the closure order of (K, s, j) against the triple loop: same labels
-    # in the same coset order, or the same collision message
+    # in the same coset order, or the same collision message; and the keys
+    # are Ann(K)
     W, gens = case
     expected = ref_coset_labels(W, gens)
     try:
-        labels = admissible_setup(W, gens).labels
+        setup = admissible_setup(W, gens)
     except GradingCollisionError as exc:
         assert str(exc) == expected
     else:
+        decode = decoder(setup.N)
+        labels = {decode(code): ab for code, ab in setup.labels.items()}
         assert labels == expected
         assert list(labels.values()) == list(expected.values())
+        assert {decode(key) for key in setup.keys} == \
+            set(ref_annihilator(W, [(0, *g) for g in gens]))

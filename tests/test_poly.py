@@ -8,13 +8,16 @@ from bhmirror.errors import (
     NonPositiveWeightError,
     NonSquareError,
     NotCyclicSplitError,
+    NotInGroupError,
     PolynomialSyntaxError,
     SingularExponentMatrixError,
     TooManyVariablesError,
 )
 from bhmirror.poly import (
     classify_atoms,
+    decoder,
     direct_sum,
+    encode,
     format_polynomial,
     from_exponents,
     is_calabi_yau,
@@ -57,6 +60,8 @@ class TestParse:
 
     @pytest.mark.parametrize("text,pos", [
         ("x^2+@", 4), ("x^", 2), ("x^2 # y", 4), ("", 0),
+        # more digits than `int` converts from text
+        pytest.param("y^2 + x^" + "9" * 5000, 8, id="5000-digit-exponent"),
     ])
     def test_syntax_error_positions(self, text, pos):
         with pytest.raises(PolynomialSyntaxError) as err:
@@ -213,12 +218,13 @@ class TestRestrict:
 
     def test_free_sector_is_empty(self):
         P = parse_polynomial("x^7")
-        R = restrict(P, (Fraction(3, 7),))
+        R = restrict(P, (3,))  # the code of [3/7] mod |det E| = 7
         assert R.fixed_vars == () and R.milnor_dimension == 1
 
     def test_quartic_partial_fix(self):
         P = parse_polynomial("x0^4+x1^4+x2^4+x3^4")
-        h = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+        h = encode(P, (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
+        assert h == (0, 64, 128, 64)
         R = restrict(P, h)
         assert R.fixed_vars == (0,) and R.row_indices == (0,)
         assert R.milnor_dimension == 3
@@ -229,6 +235,29 @@ class TestRestrict:
             R = restrict(P, (Fraction(0),) * P.num_vars)
             assert R.fixed_vars == tuple(range(P.num_vars))
             assert R.row_indices == tuple(range(P.num_vars))
+
+
+class TestCodes:
+    def test_round_trip(self):
+        # entries reduce mod 1; the loop's |det E| = 3 is the common modulus
+        P = parse_polynomial("x^2*y+y^2*x")
+        g = (Fraction(-1, 3), Fraction(5, 3))
+        assert encode(P, g) == (2, 2)
+        assert decoder(3)(encode(P, g)) == (Fraction(2, 3), Fraction(2, 3))
+
+    @pytest.mark.parametrize("g, message", [
+        ((Fraction(1, 3),), r"\[1/3\] has 1 entries for 2 variables"),
+        ((Fraction(1, 3), Fraction(2, 3)), r"\[1/3, 2/3\] does not fix the polynomial"),
+        ((Fraction(1, 2), Fraction(1, 2)), r"\[1/2, 1/2\] does not fix the polynomial"),
+    ], ids=["length", "not-fixed", "denominator"])
+    def test_non_symmetries_rejected(self, g, message):
+        with pytest.raises(NotInGroupError, match=message):
+            encode(parse_polynomial("x^2*y+y^2*x"), g)
+
+    def test_decoder_makes_each_entry_once(self):
+        decode = decoder(12)
+        a, b = decode((3, 0)), decode((0, 3))
+        assert a == (Fraction(1, 4), Fraction(0)) and a[0] is b[1] and a[1] is b[0]
 
 
 class TestDirectSum:

@@ -115,6 +115,6 @@ def test_krawitz_random(P):
 def test_sector_dimensions_random(P):
     if exponent_determinant(P) > 200:
         return
-    for h in aut_group(P).elements[:40]:
+    for h in aut_group(P).codes[:40]:
         R = restrict(P, h)
         assert equivariant_hilbert(R).total_dimension == R.milnor_dimension

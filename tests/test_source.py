@@ -13,14 +13,48 @@ from pathlib import Path
 import bhmirror
 
 
+def _library_trees():
+    root = Path(bhmirror.__file__).parent
+    return [(path, ast.parse(path.read_text(), str(path))) for path in sorted(root.rglob("*.py"))]
+
+
 def test_no_assert_statements():
     # `python -O` strips asserts; every invariant check must raise instead.
-    root = Path(bhmirror.__file__).parent
     found = [f"{path.name}:{node.lineno}"
-             for path in sorted(root.rglob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for path, tree in _library_trees()
+             for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the library: {found}"
+
+
+def test_no_cap_parameters():
+    # the cap is read where it is checked, `symmetry.require_within_cap`;
+    # no function threads it through
+    found = []
+    for path, tree in _library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+                if any(param is not None and param.arg == "cap" for param in params):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"functions with a cap parameter: {found}"
+
+
+def test_one_reader_of_the_environment():
+    # BHMIRROR_MAX_GROUP is the only variable the library reads, and
+    # `symmetry.group_cap` is the only function that reads it
+    readers = set()
+    for path, tree in _library_trees():
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                    or isinstance(node, ast.ImportFrom) and node.module == "os"):
+                owner = node
+                while owner in parents and not isinstance(owner, ast.FunctionDef):
+                    owner = parents[owner]
+                readers.add(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
+    assert readers == {"symmetry.group_cap"}
 
 
 def _load_spans():

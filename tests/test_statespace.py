@@ -19,7 +19,9 @@ from bhmirror.symmetry import (
     admissible_setup,
     aut_group,
     identity,
+    j_element,
     pairing,
+    s_element,
     scale,
     sl_subgroup,
     symmetry,
@@ -79,9 +81,10 @@ class TestStateTable:
     def test_labels_consistent(self, elliptic):
         setup, table = elliptic
         k = setup.k
+        j, s = j_element(setup.W), s_element(setup.W)
         for lab in table.entries:
-            assert lab.qj == pairing(setup.W, setup.j, lab.key)
-            assert lab.qs == pairing(setup.W, setup.s, lab.key)
+            assert lab.qj == pairing(setup.W, j, lab.key)
+            assert lab.qs == pairing(setup.W, s, lab.key)
             assert (lab.side == MOVING) == (lab.qs != 0)
             assert (lab.side == MOVING) == ((lab.dj + lab.ds) % 1 == 0)
             assert lab.x == int(lab.dj * k)

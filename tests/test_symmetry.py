@@ -10,7 +10,15 @@ from bhmirror.errors import (
     NotAdmissibleError,
     NotInGroupError,
 )
-from bhmirror.poly import exponent_determinant, parse_polynomial, transpose
+from bhmirror.poly import (
+    decoder,
+    dual_characters,
+    encode,
+    exponent_determinant,
+    exponent_inverse,
+    parse_polynomial,
+    transpose,
+)
 from bhmirror.symmetry import (
     add,
     admissible_setup,
@@ -52,11 +60,14 @@ class TestGenerators:
         assert group.order == exponent_determinant(LOOP) == 3
 
     def test_dual_generators_fix_transpose(self):
-        from bhmirror.symmetry import dual_generators, is_symmetry_of
+        # the rows of the inverse matrix; their codes are the characters of
+        # the Milnor series
         for P in (ELLIPTIC, LOOP, parse_polynomial("x^3*y+y^4")):
             Pv = transpose(P)
-            for rho in dual_generators(P):
-                assert is_symmetry_of(Pv, rho)
+            decode = decoder(exponent_determinant(P))
+            for row, chi in zip(exponent_inverse(P), dual_characters(P)):
+                assert encode(Pv, row) == chi  # raises unless the row fixes Pv
+                assert decode(chi) == symmetry(row)
 
 
 class TestEnumeration:
@@ -67,9 +78,10 @@ class TestEnumeration:
     def test_empty_span(self):
         assert enumerate_group(ELLIPTIC, []).order == 1
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("BHMIRROR_MAX_GROUP", "10")
         with pytest.raises(GroupTooLargeError):
-            enumerate_group(QUARTIC, aut_generators(QUARTIC), cap=10)
+            enumerate_group(QUARTIC, aut_generators(QUARTIC))
 
     def test_non_symmetry_rejected(self):
         with pytest.raises(NotInGroupError):
@@ -155,7 +167,7 @@ class TestDualGroup:
         assert dual_group(aut_group(QUARTIC)).order == 1
 
     def test_annihilator_checks_the_order_identity(self):
-        j = j_element(QUARTIC)
+        j = encode(QUARTIC, j_element(QUARTIC))
         assert len(annihilator(QUARTIC, (j,), 4)) == 64
         with pytest.raises(DualityViolationError):
             annihilator(QUARTIC, (j,), 2)
@@ -189,12 +201,12 @@ class TestAdmissibleSetup:
         assert setup.k == 6
         assert setup.group_order == 36
         assert len(set(setup.labels.values())) == 36
-        assert len(setup.H_elements) == 6
+        assert sum(1 for _, b in setup.labels.values() if b == 0) == 6
 
     def test_quartic_trivial_K(self):
         setup = admissible_setup(QUARTIC)
         assert setup.k == 4 and setup.group_order == 16
-        assert setup.labels[symmetry((F(1, 2), F(1, 4), F(1, 4), F(1, 4)))] == (1, 1)
+        assert setup.labels[encode(QUARTIC, (F(1, 2), F(1, 4), F(1, 4), F(1, 4)))] == (1, 1)
 
     def test_K_outside_sl_rejected(self):
         with pytest.raises(NotAdmissibleError):
@@ -213,6 +225,8 @@ class TestAdmissibleSetup:
 
     def test_labels_cover_group(self):
         setup = admissible_setup(ELLIPTIC)
+        decode = decoder(setup.N)
+        j, s = j_element(ELLIPTIC), s_element(ELLIPTIC)
         for g, (a, b) in setup.labels.items():
-            expected = add(add(scale(setup.j, a), scale(setup.s, b)), identity(3))
-            assert g == expected  # trivial K: the coset is a single element
+            expected = add(add(scale(j, a), scale(s, b)), identity(3))
+            assert decode(g) == expected  # trivial K: the coset is a single element
