@@ -52,12 +52,16 @@ class CatalogCase:
 
 
 def parse_vector(text: str) -> tuple[Fraction, ...]:
-    """Parse "[1/4,3/4,0]" into a tuple of rationals."""
+    """Parse "[1/4,3/4,0]" into a tuple of rationals; an empty entry, as in
+    "[1/3,,0]" or "[]", is an InputError."""
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
+    parts = [part.strip() for part in body.split(",")]
+    if "" in parts:
+        raise InputError(f"cannot parse rational vector {text!r}: empty entry")
     try:
-        return tuple(Fraction(part.strip()) for part in body.split(",") if part.strip())
+        return tuple(map(Fraction, parts))
     except ValueError as exc:
         raise InputError(f"cannot parse rational vector {text!r}: {exc}") from exc
     except ZeroDivisionError as exc:

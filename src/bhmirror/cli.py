@@ -36,6 +36,7 @@ from .mirror import (
 )
 from .poly import (
     InvertiblePolynomial,
+    exponent_determinant,
     format_polynomial,
     format_vector,
     is_calabi_yau,
@@ -225,6 +226,7 @@ def cmd_table(args) -> int:
     W = parse_polynomial(args.polynomial)
     _, f = split_cyclic(W)
     setup = admissible_setup(W, parse_group_spec(args.K, f))
+    N_f = exponent_determinant(f)
     grid = sector_grid(build_state_space(setup))
     views = [view for view, wanted in zip(GRID_VIEWS, (args.diamonds, args.weights)) if wanted]
     if args.format == "json":
@@ -234,7 +236,7 @@ def cmd_table(args) -> int:
             "polynomial": format_polynomial(W),
             "k": grid.k,
             "K_order": setup.K_inner.order,
-            "K_generators": [format_vector(g) for g in setup.K_inner.generators],
+            "K_generators": [format_vector(g, N_f) for g in setup.K_inner.generators],
             "calabi_yau": grid.calabi_yau,
             "rows": _grid_json(grid, views),
         }
@@ -268,6 +270,7 @@ def cmd_k3(args) -> int:
     k, f = split_cyclic(W)
     require_k3_shape(is_calabi_yau(W), W.num_vars, k)
     pair = build_mirror_pair(W, parse_group_spec(args.K, f))
+    N_f = exponent_determinant(f)
     report, mirror_report, inv, minv, lattice = _k3_read_off(pair)
     data = {
         "schema": SCHEMA,
@@ -275,7 +278,7 @@ def cmd_k3(args) -> int:
         "polynomial": format_polynomial(W),
         "mirror_polynomial": format_polynomial(pair.target.W),
         "K_order": pair.source.K_inner.order,
-        "K_generators": [format_vector(g) for g in pair.source.K_inner.generators],
+        "K_generators": [format_vector(g, N_f) for g in pair.source.K_inner.generators],
         "mirror_K_order": pair.target.K_inner.order,
         "order": report.order,
         "kind": report.kind,

@@ -53,10 +53,6 @@ class GroupRingSeries:
 
     coefficients: SeriesCoefficients
 
-    def specialize(self) -> dict[int, int]:
-        """Forget the keys: the ordinary Hilbert function."""
-        return {m: sum(keys.values()) for m, keys in sorted(self.coefficients.items())}
-
     @property
     def total_dimension(self) -> int:
         return sum(sum(keys.values()) for keys in self.coefficients.values())

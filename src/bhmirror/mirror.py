@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DualityViolationError, NotAdmissibleError, NotFermatError
-from .poly import InvertiblePolynomial, decoder, encode, is_fermat_diagonal, transpose
+from .poly import InvertiblePolynomial, decoder, is_fermat_diagonal, transpose
 from .statespace import (
     StateTable,
     build_state_space,
@@ -98,7 +98,7 @@ def build_mirror_pair(W: InvertiblePolynomial,
     failure is reported as a duality violation (a bug, not bad input).
     """
     setup = admissible_setup(W, K_generators)
-    K_gens = tuple(encode(W, (0, *g)) for g in setup.K_inner.generators)
+    K_gens = tuple((0, *(setup.k * x for x in g)) for g in setup.K_inner.generators)
     K_mirror_embedded = annihilator(W, (setup.j, setup.s) + K_gens, setup.group_order)
     if any(h[0] != 0 for h in K_mirror_embedded):
         raise DualityViolationError(

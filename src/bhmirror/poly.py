@@ -83,11 +83,6 @@ class InvertiblePolynomial:
     atoms: tuple[Atom, ...]
     var_names: tuple[str, ...]
 
-    @property
-    def charges(self) -> tuple[Fraction, ...]:
-        """Normalized weights q_i = w_i/d."""
-        return tuple(Fraction(w, self.degree) for w in self.weights)
-
     def __str__(self) -> str:
         return format_polynomial(self)
 

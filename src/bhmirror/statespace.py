@@ -79,9 +79,9 @@ def unprojected_state_space(P: InvertiblePolynomial
     with no invariance taken: the map (sector, key, p, q) -> dimension."""
     group = aut_group(P)
     decode = decoder(group.order)
-    return {(h, decode(key), p, q): dim
-            for h, code in zip(group.elements, group.codes)
-            for (key, p, q), dim in sector_algebra(P, code)}
+    return {(decode(h), decode(key), p, q): dim
+            for h in group.codes
+            for (key, p, q), dim in sector_algebra(P, h)}
 
 
 def _make_label(setup: AdmissibleSetup, sector: Code, coset: tuple[int, int], key: Code,

@@ -1,20 +1,23 @@
 """Diagonal symmetry groups of invertible polynomials.
 
 A diagonal symmetry is a vector [a_0, ..., a_n] of rationals mod 1, acting
-on variables by x_i -> exp(2*pi*i*a_i) x_i.  Groups are enumerated
-explicitly as sorted element lists; the duality pairing between symmetries
-of P and of its transpose is the closed form (E*g) . h mod 1.
+on variables by x_i -> exp(2*pi*i*a_i) x_i.  The duality pairing between
+symmetries of P and of its transpose is the closed form (E*g) . h mod 1.
 
 N = |det E| is the one bound, checked by `require_within_cap` before any
 closure, and the one modulus: inside the engine a symmetry is its code
-N*g mod N (see `poly`).  One kernel, `_closure`, closes every group over
-codes; the annihilator keeps the codes h with (E*g) . h = 0 mod N.  A
-setup's `labels` (the coset group in coset order j^a s^b K, read off the
-closure order of (K, s, j)) and keys, Ann(K), are codes.
+N*g mod N (see `poly`).  A `SymmetryGroup` is codes only, its generators
+and its sorted closure; `elements`, the rational view for output, is
+decoded on first read.  Rational vectors enter once, through `encode`.
+One kernel, `_closure`, closes every group over codes; the annihilator
+keeps the codes h with (E*g) . h = 0 mod N.  A setup's `labels` (the
+coset group in coset order j^a s^b K, read off the closure order of
+(K, s, j)) and keys, Ann(K), are codes.
 Cached: `aut_group` enumerates once per polynomial (bounded cache keyed on
 the polynomial; the cap is checked on every call, before the cache is
-consulted), a group's element set and codes once per `SymmetryGroup`, and
-the integer vectors E*j, E*s once per `AdmissibleSetup`.
+consulted), and the integer vectors E*j, E*s once per `AdmissibleSetup`.
+`age`, `in_sl` and `pairing` take rational vectors, for callers outside
+the engine.
 """
 
 from __future__ import annotations
@@ -81,18 +84,6 @@ def identity(num_vars: int) -> Symmetry:
     return (Fraction(0),) * num_vars
 
 
-def add(g: Symmetry, h: Symmetry) -> Symmetry:
-    return tuple((a + b) % 1 for a, b in zip(g, h))
-
-
-def neg(g: Symmetry) -> Symmetry:
-    return tuple((-a) % 1 for a in g)
-
-
-def scale(g: Symmetry, m: int) -> Symmetry:
-    return tuple((m * a) % 1 for a in g)
-
-
 def age(g: Sequence[Fraction]) -> Fraction:
     """Sum of the entries, taken with representatives in [0, 1), read off
     the integer code D*g mod D."""
@@ -107,29 +98,22 @@ def in_sl(g: Symmetry) -> bool:
 
 @dataclass(frozen=True)
 class SymmetryGroup:
+    """A group of diagonal symmetries of `polynomial` as codes mod |det E|:
+    its generators and its closure `codes`, sorted.  code -> code/N is
+    monotone, so `elements`, the `Fraction` view, is sorted too."""
+
     polynomial: InvertiblePolynomial
-    generators: tuple[Symmetry, ...]
-    elements: tuple[Symmetry, ...]  # closure, sorted lexicographically
+    generators: tuple[Code, ...]
+    codes: tuple[Code, ...]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     @cached_property
-    def _element_set(self) -> frozenset[Symmetry]:
-        return frozenset(self.elements)
-
-    def __contains__(self, g) -> bool:
-        return symmetry(g) in self._element_set
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    @cached_property
-    def codes(self) -> tuple[Code, ...]:
-        """The elements as codes mod |det E|, in the same order."""
-        N = exponent_determinant(self.polynomial)
-        return tuple(tuple(a.numerator * (N // a.denominator) for a in g) for g in self.elements)
+    def elements(self) -> tuple[Symmetry, ...]:
+        """The closure as rational vectors in [0, 1), decoded on first read."""
+        return tuple(map(decoder(exponent_determinant(self.polynomial)), self.codes))
 
 
 def _closure(steps: Sequence[Code], num_vars: int, N: int) -> list[Code]:
@@ -155,15 +139,11 @@ def _closure(steps: Sequence[Code], num_vars: int, N: int) -> list[Code]:
 def enumerate_group(P: InvertiblePolynomial,
                     generators: Iterable[Sequence[Fraction]]) -> SymmetryGroup:
     """The group the generators span, closed by `_closure` once |det E|,
-    which bounds it, is within the cap; code -> code/N is monotone, so
-    sorting the codes sorts the symmetries."""
+    which bounds it, is within the cap; each generator is encoded once."""
     require_within_cap(P)
-    gens = tuple(symmetry(g) for g in generators)
-    N = exponent_determinant(P)
-    codes = tuple(sorted(_closure([encode(P, g) for g in gens], P.num_vars, N)))
-    group = SymmetryGroup(P, gens, tuple(map(decoder(N), codes)))
-    vars(group)["codes"] = codes  # seeds the cached property: no re-encoding
-    return group
+    gens = tuple(encode(P, g) for g in generators)
+    codes = tuple(sorted(_closure(gens, P.num_vars, exponent_determinant(P))))
+    return SymmetryGroup(P, gens, codes)
 
 
 def aut_generators(P: InvertiblePolynomial) -> tuple[Symmetry, ...]:
@@ -196,8 +176,7 @@ def sl_subgroup(P: InvertiblePolynomial) -> SymmetryGroup:
     """The integral-age symmetries: pairing with j^T is the age (E^T j^T = 1)."""
     Pv = transpose(P)
     codes = annihilator(Pv, (encode(Pv, j_element(Pv)),), Pv.degree)
-    elements = tuple(map(decoder(exponent_determinant(P)), codes))
-    return SymmetryGroup(P, elements, elements)
+    return SymmetryGroup(P, codes, codes)
 
 
 def j_element(P: InvertiblePolynomial) -> Symmetry:
@@ -249,9 +228,8 @@ def annihilator(P: InvertiblePolynomial, generators: Iterable[Code], order: int)
 def dual_group(H: SymmetryGroup) -> SymmetryGroup:
     """Annihilator of H inside the symmetry group of the transpose."""
     P = H.polynomial
-    codes = annihilator(P, [encode(P, g) for g in H.generators], H.order)
-    elements = tuple(map(decoder(exponent_determinant(P)), codes))
-    return SymmetryGroup(transpose(P), elements, elements)
+    codes = annihilator(P, H.generators, H.order)
+    return SymmetryGroup(transpose(P), codes, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +278,18 @@ def admissible_setup(W: InvertiblePolynomial,
     k, f = split_cyclic(W)
     require_within_cap(W)
     K_inner = enumerate_group(f, K_generators)
-    jf_k = symmetry(k * a for a in j_element(f))
-    if jf_k not in K_inner:
+    N_f = exponent_determinant(f)
+    jf_k = tuple(k * x % N_f for x in encode(f, j_element(f)))
+    if jf_k not in K_inner.codes:
         raise NotAdmissibleError(
-            f"j_f^{k} = {format_vector(jf_k)} is not in K (add it as a generator)")
-    for g in K_inner:
-        if not in_sl(g):
-            raise NotAdmissibleError(f"K contains {format_vector(g)}, which is outside SL_f")
+            f"j_f^{k} = {format_vector(jf_k, N_f)} is not in K (add it as a generator)")
+    for g in K_inner.codes:
+        if sum(g) % N_f:  # the age sum(g)/N_f is not an integer
+            raise NotAdmissibleError(f"K contains {format_vector(g, N_f)}, which is outside SL_f")
 
     N = exponent_determinant(W)
     j, s = encode(W, j_element(W)), encode(W, s_element(W))
-    K_gens = tuple(encode(W, (0, *g)) for g in K_inner.generators)  # fixing x0
+    K_gens = tuple((0, *(k * x for x in g)) for g in K_inner.generators)  # N = k*N_f; fixing x0
     codes = _closure(K_gens + (s, j), W.num_vars, N)
     sk_order = k * K_inner.order  # |<s, K>|
     if len(codes) < k * sk_order:

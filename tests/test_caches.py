@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from bhmirror.cli import main
 from bhmirror.errors import GroupTooLargeError, InputError
 from bhmirror.milnor import equivariant_hilbert, sector_algebra
+from bhmirror.mirror import build_mirror_pair
 from bhmirror.poly import (
     encode,
     exponent_inverse,
@@ -17,6 +19,7 @@ from bhmirror.poly import (
 )
 from bhmirror.symmetry import (
     SymmetryGroup,
+    _aut_group,
     admissible_setup,
     aut_group,
     enumerate_group,
@@ -122,8 +125,24 @@ def test_transpose_and_inverse_are_computed_once():
 def test_element_set_is_not_a_field():
     P = parse_polynomial("x0^4+x1^4+x2^4+x3^4")
     H = enumerate_group(P, [j_element(P)])
-    assert j_element(P) in H and (F(1, 4), 0, 0, 0) not in H
+    assert j_element(P) in H.elements and (F(1, 4), 0, 0, 0) not in H.elements
     assert [f.name for f in dataclasses.fields(SymmetryGroup)] == [
-        "polynomial", "generators", "elements"]
-    fresh = SymmetryGroup(P, H.generators, H.elements)
+        "polynomial", "generators", "codes"]
+    fresh = SymmetryGroup(P, H.generators, H.codes)
     assert H == fresh and hash(H) == hash(fresh) and repr(H) == repr(fresh)
+
+
+@pytest.mark.parametrize("polynomial, command", [
+    ("x0^8+x1^8+x2^4+x3^2", lambda text: build_mirror_pair(parse_polynomial(text))),
+    ("x0^5+x1^5+x2^5+x3^5+x4^5", lambda text: main(["analyze", text])),
+], ids=["octic-pair", "quintic-analyze"])
+def test_kernel_groups_are_never_decoded(capsys, polynomial, command):
+    # Aut of P and of its transpose are read as codes only; `elements`, the
+    # `Fraction` view, is never made for them
+    _aut_group.cache_clear()
+    P = parse_polynomial(polynomial)
+    groups = {Q: aut_group(Q) for Q in (P, transpose(P))}
+    command(polynomial)
+    for Q, group in groups.items():
+        assert aut_group(Q) is group  # still the cached group the command read
+        assert "elements" not in vars(group)

@@ -5,6 +5,7 @@ import pytest
 
 from bhmirror import cli
 from bhmirror.cli import main
+from bhmirror.milnor import GroupRingSeries
 
 
 def run(capsys, *argv):
@@ -143,7 +144,12 @@ class TestTable:
          "error [NotInGroup]: [1/3] has 1 entries for 2 variables"),
         (("table", "x0^3+x1^3+x2^3", "--K", "gen:[1/3]"),
          "error [NotInGroup]: [1/3] has 1 entries for 2 variables"),
-    ], ids=["zero-denominator", "mirror-short-vector", "table-short-vector"])
+        (("mirror", "x0^3+x1^3", "--group", "gen:[1/3,,0]"),
+         "error [Input]: cannot parse rational vector '[1/3,,0]': empty entry"),
+        (("mirror", "x0^3+x1^3", "--group", "gen:[,1/3,0,]"),
+         "error [Input]: cannot parse rational vector '[,1/3,0,]': empty entry"),
+    ], ids=["zero-denominator", "mirror-short-vector", "table-short-vector",
+            "inner-empty-entry", "outer-empty-entries"])
     def test_bad_vectors_name_their_fault(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
@@ -283,6 +289,26 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--catalog", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"error [{error}]: case 'bad-one': ")
+
+    def test_series_faults_are_reported(self, capsys, monkeypatch):
+        # one restriction's series one too large: the sectors that share it
+        # are named, sorted, and the Fermat oracle disagrees with it
+        real = cli.equivariant_hilbert
+
+        def off_by_one(R):
+            series = real(R)
+            if R.fixed_vars != (1, 2):  # the sectors s and s^2 fix x1 and x2
+                return series
+            m, keys = min(series.coefficients.items())
+            key, c = min(keys.items())
+            return GroupRingSeries({**series.coefficients, m: {**keys, key: c + 1}})
+
+        monkeypatch.setattr(cli, "equivariant_hilbert", off_by_one)
+        code, out, _ = run(capsys, "verify", "--case", "elliptic-cubic")
+        assert code == 1
+        assert "FAIL  elliptic-cubic: milnor-dimensions  [bad: ['[1/3, 0, 0]', '[2/3, 0, 0]']]" in out
+        assert "FAIL  elliptic-cubic: fermat-oracle" in out
+        assert "2 CHECKS FAILED" in out
 
     def test_failure_exit_code(self, capsys, tmp_path):
         # an admissible setup that breaks the theorem's weight hypothesis

@@ -22,7 +22,6 @@ from bhmirror.symmetry import (
     j_element,
     pairing,
     s_element,
-    scale,
     sl_subgroup,
     symmetry,
 )
