@@ -4,7 +4,8 @@ Two collections: plain polynomials exercising every atom shape for the
 transpose-duality scan, and (W, K) setups for the cyclic-automorphism
 machinery.  K generators are written over the inner variables (x0
 excluded) and must contain the k-th power of the inner grading symmetry
-explicitly.
+explicitly; `CatalogCase.K_group` closes them once into the group of f
+that a setup takes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError
-from .poly import InvertiblePolynomial, parse_polynomial
+from .poly import InvertiblePolynomial, parse_polynomial, split_cyclic
+from .symmetry import SymmetryGroup, enumerate_group
 
 # every atom type, sizes up to 5 variables, plus mixed sums
 KRAWITZ_POLYNOMIALS: tuple[str, ...] = (
@@ -47,8 +49,9 @@ class CatalogCase:
     def parse(self) -> InvertiblePolynomial:
         return parse_polynomial(self.polynomial)
 
-    def K_generators(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(parse_vector(g) for g in self.K)
+    def K_group(self) -> SymmetryGroup:
+        """K as the group its generators span in f, for W = x0^k + f."""
+        return enumerate_group(split_cyclic(self.parse())[1], map(parse_vector, self.K))
 
 
 def parse_vector(text: str) -> tuple[Fraction, ...]:

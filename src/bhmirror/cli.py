@@ -48,8 +48,8 @@ from .poly import (
 )
 from .statespace import build_state_space, moving_vanishing_violations
 from .symmetry import (
+    SymmetryGroup,
     admissible_setup,
-    aut_generators,
     aut_group,
     dual_group,
     enumerate_group,
@@ -66,17 +66,18 @@ def _fmt_frac(x) -> str:
     return str(Fraction(x))
 
 
-def parse_group_spec(spec: str, P: InvertiblePolynomial):
-    """Presets J | SL | full | trivial, or explicit `gen:[..];gen:[..]`."""
+def parse_group_spec(spec: str, P: InvertiblePolynomial) -> SymmetryGroup:
+    """The group of P that a spec names: a preset J | SL | full | trivial,
+    or the group spanned by explicit `gen:[..];gen:[..]`."""
     spec = spec.strip()
     if spec == "trivial":
-        return ()
+        return enumerate_group(P, ())
     if spec == "J":
-        return (j_element(P),)
+        return enumerate_group(P, (j_element(P),))
     if spec == "SL":
-        return sl_subgroup(P).elements
+        return sl_subgroup(P)
     if spec == "full":
-        return aut_generators(P)
+        return aut_group(P)
     gens = []
     for part in spec.split(";"):
         part = part.strip()
@@ -87,7 +88,7 @@ def parse_group_spec(spec: str, P: InvertiblePolynomial):
                 f"bad group spec {part!r}: expected gen:[...] or a preset "
                 "J | SL | full | trivial")
         gens.append(cat.parse_vector(part[4:]))
-    return tuple(gens)
+    return enumerate_group(P, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,7 @@ def cmd_analyze(args) -> int:
 def cmd_mirror(args) -> int:
     P = parse_polynomial(args.polynomial)
     Pv = transpose(P)
-    H = enumerate_group(P, parse_group_spec(args.group, P))
+    H = parse_group_spec(args.group, P)
     Hv = dual_group(H)
     data = {
         "schema": SCHEMA,
@@ -327,7 +328,7 @@ def _check_case(case: cat.CatalogCase) -> list[dict]:
         results.append(entry)
 
     W = case.parse()
-    pair = build_mirror_pair(W, case.K_generators())
+    pair = build_mirror_pair(W, case.K_group())
     setup = pair.source
 
     # Totals against the Milnor numbers, and the series engine against

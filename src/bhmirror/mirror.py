@@ -1,10 +1,12 @@
 """Mirror constructions and dimension-level theorem verifiers.
 
 The mirror of (W, K) is (transpose of W, annihilator of the full coset
-group), and the induced state spaces satisfy three families of exact
-bigraded-dimension identities relating weight spaces of the slices of one
-side to those of the other.  All checks here are exact integer identities
-per bidegree cell; reports carry every compared cell.  Transpose duality
+group); K is a `SymmetryGroup` on both sides, and the mirror's K is made
+from the annihilator's codes without decoding them.  The induced state
+spaces satisfy three families of exact bigraded-dimension identities
+relating weight spaces of the slices of one side to those of the other.
+All checks here are exact integer identities per bidegree cell; reports
+carry every compared cell.  Transpose duality
 builds two maps: the source cells and the reflected mirror cells.  Cells
 keep state-space bidegrees; `geometry.sector_grid` applies the (-1, -1)
 Calabi-Yau shift.
@@ -14,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import DualityViolationError, NotAdmissibleError, NotFermatError
-from .poly import InvertiblePolynomial, decoder, is_fermat_diagonal, transpose
+from .errors import DualityViolationError, NotAdmissibleError, NotFermatError, ZOutOfRangeError
+from .poly import InvertiblePolynomial, is_fermat_diagonal, transpose
 from .statespace import (
     StateTable,
     build_state_space,
@@ -27,6 +29,7 @@ from .statespace import (
 from .symmetry import (
     AdmissibleSetup,
     Symmetry,
+    SymmetryGroup,
     admissible_setup,
     annihilator,
     symmetry,
@@ -87,23 +90,24 @@ class MirrorPair:
     target_table: StateTable
 
 
-def build_mirror_pair(W: InvertiblePolynomial,
-                      K_generators: Iterable[Sequence[Fraction]] = ()) -> MirrorPair:
+def build_mirror_pair(W: InvertiblePolynomial, K: SymmetryGroup | None = None) -> MirrorPair:
     """Construct the transposed setup with the dual invariance group.
 
-    The invariance group of the mirror is the annihilator of the whole
-    coset group of the source; the mirror's own coset group must then
-    coincide with the annihilator of K, and the source's coset group with
-    the annihilator of the mirror's K.  These facts are verified and any
+    K is a group of f, for W = x0^k + f; None is the trivial group.  The
+    invariance group of the mirror is the annihilator of the whole coset
+    group of the source, a group of the transpose of f whose codes mod
+    N/k are h[1:] / k.  The mirror's own coset group must then coincide
+    with the annihilator of K, and the source's coset group with the
+    annihilator of the mirror's K.  These facts are verified and any
     failure is reported as a duality violation (a bug, not bad input).
     """
-    setup = admissible_setup(W, K_generators)
+    setup = admissible_setup(W, K)
     K_gens = tuple((0, *(setup.k * x for x in g)) for g in setup.K_inner.generators)
     K_mirror_embedded = annihilator(W, (setup.j, setup.s) + K_gens, setup.group_order)
-    if any(h[0] != 0 for h in K_mirror_embedded):
-        raise DualityViolationError(
-            "the dual of the coset group does not fix the cyclic variable")
-    K_mirror = tuple(map(decoder(setup.N), (h[1:] for h in K_mirror_embedded)))
+    if any(h[0] != 0 or any(x % setup.k for x in h) for h in K_mirror_embedded):
+        raise DualityViolationError("the mirror's K is not a group of the transpose of f")
+    codes = tuple(tuple(x // setup.k for x in h[1:]) for h in K_mirror_embedded)
+    K_mirror = SymmetryGroup(transpose(setup.K_inner.polynomial), codes, codes)
     try:
         mirror_setup = admissible_setup(transpose(W), K_mirror)
     except NotAdmissibleError as exc:
@@ -174,9 +178,9 @@ class FermatState:
         for i in range(P.num_vars):
             top = P.exponents[i][i]
             if not ((self.a[i] == 0) == (self.b[i] != 0)):
-                raise ValueError(f"exponents a={self.a}, b={self.b} clash at {i}")
+                raise NotFermatError(f"exponents a={self.a}, b={self.b} clash at {i}")
             if not (0 <= self.a[i] < top and 0 <= self.b[i] < top):
-                raise ValueError(f"exponent out of range at variable {i}")
+                raise NotFermatError(f"exponent out of range at variable {i}")
 
     @property
     def sector(self) -> Symmetry:
@@ -247,7 +251,7 @@ def fermat_elevator_moving(state: FermatState, z_new: int) -> FermatState:
         raise NotFermatError("moving elevator needs a moving state")
     top = state.polynomial.exponents[0][0]
     if not 0 < z_new < top:
-        raise ValueError(f"level {z_new} outside 1..{top - 1}")
+        raise ZOutOfRangeError(f"level {z_new} outside 1..{top - 1}")
     return FermatState(state.polynomial, state.a, (z_new,) + state.b[1:])
 
 

@@ -7,8 +7,11 @@ least integer degree.  Every polynomial decomposes into Fermat, chain and
 loop atoms; inputs for which no such decomposition exists are rejected,
 and so are inputs of more than MAX_VARIABLES variables, before any
 elimination.  A symmetry g of P or of its transpose lies in (1/N)Z^n,
-N = |det E|, and is held as its code N*g mod N (`encode`, `decoder`);
-`format_vector` renders every symmetry or key shown to a user.
+N = |det E|, and is held as its code N*g mod N (`encode`, `decoder`).
+`encode` checks that an outside vector fixes P; a code made from codes
+that were checked needs no second check, so `restrict` reads the fixed
+set straight off the code.  `format_vector` renders every symmetry or key
+shown to a user.
 
 Cached (bounded, keyed on frozen values): one Gauss-Jordan elimination
 per exponent matrix serves the weights, `exponent_inverse` and
@@ -554,13 +557,14 @@ def split_cyclic(P: InvertiblePolynomial) -> tuple[int, InvertiblePolynomial]:
 def restrict(P: InvertiblePolynomial, symmetry: Code) -> RestrictedPolynomial:
     """Restriction of P to the variables fixed by the symmetry with this code.
 
-    Keeps the rows supported entirely on the fixed set and verifies the
-    result is non-degenerate (square with a valid atom decomposition);
-    a failure is an error, never silent.
+    The fixed set is read off the code's zero entries: a code lies in
+    [0, N) and fixes P, checked where it was made (`encode`, or the group
+    kernel in `symmetry`), not again here.  Keeps the rows supported
+    entirely on the fixed set and verifies the result is non-degenerate
+    (square with a valid atom decomposition); a failure is an error, never
+    silent.
     """
-    N = exponent_determinant(P)
-    monomial_phases(P, N, symmetry)
-    fixed = tuple(i for i, x in enumerate(symmetry) if x % N == 0)
+    fixed = tuple(i for i, x in enumerate(symmetry) if x == 0)
     return RestrictedPolynomial(P, fixed, _restriction_rows(P.exponents, fixed))
 
 

@@ -10,9 +10,12 @@ N*g mod N (see `poly`).  A `SymmetryGroup` is codes only, its generators
 and its sorted closure; `elements`, the rational view for output, is
 decoded on first read.  Rational vectors enter once, through `encode`.
 One kernel, `_closure`, closes every group over codes; the annihilator
-keeps the codes h with (E*g) . h = 0 mod N.  A setup's `labels` (the
-coset group in coset order j^a s^b K, read off the closure order of
-(K, s, j)) and keys, Ann(K), are codes.
+keeps the codes h with (E*g) . h = 0 mod N.  A code is made only by
+`encode`, `_closure` or `annihilator`, and membership (entries in [0, N),
+fixing the polynomial) is checked there and nowhere later.  A setup takes
+K as a `SymmetryGroup` of f; its `labels` (the coset group in coset order
+j^a s^b K, read off the closure order of (K, s, j)) and keys, Ann(K), are
+codes.
 Cached: `aut_group` enumerates once per polynomial (bounded cache keyed on
 the polynomial; the cap is checked on every call, before the cache is
 consulted), and the integer vectors E*j, E*s once per `AdmissibleSetup`.
@@ -265,19 +268,23 @@ class AdmissibleSetup:
         return tuple(monomial_phases(self.W, self.N, g) for g in (self.j, self.s))
 
 
-def admissible_setup(W: InvertiblePolynomial,
-                     K_generators: Iterable[Sequence[Fraction]] = ()) -> AdmissibleSetup:
+def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) -> AdmissibleSetup:
     """Validate j_f^k in K within SL_f and label the k^2 cosets j^a s^b K.
 
-    The closure of (K, s, j) runs K, its s-cosets, then their j-shifts, so
-    block i of |K| elements is the coset (a, b) = divmod(i, k).  A shorter
-    closure means two labels name one coset (GradingCollisionError): the
-    (a/k, b/k)-gradings would not be single-valued.  |det E|, checked first,
-    bounds K, the coset group and Ann(K).
+    K is a group of f; None (or the empty tuple) is the trivial group.  Its
+    codes were checked to fix f where they were made, so only j_f^k in K
+    and K in SL_f are checked here.  The closure of (K, s, j) runs K, its
+    s-cosets, then their j-shifts, so block i of |K| elements is the coset
+    (a, b) = divmod(i, k).  A shorter closure means two labels name one
+    coset (GradingCollisionError): the (a/k, b/k)-gradings would not be
+    single-valued.  |det E|, checked first, bounds K, the coset group and
+    Ann(K).
     """
     k, f = split_cyclic(W)
     require_within_cap(W)
-    K_inner = enumerate_group(f, K_generators)
+    K_inner = K or enumerate_group(f, ())
+    if K_inner.polynomial != f:
+        raise NotAdmissibleError(f"K is a group of {K_inner.polynomial}, not of {f}")
     N_f = exponent_determinant(f)
     jf_k = tuple(k * x % N_f for x in encode(f, j_element(f)))
     if jf_k not in K_inner.codes:

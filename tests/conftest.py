@@ -12,7 +12,7 @@ def pair_cache():
     def get(name: str):
         if name not in cache:
             case = find_case(name)
-            cache[name] = build_mirror_pair(case.parse(), case.K_generators())
+            cache[name] = build_mirror_pair(case.parse(), case.K_group())
         return cache[name]
 
     return get

@@ -1,6 +1,7 @@
 """Memoized per-polynomial facts: caches never skip a check or keep an error."""
 
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -146,3 +147,26 @@ def test_kernel_groups_are_never_decoded(capsys, polynomial, command):
     for Q, group in groups.items():
         assert aut_group(Q) is group  # still the cached group the command read
         assert "elements" not in vars(group)
+
+
+def test_membership_is_checked_where_a_code_is_made(monkeypatch):
+    # `encode` checks each outside vector once, and `annihilator` and the
+    # charges read E*g of each generator; no sector or label is checked
+    # again, so the octic pair's 64 + 512 sectors add no calls
+    from bhmirror import poly
+    counts = {"monomial_phases": 0, "encode": 0}
+    modules = [module for name, module in sys.modules.items()
+               if name == "bhmirror" or name.startswith("bhmirror.")]
+    for name in counts:
+        real = getattr(poly, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    _aut_group.cache_clear()  # Aut of the self-transpose W is enumerated, as in a fresh process
+    build_mirror_pair(parse_polynomial("x0^8+x1^8+x2^4+x3^2"))
+    assert counts == {"monomial_phases": 14, "encode": 10}

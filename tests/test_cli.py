@@ -201,8 +201,8 @@ class TestMirror:
         assert code == 2
 
     def test_many_generators_close_fast(self, capsys):
-        # --group SL passes all 2,401 elements of SL as generators; closure
-        # by cyclic extension skips those already in the group
+        # --group SL is the kernel's SL group, whose 2,401 elements are all
+        # its generators; it is not closed again, and its dual reads each one
         start = time.perf_counter()
         code, out, _ = run(capsys, "mirror", "x0^7+x1^7+x2^7+x3^7+x4^7",
                            "--group", "SL", "--format", "json")

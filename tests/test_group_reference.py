@@ -17,12 +17,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bhmirror.errors import GradingCollisionError
 from bhmirror.milnor import equivariant_hilbert, sector_algebra
+from bhmirror.mirror import build_mirror_pair
 from bhmirror.poly import (
     RestrictedPolynomial,
     decoder,
     encode,
     exponent_determinant,
     exponent_inverse,
+    fixes,
     from_exponents,
     restrict,
     split_cyclic,
@@ -298,7 +300,7 @@ def test_coset_labels_match_reference(case):
     W, gens = case
     expected = ref_coset_labels(W, gens)
     try:
-        setup = admissible_setup(W, gens)
+        setup = admissible_setup(W, enumerate_group(split_cyclic(W)[1], gens))
     except GradingCollisionError as exc:
         assert str(exc) == expected
     else:
@@ -308,3 +310,49 @@ def test_coset_labels_match_reference(case):
         assert list(labels.values()) == list(expected.values())
         assert {decode(key) for key in setup.keys} == \
             set(ref_annihilator(W, [(0, *g) for g in gens]))
+
+
+def assert_members(P, codes):
+    """Each code lies in [0, N)^n, N = |det E|, and fixes P."""
+    N = exponent_determinant(P)
+    for code in codes:
+        assert len(code) == P.num_vars and all(0 <= x < N for x in code), code
+        assert fixes(P, N, code), code
+
+
+@settings(deadline=None, max_examples=40)
+@given(polynomial_and_generators())
+def test_kernel_codes_are_members(case):
+    # membership is checked where a code is made (`encode`, `_closure`,
+    # `annihilator`) and nowhere later, so every code the kernel returns
+    # must already be a member
+    P, gens = case
+    H = enumerate_group(P, gens)
+    for group in (H, aut_group(P), sl_subgroup(P), dual_group(H)):
+        assert_members(group.polynomial, group.generators + group.codes)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_polynomials())
+def test_fixed_set_is_read_off_the_code(P):
+    decode = decoder(exponent_determinant(P))
+    for h in aut_group(P).codes:
+        assert restrict(P, h).fixed_vars == \
+            tuple(i for i, a in enumerate(ref_symmetry(decode(h))) if a == 0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(cyclic_setups())
+def test_setup_and_mirror_codes_are_members(case):
+    # the labels and keys of both setups, and the mirror's K, which is made
+    # from the annihilator's codes in `build_mirror_pair`
+    W, gens = case
+    try:
+        pair = build_mirror_pair(W, enumerate_group(split_cyclic(W)[1], gens))
+    except GradingCollisionError:
+        return
+    for setup in (pair.source, pair.target):
+        K = setup.K_inner
+        assert_members(K.polynomial, K.generators + K.codes)
+        assert_members(setup.W, setup.labels)
+        assert_members(transpose(setup.W), setup.keys)

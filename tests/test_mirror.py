@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from bhmirror import mirror
-from bhmirror.errors import DualityViolationError, NotAdmissibleError
+from bhmirror.errors import (
+    DualityViolationError,
+    NotAdmissibleError,
+    NotFermatError,
+    ZOutOfRangeError,
+)
 from bhmirror.geometry import sector_grid
 from bhmirror.milnor import sector_algebra
 from bhmirror.mirror import (
@@ -142,6 +147,16 @@ class TestFermatStates:
         assert image.sector == symmetry([0, F(2, 3), 0])
         assert image.bidegree == (F(5, 3), F(5, 3))
 
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda P: FermatState(P, (1,), (1,)), NotFermatError, "clash at 0"),
+        (lambda P: FermatState(P, (0,), (7,)), NotFermatError, "out of range at variable 0"),
+        (lambda P: fermat_elevator_moving(FermatState(P, (0,), (1,)), 6), ZOutOfRangeError,
+         "level 6 outside 1..5"),
+    ], ids=["clash", "out-of-range", "elevator-level"])
+    def test_bad_states_raise_library_errors(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make(parse_polynomial("x^6"))
+
     def test_twist_roundtrip(self):
         P = parse_polynomial("x0^4+x1^4+x2^4+x3^4")
         for state in fermat_states(P)[:200]:
@@ -245,6 +260,17 @@ class TestFailurePaths:
                            match="dual of K does not equal the mirror coset group"):
             build_mirror_pair(parse_polynomial("x0^4+x1^4+x2^4+x3^4"))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("extra", [(1, 0, 0, 0), (0, 1, 0, 0)],
+                             ids=["moves-x0", "not-divisible-by-k"])
+    def test_mirror_K_outside_the_transpose_of_f_is_caught(self, monkeypatch, extra):
+        # the mirror's K is read off the annihilator's codes h as h[1:] / k;
+        # a code with h[0] != 0 or an entry not divisible by k is no symmetry
+        # of the transpose of f
+        real = mirror.annihilator
+        monkeypatch.setattr(mirror, "annihilator", lambda *args: real(*args) + (extra,))
+        with pytest.raises(DualityViolationError, match="K is not a group of the transpose of f"):
+            build_mirror_pair(parse_polynomial("x0^4+x1^4+x2^4+x3^4"))
 
 
 class TestCyReindex:

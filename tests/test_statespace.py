@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from bhmirror.errors import SideMismatchError, ZOutOfRangeError
-from bhmirror.poly import parse_polynomial, transpose
+from bhmirror.poly import parse_polynomial, split_cyclic, transpose
 from bhmirror.statespace import (
     FIXED,
     MOVING,
@@ -18,6 +18,7 @@ from bhmirror.statespace import (
 from bhmirror.symmetry import (
     admissible_setup,
     aut_group,
+    enumerate_group,
     identity,
     j_element,
     pairing,
@@ -94,8 +95,8 @@ class TestStateTable:
             assert lab.weight == int((k * lab.qs) % k)
 
     def test_order2_weights_split_by_side(self):
-        setup = admissible_setup(parse_polynomial("x0^2+x1^4+x2^4"),
-                                 [(F(1, 2), F(1, 2))])
+        W = parse_polynomial("x0^2+x1^4+x2^4")
+        setup = admissible_setup(W, enumerate_group(split_cyclic(W)[1], [(F(1, 2), F(1, 2))]))
         table = build_state_space(setup)
         for lab in table.entries:
             assert lab.weight == (0 if lab.side == FIXED else 1)

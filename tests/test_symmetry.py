@@ -17,6 +17,7 @@ from bhmirror.poly import (
     exponent_determinant,
     exponent_inverse,
     parse_polynomial,
+    split_cyclic,
     transpose,
 )
 from bhmirror.symmetry import (
@@ -208,7 +209,13 @@ class TestAdmissibleSetup:
 
     def test_K_outside_sl_rejected(self):
         with pytest.raises(NotAdmissibleError):
-            admissible_setup(QUARTIC, [(F(1, 4), F(0), F(0))])
+            admissible_setup(QUARTIC, enumerate_group(split_cyclic(QUARTIC)[1],
+                                                      [(F(1, 4), F(0), F(0))]))
+
+    def test_K_of_another_polynomial_rejected(self):
+        # K must be a group of f, not of W
+        with pytest.raises(NotAdmissibleError, match="K is a group of x0"):
+            admissible_setup(QUARTIC, aut_group(QUARTIC))
 
     def test_missing_power_of_jf_rejected(self):
         with pytest.raises(NotAdmissibleError):
@@ -219,7 +226,8 @@ class TestAdmissibleSetup:
         # (1, 1) coincides with K and the gradings would be two-valued
         W = parse_polynomial("x0^2+x1^3+x2^3+x3^3")
         with pytest.raises(GradingCollisionError):
-            admissible_setup(W, [(F(1, 3), F(1, 3), F(1, 3))])
+            admissible_setup(W, enumerate_group(split_cyclic(W)[1],
+                                                [(F(1, 3), F(1, 3), F(1, 3))]))
 
     def test_labels_cover_group(self):
         setup = admissible_setup(ELLIPTIC)
