@@ -22,13 +22,14 @@ the sector, so `equivariant_hilbert` is memoized on the restriction (a
 bounded cache keyed on parent and fixed variables; the returned series is
 shared and never mutated).  Its checks run once per distinct fixed set;
 `sector_algebra` applies the age shift of each sector afterwards and
-returns the sector's entries as ((key, p, q), dimension) pairs.
+returns the sector's entries as ((key, p, q), dimension) pairs, with p and
+q integer numerators over N: a sector stays on integers until a label or a
+report decodes it (see `statespace`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalError, NotFermatError
@@ -165,21 +166,25 @@ def fermat_monomial_basis(R: RestrictedPolynomial) -> list[tuple[tuple[int, ...]
     return basis
 
 
-def sector_algebra(P: InvertiblePolynomial,
-                   h: Code) -> list[tuple[tuple[Code, Fraction, Fraction], int]]:
+def sector_algebra(P: InvertiblePolynomial, h: Code) -> list[tuple[tuple[Code, int, int], int]]:
     """Age-shifted algebra of the sector with code h as ((key, p, q),
     dimension) pairs, with every key kept; `dict()` of the list is its table.
 
-    Degree m of the series sits at q = age(h) + m/d and
-    p = age(h) + #fixed - m/d, so p + q - 2 age(h) = #fixed on every entry;
-    the entries of h lie in [0, N), so age(h) = sum(h)/N.
+    p and q are integer numerators over N = |det E|.  Degree m of the series
+    sits at q = age(h) + m/d and p = age(h) + #fixed - m/d, so p + q -
+    2 age(h) = #fixed on every entry; the entries of h lie in [0, N), so
+    N*age(h) = sum(h).  d divides N, because every weight is a row sum of
+    E^{-1}.
     """
     R = restrict(P, h)
-    shift = Fraction(sum(h), exponent_determinant(P))
-    nfix = len(R.fixed_vars)
+    N = exponent_determinant(P)
+    if N % P.degree:
+        raise InternalError(f"degree {P.degree} does not divide |det E| = {N}")
+    step = N // P.degree
+    shift = sum(h)
+    top = shift + len(R.fixed_vars) * N
     entries = []
     for m, keys in equivariant_hilbert(R).coefficients.items():
-        charge = Fraction(m, P.degree)
-        p, q = shift + nfix - charge, shift + charge
+        p, q = top - m * step, shift + m * step
         entries += [((key, p, q), mult) for key, mult in keys.items()]
     return entries

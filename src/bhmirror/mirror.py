@@ -6,9 +6,12 @@ from the annihilator's codes without decoding them.  The induced state
 spaces satisfy three families of exact bigraded-dimension identities
 relating weight spaces of the slices of one side to those of the other.
 All checks here are exact integer identities per bidegree cell; reports
-carry every compared cell.  Transpose duality
-builds two maps: the source cells and the reflected mirror cells.  Cells
-keep state-space bidegrees; `geometry.sector_grid` applies the (-1, -1)
+carry every compared cell.  Transpose duality (the Krawitz scan and pair
+duality) builds two maps on integer cells, the source cells and the
+reflected mirror cells: sector and key are codes and p, q numerators over
+N = |det E|, which a polynomial shares with its transpose.  Only the cell
+of a violation is decoded, by `statespace.cell_decoder`.  Cells keep
+state-space bidegrees; `geometry.sector_grid` applies the (-1, -1)
 Calabi-Yau shift.
 """
 
@@ -16,15 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable
 
 from .errors import DualityViolationError, NotAdmissibleError, NotFermatError, ZOutOfRangeError
-from .poly import InvertiblePolynomial, is_fermat_diagonal, transpose
+from .poly import InvertiblePolynomial, exponent_determinant, is_fermat_diagonal, transpose
 from .statespace import (
     StateTable,
     build_state_space,
+    cell_decoder,
     slice_weight_bidegrees,
-    unprojected_state_space,
+    table_cells,
+    unprojected_cells,
 )
 from .symmetry import (
     AdmissibleSetup,
@@ -40,6 +45,9 @@ Cell = tuple
 
 @dataclass(frozen=True)
 class CheckItem:
+    """One compared cell; a violation's cell is always in rationals, while a
+    passing cell of an integer comparison stays on integers."""
+
     statement: str
     cell: Cell
     lhs: int
@@ -67,15 +75,20 @@ class VerificationReport:
         return not self.violations
 
     def compare(self, statement: str, lhs: dict[Cell, int], rhs: dict[Cell, int],
-                empty: str | None = None) -> None:
+                empty: str | None = None,
+                decode: Callable[[Cell], Cell] | None = None) -> None:
         """Record lhs against rhs, both maps cell -> dimension, at every cell
         of either map in sorted order; a missing cell has dimension 0.  When
         both maps are empty and `empty` is given, record that statement once
-        at the empty cell (), zero against zero."""
+        at the empty cell (), zero against zero.  `decode` turns the cell of
+        a violation from integers into rationals."""
         if not (lhs or rhs) and empty is not None:
             statement, lhs = empty, {(): 0}
         for cell in sorted({*lhs, *rhs}):
-            self.items.append(CheckItem(statement, cell, lhs.get(cell, 0), rhs.get(cell, 0)))
+            left, right = lhs.get(cell, 0), rhs.get(cell, 0)
+            if left != right and decode is not None:
+                cell = decode(cell)
+            self.items.append(CheckItem(statement, cell, left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +140,22 @@ def build_mirror_pair(W: InvertiblePolynomial, K: SymmetryGroup | None = None) -
 # ---------------------------------------------------------------------------
 
 def verify_krawitz(P: InvertiblePolynomial) -> VerificationReport:
-    """Check dim U_h^key(P) at (p, q) = dim U_key^h(transpose) at (N-p, q)
-    for every sector/key pair, N the number of variables."""
-    return _transpose_duality("krawitz", P.num_vars, unprojected_state_space(P),
-                              unprojected_state_space(transpose(P)).items())
+    """Check dim U_h^key(P) at (p, q) = dim U_key^h(transpose) at (n-p, q)
+    for every sector/key pair, n the number of variables."""
+    return _transpose_duality("krawitz", P, unprojected_cells(P), unprojected_cells(transpose(P)))
 
 
-def _transpose_duality(statement: str, N: int, lhs: dict,
-                       rhs: Iterable[tuple[Cell, int]]) -> VerificationReport:
-    """Compare lhs, a map (sector, key, p, q) -> dimension, against the
-    mirror side, given as ((sector, key, p, q), dimension) pairs and read
-    at (key, sector, N - p, q)."""
+def _transpose_duality(statement: str, P: InvertiblePolynomial, lhs: dict[Cell, int],
+                       rhs: dict[Cell, int]) -> VerificationReport:
+    """Compare lhs, a map (sector, key, p, q) -> dimension on integers over
+    N = |det E| of P, against rhs, the mirror's map over the same N, read
+    at (key, sector, n*N - p, q), n the number of variables."""
+    N = exponent_determinant(P)
+    top = P.num_vars * N
     report = VerificationReport()
-    report.compare(statement, lhs, {(key, sector, N - p, q): dim
-                                    for (sector, key, p, q), dim in rhs})
+    report.compare(statement, lhs, {(key, sector, top - p, q): dim
+                                    for (sector, key, p, q), dim in rhs.items()},
+                   decode=cell_decoder(N))
     return report
 
 
@@ -348,13 +363,10 @@ def _require_weight_sum_multiple(W: InvertiblePolynomial) -> None:
 
 def verify_pair_duality(pair: MirrorPair) -> VerificationReport:
     """Per-cell transpose duality of the two state tables: the dimension at
-    (sector, key, p, q) matches the mirror at (key, sector, N - p, q).
-    Holds with no condition on the weights."""
-    def cells(table: StateTable) -> Iterable[tuple[Cell, int]]:
-        return (((lab.sector, lab.key, lab.p, lab.q), dim) for lab, dim in table.entries.items())
-
-    return _transpose_duality("pair-duality", pair.source.W.num_vars,
-                              dict(cells(pair.source_table)), cells(pair.target_table))
+    (sector, key, p, q) matches the mirror at (key, sector, n - p, q), n the
+    number of variables.  Holds with no condition on the weights."""
+    return _transpose_duality("pair-duality", pair.source.W,
+                              table_cells(pair.source_table), table_cells(pair.target_table))
 
 
 def verify_order2_exchange(pair: MirrorPair) -> VerificationReport:

@@ -7,7 +7,8 @@ coset labels d_j = a/k, d_s = b/k and the charges Q_j, Q_s of its
 dual-group key, packed redundantly into coordinates (X, Y, Z) that are
 cross-checked at construction time.  With
 no invariance taken, the unprojected state space is the plain map
-(sector, key, p, q) -> dimension over every diagonal symmetry.
+(sector, key, p, q) -> dimension over every diagonal symmetry:
+`unprojected_cells` on integers, `unprojected_state_space` decoded.
 
 Entries split into a moving side (Q_s != 0; the sector fixes x0, so the
 cyclic symmetry acts on the form with nonzero weight) and a fixed side
@@ -16,7 +17,10 @@ elevators move along Z on either side.  Both are dimension-preserving
 relabelings with prescribed bidegree shifts, sharing one body.  One pass
 over the Q_j = 0 part, `sector_cells`, feeds the LG slices and the grid;
 every other view of a table is one `dimensions_by` pass.  Sectors and keys
-are codes (see `poly`) until a label or the unprojected map decodes them.
+are codes (see `poly`) and the bidegrees p, q are integer numerators over
+N = |det E| until a label, the unprojected map or a failed check decodes
+them; `cell_decoder` is that decoding for a cell, and `table_cells` reads a
+table's labels back as integer cells.
 """
 
 from __future__ import annotations
@@ -32,7 +36,15 @@ from .errors import (
     ZOutOfRangeError,
 )
 from .milnor import sector_algebra
-from .poly import Code, InvertiblePolynomial, decoder, encode, format_vector, transpose
+from .poly import (
+    Code,
+    InvertiblePolynomial,
+    decoder,
+    encode,
+    exponent_determinant,
+    format_vector,
+    transpose,
+)
 from .symmetry import AdmissibleSetup, Symmetry, aut_group
 
 MOVING = "moving"
@@ -73,15 +85,30 @@ class StateTable:
         return out
 
 
+IntegerCell = tuple[Code, Code, int, int]  # (sector, key, N*p, N*q)
+
+
+def unprojected_cells(P: InvertiblePolynomial) -> dict[IntegerCell, int]:
+    """Sum of the age-shifted sector algebras over every diagonal symmetry,
+    with no invariance taken, on integers: the map (sector, key, p, q) ->
+    dimension with sector and key codes and p, q numerators over N = |det E|."""
+    return {(h, key, p, q): dim
+            for h in aut_group(P).codes
+            for (key, p, q), dim in sector_algebra(P, h)}
+
+
+def cell_decoder(N: int) -> Callable[[IntegerCell], tuple[Symmetry, Symmetry, Fraction, Fraction]]:
+    """(sector, key, p, q) on integers over N -> the same cell as rationals."""
+    decode = decoder(N)
+    return lambda cell: (decode(cell[0]), decode(cell[1]), *decode(cell[2:]))
+
+
 def unprojected_state_space(P: InvertiblePolynomial
                             ) -> dict[tuple[Symmetry, Symmetry, Fraction, Fraction], int]:
-    """Sum of the age-shifted sector algebras over every diagonal symmetry,
-    with no invariance taken: the map (sector, key, p, q) -> dimension."""
-    group = aut_group(P)
-    decode = decoder(group.order)
-    return {(decode(h), decode(key), p, q): dim
-            for h in group.codes
-            for (key, p, q), dim in sector_algebra(P, h)}
+    """The decoded view of `unprojected_cells`: the map (sector, key, p, q)
+    -> dimension with `Fraction` vectors and bidegrees."""
+    decode = cell_decoder(exponent_determinant(P))
+    return {decode(cell): dim for cell, dim in unprojected_cells(P).items()}
 
 
 def _make_label(setup: AdmissibleSetup, sector: Code, coset: tuple[int, int], key: Code,
@@ -113,10 +140,23 @@ def build_state_space(setup: AdmissibleSetup) -> StateTable:
     """The K-invariant state space over the labelled cosets j^a s^b K: the
     entries of each sector whose key lies in the setup's keys, Ann(K)."""
     decode = lru_cache(maxsize=None)(decoder(setup.N))  # each distinct code once
-    return StateTable(setup, {_make_label(setup, h, coset, key, p, q, decode): dim
+    rational = lru_cache(maxsize=None)(lambda x: Fraction(x, setup.N))  # each numerator once
+    return StateTable(setup, {_make_label(setup, h, coset, key, rational(p), rational(q), decode): dim
                               for h, coset in setup.labels.items()
                               for (key, p, q), dim in sector_algebra(setup.W, h)
                               if key in setup.keys})
+
+
+def table_cells(table: StateTable) -> dict[IntegerCell, int]:
+    """The entries of a state table as integer cells (sector, key, p, q),
+    read off the labels as numerators over N = |det E|."""
+    N = table.setup.N
+
+    def numerators(v: tuple[Fraction, ...]) -> tuple[int, ...]:
+        return tuple(x.numerator * (N // x.denominator) for x in v)
+
+    return {(numerators(lab.sector), numerators(lab.key), *numerators((lab.p, lab.q))): dim
+            for lab, dim in table.entries.items()}
 
 
 def fjrw_state_space(table: StateTable, b: int) -> StateTable:

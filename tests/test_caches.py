@@ -9,7 +9,7 @@ import pytest
 from bhmirror.cli import main
 from bhmirror.errors import GroupTooLargeError, InputError
 from bhmirror.milnor import equivariant_hilbert, sector_algebra
-from bhmirror.mirror import build_mirror_pair
+from bhmirror.mirror import build_mirror_pair, verify_krawitz, verify_pair_duality
 from bhmirror.poly import (
     encode,
     exponent_inverse,
@@ -109,11 +109,11 @@ def test_sector_shift_is_applied_per_sector():
     P = parse_polynomial("x0^4+x1^4")
     ha, hb = encode(P, (F(1, 4), F(1, 4))), encode(P, (F(3, 4), F(3, 4)))
     assert (ha, hb) == ((4, 4), (12, 12))  # codes mod |det E| = 16
-    a = dict(sector_algebra(P, ha))
-    b = dict(sector_algebra(P, hb))
+    a = {(key, F(p, 16), F(q, 16)) for (key, p, q), _ in sector_algebra(P, ha)}
+    b = {(key, F(p, 16), F(q, 16)) for (key, p, q), _ in sector_algebra(P, hb)}
     assert restrict(P, ha).fixed_vars == restrict(P, hb).fixed_vars == ()
-    assert set(a) == {((0, 0), F(1, 2), F(1, 2))}
-    assert set(b) == {((0, 0), F(3, 2), F(3, 2))}
+    assert a == {((0, 0), F(1, 2), F(1, 2))}
+    assert b == {((0, 0), F(3, 2), F(3, 2))}
 
 
 def test_transpose_and_inverse_are_computed_once():
@@ -170,3 +170,21 @@ def test_membership_is_checked_where_a_code_is_made(monkeypatch):
     _aut_group.cache_clear()  # Aut of the self-transpose W is enumerated, as in a fresh process
     build_mirror_pair(parse_polynomial("x0^8+x1^8+x2^4+x3^2"))
     assert counts == {"monomial_phases": 14, "encode": 10}
+
+
+def test_transpose_duality_hashes_no_fraction(monkeypatch):
+    # the Krawitz scan and pair duality compare integer cells: a passing
+    # check hashes and sorts no `Fraction`
+    loop = parse_polynomial("x0^2*x1+x1^3*x2+x2^4*x3+x3^5*x0")
+    octic = build_mirror_pair(parse_polynomial("x0^8+x1^8+x2^4+x3^2"))
+    hashed = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: hashed.append(self) or real(self))
+    counts = {}
+    for statement, check in (("krawitz", lambda: verify_krawitz(loop)),
+                             ("pair-duality", lambda: verify_pair_duality(octic))):
+        hashed.clear()
+        report = check()
+        assert report.passed and report.cells_checked > 0
+        counts[statement] = len(hashed)
+    assert counts == {"krawitz": 0, "pair-duality": 0}

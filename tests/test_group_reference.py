@@ -30,6 +30,7 @@ from bhmirror.poly import (
     split_cyclic,
     transpose,
 )
+from bhmirror.statespace import unprojected_cells, unprojected_state_space
 from bhmirror.symmetry import (
     admissible_setup,
     age,
@@ -285,10 +286,26 @@ def test_sector_algebra_matches_reference(P, data):
     h = elements[data.draw(st.integers(0, len(elements) - 1))]
     shift = data.draw(st.lists(st.integers(-2, 2), min_size=P.num_vars, max_size=P.num_vars))
     code = encode(P, tuple(a + s for a, s in zip(h, shift)))
-    decode = decoder(exponent_determinant(P))
+    N = exponent_determinant(P)
+    decode = decoder(N)
     assert decode(code) == h
-    assert {(decode(key), p, q): dim for (key, p, q), dim in sector_algebra(P, code)} == \
-        ref_sector_algebra(P, h)
+    assert {(decode(key), Fraction(p, N), Fraction(q, N)): dim
+            for (key, p, q), dim in sector_algebra(P, code)} == ref_sector_algebra(P, h)
+
+
+@settings(deadline=None, max_examples=25)
+@given(small_polynomials())
+def test_unprojected_map_matches_reference(P):
+    # the integer map (codes, numerators over N) decoded by hand is the
+    # public `Fraction` view, and both equal every sector's reference algebra
+    N = exponent_determinant(P)
+    decode = decoder(N)
+    decoded = {(decode(h), decode(key), Fraction(p, N), Fraction(q, N)): dim
+               for (h, key, p, q), dim in unprojected_cells(P).items()}
+    reference = {(h, *cell): dim
+                 for h in aut_group(P).elements
+                 for cell, dim in ref_sector_algebra(P, h).items()}
+    assert unprojected_state_space(P) == decoded == reference
 
 
 @settings(deadline=None, max_examples=60)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bhmirror.errors import NotFermatError
+from bhmirror.errors import InternalError, NotFermatError
 from bhmirror.milnor import equivariant_hilbert, fermat_monomial_basis, sector_algebra
 from bhmirror.poly import (
     decoder,
@@ -112,24 +112,25 @@ class TestSectorAlgebra:
     def test_free_sector_on_diagonal(self):
         P = parse_polynomial("x^5")
         for i in range(1, 5):
-            alg = dict(sector_algebra(P, (i,)))
+            alg = {(key, F(p, 5), F(q, 5)): dim for (key, p, q), dim in sector_algebra(P, (i,))}
             assert alg == {((0,), F(i, 5), F(i, 5)): 1}
 
     def test_bidegree_sum_rule(self):
         from bhmirror.symmetry import age
         group = aut_group(ELLIPTIC)
+        N = exponent_determinant(ELLIPTIC)
         for h, code in zip(group.elements, group.codes):
-            alg = dict(sector_algebra(ELLIPTIC, code))
-            for (_, p, q), _ in alg.items():
-                assert p + q - 2 * age(h) == len(restrict(ELLIPTIC, code).fixed_vars)
+            for (_, p, q), _ in sector_algebra(ELLIPTIC, code):
+                assert F(p, N) + F(q, N) - 2 * age(h) == len(restrict(ELLIPTIC, code).fixed_vars)
 
     def test_elliptic_untwisted_grading_filter(self):
         # of the ten untwisted classes exactly two have integral j-charge
         alg = dict(sector_algebra(ELLIPTIC, identity(3)))
         assert sum(alg.values()) == 10
         j = j_element(ELLIPTIC)
-        decode = decoder(exponent_determinant(ELLIPTIC))
-        invariant = {(p, q): dim for (key, p, q), dim in alg.items()
+        N = exponent_determinant(ELLIPTIC)
+        decode = decoder(N)
+        invariant = {(F(p, N), F(q, N)): dim for (key, p, q), dim in alg.items()
                      if pairing(ELLIPTIC, j, decode(key)) == 0}
         assert invariant == {(F(2), F(1)): 1, (F(1), F(2)): 1}
 
@@ -142,3 +143,11 @@ class TestSectorAlgebra:
         manual = {lab: dim for lab, dim in alg.items()
                   if pairing(QUARTIC, j, decode(lab[0])) == 0}
         assert kept == manual
+
+    def test_degree_not_dividing_the_modulus_is_an_internal_error(self, monkeypatch):
+        # p and q are numerators over N = |det E|, which d divides; a
+        # modulus d does not divide is a bug, reported rather than rounded
+        from bhmirror import milnor
+        monkeypatch.setattr(milnor, "exponent_determinant", lambda P: 7)
+        with pytest.raises(InternalError, match="degree 5 does not divide"):
+            sector_algebra(parse_polynomial("x^5"), (1,))

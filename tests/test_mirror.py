@@ -27,9 +27,10 @@ from bhmirror.mirror import (
     verify_order2_exchange,
     verify_pair_duality,
 )
-from bhmirror.poly import direct_sum, parse_polynomial, transpose
+from bhmirror.poly import direct_sum, exponent_determinant, parse_polynomial, transpose
 from bhmirror.statespace import (
     StateTable,
+    cell_decoder,
     unprojected_state_space,
 )
 from bhmirror.symmetry import identity, pairing, symmetry
@@ -222,8 +223,10 @@ class TestFailurePaths:
         assert report.cells_checked == len(report.items)
 
     def test_krawitz_bumped_side(self, monkeypatch):
+        # the scan compares integer cells; the violation names the bumped
+        # cell decoded into rationals
         P = parse_polynomial("x^3*y+y^4")
-        real = mirror.unprojected_state_space
+        real = mirror.unprojected_cells
         cell = next(iter(real(P)))
 
         def bumped(Q):
@@ -232,11 +235,12 @@ class TestFailurePaths:
                 U = {**U, cell: U[cell] + 1}
             return U
 
-        monkeypatch.setattr(mirror, "unprojected_state_space", bumped)
+        monkeypatch.setattr(mirror, "unprojected_cells", bumped)
         report = verify_krawitz(P)
         [violation] = report.violations
         assert violation.statement == "krawitz"
-        assert violation.cell == cell
+        assert violation.cell == cell_decoder(exponent_determinant(P))(cell)
+        assert violation.cell in unprojected_state_space(P)
         assert violation.lhs == violation.rhs + 1
         assert report.cells_checked == len(report.items)
 

@@ -90,8 +90,9 @@ def test_library_raises_only_its_errors():
 
 def test_decoder_only_where_results_leave():
     # codes stay codes inside the engine; `decoder` makes the `Fraction`
-    # view only where a group's elements or a state label leave it
-    allowed = {"symmetry.SymmetryGroup.elements", "statespace.unprojected_state_space",
+    # view only where a group's elements, a state label or an unprojected
+    # cell (of the public map, or of a failed check) leave it
+    allowed = {"symmetry.SymmetryGroup.elements", "statespace.cell_decoder",
                "statespace.build_state_space", "statespace._relabel"}
     callers = set()
     for path, tree in _library_trees():
