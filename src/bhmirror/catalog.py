@@ -11,8 +11,8 @@ that a setup takes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError
 from .poly import InvertiblePolynomial, parse_polynomial, split_cyclic
@@ -39,12 +39,11 @@ KRAWITZ_POLYNOMIALS: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogCase:
+class CatalogCase(NamedTuple):
     name: str
     polynomial: str
     K: tuple[str, ...] = ()
-    tags: frozenset[str] = field(default_factory=frozenset)
+    tags: frozenset[str] = frozenset()
 
     def parse(self) -> InvertiblePolynomial:
         return parse_polynomial(self.polynomial)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 
 from . import catalog as cat
@@ -149,6 +148,7 @@ def cmd_mirror(args) -> int:
     Pv = transpose(P)
     H = parse_group_spec(args.group, P)
     Hv = dual_group(H)
+    elements = Hv.elements  # decoded once, for output
     data = {
         "schema": SCHEMA,
         "command": "mirror",
@@ -156,7 +156,7 @@ def cmd_mirror(args) -> int:
         "transpose": format_polynomial(Pv),
         "group_order": H.order,
         "dual_group_order": Hv.order,
-        "dual_group_elements": [[_fmt_frac(x) for x in g] for g in Hv.elements],
+        "dual_group_elements": [[_fmt_frac(x) for x in g] for g in elements],
     }
     if args.format == "json":
         print(json.dumps(data, indent=2, sort_keys=True))
@@ -165,7 +165,7 @@ def cmd_mirror(args) -> int:
     print(f"transpose  = {data['transpose']}")
     print(f"group H    : order {H.order}")
     print(f"dual H'    : order {Hv.order}, elements:")
-    for g in Hv.elements:
+    for g in elements:
         print(f"  {format_vector(g)}")
     return 0
 
@@ -285,8 +285,8 @@ def cmd_k3(args) -> int:
         "kind": report.kind,
         "parameters": dict(sorted(report.params.items())),
         "mirror_parameters": dict(sorted(mirror_report.params.items())),
-        "invariants": asdict(inv),
-        "mirror_invariants": asdict(minv),
+        "invariants": inv._asdict(),
+        "mirror_invariants": minv._asdict(),
         "lattice": lattice,
     }
     if args.format == "json":

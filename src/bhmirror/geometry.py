@@ -14,8 +14,8 @@ parameters; fitting is strict, any residual cell mismatch is an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DualityViolationError,
@@ -29,8 +29,7 @@ Diamond = dict[tuple, int]
 WeightedDiamond = dict[tuple, int]   # (p, q, weight) -> dim
 
 
-@dataclass(frozen=True)
-class SectorGrid:
+class SectorGrid(NamedTuple):
     k: int
     num_vars: int
     calabi_yau: bool
@@ -74,8 +73,7 @@ def sector_grid(table: StateTable) -> SectorGrid:
 # K3 pattern fitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class K3Report:
+class K3Report(NamedTuple):
     order: int
     kind: str                    # "order4" | "prime"
     params: dict[str, int]       # a, g (+ b, c for order 4) and their duals
@@ -237,8 +235,7 @@ def _verify_pattern(grid: SectorGrid, expected: dict) -> None:
 # fixed-locus and lattice invariants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class K3Invariants:
+class K3Invariants(NamedTuple):
     f1: int    # isolated fixed points of the automorphism
     N1: int    # fixed curves
     g1: int    # total genus of the fixed curves

@@ -29,8 +29,8 @@ report decodes it (see `statespace`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InternalError, NotFermatError
 from .poly import (
@@ -48,8 +48,7 @@ from .poly import (
 SeriesCoefficients = dict[int, dict[Code, int]]  # keys as codes mod |det E|
 
 
-@dataclass(frozen=True)
-class GroupRingSeries:
+class GroupRingSeries(NamedTuple):
     """Finite map degree -> (dual-group key, a code -> positive multiplicity)."""
 
     coefficients: SeriesCoefficients

@@ -17,9 +17,8 @@ Calabi-Yau shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DualityViolationError, NotAdmissibleError, NotFermatError, ZOutOfRangeError
 from .poly import InvertiblePolynomial, exponent_determinant, is_fermat_diagonal, transpose
@@ -43,8 +42,7 @@ from .symmetry import (
 Cell = tuple
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     """One compared cell; a violation's cell is always in rationals, while a
     passing cell of an integer comparison stays on integers."""
 
@@ -58,9 +56,11 @@ class CheckItem:
         return self.lhs == self.rhs
 
 
-@dataclass
-class VerificationReport:
-    items: list[CheckItem] = field(default_factory=list)
+class VerificationReport(NamedTuple):
+    """The compared cells of one check, in the order they were recorded.
+    Each report is made as `VerificationReport([])`, so it owns its list."""
+
+    items: list[CheckItem]
 
     @property
     def cells_checked(self) -> int:
@@ -95,8 +95,7 @@ class VerificationReport:
 # mirror pair construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MirrorPair:
+class MirrorPair(NamedTuple):
     source: AdmissibleSetup
     source_table: StateTable
     target: AdmissibleSetup
@@ -152,7 +151,7 @@ def _transpose_duality(statement: str, P: InvertiblePolynomial, lhs: dict[Cell, 
     at (key, sector, n*N - p, q), n the number of variables."""
     N = exponent_determinant(P)
     top = P.num_vars * N
-    report = VerificationReport()
+    report = VerificationReport([])
     report.compare(statement, lhs, {(key, sector, top - p, q): dim
                                     for (sector, key, p, q), dim in rhs.items()},
                    decode=cell_decoder(N))
@@ -174,28 +173,32 @@ def thom_sebastiani_convolution(U1: dict, U2: dict) -> dict:
 # explicit basis states for Fermat-diagonal polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FermatState:
+class _FermatStateFields(NamedTuple):
+    polynomial: InvertiblePolynomial
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+
+
+class FermatState(_FermatStateFields):
     """Basis element of the unprojected state space of a diagonal polynomial.
 
     a encodes the sector as exponents of the one-variable generators, b the
     monomial form; exactly one of a_i, b_i is nonzero for every variable.
     """
 
-    polynomial: InvertiblePolynomial
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        P = self.polynomial
+    def __new__(cls, polynomial: InvertiblePolynomial, a: tuple[int, ...], b: tuple[int, ...]):
+        P = polynomial
         if not is_fermat_diagonal(P):
             raise NotFermatError("basis states exist only for diagonal polynomials")
         for i in range(P.num_vars):
             top = P.exponents[i][i]
-            if not ((self.a[i] == 0) == (self.b[i] != 0)):
-                raise NotFermatError(f"exponents a={self.a}, b={self.b} clash at {i}")
-            if not (0 <= self.a[i] < top and 0 <= self.b[i] < top):
+            if not ((a[i] == 0) == (b[i] != 0)):
+                raise NotFermatError(f"exponents a={a}, b={b} clash at {i}")
+            if not (0 <= a[i] < top and 0 <= b[i] < top):
                 raise NotFermatError(f"exponent out of range at variable {i}")
+        return super().__new__(cls, polynomial, a, b)
 
     @property
     def sector(self) -> Symmetry:
@@ -299,7 +302,7 @@ def verify_lg_mirror(pair: MirrorPair) -> VerificationReport:
     n = pair.source.W.num_vars - 1
     slices = slice_weight_bidegrees(pair.source_table)
     slicesV = slice_weight_bidegrees(pair.target_table)
-    report = VerificationReport()
+    report = VerificationReport([])
     report.compare("part1", *_part1(slices, slicesV, n, (0,), range(1, k)))
     for i in range(1, k):
         report.compare(f"part2[i={i}]", *_part2(slices, slicesV, n, k, i))
@@ -379,7 +382,7 @@ def verify_order2_exchange(pair: MirrorPair) -> VerificationReport:
     n = pair.source.W.num_vars - 1
     slices = slice_weight_bidegrees(pair.source_table)
     slicesV = slice_weight_bidegrees(pair.target_table)
-    report = VerificationReport()
+    report = VerificationReport([])
     report.compare("exchange[plus]", *_part1(slices, slicesV, n, (0,), (1,)))
     report.compare("exchange[minus]", *_part1(slices, slicesV, n, (1,), (0,)))
     report.compare("s-slice-self-mirror", *_part2(slices, slicesV, n, 2, 1),

@@ -22,11 +22,10 @@ of a restriction per exponent matrix and fixed set.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     DegenerateRestrictionError,
@@ -48,8 +47,7 @@ Matrix = tuple[tuple[int, ...], ...]
 Code = tuple[int, ...]  # a diagonal symmetry g as N*g mod N, N = |det E|
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """One block of the Fermat/chain/loop decomposition.
 
     variables are original variable indices in atom order; exponents[l] is
@@ -77,8 +75,7 @@ class Atom:
         return out
 
 
-@dataclass(frozen=True)
-class InvertiblePolynomial:
+class InvertiblePolynomial(NamedTuple):
     num_vars: int
     exponents: Matrix
     weights: tuple[int, ...]
@@ -90,8 +87,7 @@ class InvertiblePolynomial:
         return format_polynomial(self)
 
 
-@dataclass(frozen=True)
-class RestrictedPolynomial:
+class RestrictedPolynomial(NamedTuple):
     """Restriction of a polynomial to a subset of variables.
 
     Holds the rows of the parent exponent matrix supported entirely on the

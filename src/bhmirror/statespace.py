@@ -25,10 +25,9 @@ table's labels back as integer cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     DualityViolationError,
@@ -51,8 +50,7 @@ MOVING = "moving"
 FIXED = "fixed"
 
 
-@dataclass(frozen=True)
-class StateLabel:
+class StateLabel(NamedTuple):
     sector: Symmetry
     key: Symmetry
     p: Fraction
@@ -68,8 +66,7 @@ class StateLabel:
     z: int
 
 
-@dataclass(frozen=True)
-class StateTable:
+class StateTable(NamedTuple):
     setup: AdmissibleSetup
     entries: dict[StateLabel, int]
 

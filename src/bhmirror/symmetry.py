@@ -8,7 +8,8 @@ N = |det E| is the one bound, checked by `require_within_cap` before any
 closure, and the one modulus: inside the engine a symmetry is its code
 N*g mod N (see `poly`).  A `SymmetryGroup` is codes only, its generators
 and its sorted closure; `elements`, the rational view for output, is
-decoded on first read.  Rational vectors enter once, through `encode`.
+decoded on every read, and the engine never reads it.  Rational vectors
+enter once, through `encode`.
 One kernel, `_closure`, closes every group over codes; the annihilator
 keeps the codes h with (E*g) . h = 0 mod N.  A code is made only by
 `encode`, `_closure` or `annihilator`, and membership (entries in [0, N),
@@ -18,7 +19,8 @@ j^a s^b K, read off the closure order of (K, s, j)) and keys, Ann(K), are
 codes.
 Cached: `aut_group` enumerates once per polynomial (bounded cache keyed on
 the polynomial; the cap is checked on every call, before the cache is
-consulted), and the integer vectors E*j, E*s once per `AdmissibleSetup`.
+consulted).  `admissible_setup` computes the integer vectors E*j, E*s once,
+into the setup's field `charge_vectors`.
 `age`, `in_sl` and `pairing` take rational vectors, for callers outside
 the engine.
 """
@@ -26,10 +28,9 @@ the engine.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DualityViolationError,
@@ -99,8 +100,7 @@ def in_sl(g: Symmetry) -> bool:
     return age(g) % 1 == 0
 
 
-@dataclass(frozen=True)
-class SymmetryGroup:
+class SymmetryGroup(NamedTuple):
     """A group of diagonal symmetries of `polynomial` as codes mod |det E|:
     its generators and its closure `codes`, sorted.  code -> code/N is
     monotone, so `elements`, the `Fraction` view, is sorted too."""
@@ -113,9 +113,10 @@ class SymmetryGroup:
     def order(self) -> int:
         return len(self.codes)
 
-    @cached_property
+    @property
     def elements(self) -> tuple[Symmetry, ...]:
-        """The closure as rational vectors in [0, 1), decoded on first read."""
+        """The closure as rational vectors in [0, 1), decoded anew on every
+        read; the engine reads `codes`, and output decodes once."""
         return tuple(map(decoder(exponent_determinant(self.polynomial)), self.codes))
 
 
@@ -239,8 +240,7 @@ def dual_group(H: SymmetryGroup) -> SymmetryGroup:
 # cyclic-automorphism setups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdmissibleSetup:
+class AdmissibleSetup(NamedTuple):
     """The groups attached to W = x0^k + f and K with j_f^k in K within SL_f.
 
     G is the union of the k*k cosets j^a s^b K; the label map records the
@@ -257,15 +257,12 @@ class AdmissibleSetup:
     s: Code
     labels: dict[Code, tuple[int, int]]  # in coset order
     keys: frozenset[Code]  # Ann(K), inside the transpose's group
+    # E*j and E*s on integers: Q_j = (E*j) . key/N mod 1, and likewise Q_s
+    charge_vectors: tuple[tuple[int, ...], tuple[int, ...]]
 
     @property
     def group_order(self) -> int:
         return len(self.labels)
-
-    @cached_property
-    def charge_vectors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """E*j and E*s on integers: Q_j = (E*j) . key/N mod 1, and likewise Q_s."""
-        return tuple(monomial_phases(self.W, self.N, g) for g in (self.j, self.s))
 
 
 def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) -> AdmissibleSetup:
@@ -307,4 +304,5 @@ def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) ->
             "the (d_j, d_s) grading is not single-valued")
     labels = {e: divmod(i // K_inner.order, k) for i, e in enumerate(codes)}
     keys = frozenset(annihilator(W, K_gens, K_inner.order))
-    return AdmissibleSetup(W, k, K_inner, N, j, s, labels, keys)
+    charges = (monomial_phases(W, N, j), monomial_phases(W, N, s))
+    return AdmissibleSetup(W, k, K_inner, N, j, s, labels, keys, charges)

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -177,6 +176,18 @@ class TestLgMirrorTheorem:
         for name in ("elliptic-sextic", "fermat-quartic", "k3-p7"):
             assert verify_pair_duality(pair_cache(name)).passed
 
+    def test_reports_own_their_items(self, pair_cache):
+        # a report is a NamedTuple over a list, made as VerificationReport([]),
+        # so two checks of one pair never record into one list
+        pair = pair_cache("k2-elliptic")
+        duality = verify_pair_duality(pair)
+        cells = list(duality.items)
+        lg = verify_lg_mirror(pair)
+        assert duality.items is not lg.items and duality.items == cells
+        assert {item.statement for item in duality.items} == {"pair-duality"}
+        assert "pair-duality" not in {item.statement for item in lg.items}
+        assert duality.passed and lg.passed and duality.cells_checked and lg.cells_checked
+
     def test_elliptic_part3_statement(self, pair_cache):
         # the two antidiagonal classes match the two elevator-related cells
         pair = pair_cache("elliptic-sextic")
@@ -256,7 +267,7 @@ class TestFailurePaths:
             setup = real(*args)
             calls.append(setup)
             if len(calls) == call:
-                setup = dataclasses.replace(setup, keys=setup.keys - {next(iter(setup.keys))})
+                setup = setup._replace(keys=setup.keys - {next(iter(setup.keys))})
             return setup
 
         monkeypatch.setattr(mirror, "admissible_setup", short)

@@ -104,6 +104,31 @@ def test_decoder_only_where_results_leave():
     assert callers <= allowed, f"decoder called in {sorted(callers - allowed)}"
 
 
+def test_no_dataclasses():
+    # records are NamedTuples; `dataclasses` and the decorations cost each
+    # CLI process tens of milliseconds of start-up
+    found = [f"{path.name}:{node.lineno}"
+             for path, tree in _library_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             and any(alias.name.partition(".")[0] == "dataclasses" for alias in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").partition(".")[0] == "dataclasses"]
+    assert not found, f"dataclasses imported in the library: {found}"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # a fresh interpreter without `site`, so that nothing but bhmirror.cli
+    # decides what is loaded
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    code = (f"import sys; sys.path.insert(0, {str(Path(bhmirror.__file__).parent.parent)!r}); "
+            f"import bhmirror.cli; print([m for m in {heavy!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _load_spans():
     path = Path(__file__).parent.parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)

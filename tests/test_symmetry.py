@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bhmirror.catalog import ADMISSIBLE_CASES
 from bhmirror.errors import (
     DualityViolationError,
     GradingCollisionError,
@@ -16,6 +17,7 @@ from bhmirror.poly import (
     encode,
     exponent_determinant,
     exponent_inverse,
+    monomial_phases,
     parse_polynomial,
     split_cyclic,
     transpose,
@@ -236,3 +238,11 @@ class TestAdmissibleSetup:
         for g, (a, b) in setup.labels.items():
             expected = ref_add(ref_add(ref_scale(j, a), ref_scale(s, b)), identity(3))
             assert decode(g) == expected  # trivial K: the coset is a single element
+
+    def test_charge_vectors_are_E_times_j_and_s(self, pair_cache):
+        # a field that `admissible_setup` fills, on both sides of every catalog pair
+        for case in ADMISSIBLE_CASES:
+            pair = pair_cache(case.name)
+            for setup in (pair.source, pair.target):
+                assert setup.charge_vectors == (monomial_phases(setup.W, setup.N, setup.j),
+                                                monomial_phases(setup.W, setup.N, setup.s))
