@@ -10,7 +10,6 @@ that a setup takes.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -120,6 +119,8 @@ def find_case(name: str) -> CatalogCase:
 def load_catalog(path: str) -> tuple[CatalogCase, ...]:
     """Read a catalog file: a JSON list (or {"cases": [...]}) of objects
     with fields name, polynomial, and optional K (list of vectors) and tags."""
+    import json  # only a catalog file pays for the import
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)

@@ -11,7 +11,6 @@ Exit status: 0 success / all checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -65,9 +64,16 @@ def _fmt_frac(x) -> str:
     return str(Fraction(x))
 
 
+def _print_json(data) -> None:
+    import json  # only JSON output pays for the import
+
+    print(json.dumps(data, indent=2, sort_keys=True))
+
+
 def parse_group_spec(spec: str, P: InvertiblePolynomial) -> SymmetryGroup:
     """The group of P that a spec names: a preset J | SL | full | trivial,
-    or the group spanned by explicit `gen:[..];gen:[..]`."""
+    or the group spanned by explicit `gen:[..];gen:[..]`; a spec with
+    neither, blank ones included, is an InputError."""
     spec = spec.strip()
     if spec == "trivial":
         return enumerate_group(P, ())
@@ -78,11 +84,8 @@ def parse_group_spec(spec: str, P: InvertiblePolynomial) -> SymmetryGroup:
     if spec == "full":
         return aut_group(P)
     gens = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if not part.startswith("gen:"):
+    for part in [part for part in map(str.strip, spec.split(";")) if part] or [spec]:
+        if not part.startswith("gen:"):  # a blank spec, or one of only ';', names no group
             raise InputError(
                 f"bad group spec {part!r}: expected gen:[...] or a preset "
                 "J | SL | full | trivial")
@@ -120,7 +123,7 @@ def cmd_analyze(args) -> int:
         "k": k,
     }
     if args.format == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
+        _print_json(data)
         return 0
     print(f"polynomial: {data['polynomial']}")
     print(f"variables:  {' '.join(data['variables'])}")
@@ -159,7 +162,7 @@ def cmd_mirror(args) -> int:
         "dual_group_elements": [[_fmt_frac(x) for x in g] for g in elements],
     }
     if args.format == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
+        _print_json(data)
         return 0
     print(f"W          = {data['polynomial']}")
     print(f"transpose  = {data['transpose']}")
@@ -241,7 +244,7 @@ def cmd_table(args) -> int:
             "calabi_yau": grid.calabi_yau,
             "rows": _grid_json(grid, views),
         }
-        print(json.dumps(data, indent=2, sort_keys=True))
+        _print_json(data)
         return 0
     if args.format == "csv":
         print("b,a,p,q,weight,dim")
@@ -290,7 +293,7 @@ def cmd_k3(args) -> int:
         "lattice": lattice,
     }
     if args.format == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
+        _print_json(data)
         return 0
     print(f"W      = {data['polynomial']}")
     print(f"mirror = {data['mirror_polynomial']}")
@@ -427,9 +430,8 @@ def cmd_verify(args) -> int:
 
     all_pass = all(r["passed"] for r in results)
     if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, "command": "verify",
-                          "passed": all_pass, "results": results},
-                         indent=2, sort_keys=True))
+        _print_json({"schema": SCHEMA, "command": "verify",
+                     "passed": all_pass, "results": results})
     else:
         for r in results:
             status = "PASS" if r["passed"] else "FAIL"

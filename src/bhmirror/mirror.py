@@ -1,8 +1,8 @@
 """Mirror constructions and dimension-level theorem verifiers.
 
-The mirror of (W, K) is (transpose of W, annihilator of the full coset
-group); K is a `SymmetryGroup` on both sides, and the mirror's K is made
-from the annihilator's codes without decoding them.  The induced state
+The mirror of (W, K) is (transpose of W, dual of the coset group <K, j, s>,
+the source's keys of charge (0, 0)); K is a `SymmetryGroup` on both sides,
+made for the mirror from those key codes without decoding.  The induced state
 spaces satisfy three families of exact bigraded-dimension identities
 relating weight spaces of the slices of one side to those of the other.
 All checks here are exact integer identities per bidegree cell; reports
@@ -35,7 +35,6 @@ from .symmetry import (
     Symmetry,
     SymmetryGroup,
     admissible_setup,
-    annihilator,
     symmetry,
 )
 
@@ -106,18 +105,22 @@ def build_mirror_pair(W: InvertiblePolynomial, K: SymmetryGroup | None = None) -
     """Construct the transposed setup with the dual invariance group.
 
     K is a group of f, for W = x0^k + f; None is the trivial group.  The
-    invariance group of the mirror is the annihilator of the whole coset
-    group of the source, a group of the transpose of f whose codes mod
-    N/k are h[1:] / k.  The mirror's own coset group must then coincide
-    with the annihilator of K, and the source's coset group with the
-    annihilator of the mirror's K.  These facts are verified and any
-    failure is reported as a duality violation (a bug, not bad input).
+    invariance group of the mirror is the dual of the whole coset group of
+    the source, the keys of charge (0, 0), of order |det E| / |G|: a group
+    of the transpose of f whose codes mod N/k are h[1:] / k.  The mirror's
+    own coset group must then coincide with the annihilator of K, and the
+    source's coset group with the annihilator of the mirror's K.  These
+    facts are verified and any failure is reported as a duality violation
+    (a bug, not bad input).
     """
     setup = admissible_setup(W, K)
-    K_gens = tuple((0, *(setup.k * x for x in g)) for g in setup.K_inner.generators)
-    K_mirror_embedded = annihilator(W, (setup.j, setup.s) + K_gens, setup.group_order)
+    K_mirror_embedded = tuple(h for h, charges in setup.keys.items() if charges == (0, 0))
     if any(h[0] != 0 or any(x % setup.k for x in h) for h in K_mirror_embedded):
         raise DualityViolationError("the mirror's K is not a group of the transpose of f")
+    if len(K_mirror_embedded) * setup.group_order != setup.N:
+        raise DualityViolationError(
+            f"mirror K of order {len(K_mirror_embedded)} times group order "
+            f"{setup.group_order} differs from |det E| = {setup.N}")
     codes = tuple(tuple(x // setup.k for x in h[1:]) for h in K_mirror_embedded)
     K_mirror = SymmetryGroup(transpose(setup.K_inner.polynomial), codes, codes)
     try:
@@ -126,7 +129,7 @@ def build_mirror_pair(W: InvertiblePolynomial, K: SymmetryGroup | None = None) -
         raise DualityViolationError(f"mirror group is not admissible: {exc}") from exc
     if mirror_setup.k != setup.k:
         raise DualityViolationError("cyclic exponents of the pair differ")
-    if setup.keys != mirror_setup.labels.keys() or mirror_setup.keys != setup.labels.keys():
+    if setup.keys.keys() != mirror_setup.labels.keys() or mirror_setup.keys.keys() != setup.labels.keys():
         raise DualityViolationError(
             "dual of K does not equal the mirror coset group")
 

@@ -4,8 +4,8 @@ For W = x0^k + f and an admissible K, the big state space collects the
 K-invariant sector algebras (keys in the setup's Ann(K)) over the k^2
 labelled cosets j^a s^b K.  Every entry carries four mod-1 gradings: the
 coset labels d_j = a/k, d_s = b/k and the charges Q_j, Q_s of its
-dual-group key, packed redundantly into coordinates (X, Y, Z) that are
-cross-checked at construction time.  With
+dual-group key, read off the setup's keys and packed redundantly into
+coordinates (X, Y, Z) that are cross-checked at construction time.  With
 no invariance taken, the unprojected state space is the plain map
 (sector, key, p, q) -> dimension over every diagonal symmetry:
 `unprojected_cells` on integers, `unprojected_state_space` decoded.
@@ -110,15 +110,11 @@ def unprojected_state_space(P: InvertiblePolynomial
 
 def _make_label(setup: AdmissibleSetup, sector: Code, coset: tuple[int, int], key: Code,
                 p: Fraction, q: Fraction, decode: Callable[[Code], Symmetry]) -> StateLabel:
-    """Assemble the label in coset (a, b) from codes; cross-check the redundant coordinates."""
+    """Assemble the label in coset (a, b) from codes, with the key's charges
+    as the setup graded them; cross-check the redundant coordinates."""
     k, N = setup.k, setup.N
     a, b = coset
-    dot_j, dot_s = (sum(x * y for x, y in zip(v, key)) for v in setup.charge_vectors)
-    if (k * dot_j) % N or (k * dot_s) % N:
-        raise DualityViolationError(
-            f"charges of key {format_vector(key, N)} are not multiples of 1/{k}")
-    kqj = k * dot_j // N % k
-    weight = k * dot_s // N % k
+    kqj, weight = setup.keys[key]
     side = MOVING if weight != 0 else FIXED
     if (side == MOVING) != ((a + b) % k == 0):
         raise DualityViolationError(

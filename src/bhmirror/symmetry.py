@@ -16,11 +16,11 @@ keeps the codes h with (E*g) . h = 0 mod N.  A code is made only by
 fixing the polynomial) is checked there and nowhere later.  A setup takes
 K as a `SymmetryGroup` of f; its `labels` (the coset group in coset order
 j^a s^b K, read off the closure order of (K, s, j)) and keys, Ann(K), are
-codes.
-Cached: `aut_group` enumerates once per polynomial (bounded cache keyed on
-the polynomial; the cap is checked on every call, before the cache is
-consulted).  `admissible_setup` computes the integer vectors E*j, E*s once,
-into the setup's field `charge_vectors`.
+codes, each key graded once by its charges (k*Q_j, k*Q_s) mod k from E*j
+and E*s: the dual of <K, j, s> is the keys of charge (0, 0), as SL is the
+dual of <j^T>.  Cached: `aut_group` enumerates once per polynomial (bounded
+cache keyed on the polynomial; the cap is checked on every call, before the
+cache is consulted).
 `age`, `in_sl` and `pairing` take rational vectors, for callers outside
 the engine.
 """
@@ -177,10 +177,9 @@ def _aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
 
 
 def sl_subgroup(P: InvertiblePolynomial) -> SymmetryGroup:
-    """The integral-age symmetries: pairing with j^T is the age (E^T j^T = 1)."""
+    """The integral-age symmetries: the dual of <j^T>, as E^T j^T = 1 makes pairing the age."""
     Pv = transpose(P)
-    codes = annihilator(Pv, (encode(Pv, j_element(Pv)),), Pv.degree)
-    return SymmetryGroup(P, codes, codes)
+    return dual_group(enumerate_group(Pv, (j_element(Pv),)))
 
 
 def j_element(P: InvertiblePolynomial) -> Symmetry:
@@ -256,9 +255,7 @@ class AdmissibleSetup(NamedTuple):
     j: Code
     s: Code
     labels: dict[Code, tuple[int, int]]  # in coset order
-    keys: frozenset[Code]  # Ann(K), inside the transpose's group
-    # E*j and E*s on integers: Q_j = (E*j) . key/N mod 1, and likewise Q_s
-    charge_vectors: tuple[tuple[int, ...], tuple[int, ...]]
+    keys: dict[Code, tuple[int, int]]  # Ann(K) in the transpose's group -> (k*Q_j, k*Q_s) mod k
 
     @property
     def group_order(self) -> int:
@@ -275,7 +272,7 @@ def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) ->
     (a, b) = divmod(i, k).  A shorter closure means two labels name one
     coset (GradingCollisionError): the (a/k, b/k)-gradings would not be
     single-valued.  |det E|, checked first, bounds K, the coset group and
-    Ann(K).
+    Ann(K), whose keys' charges must be multiples of 1/k.
     """
     k, f = split_cyclic(W)
     require_within_cap(W)
@@ -303,6 +300,12 @@ def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) ->
             f"cosets {(0, a)} and {(a, 0)} coincide; "
             "the (d_j, d_s) grading is not single-valued")
     labels = {e: divmod(i // K_inner.order, k) for i, e in enumerate(codes)}
-    keys = frozenset(annihilator(W, K_gens, K_inner.order))
-    charges = (monomial_phases(W, N, j), monomial_phases(W, N, s))
-    return AdmissibleSetup(W, k, K_inner, N, j, s, labels, keys, charges)
+    vectors = (monomial_phases(W, N, j), monomial_phases(W, N, s))  # Q_j = (E*j) . key/N mod 1
+    keys = {}
+    for key in annihilator(W, K_gens, K_inner.order):
+        kqj, kqs = (k * sum(x * y for x, y in zip(v, key)) for v in vectors)  # over N
+        if kqj % N or kqs % N:
+            raise DualityViolationError(
+                f"charges of key {format_vector(key, N)} are not multiples of 1/{k}")
+        keys[key] = (kqj // N % k, kqs // N % k)
+    return AdmissibleSetup(W, k, K_inner, N, j, s, labels, keys)

@@ -153,8 +153,9 @@ def test_kernel_groups_are_never_decoded(monkeypatch, capsys, polynomial, comman
 
 def test_membership_is_checked_where_a_code_is_made(monkeypatch):
     # `encode` checks each outside vector once, and `annihilator` and the
-    # charges read E*g of each generator; no sector or label is checked
-    # again, so the octic pair's 64 + 512 sectors add no calls
+    # key grading read E*g of each generator and of j and s; no sector, key
+    # or label is checked again, so the octic pair's 64 + 512 sectors add
+    # no calls
     from bhmirror import poly
     counts = {"monomial_phases": 0, "encode": 0}
     modules = [module for name, module in sys.modules.items()
@@ -171,7 +172,7 @@ def test_membership_is_checked_where_a_code_is_made(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     _aut_group.cache_clear()  # Aut of the self-transpose W is enumerated, as in a fresh process
     build_mirror_pair(parse_polynomial("x0^8+x1^8+x2^4+x3^2"))
-    assert counts == {"monomial_phases": 14, "encode": 10}
+    assert counts == {"monomial_phases": 12, "encode": 10}
 
 
 def test_transpose_duality_hashes_no_fraction(monkeypatch):

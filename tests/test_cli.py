@@ -148,8 +148,15 @@ class TestTable:
          "error [Input]: cannot parse rational vector '[1/3,,0]': empty entry"),
         (("mirror", "x0^3+x1^3", "--group", "gen:[,1/3,0,]"),
          "error [Input]: cannot parse rational vector '[,1/3,0,]': empty entry"),
+        (("mirror", "x^3+y^3", "--group", ""),
+         "error [Input]: bad group spec '': expected gen:[...] or a preset J | SL | full | trivial"),
+        (("mirror", "x^3+y^3", "--group", ";"),
+         "error [Input]: bad group spec ';': expected gen:[...] or a preset J | SL | full | trivial"),
+        (("table", "x0^3+x1^3+x2^3", "--K", " "),
+         "error [Input]: bad group spec '': expected gen:[...] or a preset J | SL | full | trivial"),
     ], ids=["zero-denominator", "mirror-short-vector", "table-short-vector",
-            "inner-empty-entry", "outer-empty-entries"])
+            "inner-empty-entry", "outer-empty-entries",
+            "blank-group", "semicolon-group", "blank-K"])
     def test_bad_vectors_name_their_fault(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
@@ -199,6 +206,11 @@ class TestMirror:
     def test_bad_spec(self, capsys):
         code, _, err = run(capsys, "mirror", "x^2", "--group", "nonsense")
         assert code == 2
+
+    def test_trailing_semicolon_after_a_generator(self, capsys):
+        code, out, _ = run(capsys, "mirror", "x0^4+x1^4+x2^4+x3^4",
+                           "--group", "gen:[1/4,3/4,0,0];", "--format", "json")
+        assert code == 0 and json.loads(out)["group_order"] == 4
 
     def test_many_generators_close_fast(self, capsys):
         # --group SL is the kernel's SL group, whose 2,401 elements are all

@@ -255,22 +255,31 @@ class TestFailurePaths:
         assert violation.lhs == violation.rhs + 1
         assert report.cells_checked == len(report.items)
 
-    @pytest.mark.parametrize("call", [1, 2], ids=["source", "mirror"])
-    def test_bad_dual_of_k_is_caught(self, monkeypatch, call):
-        # each setup's keys, Ann(K), must equal the other side's coset group;
-        # one key short on the source setup (call 1) or the mirror setup
-        # (call 2) must be reported
+    @staticmethod
+    def _change_setup(monkeypatch, call, change):
+        """Make the call-th `admissible_setup` of `build_mirror_pair` (1 the
+        source, 2 the mirror) return change(setup); returns the setups made."""
         real = mirror.admissible_setup
         calls = []
 
-        def short(*args):
+        def changed(*args):
             setup = real(*args)
             calls.append(setup)
-            if len(calls) == call:
-                setup = setup._replace(keys=setup.keys - {next(iter(setup.keys))})
-            return setup
+            return change(setup) if len(calls) == call else setup
 
-        monkeypatch.setattr(mirror, "admissible_setup", short)
+        monkeypatch.setattr(mirror, "admissible_setup", changed)
+        return calls
+
+    @pytest.mark.parametrize("call", [1, 2], ids=["source", "mirror"])
+    def test_bad_dual_of_k_is_caught(self, monkeypatch, call):
+        # each setup's keys, Ann(K), must equal the other side's coset group;
+        # one key of nonzero charge short on the source setup (call 1) or the
+        # mirror setup (call 2) must be reported
+        def short(setup):
+            drop = next(h for h, charges in setup.keys.items() if charges != (0, 0))
+            return setup._replace(keys={h: c for h, c in setup.keys.items() if h != drop})
+
+        calls = self._change_setup(monkeypatch, call, short)
         with pytest.raises(DualityViolationError,
                            match="dual of K does not equal the mirror coset group"):
             build_mirror_pair(parse_polynomial("x0^4+x1^4+x2^4+x3^4"))
@@ -279,12 +288,40 @@ class TestFailurePaths:
     @pytest.mark.parametrize("extra", [(1, 0, 0, 0), (0, 1, 0, 0)],
                              ids=["moves-x0", "not-divisible-by-k"])
     def test_mirror_K_outside_the_transpose_of_f_is_caught(self, monkeypatch, extra):
-        # the mirror's K is read off the annihilator's codes h as h[1:] / k;
-        # a code with h[0] != 0 or an entry not divisible by k is no symmetry
-        # of the transpose of f
-        real = mirror.annihilator
-        monkeypatch.setattr(mirror, "annihilator", lambda *args: real(*args) + (extra,))
+        # the mirror's K is read off the source's keys h of charge (0, 0) as
+        # h[1:] / k; a code with h[0] != 0 or an entry not divisible by k is
+        # no symmetry of the transpose of f
+        self._change_setup(monkeypatch, 1,
+                           lambda setup: setup._replace(keys={**setup.keys, extra: (0, 0)}))
         with pytest.raises(DualityViolationError, match="K is not a group of the transpose of f"):
+            build_mirror_pair(parse_polynomial("x0^4+x1^4+x2^4+x3^4"))
+
+    def test_mirror_K_order_identity_is_checked(self, monkeypatch):
+        # |K'| * |G| = |det E|: the quartic's 16 keys of charge (0, 0), one
+        # short, against its 16 cosets and |det E| = 256
+        self._change_setup(monkeypatch, 1, lambda setup: setup._replace(
+            keys={h: c for h, c in setup.keys.items() if any(h)}))
+        with pytest.raises(DualityViolationError,
+                           match=r"mirror K of order 15 times group order 16 differs from "
+                                 r"\|det E\| = 256"):
+            build_mirror_pair(parse_polynomial("x0^4+x1^4+x2^4+x3^4"))
+
+    def test_inadmissible_mirror_K_is_reported(self, monkeypatch):
+        # a charge-zero key traded for (0, 4, 0, 0), whose h[1:] / k = [1/64, 0, 0]
+        # has age 1/64: the mirror's K leaves SL of the transpose of f
+        def traded(setup):
+            keys = dict(setup.keys)
+            del keys[[h for h, c in keys.items() if c == (0, 0)][-1]]
+            return setup._replace(keys={**keys, (0, 4, 0, 0): (0, 0)})
+
+        self._change_setup(monkeypatch, 1, traded)
+        with pytest.raises(DualityViolationError,
+                           match=r"mirror group is not admissible: K contains \[1/64, 0, 0\]"):
+            build_mirror_pair(parse_polynomial("x0^4+x1^4+x2^4+x3^4"))
+
+    def test_cyclic_exponents_of_the_pair_are_compared(self, monkeypatch):
+        self._change_setup(monkeypatch, 2, lambda setup: setup._replace(k=setup.k + 1))
+        with pytest.raises(DualityViolationError, match="cyclic exponents of the pair differ"):
             build_mirror_pair(parse_polynomial("x0^4+x1^4+x2^4+x3^4"))
 
 

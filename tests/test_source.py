@@ -104,6 +104,19 @@ def test_decoder_only_where_results_leave():
     assert callers <= allowed, f"decoder called in {sorted(callers - allowed)}"
 
 
+def test_annihilator_has_two_callers():
+    # Ann(K) is made once, graded in the setup: the mirror's K is read off
+    # its keys, and SL is the dual of <j^T>
+    callers = set()
+    for path, tree in _library_trees():
+        owners = _owners(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "annihilator"):
+                callers.add(f"{path.stem}.{owners[node]}")
+    assert callers == {"symmetry.dual_group", "symmetry.admissible_setup"}
+
+
 def test_no_dataclasses():
     # records are NamedTuples; `dataclasses` and the decorations cost each
     # CLI process tens of milliseconds of start-up
@@ -119,8 +132,8 @@ def test_no_dataclasses():
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # a fresh interpreter without `site`, so that nothing but bhmirror.cli
-    # decides what is loaded
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    # decides what is loaded; `json` loads only for JSON output or a catalog file
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "json"]
     code = (f"import sys; sys.path.insert(0, {str(Path(bhmirror.__file__).parent.parent)!r}); "
             f"import bhmirror.cli; print([m for m in {heavy!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
@@ -149,11 +162,11 @@ def test_benchmark_layers_exist():
 
 
 # The exact per-layer counters of the traced octic pair (64 and 512 sectors);
-# three `aut_group` calls: each setup's Ann(K) and the mirror's K.  Two
-# closures: the trivial K of the source and Aut of the self-transpose W; the
-# mirror's K is the annihilator's codes, not closed again
+# two `aut_group` calls, one for each setup's Ann(K); the mirror's K is read
+# off the source's keys.  Two closures: the trivial K of the source and Aut
+# of the self-transpose W; the mirror's K is key codes, not closed again
 OCTIC_COUNTERS = {
-    "symmetry.aut_group.calls": 3,
+    "symmetry.aut_group.calls": 2,
     "symmetry.enumerate_group.calls": 2,
     "symmetry.enumerate_group.elements": 513,
     "symmetry.admissible_setup.calls": 2,

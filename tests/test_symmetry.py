@@ -17,7 +17,6 @@ from bhmirror.poly import (
     encode,
     exponent_determinant,
     exponent_inverse,
-    monomial_phases,
     parse_polynomial,
     split_cyclic,
     transpose,
@@ -239,10 +238,29 @@ class TestAdmissibleSetup:
             expected = ref_add(ref_add(ref_scale(j, a), ref_scale(s, b)), identity(3))
             assert decode(g) == expected  # trivial K: the coset is a single element
 
-    def test_charge_vectors_are_E_times_j_and_s(self, pair_cache):
-        # a field that `admissible_setup` fills, on both sides of every catalog pair
+    def test_keys_are_graded_by_pairing(self, pair_cache):
+        # on both sides of every catalog pair, each key of Ann(K) carries
+        # k * (pairing with j, pairing with s), and the keys of charge (0, 0)
+        # are the annihilator of <K, j, s>, the other side's K
         for case in ADMISSIBLE_CASES:
             pair = pair_cache(case.name)
             for setup in (pair.source, pair.target):
-                assert setup.charge_vectors == (monomial_phases(setup.W, setup.N, setup.j),
-                                                monomial_phases(setup.W, setup.N, setup.s))
+                k, W = setup.k, setup.W
+                decode = decoder(setup.N)
+                j, s = decode(setup.j), decode(setup.s)
+                for key, charges in setup.keys.items():
+                    assert charges == (k * pairing(W, j, decode(key)),
+                                       k * pairing(W, s, decode(key)))
+                K_gens = tuple((0, *(k * x for x in g)) for g in setup.K_inner.generators)
+                assert [h for h, charges in setup.keys.items() if charges == (0, 0)] == \
+                    list(annihilator(W, (setup.j, setup.s) + K_gens, setup.group_order))
+
+    def test_charges_off_the_1_over_k_grid_are_caught(self, monkeypatch):
+        # a key of Ann(K) whose charge is not a multiple of 1/k: [1/16, 0, 0, 0]
+        # pairs with j to 1/16 on the quartic, k = 4
+        from bhmirror import symmetry as module
+        real = module.annihilator
+        monkeypatch.setattr(module, "annihilator", lambda *args: real(*args) + ((16, 0, 0, 0),))
+        with pytest.raises(DualityViolationError,
+                           match=r"charges of key \[1/16, 0, 0, 0\] are not multiples of 1/4"):
+            admissible_setup(QUARTIC)
