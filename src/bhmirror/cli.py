@@ -35,6 +35,7 @@ from .mirror import (
 from .poly import (
     InvertiblePolynomial,
     exponent_determinant,
+    fixed_variables,
     format_polynomial,
     format_vector,
     is_calabi_yau,
@@ -336,15 +337,17 @@ def _check_case(case: cat.CatalogCase) -> list[dict]:
 
     # Totals against the Milnor numbers, and the series engine against
     # direct monomial enumeration for Fermat W.  Both sides of each check
-    # depend on the restriction only, so each distinct one is checked once.
+    # depend on the sector's fixed set only, so each distinct one is checked
+    # once.
     sectors = setup.labels
     fermat = is_fermat_diagonal(W)
-    by_restriction: dict = {}
+    by_fixed_set: dict = {}
     for h in sectors:
-        by_restriction.setdefault(restrict(W, h), []).append(h)
+        by_fixed_set.setdefault(fixed_variables(h), []).append(h)
     mismatch = []
     oracle_ok = True
-    for R, hs in by_restriction.items():
+    for hs in by_fixed_set.values():
+        R = restrict(W, hs[0])
         series = equivariant_hilbert(R)
         if series.total_dimension != R.milnor_dimension:
             mismatch += hs

@@ -93,6 +93,11 @@ class ZOutOfRangeError(InputError):
     """Elevator/twist level outside 1..k-1."""
 
 
+class NoSuchEntryError(InputError, KeyError):
+    """A state label that names no entry of the table it is looked up in;
+    a KeyError, so the table's label view answers `in` and `get`."""
+
+
 class PatternMismatchError(InputError):
     """A K3 sector grid does not fit the closed-form table pattern."""
 

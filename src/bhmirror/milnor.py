@@ -20,17 +20,18 @@ Fermat-supported restrictions as an oracle independent of the series engine.
 The series depends only on the parent and the fixed-variable set, not on
 the sector, so `equivariant_hilbert` is memoized on the restriction (a
 bounded cache keyed on parent and fixed variables; the returned series is
-shared and never mutated).  Its checks run once per distinct fixed set;
-`sector_algebra` applies the age shift of each sector afterwards and
-returns the sector's entries as ((key, p, q), dimension) pairs, with p and
-q integer numerators over N: a sector stays on integers until a label or a
-report decodes it (see `statespace`).
+shared and never mutated).  Its checks run once per distinct fixed set.
+`algebra_by_fixed_set` turns each fixed set's series into unshifted terms
+(key, p, q, dimension) once, keeping only the keys asked for, and a sector
+adds its age shift to them: p and q are integer numerators over N, so a
+sector stays on integers until a label or a report decodes it (see
+`statespace`).  `sector_algebra` is the same for one sector.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, Container, NamedTuple
 
 from .errors import InternalError, NotFermatError
 from .poly import (
@@ -39,6 +40,7 @@ from .poly import (
     RestrictedPolynomial,
     dual_characters,
     exponent_determinant,
+    fixed_variables,
     fixes,
     format_vector,
     restrict,
@@ -99,7 +101,9 @@ def _variable_factor(char: Code, w: int, d: int, bound: int, N: int) -> SeriesCo
     return {m: keys for m, keys in out.items() if keys}
 
 
-@lru_cache(maxsize=128)  # 2^n fixed sets for each side of a pair, n <= 6
+# A table asks for each of its fixed sets once; the cache serves the series
+# again to the CLI's Milnor and oracle checks and to later tables of P.
+@lru_cache(maxsize=128)
 def equivariant_hilbert(R: RestrictedPolynomial) -> GroupRingSeries:
     """Dual-group-graded Hilbert series of the Milnor algebra of R.
 
@@ -165,25 +169,49 @@ def fermat_monomial_basis(R: RestrictedPolynomial) -> list[tuple[tuple[int, ...]
     return basis
 
 
-def sector_algebra(P: InvertiblePolynomial, h: Code) -> list[tuple[tuple[Code, int, int], int]]:
-    """Age-shifted algebra of the sector with code h as ((key, p, q),
-    dimension) pairs, with every key kept; `dict()` of the list is its table.
+Terms = list[tuple[Code, int, int, int]]  # (key, p, q, dimension) before the age shift
 
-    p and q are integer numerators over N = |det E|.  Degree m of the series
-    sits at q = age(h) + m/d and p = age(h) + #fixed - m/d, so p + q -
-    2 age(h) = #fixed on every entry; the entries of h lie in [0, N), so
-    N*age(h) = sum(h).  d divides N, because every weight is a row sum of
-    E^{-1}.
+
+def algebra_by_fixed_set(P: InvertiblePolynomial,
+                         keys: Container[Code] | None = None) -> Callable[[Code], Terms]:
+    """The sector algebras of P before their age shift, one list per fixed set.
+
+    The returned function maps a sector code h to terms (key, p, q,
+    dimension), with p and q integer numerators over N = |det E|; the
+    sector's entries are (key, p + sum(h), q + sum(h)) -> dimension,
+    because the entries of h lie in [0, N), so N*age(h) = sum(h).  Degree m
+    of the series sits at q = m/d and p = #fixed - m/d before the shift, so
+    p + q - 2 age(h) = #fixed on every entry.  The fixed set is read off h's
+    zero entries; its series is fetched and filtered to `keys` (every key
+    when None) the first time it is asked for, and shared by every later
+    sector with that fixed set.  d divides N, because every weight is a row
+    sum of E^{-1}; that is checked once per call.
     """
-    R = restrict(P, h)
     N = exponent_determinant(P)
     if N % P.degree:
         raise InternalError(f"degree {P.degree} does not divide |det E| = {N}")
     step = N // P.degree
+    memo: dict[tuple[int, ...], Terms] = {}
+
+    def terms(h: Code) -> Terms:
+        fixed = fixed_variables(h)
+        found = memo.get(fixed)
+        if found is None:
+            top = len(fixed) * N
+            found = memo[fixed] = [
+                (key, top - m * step, m * step, mult)
+                for m, by_key in equivariant_hilbert(restrict(P, h)).coefficients.items()
+                for key, mult in by_key.items() if keys is None or key in keys]
+        return found
+
+    return terms
+
+
+def sector_algebra(P: InvertiblePolynomial, h: Code) -> list[tuple[tuple[Code, int, int], int]]:
+    """Age-shifted algebra of the sector with code h as ((key, p, q),
+    dimension) pairs, with every key kept; `dict()` of the list is its
+    table.  p and q are integer numerators over N = |det E| (see
+    `algebra_by_fixed_set`)."""
     shift = sum(h)
-    top = shift + len(R.fixed_vars) * N
-    entries = []
-    for m, keys in equivariant_hilbert(R).coefficients.items():
-        p, q = top - m * step, shift + m * step
-        entries += [((key, p, q), mult) for key, mult in keys.items()]
-    return entries
+    return [((key, p + shift, q + shift), mult)
+            for key, p, q, mult in algebra_by_fixed_set(P)(h)]

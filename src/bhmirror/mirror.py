@@ -7,12 +7,12 @@ spaces satisfy three families of exact bigraded-dimension identities
 relating weight spaces of the slices of one side to those of the other.
 All checks here are exact integer identities per bidegree cell; reports
 carry every compared cell.  Transpose duality (the Krawitz scan and pair
-duality) builds two maps on integer cells, the source cells and the
-reflected mirror cells: sector and key are codes and p, q numerators over
-N = |det E|, which a polynomial shares with its transpose.  Only the cell
-of a violation is decoded, by `statespace.cell_decoder`.  Cells keep
-state-space bidegrees; `geometry.sector_grid` applies the (-1, -1)
-Calabi-Yau shift.
+duality) compares two maps on integer cells, the source cells and the
+reflected mirror cells (for pair duality, the cells of the two tables):
+sector and key are codes and p, q numerators over N = |det E|, which a
+polynomial shares with its transpose.  Only the cell of a violation is
+decoded, by `statespace.cell_decoder`.  Cells keep state-space bidegrees;
+`geometry.sector_grid` applies the (-1, -1) Calabi-Yau shift.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .statespace import (
     build_state_space,
     cell_decoder,
     slice_weight_bidegrees,
-    table_cells,
     unprojected_cells,
 )
 from .symmetry import (
@@ -372,7 +371,7 @@ def verify_pair_duality(pair: MirrorPair) -> VerificationReport:
     (sector, key, p, q) matches the mirror at (key, sector, n - p, q), n the
     number of variables.  Holds with no condition on the weights."""
     return _transpose_duality("pair-duality", pair.source.W,
-                              table_cells(pair.source_table), table_cells(pair.target_table))
+                              pair.source_table.cells, pair.target_table.cells)
 
 
 def verify_order2_exchange(pair: MirrorPair) -> VerificationReport:

@@ -560,8 +560,13 @@ def restrict(P: InvertiblePolynomial, symmetry: Code) -> RestrictedPolynomial:
     (square with a valid atom decomposition); a failure is an error, never
     silent.
     """
-    fixed = tuple(i for i, x in enumerate(symmetry) if x == 0)
+    fixed = fixed_variables(symmetry)
     return RestrictedPolynomial(P, fixed, _restriction_rows(P.exponents, fixed))
+
+
+def fixed_variables(code: Code) -> tuple[int, ...]:
+    """The variables a symmetry fixes: the zero entries of its code."""
+    return tuple(i for i, x in enumerate(code) if x == 0)
 
 
 @lru_cache(maxsize=256)

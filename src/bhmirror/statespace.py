@@ -14,27 +14,33 @@ Entries split into a moving side (Q_s != 0; the sector fixes x0, so the
 cyclic symmetry acts on the form with nonzero weight) and a fixed side
 (Q_s = 0).  The twist exchanges the two sides at constant (X, Y, Z);
 elevators move along Z on either side.  Both are dimension-preserving
-relabelings with prescribed bidegree shifts, sharing one body.  One pass
-over the Q_j = 0 part, `sector_cells`, feeds the LG slices and the grid;
-every other view of a table is one `dimensions_by` pass.  Sectors and keys
-are codes (see `poly`) and the bidegrees p, q are integer numerators over
-N = |det E| until a label, the unprojected map or a failed check decodes
-them; `cell_decoder` is that decoding for a cell, and `table_cells` reads a
-table's labels back as integer cells.
+relabelings with prescribed bidegree shifts, sharing one body.
+
+A table is its integer cells (sector, key, p, q) -> dimension: sectors and
+keys are codes (see `poly`) and p, q integer numerators over N = |det E|.
+A sector's coset is read off `setup.labels` and a key's charges off
+`setup.keys`, so every grading of an entry follows from its cell; the
+builders expand each fixed set's series once (`milnor.algebra_by_fixed_set`)
+and shift it per sector.  The slices, `sector_cells` (one pass over the
+Q_j = 0 part, feeding the LG slices and the grid) and the vanishing check
+read the cells.  `entries` is the `StateLabel` view of a table, decoded on
+read; a label, the unprojected map or a failed check is where a cell
+becomes rationals, and `cell_decoder` is that decoding for a bare cell.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .errors import (
     DualityViolationError,
+    NoSuchEntryError,
     SideMismatchError,
     ZOutOfRangeError,
 )
-from .milnor import sector_algebra
+from .milnor import algebra_by_fixed_set
 from .poly import (
     Code,
     InvertiblePolynomial,
@@ -66,13 +72,25 @@ class StateLabel(NamedTuple):
     z: int
 
 
+IntegerCell = tuple[Code, Code, int, int]  # (sector, key, N*p, N*q)
+
+
 class StateTable(NamedTuple):
+    """A state space as its integer cells (sector, key, N*p, N*q) ->
+    dimension; the coset of a sector is `setup.labels[sector]` and the
+    charges of a key are `setup.keys[key]`."""
+
     setup: AdmissibleSetup
-    entries: dict[StateLabel, int]
+    cells: dict[IntegerCell, int]
+
+    @property
+    def entries(self) -> StateEntries:
+        """The table as the read-only map `StateLabel` -> dimension."""
+        return StateEntries(self.setup, self.cells)
 
     @property
     def total_dimension(self) -> int:
-        return sum(self.entries.values())
+        return sum(self.cells.values())
 
     def dimensions_by(self, key_fn: Callable[[StateLabel], object]) -> dict:
         out: dict = {}
@@ -82,16 +100,58 @@ class StateTable(NamedTuple):
         return out
 
 
-IntegerCell = tuple[Code, Code, int, int]  # (sector, key, N*p, N*q)
+class StateEntries(Mapping):
+    """The cells of a table viewed as `StateLabel` -> dimension.  Iteration
+    decodes the labels in cell order; a lookup encodes the label to its cell
+    and checks that the cell decodes back to it, so no label is hashed."""
+
+    __slots__ = ("_setup", "_cells", "_label")
+
+    def __init__(self, setup: AdmissibleSetup, cells: dict[IntegerCell, int]):
+        self._setup, self._cells = setup, cells
+        self._label = _labeler(setup)
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+    def __iter__(self) -> Iterator[StateLabel]:
+        return map(self._label, self._cells)
+
+    def __getitem__(self, label: StateLabel) -> int:
+        n, N = self._setup.W.num_vars, self._setup.N
+        if isinstance(label, StateLabel):
+            scaled = [Fraction(x) * N for x in (*label.sector, *label.key, label.p, label.q)]
+            if all(x.denominator == 1 for x in scaled):
+                v = tuple(map(int, scaled))
+                cell = (v[:n], v[n:2 * n], v[-2], v[-1])
+                if cell in self._cells and self._label(cell) == label:
+                    return self._cells[cell]
+        raise NoSuchEntryError(label)
+
+    def items(self) -> ItemsView:
+        return _DecodedItems(self)
+
+    def values(self) -> ValuesView:
+        return self._cells.values()
+
+
+class _DecodedItems(ItemsView):
+    """(label, dimension) pairs decoded in cell order, with no lookup per label."""
+
+    def __iter__(self) -> Iterator[tuple[StateLabel, int]]:
+        view = self._mapping
+        return ((view._label(cell), dim) for cell, dim in view._cells.items())
 
 
 def unprojected_cells(P: InvertiblePolynomial) -> dict[IntegerCell, int]:
     """Sum of the age-shifted sector algebras over every diagonal symmetry,
     with no invariance taken, on integers: the map (sector, key, p, q) ->
     dimension with sector and key codes and p, q numerators over N = |det E|."""
-    return {(h, key, p, q): dim
+    terms = algebra_by_fixed_set(P)
+    return {(h, key, p + shift, q + shift): dim
             for h in aut_group(P).codes
-            for (key, p, q), dim in sector_algebra(P, h)}
+            for shift in (sum(h),)
+            for key, p, q, dim in terms(h)}
 
 
 def cell_decoder(N: int) -> Callable[[IntegerCell], tuple[Symmetry, Symmetry, Fraction, Fraction]]:
@@ -108,48 +168,55 @@ def unprojected_state_space(P: InvertiblePolynomial
     return {decode(cell): dim for cell, dim in unprojected_cells(P).items()}
 
 
-def _make_label(setup: AdmissibleSetup, sector: Code, coset: tuple[int, int], key: Code,
-                p: Fraction, q: Fraction, decode: Callable[[Code], Symmetry]) -> StateLabel:
-    """Assemble the label in coset (a, b) from codes, with the key's charges
-    as the setup graded them; cross-check the redundant coordinates."""
+def _coordinates(setup: AdmissibleSetup, sector: Code, key: Code) -> tuple[str, int, int]:
+    """(side, Y, Z) of the entry of this sector and key, with the key's
+    charges as the setup graded them; cross-check the redundant coordinates
+    against the sector's coset (a, b)."""
     k, N = setup.k, setup.N
-    a, b = coset
+    a, b = setup.labels[sector]
     kqj, weight = setup.keys[key]
     side = MOVING if weight != 0 else FIXED
     if (side == MOVING) != ((a + b) % k == 0):
         raise DualityViolationError(
             f"side of sector {format_vector(sector, N)}, key {format_vector(key, N)} "
             "contradicts its coset label")
-    y = (weight - kqj) % k
     z = weight if side == MOVING else (a + b) % k
     if z == 0:
         raise DualityViolationError(
             f"Z = 0 on entry {format_vector(sector, N)}, {format_vector(key, N)}")
+    return side, (weight - kqj) % k, z
+
+
+def _make_label(setup: AdmissibleSetup, sector: Code, key: Code, p: Fraction, q: Fraction,
+                decode: Callable[[Code], Symmetry]) -> StateLabel:
+    """Assemble the label of an entry from codes and its bidegree."""
+    k = setup.k
+    a, b = setup.labels[sector]
+    kqj, weight = setup.keys[key]
+    side, y, z = _coordinates(setup, sector, key)
     return StateLabel(decode(sector), decode(key), p, q, Fraction(a, k), Fraction(b, k),
                       Fraction(kqj, k), Fraction(weight, k), weight, side, a, y, z)
 
 
+def _labeler(setup: AdmissibleSetup) -> Callable[[IntegerCell], StateLabel]:
+    """cell -> its `StateLabel`; each distinct code entry and numerator is
+    decoded once per labeler."""
+    decode = decoder(setup.N)
+    return lambda cell: _make_label(setup, cell[0], cell[1], *decode(cell[2:]), decode)
+
+
 def build_state_space(setup: AdmissibleSetup) -> StateTable:
     """The K-invariant state space over the labelled cosets j^a s^b K: the
-    entries of each sector whose key lies in the setup's keys, Ann(K)."""
-    decode = lru_cache(maxsize=None)(decoder(setup.N))  # each distinct code once
-    rational = lru_cache(maxsize=None)(lambda x: Fraction(x, setup.N))  # each numerator once
-    return StateTable(setup, {_make_label(setup, h, coset, key, rational(p), rational(q), decode): dim
-                              for h, coset in setup.labels.items()
-                              for (key, p, q), dim in sector_algebra(setup.W, h)
-                              if key in setup.keys})
-
-
-def table_cells(table: StateTable) -> dict[IntegerCell, int]:
-    """The entries of a state table as integer cells (sector, key, p, q),
-    read off the labels as numerators over N = |det E|."""
-    N = table.setup.N
-
-    def numerators(v: tuple[Fraction, ...]) -> tuple[int, ...]:
-        return tuple(x.numerator * (N // x.denominator) for x in v)
-
-    return {(numerators(lab.sector), numerators(lab.key), *numerators((lab.p, lab.q))): dim
-            for lab, dim in table.entries.items()}
+    cells of each sector whose key lies in the setup's keys, Ann(K), with the
+    side and Z of every entry cross-checked against its coset."""
+    terms = algebra_by_fixed_set(setup.W, setup.keys)
+    cells = {}
+    for h in setup.labels:
+        shift = sum(h)
+        for key, p, q, dim in terms(h):
+            _coordinates(setup, h, key)
+            cells[h, key, p + shift, q + shift] = dim
+    return StateTable(setup, cells)
 
 
 def fjrw_state_space(table: StateTable, b: int) -> StateTable:
@@ -157,9 +224,10 @@ def fjrw_state_space(table: StateTable, b: int) -> StateTable:
 
     Summing the slices over b recovers the whole Q_j = 0 part of the table.
     """
-    ds = Fraction(b % table.setup.k, table.setup.k)
-    return StateTable(table.setup, {lab: dim for lab, dim in table.entries.items()
-                                    if lab.qj == 0 and lab.ds == ds})
+    setup = table.setup
+    b %= setup.k
+    return StateTable(setup, {cell: dim for cell, dim in table.cells.items()
+                              if setup.keys[cell[1]][0] == 0 and setup.labels[cell[0]][1] == b})
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +247,8 @@ def _relabel(setup: AdmissibleSetup, label: StateLabel, name: str, side: str, ou
                    for x, y in zip(encode(setup.W, label.sector), setup.s))
     key = tuple((x + key_power * y) % N
                 for x, y in zip(encode(transpose(setup.W), label.key), setup.s))
-    out = _make_label(setup, sector, setup.labels[sector], key,
-                      label.p + Fraction(dp, k), label.q + Fraction(dq, k), decoder(N))
+    out = _make_label(setup, sector, key, label.p + Fraction(dp, k), label.q + Fraction(dq, k),
+                      decoder(N))
     if (out.side, out.x, out.y, out.z) != (out_side, label.x, label.y, z_new):
         raise DualityViolationError(f"{name} broke (X, Y, Z) at {format_vector(label.sector)}")
     return out
@@ -216,12 +284,18 @@ def elevator_fixed(setup: AdmissibleSetup, label: StateLabel, z_new: int) -> Sta
 
 def sector_cells(table: StateTable) -> dict[tuple[int, int, int, Fraction, Fraction], int]:
     """The Q_j = 0 part in one pass, (b, a, weight, p, q) -> dimension: row
-    b = k*d_s is the slice `fjrw_state_space(table, b)`, column a = X."""
-    k = table.setup.k
-    cells = table.dimensions_by(
-        lambda lab: lab.qj == 0 and (int(lab.ds * k), lab.x, lab.weight, lab.p, lab.q))
-    cells.pop(False, None)
-    return cells
+    b = k*d_s is the slice `fjrw_state_space(table, b)`, column a = X.
+    Summed on integers; p and q are decoded once per summed cell."""
+    labels, keys = table.setup.labels, table.setup.keys
+    sums: dict[tuple[int, int, int, int, int], int] = {}
+    for (h, key, p, q), dim in table.cells.items():
+        kqj, weight = keys[key]
+        if kqj == 0:
+            a, b = labels[h]
+            cell = (b, a, weight, p, q)
+            sums[cell] = sums.get(cell, 0) + dim
+    decode = decoder(table.setup.N)
+    return {(b, a, weight, *decode((p, q))): dim for (b, a, weight, p, q), dim in sums.items()}
 
 
 def slice_weight_bidegrees(table: StateTable) -> dict[int, dict[tuple[int, Fraction, Fraction], int]]:
@@ -234,7 +308,12 @@ def slice_weight_bidegrees(table: StateTable) -> dict[int, dict[tuple[int, Fract
 
 def moving_vanishing_violations(table: StateTable) -> list[StateLabel]:
     """Labels violating the vanishing rule: the moving Q_j = 0 part with
-    X = b, Y = Z = t must be empty whenever k does not divide b*t."""
-    k = table.setup.k
-    return [lab for lab in table.entries
-            if lab.side == MOVING and lab.qj == 0 and (lab.x * lab.z) % k != 0]
+    X = b, Y = Z = t must be empty whenever k does not divide b*t.  Read on
+    the cells; only a violating cell is decoded."""
+    setup = table.setup
+    bad = []
+    for cell in table.cells:
+        kqj, weight = setup.keys[cell[1]]  # on the moving side, Z is the weight
+        if weight != 0 and kqj == 0 and setup.labels[cell[0]][0] * weight % setup.k != 0:
+            bad.append(cell)
+    return list(map(_labeler(setup), bad))

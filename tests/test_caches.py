@@ -17,6 +17,7 @@ from bhmirror.poly import (
     restrict,
     transpose,
 )
+from bhmirror.statespace import moving_vanishing_violations
 from bhmirror.symmetry import (
     SymmetryGroup,
     _aut_group,
@@ -191,3 +192,20 @@ def test_transpose_duality_hashes_no_fraction(monkeypatch):
         assert report.passed and report.cells_checked > 0
         counts[statement] = len(hashed)
     assert counts == {"krawitz": 0, "pair-duality": 0}
+
+
+def test_state_tables_hash_no_fraction(monkeypatch):
+    # a state table is its integer cells: building the octic pair from cold
+    # caches, its pair duality and its vanishing check hash no `Fraction`
+    hashed = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda self: hashed.append(self) or real(self))
+    _aut_group.cache_clear()
+    equivariant_hilbert.cache_clear()
+    pair = build_mirror_pair(parse_polynomial("x0^8+x1^8+x2^4+x3^2"))
+    report = verify_pair_duality(pair)
+    violations = [moving_vanishing_violations(table)
+                  for table in (pair.source_table, pair.target_table)]
+    assert len(pair.source_table.cells) + len(pair.target_table.cells) == 840
+    assert report.passed and report.cells_checked == 420 and violations == [[], []]
+    assert hashed == []

@@ -219,11 +219,11 @@ class TestFailurePaths:
     ])
     def test_bumped_source_entry(self, pair_cache, name, verify, statement):
         pair = pair_cache(name)
-        entries = dict(pair.source_table.entries)
-        lab = next(lab for lab in entries
-                   if lab.qj == 0 and lab.ds == 0 and lab.weight == 0)
-        entries[lab] += 1
-        bumped = MirrorPair(pair.source, StateTable(pair.source, entries),
+        cells = dict(pair.source_table.cells)
+        lab, cell = next((lab, cell) for lab, cell in zip(pair.source_table.entries, cells)
+                         if lab.qj == 0 and lab.ds == 0 and lab.weight == 0)
+        cells[cell] += 1
+        bumped = MirrorPair(pair.source, StateTable(pair.source, cells),
                             pair.target, pair.target_table)
         report = verify(bumped)
         assert not report.passed

@@ -90,10 +90,11 @@ def test_library_raises_only_its_errors():
 
 def test_decoder_only_where_results_leave():
     # codes stay codes inside the engine; `decoder` makes the `Fraction`
-    # view only where a group's elements, a state label or an unprojected
-    # cell (of the public map, or of a failed check) leave it
+    # view only where a group's elements, a state label, a summed grid cell
+    # or an unprojected cell (of the public map, or of a failed check) leave
+    # it; building a state table decodes nothing
     allowed = {"symmetry.SymmetryGroup.elements", "statespace.cell_decoder",
-               "statespace.build_state_space", "statespace._relabel"}
+               "statespace._labeler", "statespace.sector_cells", "statespace._relabel"}
     callers = set()
     for path, tree in _library_trees():
         owners = _owners(tree)
@@ -164,15 +165,17 @@ def test_benchmark_layers_exist():
 # The exact per-layer counters of the traced octic pair (64 and 512 sectors);
 # two `aut_group` calls, one for each setup's Ann(K); the mirror's K is read
 # off the source's keys.  Two closures: the trivial K of the source and Aut
-# of the self-transpose W; the mirror's K is key codes, not closed again
+# of the self-transpose W; the mirror's K is key codes, not closed again.
+# Each table fetches the series of each of its fixed sets once: 24 series
+# over the 16 distinct fixed sets, not one per sector
 OCTIC_COUNTERS = {
     "symmetry.aut_group.calls": 2,
     "symmetry.enumerate_group.calls": 2,
     "symmetry.enumerate_group.elements": 513,
     "symmetry.admissible_setup.calls": 2,
-    "milnor.equivariant_hilbert.calls": 576,
+    "milnor.equivariant_hilbert.calls": 24,
     "milnor.equivariant_hilbert.distinct_fixed_sets": 16,
-    "milnor.equivariant_hilbert.series_terms": 2772,
+    "milnor.equivariant_hilbert.series_terms": 720,
     "statespace.build_state_space.entries": 840,
     "statespace.build_state_space.sectors": 576,
     "mirror.verify_pair_duality.cells": 420,

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from bhmirror.errors import SideMismatchError, ZOutOfRangeError
+from bhmirror.catalog import ADMISSIBLE_CASES
+from bhmirror.errors import DualityViolationError, SideMismatchError, ZOutOfRangeError
 from bhmirror.poly import parse_polynomial, split_cyclic, transpose
 from bhmirror.statespace import (
     FIXED,
@@ -94,12 +95,44 @@ class TestStateTable:
             assert lab.z != 0
             assert lab.weight == int((k * lab.qs) % k)
 
+    def test_side_is_cross_checked_per_entry(self, elliptic):
+        # a key graded onto the fixed side contradicts the coset of every
+        # moving entry that carries it
+        setup, table = elliptic
+        key = next(key for _, key, _, _ in table.cells if setup.keys[key][1] != 0)
+        wrong = setup._replace(keys={**setup.keys, key: (setup.keys[key][0], 0)})
+        with pytest.raises(DualityViolationError, match="contradicts its coset label"):
+            build_state_space(wrong)
+
     def test_order2_weights_split_by_side(self):
         W = parse_polynomial("x0^2+x1^4+x2^4")
         setup = admissible_setup(W, enumerate_group(split_cyclic(W)[1], [(F(1, 2), F(1, 2))]))
         table = build_state_space(setup)
         for lab in table.entries:
             assert lab.weight == (0 if lab.side == FIXED else 1)
+
+
+@pytest.mark.parametrize("case", ADMISSIBLE_CASES, ids=lambda case: case.name)
+def test_entries_are_a_view_of_the_cells(pair_cache, case):
+    # `entries` decodes the cells in order and looks a label up by its cell;
+    # a label off the table, or with a field its cell does not give, is absent
+    pair = pair_cache(case.name)
+    for table in (pair.source_table, pair.target_table):
+        N, n = table.setup.N, table.setup.W.num_vars
+        entries = table.entries
+        assert len(entries) == len(table.cells)
+        for (lab, dim), (cell, cell_dim) in zip(entries.items(), table.cells.items()):
+            scaled = [x * N for x in (*lab.sector, *lab.key, lab.p, lab.q)]
+            assert all(x.denominator == 1 for x in scaled)
+            v = tuple(map(int, scaled))
+            assert (v[:n], v[n:2 * n], v[-2], v[-1]) == cell
+            assert dim == cell_dim and entries[lab] == cell_dim and lab in entries
+            for off in (lab._replace(q=lab.q + 2 * n + 1), lab._replace(p=lab.p + F(1, 2 * N)),
+                        lab._replace(weight=lab.weight + 1),
+                        lab._replace(side=FIXED if lab.side == MOVING else MOVING)):
+                assert off not in entries and entries.get(off) is None
+        assert list(entries) == [lab for lab, _ in entries.items()]
+        assert table.total_dimension == sum(table.cells.values()) == sum(entries.values())
 
 
 class TestFjrwSlices:
