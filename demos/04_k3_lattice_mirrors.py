@@ -27,7 +27,7 @@ print("prime orders p with p - 1 | 24:",
 for name in ("k3-p3", "k3-p5", "k3-p7", "k3-p13"):
     case = find_case(name)
     W = case.parse()
-    pair = build_mirror_pair(W, case.K_group())
+    pair = build_mirror_pair(W, case.K_group(W))
     rep = fit_k3_pattern(sector_grid(pair.source_table))
     mrep = fit_k3_pattern(sector_grid(pair.target_table))
     inv, minv = k3_invariants(rep), k3_invariants(mrep)

@@ -47,9 +47,9 @@ class CatalogCase(NamedTuple):
     def parse(self) -> InvertiblePolynomial:
         return parse_polynomial(self.polynomial)
 
-    def K_group(self) -> SymmetryGroup:
-        """K as the group its generators span in f, for W = x0^k + f."""
-        return enumerate_group(split_cyclic(self.parse())[1], map(parse_vector, self.K))
+    def K_group(self, W: InvertiblePolynomial) -> SymmetryGroup:
+        """K as the group its generators span in f, for W = x0^k + f, the parsed case."""
+        return enumerate_group(split_cyclic(W)[1], map(parse_vector, self.K))
 
 
 def parse_vector(text: str) -> tuple[Fraction, ...]:

@@ -332,7 +332,7 @@ def _check_case(case: cat.CatalogCase) -> list[dict]:
         results.append(entry)
 
     W = case.parse()
-    pair = build_mirror_pair(W, case.K_group())
+    pair = build_mirror_pair(W, case.K_group(W))
     setup = pair.source
 
     # Totals against the Milnor numbers, and the series engine against

@@ -8,15 +8,15 @@ loop atoms; inputs for which no such decomposition exists are rejected,
 and so are inputs of more than MAX_VARIABLES variables, before any
 elimination.  A symmetry g of P or of its transpose lies in (1/N)Z^n,
 N = |det E|, and is held as its code N*g mod N (`encode`, `decoder`).
-`encode` checks that an outside vector fixes P; a code made from codes
-that were checked needs no second check, so `restrict` reads the fixed
-set straight off the code.  `format_vector` renders every symmetry or key
-shown to a user.
+`encode` checks that an outside vector fixes P, and E*A = N*I checks the
+codes A = N*E^{-1} mod N once; a code made from checked codes needs no
+second check, so `restrict` reads the fixed set straight off the code.
+`format_vector` renders every symmetry or key shown to a user.
 
 Cached (bounded, keyed on frozen values): one Gauss-Jordan elimination
-per exponent matrix serves the weights, `exponent_inverse` and
-`exponent_determinant`; `transpose` per polynomial; and the surviving rows
-of a restriction per exponent matrix and fixed set.
+per exponent matrix serves the weights, `exponent_inverse`,
+`exponent_determinant` and `dual_characters`; `transpose` per polynomial;
+and the surviving rows of a restriction per exponent matrix and fixed set.
 """
 
 from __future__ import annotations
@@ -167,22 +167,26 @@ def monomial_phases(P: InvertiblePolynomial, D: int, scaled: Sequence[int]) -> t
 
 
 @lru_cache(maxsize=256)
-def _exact_inverse(E: Matrix) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
-    """invert_matrix, memoized on the exponent matrix: one elimination
-    serves the weights, the inverse and the determinant."""
-    return invert_matrix(E)
+def _exact_inverse(E: Matrix) -> tuple[tuple[tuple[Fraction, ...], ...], int, Matrix]:
+    """E^{-1}, N = |det E| and the rows of A = N*E^{-1} mod N.  E*A = N*I, checked
+    once on integers, gives A*E = N*I: the columns and row sums of A are codes
+    of symmetries of P, and its rows of the transpose, never checked again."""
+    inverse, det = invert_matrix(E)
+    N = abs(det)
+    A = [[int(a * N) for a in row] for row in inverse]
+    if any(sum(e * a for e, a in zip(row, col)) != (N if i == j else 0)
+           for i, row in enumerate(E) for j, col in enumerate(zip(*A))):
+        raise InternalError(f"N*E^-1 for N = |det E| = {N} is not an integer inverse of E")
+    N = int(N)  # an entry of E*A
+    return inverse, N, tuple(tuple(a % N for a in row) for row in A)
 
 
 def exponent_inverse(P: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...]:
-    inverse, _ = _exact_inverse(P.exponents)
-    return inverse
+    return _exact_inverse(P.exponents)[0]
 
 
 def exponent_determinant(P: InvertiblePolynomial) -> int:
-    _, det = _exact_inverse(P.exponents)
-    if det.denominator != 1:
-        raise InternalError(f"determinant {det} of an integer matrix is not an integer")
-    return abs(int(det))
+    return _exact_inverse(P.exponents)[1]
 
 
 def fixes(P: InvertiblePolynomial, N: int, code: Code) -> bool:
@@ -210,10 +214,9 @@ def decoder(N: int) -> Callable[[Code], tuple[Fraction, ...]]:
 
 
 def dual_characters(P: InvertiblePolynomial) -> tuple[Code, ...]:
-    """Row i of E^{-1} as a code: the dual character of x_i, a symmetry of the transpose."""
-    N = exponent_determinant(P)
-    return tuple(tuple(a.numerator * (N // a.denominator) % N for a in row)
-                 for row in exponent_inverse(P))
+    """Row i of N*E^{-1} mod N, the dual character of x_i: a code of the
+    transpose.  The columns generate Aut of P, and the row sums are j."""
+    return _exact_inverse(P.exponents)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +232,7 @@ def solve_weights(exponents: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     n = len(exponents)
     if any(len(row) != n for row in exponents):
         raise NonSquareError("exponent matrix must be square")
-    inverse, _ = _exact_inverse(tuple(tuple(row) for row in exponents))
-    q = [sum(row) for row in inverse]
+    q = [sum(row) for row in _exact_inverse(tuple(tuple(row) for row in exponents))[0]]
     if any(qi <= 0 for qi in q):
         raise NonPositiveWeightError(f"weight vector {format_vector(q)} has a non-positive entry")
     degree = lcm(*(qi.denominator for qi in q)) if q else 1

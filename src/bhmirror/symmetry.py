@@ -12,8 +12,8 @@ decoded on every read, and the engine never reads it.  Rational vectors
 enter once, through `encode`.
 One kernel, `_closure`, closes every group over codes; the annihilator
 keeps the codes h with (E*g) . h = 0 mod N.  A code is made only by
-`encode`, `_closure` or `annihilator`, and membership (entries in [0, N),
-fixing the polynomial) is checked there and nowhere later.  A setup takes
+`encode`, `dual_characters` (Aut's generators, j), `_closure` or
+`annihilator`, and is checked to be a member there only.  A setup takes
 K as a `SymmetryGroup` of f; its `labels` (the coset group in coset order
 j^a s^b K, read off the closure order of (K, s, j)) and keys, Ann(K), are
 codes, each key graded once by its charges (k*Q_j, k*Q_s) mod k from E*j
@@ -46,6 +46,7 @@ from .poly import (
     InvertiblePolynomial,
     common_denominator,
     decoder,
+    dual_characters,
     encode,
     exponent_determinant,
     exponent_inverse,
@@ -170,7 +171,8 @@ def aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
 @lru_cache(maxsize=4)
 def _aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
     det = exponent_determinant(P)
-    group = enumerate_group(P, aut_generators(P))
+    gens = tuple(zip(*dual_characters(P)))  # the codes of `aut_generators`
+    group = SymmetryGroup(P, gens, tuple(sorted(_closure(gens, P.num_vars, det))))
     if group.order != det:
         raise InternalError(f"|Aut| = {group.order} differs from |det E| = {det}")
     return group
@@ -280,7 +282,7 @@ def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) ->
     if K_inner.polynomial != f:
         raise NotAdmissibleError(f"K is a group of {K_inner.polynomial}, not of {f}")
     N_f = exponent_determinant(f)
-    jf_k = tuple(k * x % N_f for x in encode(f, j_element(f)))
+    jf_k = tuple(k * sum(row) % N_f for row in dual_characters(f))  # j_f = E_f^{-1} * 1
     if jf_k not in K_inner.codes:
         raise NotAdmissibleError(
             f"j_f^{k} = {format_vector(jf_k, N_f)} is not in K (add it as a generator)")
@@ -289,7 +291,7 @@ def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) ->
             raise NotAdmissibleError(f"K contains {format_vector(g, N_f)}, which is outside SL_f")
 
     N = exponent_determinant(W)
-    j, s = encode(W, j_element(W)), encode(W, s_element(W))
+    j, s = tuple(sum(row) % N for row in dual_characters(W)), (N // k,) + (0,) * f.num_vars
     K_gens = tuple((0, *(k * x for x in g)) for g in K_inner.generators)  # N = k*N_f; fixing x0
     codes = _closure(K_gens + (s, j), W.num_vars, N)
     sk_order = k * K_inner.order  # |<s, K>|

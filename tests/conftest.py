@@ -12,7 +12,8 @@ def pair_cache():
     def get(name: str):
         if name not in cache:
             case = find_case(name)
-            cache[name] = build_mirror_pair(case.parse(), case.K_group())
+            W = case.parse()
+            cache[name] = build_mirror_pair(W, case.K_group(W))
         return cache[name]
 
     return get

@@ -156,7 +156,8 @@ def test_membership_is_checked_where_a_code_is_made(monkeypatch):
     # `encode` checks each outside vector once, and `annihilator` and the
     # key grading read E*g of each generator and of j and s; no sector, key
     # or label is checked again, so the octic pair's 64 + 512 sectors add
-    # no calls
+    # no calls.  The pair encodes nothing: its trivial K has no generator,
+    # and Aut, j and s are read off the checked N*E^{-1}
     from bhmirror import poly
     counts = {"monomial_phases": 0, "encode": 0}
     modules = [module for name, module in sys.modules.items()
@@ -173,7 +174,7 @@ def test_membership_is_checked_where_a_code_is_made(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     _aut_group.cache_clear()  # Aut of the self-transpose W is enumerated, as in a fresh process
     build_mirror_pair(parse_polynomial("x0^8+x1^8+x2^4+x3^2"))
-    assert counts == {"monomial_phases": 12, "encode": 10}
+    assert counts == {"monomial_phases": 12, "encode": 0}
 
 
 def test_transpose_duality_hashes_no_fraction(monkeypatch):

@@ -11,20 +11,24 @@ mod |det E|; decoded, they must agree with the reference element for
 element on random invertible polynomials of up to four variables.
 """
 
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bhmirror.errors import GradingCollisionError
+from bhmirror.errors import GradingCollisionError, NotAdmissibleError
 from bhmirror.milnor import equivariant_hilbert, sector_algebra
 from bhmirror.mirror import build_mirror_pair
 from bhmirror.poly import (
     RestrictedPolynomial,
     decoder,
+    dual_characters,
     encode,
     exponent_determinant,
     exponent_inverse,
     fixes,
+    format_vector,
     from_exponents,
     restrict,
     split_cyclic,
@@ -373,3 +377,49 @@ def test_setup_and_mirror_codes_are_members(case):
         assert_members(K.polynomial, K.generators + K.codes)
         assert_members(setup.W, setup.labels)
         assert_members(transpose(setup.W), setup.keys)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_polynomials())
+def test_checked_inverse_matches_encoded_fractions(P):
+    # the codes read off N*E^{-1} mod N against the old path, each
+    # `Fraction` column and row of E^{-1} encoded on its own: the columns
+    # generate Aut, and the rows are the dual characters
+    N = exponent_determinant(P)
+    columns = tuple(encode(P, g) for g in aut_generators(P))
+    assert tuple(zip(*dual_characters(P))) == aut_group(P).generators == columns
+    assert dual_characters(P) == tuple(tuple(a.numerator * (N // a.denominator) % N for a in row)
+                                       for row in exponent_inverse(P))
+
+
+@settings(deadline=None, max_examples=40)
+@given(cyclic_setups())
+def test_setup_codes_match_encoded_fractions(case):
+    # j_f^k (named by the trivial K when it is not the identity), j and s
+    # of a setup against `encode` of `j_element` and `s_element`
+    W, gens = case
+    k, f = split_cyclic(W)
+    N_f = exponent_determinant(f)
+    jf_k = tuple(k * x % N_f for x in encode(f, j_element(f)))
+    if any(jf_k):
+        message = f"j_f^{k} = {format_vector(jf_k, N_f)} is not in K"
+        with pytest.raises(NotAdmissibleError, match=re.escape(message)):
+            admissible_setup(W, enumerate_group(f, ()))
+    try:
+        setup = admissible_setup(W, enumerate_group(f, gens))
+    except GradingCollisionError:
+        return
+    assert setup.j == encode(W, j_element(W))
+    assert setup.s == encode(W, s_element(W))
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_polynomials())
+def test_series_keys_are_dual_characters(P):
+    # the series checks no key: each is a sum of dual characters, read off
+    # the checked inverse, so each must fix the transpose
+    Pv, N = transpose(P), exponent_determinant(P)
+    fixed_sets = {restrict(P, h).fixed_vars: restrict(P, h) for h in aut_group(P).codes}
+    for R in fixed_sets.values():
+        for keys in equivariant_hilbert(R).coefficients.values():
+            assert all(fixes(Pv, N, key) for key in keys)

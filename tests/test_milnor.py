@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,27 @@ class TestSectorAlgebra:
         manual = {lab: dim for lab, dim in alg.items()
                   if pairing(QUARTIC, j, decode(lab[0])) == 0}
         assert kept == manual
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda c: -c, "multiplicity -1 of key [4/5] at degree 4 is not positive"),
+        (lambda c: c + 1, "series dimension 5 is not the Milnor number 4"),
+    ], ids=["negative", "milnor-number"])
+    def test_series_faults_are_internal_errors(self, monkeypatch, change, message):
+        # each key is a sum of dual characters and is not checked again;
+        # every multiplicity must be positive, and they must sum to the
+        # Milnor number
+        from bhmirror import milnor
+        real = milnor._multiply
+
+        def changed(A, B, bound, N):
+            out = real(A, B, bound, N)
+            m, keys = max(out.items())
+            key = min(keys)
+            return {**out, m: {**keys, key: change(keys[key])}}
+
+        monkeypatch.setattr(milnor, "_multiply", changed)
+        with pytest.raises(InternalError, match=re.escape(message)):
+            equivariant_hilbert.__wrapped__(restrict(parse_polynomial("x^5"), (0,)))
 
     def test_degree_not_dividing_the_modulus_is_an_internal_error(self, monkeypatch):
         # p and q are numerators over N = |det E|, which d divides; a

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from bhmirror import poly
 from bhmirror.catalog import KRAWITZ_POLYNOMIALS
+from bhmirror.cli import main
 from bhmirror.errors import (
     DegenerateShapeError,
+    InternalError,
     NonPositiveWeightError,
     NonSquareError,
     NotCyclicSplitError,
@@ -258,6 +261,29 @@ class TestCodes:
         decode = decoder(12)
         a, b = decode((3, 0)), decode((0, 3))
         assert a == (Fraction(1, 4), Fraction(0)) and a[0] is b[1] and a[1] is b[0]
+
+
+class TestCheckedInverse:
+    @pytest.mark.parametrize("bump", [1, Fraction(1, 7)], ids=["integral", "fractional"])
+    def test_bumped_inverse_is_an_internal_error(self, monkeypatch, capsys, bump):
+        # E*A = N*I, checked once per exponent matrix on integers, is the one
+        # check of every code read off A = N*E^{-1}: a wrong inverse fails
+        # it, whether A stays integral or not, and the CLI exits 3
+        real = poly.invert_matrix
+
+        def bumped(rows):
+            inverse, det = real(rows)
+            return ((inverse[0][0] + bump, *inverse[0][1:]), *inverse[1:]), det
+
+        monkeypatch.setattr(poly, "invert_matrix", bumped)
+        poly._exact_inverse.cache_clear()
+        try:
+            with pytest.raises(InternalError, match=r"N\*E\^-1 for N = \|det E\| = 12 is not"):
+                parse_polynomial("x^3*y+y^4")
+            assert main(["analyze", "x0^6+x1^3+x2^2"]) == 3
+            assert "is not an integer inverse of E" in capsys.readouterr().err
+        finally:
+            poly._exact_inverse.cache_clear()
 
 
 class TestDirectSum:

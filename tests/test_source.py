@@ -88,6 +88,18 @@ def test_library_raises_only_its_errors():
     assert not found, f"raises of classes outside bhmirror.errors: {found}"
 
 
+def _callers(name):
+    """The functions, as `module.owner`, that call `name` by its bare name."""
+    callers = set()
+    for path, tree in _library_trees():
+        owners = _owners(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == name):
+                callers.add(f"{path.stem}.{owners[node]}")
+    return callers
+
+
 def test_decoder_only_where_results_leave():
     # codes stay codes inside the engine; `decoder` makes the `Fraction`
     # view only where a group's elements, a state label, a summed grid cell
@@ -95,27 +107,24 @@ def test_decoder_only_where_results_leave():
     # it; building a state table decodes nothing
     allowed = {"symmetry.SymmetryGroup.elements", "statespace.cell_decoder",
                "statespace._labeler", "statespace.sector_cells", "statespace._relabel"}
-    callers = set()
-    for path, tree in _library_trees():
-        owners = _owners(tree)
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "decoder"):
-                callers.add(f"{path.stem}.{owners[node]}")
+    callers = _callers("decoder")
     assert callers <= allowed, f"decoder called in {sorted(callers - allowed)}"
 
 
 def test_annihilator_has_two_callers():
     # Ann(K) is made once, graded in the setup: the mirror's K is read off
     # its keys, and SL is the dual of <j^T>
-    callers = set()
-    for path, tree in _library_trees():
-        owners = _owners(tree)
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "annihilator"):
-                callers.add(f"{path.stem}.{owners[node]}")
-    assert callers == {"symmetry.dual_group", "symmetry.admissible_setup"}
+    assert _callers("annihilator") == {"symmetry.dual_group", "symmetry.admissible_setup"}
+
+
+def test_codes_read_off_the_inverse_are_not_checked_again():
+    # `fixes` tests only outside vectors, in `encode`; the codes of Aut's
+    # generators, of j_f, j and s, and the series keys, sums of dual
+    # characters, are read off N*E^{-1}, whose one check covers them
+    assert _callers("fixes") == {"poly.encode"}
+    readers = {"symmetry._aut_group", "symmetry.admissible_setup"}
+    for name in ("encode", "j_element", "s_element"):
+        assert not _callers(name) & readers, f"{name} called in {sorted(_callers(name) & readers)}"
 
 
 def test_no_dataclasses():
@@ -164,14 +173,15 @@ def test_benchmark_layers_exist():
 
 # The exact per-layer counters of the traced octic pair (64 and 512 sectors);
 # two `aut_group` calls, one for each setup's Ann(K); the mirror's K is read
-# off the source's keys.  Two closures: the trivial K of the source and Aut
-# of the self-transpose W; the mirror's K is key codes, not closed again.
+# off the source's keys.  One `enumerate_group`, the trivial K of the source:
+# Aut of the self-transpose W closes the columns of N*E^{-1} without it, and
+# the mirror's K is key codes, not closed again.
 # Each table fetches the series of each of its fixed sets once: 24 series
 # over the 16 distinct fixed sets, not one per sector
 OCTIC_COUNTERS = {
     "symmetry.aut_group.calls": 2,
-    "symmetry.enumerate_group.calls": 2,
-    "symmetry.enumerate_group.elements": 513,
+    "symmetry.enumerate_group.calls": 1,
+    "symmetry.enumerate_group.elements": 1,
     "symmetry.admissible_setup.calls": 2,
     "milnor.equivariant_hilbert.calls": 24,
     "milnor.equivariant_hilbert.distinct_fixed_sets": 16,

@@ -8,6 +8,7 @@ from bhmirror.errors import (
     DualityViolationError,
     GradingCollisionError,
     GroupTooLargeError,
+    InternalError,
     NotAdmissibleError,
     NotInGroupError,
 )
@@ -165,6 +166,14 @@ class TestDualGroup:
 
     def test_full_group_dual_trivial(self):
         assert dual_group(aut_group(QUARTIC)).order == 1
+
+    def test_aut_order_is_checked_against_the_determinant(self, monkeypatch):
+        # the closure of the columns of N*E^{-1} must have |det E| elements
+        from bhmirror import symmetry as module
+        real = module._closure
+        monkeypatch.setattr(module, "_closure", lambda *args: real(*args)[:-1])
+        with pytest.raises(InternalError, match=r"\|Aut\| = 35 differs from \|det E\| = 36"):
+            module._aut_group.__wrapped__(ELLIPTIC)
 
     def test_annihilator_checks_the_order_identity(self):
         j = encode(QUARTIC, j_element(QUARTIC))
