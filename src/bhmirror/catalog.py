@@ -106,6 +106,7 @@ ADMISSIBLE_CASES: tuple[CatalogCase, ...] = (
                 frozenset({"cy", "k3", "prime"})),
     CatalogCase("k3-p7", "x0^7+x1^5*x2+x2^2*x3+x3^2*x1", (), frozenset({"cy", "k3", "prime"})),
     CatalogCase("k3-p13", "x0^13+x1^3*x2+x2^2*x3+x3^2*x1", (), frozenset({"cy", "k3", "prime"})),
+    CatalogCase("fermat-quintic", "x0^5+x1^5+x2^5+x3^5+x4^5", (), frozenset({"cy"})),
 )
 
 

@@ -108,6 +108,9 @@ STATE_TABLE_GOLDENS = {
     "k3-p13": (
         "ed64ede032b114afceab9917c9e0a5e70f421b70d64e882e4177815591215218",
         "70a3f025f5a643ec274a29cca42f77f188d986e534faa2feb58504d0fa3231d3"),
+    "fermat-quintic": (
+        "266e9a003046dab088e633362f1a2378915bf330b45827a0a3ee147908dfd0c5",
+        "693748644b280e3349b15fe132a7e6468d8ede10c394e51a2c0df4305fec37b5"),
 }
 
 UNPROJECTED_GOLDENS = {
