@@ -54,6 +54,7 @@ from .symmetry import (
     enumerate_group,
     group_cap,
     j_element,
+    require_within_cap,
     s_element,
     sl_subgroup,
 )
@@ -100,7 +101,7 @@ def parse_group_spec(spec: str, P: InvertiblePolynomial) -> SymmetryGroup:
 
 def cmd_analyze(args) -> int:
     P = parse_polynomial(args.polynomial)
-    aut = aut_group(P)
+    require_within_cap(P)  # |Aut| = |det E|, so Aut is not closed to print its order
     try:
         k, _ = split_cyclic(P)
         s = s_element(P)
@@ -117,7 +118,7 @@ def cmd_analyze(args) -> int:
         "atoms": [{"kind": a.kind,
                    "variables": [P.var_names[v] for v in a.variables],
                    "exponents": list(a.exponents)} for a in P.atoms],
-        "aut_order": aut.order,
+        "aut_order": exponent_determinant(P),
         "sl_order": sl_subgroup(P).order,
         "j": [_fmt_frac(x) for x in j_element(P)],
         "s": [_fmt_frac(x) for x in s] if s else None,

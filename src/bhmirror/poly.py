@@ -8,14 +8,19 @@ loop atoms; inputs for which no such decomposition exists are rejected,
 and so are inputs of more than MAX_VARIABLES variables, before any
 elimination.  A symmetry g of P or of its transpose lies in (1/N)Z^n,
 N = |det E|, and is held as its code N*g mod N (`encode`, `decoder`).
-`encode` checks that an outside vector fixes P, and E*A = N*I checks the
-codes A = N*E^{-1} mod N once; a code made from checked codes needs no
-second check, so `restrict` reads the fixed set straight off the code.
-`format_vector` renders every symmetry or key shown to a user.
+`encode` checks that an outside vector fixes P, and E*B = N*I checks
+B = N*E^{-1} and so the codes A = B mod N once; a code made from checked
+codes needs no second check, so `restrict` reads the fixed set straight
+off the code.  `format_vector` renders every symmetry or key shown to a
+user.
 
-Cached (bounded, keyed on frozen values): one Gauss-Jordan elimination
-per exponent matrix serves the weights, `exponent_inverse`,
-`exponent_determinant` and `dual_characters`; `transpose` per polynomial;
+E^{-1} is held on integers: one fraction-free (Bareiss) elimination of
+[E | I] gives det E and adj E, so B = +-adj E.  The weights and degree
+are read off the row sums of B, the Milnor number is a ratio of integer
+products, and `exponent_inverse`, E^{-1} as `Fraction`s, is an output
+view.  Cached (bounded, keyed on frozen values): that elimination per
+exponent matrix, which serves the weights, `exponent_determinant` and
+`dual_characters`; `exponent_inverse` and `transpose` per polynomial;
 and the surviving rows of a restriction per exponent matrix and fixed set.
 """
 
@@ -24,7 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
@@ -100,13 +105,15 @@ class RestrictedPolynomial(NamedTuple):
 
     @property
     def milnor_dimension(self) -> int:
-        d = self.parent.degree
-        total = Fraction(1)
+        d, weights = self.parent.degree, self.parent.weights
+        numerator = denominator = 1
         for i in self.fixed_vars:
-            total *= Fraction(d - self.parent.weights[i], self.parent.weights[i])
-        if total.denominator != 1 or total <= 0:
-            raise InternalError(f"Milnor number {total} is not a positive integer")
-        return int(total)
+            numerator *= d - weights[i]
+            denominator *= weights[i]
+        if numerator % denominator or numerator <= 0:  # the weights are positive
+            raise InternalError(
+                f"Milnor number {Fraction(numerator, denominator)} is not a positive integer")
+        return numerator // denominator
 
     @property
     def top_degree(self) -> int:
@@ -116,31 +123,31 @@ class RestrictedPolynomial(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra (tiny fixed-size systems, Fraction entries)
+# exact linear algebra (tiny fixed-size systems, integer entries)
 # ---------------------------------------------------------------------------
 
-def invert_matrix(rows: Sequence[Sequence[int]]) -> tuple[tuple[tuple[Fraction, ...], ...], Fraction]:
-    """Exact inverse and determinant via Gauss-Jordan elimination."""
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
+    """det E and adj E by fraction-free (Bareiss) Gauss-Jordan elimination on
+    [E | I]: each entry stays an integer minor, so every division is exact,
+    and [E | I] ends as [p*I | p*E^{-1}] with p = +-det E."""
     n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    det = Fraction(1)
+    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    sign, previous = 1, 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             raise SingularExponentMatrixError("exponent matrix is singular")
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+            sign = -sign
+        top = aug[col]
+        p = top[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    inverse = tuple(tuple(row[n:]) for row in aug)
-    return inverse, det
+            if r != col:
+                c = aug[r][col]
+                aug[r] = [(p * x - c * y) // previous for x, y in zip(aug[r], top)]
+        previous = p
+    return sign * previous, tuple(tuple(sign * x for x in row[n:]) for row in aug)
 
 
 def common_denominator(vector: Sequence) -> tuple[int, tuple[int, ...]]:
@@ -167,26 +174,28 @@ def monomial_phases(P: InvertiblePolynomial, D: int, scaled: Sequence[int]) -> t
 
 
 @lru_cache(maxsize=256)
-def _exact_inverse(E: Matrix) -> tuple[tuple[tuple[Fraction, ...], ...], int, Matrix]:
-    """E^{-1}, N = |det E| and the rows of A = N*E^{-1} mod N.  E*A = N*I, checked
-    once on integers, gives A*E = N*I: the columns and row sums of A are codes
-    of symmetries of P, and its rows of the transpose, never checked again."""
-    inverse, det = invert_matrix(E)
+def _exact_inverse(E: Matrix) -> tuple[int, Matrix, Matrix]:
+    """N = |det E|, B = N*E^{-1} (+-adj E) and the rows of A = B mod N.  E*B = N*I,
+    checked once on integers, gives A*E = N*I: the columns and row sums of A are
+    codes of symmetries of P, and its rows of the transpose, never checked again."""
+    det, adj = adjugate(E)
     N = abs(det)
-    A = [[int(a * N) for a in row] for row in inverse]
-    if any(sum(e * a for e, a in zip(row, col)) != (N if i == j else 0)
-           for i, row in enumerate(E) for j, col in enumerate(zip(*A))):
+    B = adj if det > 0 else tuple(tuple(-x for x in row) for row in adj)
+    if any(sum(e * b for e, b in zip(row, col)) != (N if i == j else 0)
+           for i, row in enumerate(E) for j, col in enumerate(zip(*B))):
         raise InternalError(f"N*E^-1 for N = |det E| = {N} is not an integer inverse of E")
-    N = int(N)  # an entry of E*A
-    return inverse, N, tuple(tuple(a % N for a in row) for row in A)
+    return N, B, tuple(tuple(b % N for b in row) for row in B)
 
 
+@lru_cache(maxsize=256)
 def exponent_inverse(P: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...]:
-    return _exact_inverse(P.exponents)[0]
+    """E^{-1} as `Fraction`s, the output view of the checked N*E^{-1}."""
+    N, B, _ = _exact_inverse(P.exponents)
+    return tuple(tuple(Fraction(b, N) for b in row) for row in B)
 
 
 def exponent_determinant(P: InvertiblePolynomial) -> int:
-    return _exact_inverse(P.exponents)[1]
+    return _exact_inverse(P.exponents)[0]
 
 
 def fixes(P: InvertiblePolynomial, N: int, code: Code) -> bool:
@@ -232,12 +241,13 @@ def solve_weights(exponents: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     n = len(exponents)
     if any(len(row) != n for row in exponents):
         raise NonSquareError("exponent matrix must be square")
-    q = [sum(row) for row in _exact_inverse(tuple(tuple(row) for row in exponents))[0]]
-    if any(qi <= 0 for qi in q):
-        raise NonPositiveWeightError(f"weight vector {format_vector(q)} has a non-positive entry")
-    degree = lcm(*(qi.denominator for qi in q)) if q else 1
-    weights = tuple(int(qi * degree) for qi in q)
-    return weights, degree
+    N, B, _ = _exact_inverse(tuple(tuple(row) for row in exponents))
+    sums = [sum(row) for row in B]  # N*q, as E^{-1}*1 = q
+    if any(x <= 0 for x in sums):
+        raise NonPositiveWeightError(
+            f"weight vector {format_vector(sums, N)} has a non-positive entry")
+    degree = N // gcd(N, *sums)
+    return tuple(x * degree // N for x in sums), degree
 
 
 # ---------------------------------------------------------------------------

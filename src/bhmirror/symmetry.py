@@ -10,17 +10,22 @@ N*g mod N (see `poly`).  A `SymmetryGroup` is codes only, its generators
 and its sorted closure; `elements`, the rational view for output, is
 decoded on every read, and the engine never reads it.  Rational vectors
 enter once, through `encode`.
-One kernel, `_closure`, closes every group over codes; the annihilator
-keeps the codes h with (E*g) . h = 0 mod N.  A code is made only by
+One kernel, `_closure`, closes every group over codes.  The annihilator
+of generators g is the image under A = N*E^{-1} mod N of the lattice
+{x : g . x = 0 mod N}: at most n vectors of its `_kernel_basis` are
+mapped and closed, so its work is proportional to |Ann|, and no Aut of
+the transpose is closed to be filtered.  A code is made only by
 `encode`, `dual_characters` (Aut's generators, j), `_closure` or
 `annihilator`, and is checked to be a member there only.  A setup takes
 K as a `SymmetryGroup` of f; its `labels` (the coset group in coset order
 j^a s^b K, read off the closure order of (K, s, j)) and keys, Ann(K), are
-codes, each key graded once by its charges (k*Q_j, k*Q_s) mod k from E*j
-and E*s: the dual of <K, j, s> is the keys of charge (0, 0), as SL is the
-dual of <j^T>.  Cached: `aut_group` enumerates once per polynomial (bounded
-cache keyed on the polynomial; the cap is checked on every call, before the
-cache is consulted).
+codes, each key graded once by its charges (k*Q_j, k*Q_s) mod k, read off
+as k*sum(key) and k*key[r0] over N, since E*j = N*1 and E*s = N*e_r0 for
+the row r0 of x0^k (both checked once per setup): the dual of <K, j, s>
+is the keys of charge (0, 0), as SL is the dual of <j^T>.  Cached:
+`aut_group` enumerates once per polynomial (bounded cache keyed on the
+polynomial; the cap is checked on every call, before the cache is
+consulted).
 `age`, `in_sl` and `pairing` take rational vectors, for callers outside
 the engine.
 """
@@ -30,6 +35,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -209,20 +215,71 @@ def pairing(P: InvertiblePolynomial, g: Sequence[Fraction], h: Sequence[Fraction
     return Fraction(sum(x * y for x, y in zip(v, scaled)) % D, D)
 
 
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, v0, u1, v1 = u1, v1, u0 - q * u1, v0 - q * v1
+    return a, u0, v0
+
+
+def _kernel_basis(generators: Iterable[Code], num_vars: int, N: int) -> list[list[int]]:
+    """num_vars vectors, entries mod N, that span L mod N*Z^n, where
+    L = {x : g . x = 0 mod N for every generator g}.  Per generator,
+    extended-gcd column operations (unimodular, so the span is kept) fold
+    the values g . b of the vectors b into one vector b' of value c, the
+    others reaching 0; then b' is scaled by N / gcd(c, N), its least
+    multiple of value 0.  O(n^2) per generator."""
+    basis = [[int(i == j) for j in range(num_vars)] for i in range(num_vars)]
+    for g in generators:
+        pivot = None
+        for i, b in enumerate(basis):
+            c = sum(x * y for x, y in zip(g, b)) % N
+            if c == 0:
+                continue
+            if pivot is None:
+                pivot, value = i, c
+                continue
+            d, u, v = _extended_gcd(value, c)
+            bp = basis[pivot]
+            basis[pivot] = [(u * x + v * y) % N for x, y in zip(bp, b)]
+            basis[i] = [(c // d * x - value // d * y) % N for x, y in zip(bp, b)]
+            value = d
+        if pivot is not None:
+            m = N // gcd(value, N)
+            basis[pivot] = [m * x % N for x in basis[pivot]]
+    return basis
+
+
 def annihilator(P: InvertiblePolynomial, generators: Iterable[Code], order: int) -> tuple[Code, ...]:
     """Sorted codes of the transpose's symmetries that pair to zero with
     every generator, a code of a symmetry of P.  `order` is the order of
     the group the generators span; the duality is perfect, so a product of
     orders other than |det E| raises DualityViolationError.
 
-    P and its transpose share N = |det E|, so h is kept iff
-    (E*g) . h = 0 mod N for every generator g.
+    The transpose's codes are x*A mod N, A = N*E^{-1} mod N, and
+    (E*g/N) . (x*A) = g . x mod N, as A*E = N*I.  So Ann is the image of
+    the lattice of x with g . x = 0 mod N for every generator g: its
+    `_kernel_basis` is mapped through A and closed, in work proportional
+    to |Ann|.  Each image is checked to pair to zero with each generator
+    (by bilinearity this covers the closure) before it is closed.
     """
-    full = aut_group(transpose(P))  # its order is checked to be |det E|
-    N = full.order
-    vectors = [monomial_phases(P, N, g) for g in generators]
-    elements = tuple(h for h in full.codes
-                     if all(sum(x * y for x, y in zip(v, h)) % N == 0 for v in vectors))
+    require_within_cap(transpose(P))  # names a degenerate transpose first
+    N = exponent_determinant(P)
+    gens = tuple(generators)
+    columns = tuple(zip(*dual_characters(P)))
+    images = [tuple(sum(x * a for x, a in zip(b, col)) % N for col in columns)
+              for b in _kernel_basis(gens, P.num_vars, N)]
+    for g in gens:
+        v = monomial_phases(P, N, g)
+        for h in images:
+            if sum(x * y for x, y in zip(v, h)) % N:
+                raise DualityViolationError(
+                    f"kernel image {format_vector(h, N)} does not pair to zero "
+                    f"with {format_vector(g, N)}")
+    elements = tuple(sorted(_closure(images, P.num_vars, N)))
     if len(elements) * order != N:
         raise DualityViolationError(
             f"annihilator of order {len(elements)} times group order {order} "
@@ -302,10 +359,15 @@ def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) ->
             f"cosets {(0, a)} and {(a, 0)} coincide; "
             "the (d_j, d_s) grading is not single-valued")
     labels = {e: divmod(i // K_inner.order, k) for i, e in enumerate(codes)}
-    vectors = (monomial_phases(W, N, j), monomial_phases(W, N, s))  # Q_j = (E*j) . key/N mod 1
+    # Q_j = (E*j/N) . key/N mod 1, and likewise Q_s; E*j = N*1 and E*s = N*e_r0
+    # for the row r0 of x0^k, so k*Q_j*N is k*sum(key) and k*Q_s*N is k*key[r0]
+    r0 = next(i for i, row in enumerate(W.exponents) if row[0])
+    if (monomial_phases(W, N, j) != (1,) * W.num_vars
+            or monomial_phases(W, N, s) != tuple(int(i == r0) for i in range(W.num_vars))):
+        raise InternalError(f"E*j is not N*1 or E*s is not N*e_{r0} for N = {N}")
     keys = {}
     for key in annihilator(W, K_gens, K_inner.order):
-        kqj, kqs = (k * sum(x * y for x, y in zip(v, key)) for v in vectors)  # over N
+        kqj, kqs = k * sum(key), k * key[r0]  # over N
         if kqj % N or kqs % N:
             raise DualityViolationError(
                 f"charges of key {format_vector(key, N)} are not multiples of 1/{k}")

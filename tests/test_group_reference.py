@@ -1,9 +1,12 @@
 """The integer-coded group kernel against a plain `Fraction` reference.
 
-The reference below is the straightforward encoding: a breadth-first
-closure over `Fraction` vectors mod 1, the pairing (E*g) . h mod 1 in
-`Fraction` arithmetic, an annihilator that filters the transpose's
-group by that pairing, SL as the elements of integral age, the
+The reference below is the straightforward encoding: a `Fraction`
+Gauss-Jordan inverse, a breadth-first closure over `Fraction` vectors
+mod 1, the pairing (E*g) . h mod 1 in `Fraction` arithmetic, an
+annihilator that filters the transpose's group by that pairing (and the
+same filter on codes, which the kernel-basis annihilator replaced), key
+charges as dot products with E*j and E*s, SL as the elements of integral
+age, the
 dual-group-graded Milnor series expanded on `Fraction` keys and shifted
 by the age into a sector algebra, and the k^2 cosets j^a s^b K of a cyclic
 setup labelled by a triple loop.  The library holds symmetries as codes
@@ -13,15 +16,21 @@ element on random invertible polynomials of up to four variables.
 
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bhmirror.errors import GradingCollisionError, NotAdmissibleError
+from bhmirror.errors import (
+    GradingCollisionError,
+    NotAdmissibleError,
+    SingularExponentMatrixError,
+)
 from bhmirror.milnor import equivariant_hilbert, sector_algebra
 from bhmirror.mirror import build_mirror_pair
 from bhmirror.poly import (
     RestrictedPolynomial,
+    adjugate,
     decoder,
     dual_characters,
     encode,
@@ -30,12 +39,15 @@ from bhmirror.poly import (
     fixes,
     format_vector,
     from_exponents,
+    monomial_phases,
     restrict,
+    solve_weights,
     split_cyclic,
     transpose,
 )
 from bhmirror.statespace import unprojected_cells, unprojected_state_space
 from bhmirror.symmetry import (
+    SymmetryGroup,
     admissible_setup,
     age,
     annihilator,
@@ -49,6 +61,29 @@ from bhmirror.symmetry import (
     sl_subgroup,
     symmetry,
 )
+
+
+def ref_invert_matrix(rows):
+    """Exact inverse and determinant by `Fraction` Gauss-Jordan elimination."""
+    n = len(rows)
+    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+           for i in range(n)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise SingularExponentMatrixError("exponent matrix is singular")
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        det *= aug[col][col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug), det
 
 
 def ref_symmetry(g):
@@ -96,6 +131,25 @@ def ref_annihilator(P, generators):
     Pv = transpose(P)
     full = ref_closure(Pv, aut_generators(Pv))
     return tuple(h for h in full if all(ref_pairing(P, g, h) == 0 for g in generators))
+
+
+def old_annihilator(P, generators):
+    """The closure-and-filter that the kernel-basis annihilator replaced:
+    the codes of Aut of the transpose, sorted, with (E*g) . h = 0 mod N
+    for every generator g."""
+    N = exponent_determinant(P)
+    vectors = [monomial_phases(P, N, g) for g in generators]
+    return tuple(h for h in aut_group(transpose(P)).codes
+                 if all(sum(x * y for x, y in zip(v, h)) % N == 0 for v in vectors))
+
+
+def old_key_charges(setup):
+    """Each key's charges (k*Q_j mod k, k*Q_s mod k) as dot products of the
+    key with E*j/N and E*s/N, the grading the setup read before."""
+    k, W, N = setup.k, setup.W, setup.N
+    vectors = (monomial_phases(W, N, setup.j), monomial_phases(W, N, setup.s))
+    return {key: tuple(k * sum(x * y for x, y in zip(v, key)) // N % k for v in vectors)
+            for key in setup.keys}
 
 
 def ref_series(R):
@@ -201,16 +255,20 @@ def polynomial_and_generators(draw):
 
 
 @st.composite
-def cyclic_setups(draw):
+def cyclic_setups(draw, any_row=False):
     """W = x0^k + f with f on at most 3 variables and k <= 12 a multiple of
     the denominator of age(j_f), and generators of K: j_f^k and up to two
     elements of SL_f.  K lies in SL_f; the cosets collide when j_f^a lies
-    in K for some a < k."""
+    in K for some a < k.  x0^k is the first monomial, as the parser makes
+    it, or with `any_row` in any row (a setup, but not a mirror pair, of
+    such a W is built)."""
     f = draw(small_polynomials(max_vars=3))
     k = age(j_element(f)).denominator * draw(st.integers(1, 3))
     assume(2 <= k <= 12)
     picks = draw(st.lists(st.sampled_from(sl_subgroup(f).elements), max_size=2))
-    W = from_exponents([[k] + [0] * f.num_vars] + [[0, *row] for row in f.exponents])
+    rows = [[0, *row] for row in f.exponents]
+    rows.insert(draw(st.integers(0, f.num_vars)) if any_row else 0, [k] + [0] * f.num_vars)
+    W = from_exponents(rows)
     return W, [symmetry(k * a for a in j_element(f))] + picks
 
 
@@ -313,7 +371,7 @@ def test_unprojected_map_matches_reference(P):
 
 
 @settings(deadline=None, max_examples=60)
-@given(cyclic_setups())
+@given(cyclic_setups(any_row=True))
 def test_coset_labels_match_reference(case):
     # the closure order of (K, s, j) against the triple loop: same labels
     # in the same coset order, or the same collision message; and the keys
@@ -423,3 +481,86 @@ def test_series_keys_are_dual_characters(P):
     for R in fixed_sets.values():
         for keys in equivariant_hilbert(R).coefficients.values():
             assert all(fixes(Pv, N, key) for key in keys)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices up to 6x6, sparse like exponent matrices but
+    with negative entries too, so that pivots need row swaps, determinants
+    take both signs and some matrices are singular."""
+    n = draw(st.integers(1, 6))
+    entries = st.sampled_from([0, 0, 0, 1, 1, 2, 3, 5, -1, -2])
+    return [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(integer_matrices())
+def test_adjugate_matches_fraction_gauss_jordan(rows):
+    try:
+        inverse, det = ref_invert_matrix(rows)
+    except SingularExponentMatrixError:
+        with pytest.raises(SingularExponentMatrixError, match="exponent matrix is singular"):
+            adjugate(rows)
+        return
+    assert adjugate(rows) == (det, tuple(tuple(det * a for a in row) for row in inverse))
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_polynomials(), st.data())
+def test_integer_inverse_matches_fraction_gauss_jordan(P, data):
+    # the rows of E in every order: swaps in the elimination, and both signs
+    # of det E; the inverse, N, the weights and the Milnor numbers match the
+    # `Fraction` path
+    perm = data.draw(st.permutations(range(P.num_vars)))
+    E = [P.exponents[i] for i in perm]
+    inverse, det = ref_invert_matrix(E)
+    Q = from_exponents(E)
+    assert exponent_determinant(Q) == abs(det)
+    assert exponent_inverse(Q) == inverse
+    q = [sum(row) for row in inverse]
+    degree = lcm(*(a.denominator for a in q))
+    assert solve_weights(E) == (tuple(int(a * degree) for a in q), degree)
+    for h in aut_group(Q).codes:
+        R = restrict(Q, h)
+        expected = Fraction(1)
+        for i in R.fixed_vars:
+            expected *= Fraction(degree - Q.weights[i], Q.weights[i])
+        assert R.milnor_dimension == expected
+
+
+@st.composite
+def polynomial_and_subgroup(draw):
+    """A polynomial and a subgroup of its symmetries, named by a preset or
+    spanned by random elements, or a random subgroup with every code a
+    generator, as the SL preset and the mirror's K are."""
+    P, gens = draw(polynomial_and_generators())
+    kind = draw(st.sampled_from(("trivial", "J", "SL", "full", "random", "all-codes")))
+    if kind == "trivial":
+        return P, enumerate_group(P, ())
+    if kind == "J":
+        return P, enumerate_group(P, (j_element(P),))
+    if kind == "SL":
+        return P, sl_subgroup(P)
+    if kind == "full":
+        return P, aut_group(P)
+    H = enumerate_group(P, gens)
+    return P, (H if kind == "random" else SymmetryGroup(P, H.codes, H.codes))
+
+
+@settings(deadline=None, max_examples=80)
+@given(polynomial_and_subgroup())
+def test_kernel_basis_annihilator_matches_closure_and_filter(case):
+    P, H = case
+    assert annihilator(P, H.generators, H.order) == old_annihilator(P, H.generators)
+
+
+@settings(deadline=None, max_examples=40)
+@given(cyclic_setups(any_row=True))
+def test_key_charges_match_dot_products(case):
+    # sum(key) and key[r0] against the dot products with E*j/N and E*s/N
+    W, gens = case
+    try:
+        setup = admissible_setup(W, enumerate_group(split_cyclic(W)[1], gens))
+    except GradingCollisionError:
+        return
+    assert list(setup.keys.items()) == list(old_key_charges(setup).items())

@@ -264,18 +264,17 @@ class TestCodes:
 
 
 class TestCheckedInverse:
-    @pytest.mark.parametrize("bump", [1, Fraction(1, 7)], ids=["integral", "fractional"])
+    @pytest.mark.parametrize("bump", [
+        lambda det, adj: (det, ((adj[0][0] + 1, *adj[0][1:]), *adj[1:])),
+        lambda det, adj: (-det, adj),
+    ], ids=["integral", "negated-determinant"])
     def test_bumped_inverse_is_an_internal_error(self, monkeypatch, capsys, bump):
-        # E*A = N*I, checked once per exponent matrix on integers, is the one
-        # check of every code read off A = N*E^{-1}: a wrong inverse fails
-        # it, whether A stays integral or not, and the CLI exits 3
-        real = poly.invert_matrix
-
-        def bumped(rows):
-            inverse, det = real(rows)
-            return ((inverse[0][0] + bump, *inverse[0][1:]), *inverse[1:]), det
-
-        monkeypatch.setattr(poly, "invert_matrix", bumped)
+        # E*B = N*I for B = N*E^{-1}, checked once per exponent matrix on
+        # integers, is the one check of every code read off A = B mod N: a
+        # wrong adjugate entry, or a determinant of the wrong sign, fails
+        # it, and the CLI exits 3
+        real = poly.adjugate
+        monkeypatch.setattr(poly, "adjugate", lambda rows: bump(*real(rows)))
         poly._exact_inverse.cache_clear()  # a wrong inverse raises, so none is cached
         with pytest.raises(InternalError, match=r"N\*E\^-1 for N = \|det E\| = 12 is not"):
             parse_polynomial("x^3*y+y^4")

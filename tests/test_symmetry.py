@@ -181,6 +181,22 @@ class TestDualGroup:
         with pytest.raises(DualityViolationError):
             annihilator(QUARTIC, (j,), 2)
 
+    @pytest.mark.parametrize("fault, message", [
+        (lambda basis: [[basis[0][0] + 1, *basis[0][1:]], *basis[1:]],
+         r"kernel image \[1/4, 0, 0, 0\] does not pair to zero with \[1/4, 1/4, 1/4, 1/4\]"),
+        (lambda basis: basis[:-1],
+         r"annihilator of order 16 times group order 4 differs from \|det E\| = 256"),
+    ], ids=["bumped-image", "dropped-image"])
+    def test_a_wrong_kernel_basis_is_caught(self, monkeypatch, fault, message):
+        # Ann(<j>) of the quartic is the image of a kernel basis; an image
+        # that pairs to nonzero with j trips the pairing check, and a basis
+        # that spans too little trips the order identity
+        from bhmirror import symmetry as module
+        real = module._kernel_basis
+        monkeypatch.setattr(module, "_kernel_basis", lambda *args: fault(real(*args)))
+        with pytest.raises(DualityViolationError, match=message):
+            annihilator(QUARTIC, (encode(QUARTIC, j_element(QUARTIC)),), 4)
+
     def test_order_product(self):
         H = enumerate_group(QUARTIC, [(F(1, 4), F(3, 4), F(0), F(0))])
         assert H.order * dual_group(H).order == 256
@@ -263,6 +279,15 @@ class TestAdmissibleSetup:
                 K_gens = tuple((0, *(k * x for x in g)) for g in setup.K_inner.generators)
                 assert [h for h, charges in setup.keys.items() if charges == (0, 0)] == \
                     list(annihilator(W, (setup.j, setup.s) + K_gens, setup.group_order))
+
+    def test_charge_identities_are_checked(self, monkeypatch):
+        # keys are graded by sum(key) and key[r0] only because E*j = N*1 and
+        # E*s = N*e_r0; a setup whose E*j reads otherwise is an internal error
+        from bhmirror import symmetry as module
+        monkeypatch.setattr(module, "monomial_phases", lambda P, N, g: (0,) * P.num_vars)
+        with pytest.raises(InternalError, match=r"E\*j is not N\*1 or E\*s is not N\*e_0 "
+                                                r"for N = 256"):
+            admissible_setup(QUARTIC)
 
     def test_charges_off_the_1_over_k_grid_are_caught(self, monkeypatch):
         # a key of Ann(K) whose charge is not a multiple of 1/k: [1/16, 0, 0, 0]
