@@ -315,9 +315,10 @@ def cmd_k3(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _cells_json(report) -> list[dict]:
+def _cells_json(report, N: int) -> list[dict]:
+    """The compared cells of a report, each decoded from numerators over N."""
     return [{"statement": item.statement,
-             "cell": [_fmt_frac(x) for x in item.cell],
+             "cell": [str(Fraction(x, N)) for x in item.cell],
              "lhs": item.lhs, "rhs": item.rhs,
              "pass": item.ok} for item in report.items]
 
@@ -373,13 +374,14 @@ def _check_case(case: cat.CatalogCase) -> list[dict]:
     lg = verify_lg_mirror(pair)
     record("lg-mirror", lg.passed,
            f"{lg.cells_checked} cells" if lg.passed else
-           "; ".join(f"{v.statement}{v.cell}: {v.lhs} != {v.rhs}" for v in lg.violations[:5]),
-           cells=_cells_json(lg))
+           "; ".join(f"{v.statement}{format_vector(v.cell, setup.N)}: {v.lhs} != {v.rhs}"
+                     for v in lg.violations[:5]),
+           cells=_cells_json(lg, setup.N))
 
     if setup.k == 2:
         o2 = verify_order2_exchange(pair)
         record("order2-exchange", o2.passed, f"{o2.cells_checked} cells",
-               cells=_cells_json(o2))
+               cells=_cells_json(o2, setup.N))
 
     if "k3" in case.tags and (setup.k == 4 or setup.k in (3, 5, 7, 13)):
         try:

@@ -5,7 +5,10 @@ array: row b collects the cosets with d_s = b/k, column a those with
 d_j = a/k.  In the Calabi-Yau case bidegrees are reindexed by (-1, -1)
 and then shifted down by (b/k, b/k) per row, which lands every cell on
 integer positions (the cohomology of the corresponding fixed locus).  The
-grid keeps one map, read off `statespace.sector_cells`.
+grid keeps one map, read off `statespace.sector_cells`, whose bidegrees
+are numerators over N = |det E|: a Calabi-Yau grid subtracts N + b*N/k on
+integers and divides by N, and any other grid decodes them to rationals
+for display.
 
 For K3 setups (four variables, Calabi-Yau) with cyclic order 4 or an odd
 prime, the whole grid is a closed-form pattern in a handful of integer
@@ -22,7 +25,7 @@ from .errors import (
     NonIntegralLatticeError,
     PatternMismatchError,
 )
-from .poly import is_calabi_yau
+from .poly import decoder, is_calabi_yau
 from .statespace import StateTable, sector_cells
 
 Diamond = dict[tuple, int]
@@ -54,17 +57,21 @@ class SectorGrid(NamedTuple):
 
 def sector_grid(table: StateTable) -> SectorGrid:
     """Arrange the Q_j = 0 part by (d_s, d_j); reindex when Calabi-Yau."""
-    k = table.setup.k
+    k, N = table.setup.k, table.setup.N
     cy = is_calabi_yau(table.setup.W)
+    decode = decoder(N)
     weighted: dict[tuple[int, int], WeightedDiamond] = {}
     for (b, a, weight, p, q), dim in sector_cells(table).items():
         if cy:
-            shift = 1 + Fraction(b, k)
+            shift = N + b * N // k
             p, q = p - shift, q - shift
-            if p.denominator != 1 or q.denominator != 1:
+            if p % N or q % N:
                 raise DualityViolationError(
-                    f"non-integral display bidegree ({p}, {q}) in cell ({b}, {a})")
-            p, q = int(p), int(q)
+                    f"non-integral display bidegree ({Fraction(p, N)}, {Fraction(q, N)}) "
+                    f"in cell ({b}, {a})")
+            p, q = p // N, q // N
+        else:
+            p, q = decode((p, q))
         weighted.setdefault((b, a), {})[(p, q, weight)] = dim
     return SectorGrid(k, table.setup.W.num_vars, cy, weighted)
 

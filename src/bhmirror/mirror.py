@@ -6,26 +6,28 @@ made for the mirror from those key codes without decoding.  The induced state
 spaces satisfy three families of exact bigraded-dimension identities
 relating weight spaces of the slices of one side to those of the other.
 All checks here are exact integer identities per bidegree cell; reports
-carry every compared cell.  Transpose duality (the Krawitz scan and pair
-duality) compares two maps on integer cells, the source cells and the
-reflected mirror cells (for pair duality, the cells of the two tables):
-sector and key are codes and p, q numerators over N = |det E|, which a
-polynomial shares with its transpose.  Only the cell of a violation is
-decoded, by `statespace.cell_decoder`.  Cells keep state-space bidegrees;
-`geometry.sector_grid` applies the (-1, -1) Calabi-Yau shift.
+carry every compared cell, on integers, and decode none.  Transpose duality
+(the Krawitz scan and pair duality) compares two maps on integer cells, the
+source cells and the reflected mirror cells (for pair duality, the cells of
+the two tables): sector and key are codes and p, q numerators over
+N = |det E|, which a polynomial shares with its transpose.  The LG
+identities and the order-2 exchange compare (p, q) cells over the same N:
+N = k*|det E_f|, so the shifts b/k, the pads 1 and the reflections at n
+and n+1 are the integers b*N/k, N, n*N and (n+1)*N.  Cells keep
+state-space bidegrees; `geometry.sector_grid` applies the (-1, -1)
+Calabi-Yau shift.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import DualityViolationError, NotAdmissibleError, NotFermatError, ZOutOfRangeError
 from .poly import InvertiblePolynomial, exponent_determinant, is_fermat_diagonal, transpose
 from .statespace import (
     StateTable,
     build_state_space,
-    cell_decoder,
     slice_weight_bidegrees,
     unprojected_cells,
 )
@@ -41,8 +43,9 @@ Cell = tuple
 
 
 class CheckItem(NamedTuple):
-    """One compared cell; a violation's cell is always in rationals, while a
-    passing cell of an integer comparison stays on integers."""
+    """One compared cell: the integer cell at which lhs and rhs were read
+    (numerators over N = |det E|, with codes for sector and key), or () for
+    a statement recorded once, zero against zero, when both sides are empty."""
 
     statement: str
     cell: Cell
@@ -73,20 +76,15 @@ class VerificationReport(NamedTuple):
         return not self.violations
 
     def compare(self, statement: str, lhs: dict[Cell, int], rhs: dict[Cell, int],
-                empty: str | None = None,
-                decode: Callable[[Cell], Cell] | None = None) -> None:
+                empty: str | None = None) -> None:
         """Record lhs against rhs, both maps cell -> dimension, at every cell
         of either map in sorted order; a missing cell has dimension 0.  When
         both maps are empty and `empty` is given, record that statement once
-        at the empty cell (), zero against zero.  `decode` turns the cell of
-        a violation from integers into rationals."""
+        at the empty cell (), zero against zero."""
         if not (lhs or rhs) and empty is not None:
             statement, lhs = empty, {(): 0}
         for cell in sorted({*lhs, *rhs}):
-            left, right = lhs.get(cell, 0), rhs.get(cell, 0)
-            if left != right and decode is not None:
-                cell = decode(cell)
-            self.items.append(CheckItem(statement, cell, left, right))
+            self.items.append(CheckItem(statement, cell, lhs.get(cell, 0), rhs.get(cell, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +153,7 @@ def _transpose_duality(statement: str, P: InvertiblePolynomial, lhs: dict[Cell, 
     top = P.num_vars * N
     report = VerificationReport([])
     report.compare(statement, lhs, {(key, sector, top - p, q): dim
-                                    for (sector, key, p, q), dim in rhs.items()},
-                   decode=cell_decoder(N))
+                                    for (sector, key, p, q), dim in rhs.items()})
     return report
 
 
@@ -298,24 +295,26 @@ def verify_lg_mirror(pair: MirrorPair) -> VerificationReport:
     The identities hold under the group hypothesis that the coset group
     consists of determinant-one symmetries, i.e. the weight sum is a
     multiple of the degree (weaker than the Calabi-Yau equality).
+
+    Cells are (p, q) numerators over N = |det E|, shared by the two sides.
     """
     _require_weight_sum_multiple(pair.source.W)
-    k = pair.source.k
+    k, N = pair.source.k, pair.source.N
     n = pair.source.W.num_vars - 1
     slices = slice_weight_bidegrees(pair.source_table)
     slicesV = slice_weight_bidegrees(pair.target_table)
     report = VerificationReport([])
-    report.compare("part1", *_part1(slices, slicesV, n, (0,), range(1, k)))
+    report.compare("part1", *_part1(slices, slicesV, n, N, (0,), range(1, k)))
     for i in range(1, k):
-        report.compare(f"part2[i={i}]", *_part2(slices, slicesV, n, k, i))
+        report.compare(f"part2[i={i}]", *_part2(slices, slicesV, n, N, k, i))
     for b in range(1, k):
         for t in range(1, k):
             statement = f"part3[b={b},t={t}]"
-            shift_l = Fraction(b, k)
-            shift_r = Fraction(k - t, k)
+            shift_l = b * N // k
+            shift_r = (k - t) * N // k
             report.compare(statement,
                            _cells((slices[b], (t,), shift_l, shift_l)),
-                           _reflect(_cells((slicesV[k - t], (k - b,), shift_r, shift_r)), n),
+                           _reflect(_cells((slicesV[k - t], (k - b,), shift_r, shift_r)), n * N),
                            empty=statement + ("/vacuous" if (b * t) % k != 0 else ""))
     return report
 
@@ -338,24 +337,24 @@ def _reflect(cells: dict[Cell, int], m: int) -> dict[Cell, int]:
     return {(m - p, q): dim for (p, q), dim in cells.items()}
 
 
-def _part1(slices, slicesV, n, left, right) -> tuple[dict[Cell, int], dict[Cell, int]]:
+def _part1(slices, slicesV, n, N, left, right) -> tuple[dict[Cell, int], dict[Cell, int]]:
     """The `left` weights of slice 0 at (p, q) against the `right` weights
-    of the mirror slice 0 at (n+1-p, q)."""
+    of the mirror slice 0 at (n+1-p, q), bidegrees over N."""
     return (_cells((slices[0], left, 0, 0)),
-            _reflect(_cells((slicesV[0], right, 0, 0)), n + 1))
+            _reflect(_cells((slicesV[0], right, 0, 0)), (n + 1) * N))
 
 
-def _part2(slices, slicesV, n, k, i) -> tuple[dict[Cell, int], dict[Cell, int]]:
+def _part2(slices, slicesV, n, N, k, i) -> tuple[dict[Cell, int], dict[Cell, int]]:
     """The padded weight-0 part of slice i against the same construction on
-    the mirror at (n-p, q)."""
-    shift = Fraction(i, k)
+    the mirror at (n-p, q), bidegrees over N."""
+    shift = i * N // k
 
     def padded(slc):
         return _cells((slc[i], (0,), shift, shift),
-                      (slc[0], range(1, k - i), 1, 0),
-                      (slc[0], range(k - i + 1, k), 0, 1))
+                      (slc[0], range(1, k - i), N, 0),
+                      (slc[0], range(k - i + 1, k), 0, N))
 
-    return padded(slices), _reflect(padded(slicesV), n)
+    return padded(slices), _reflect(padded(slicesV), n * N)
 
 
 def _require_weight_sum_multiple(W: InvertiblePolynomial) -> None:
@@ -381,12 +380,12 @@ def verify_order2_exchange(pair: MirrorPair) -> VerificationReport:
     _require_weight_sum_multiple(pair.source.W)
     if pair.source.k != 2:
         raise NotAdmissibleError("the exchange corollary applies to k = 2 only")
-    n = pair.source.W.num_vars - 1
+    n, N = pair.source.W.num_vars - 1, pair.source.N
     slices = slice_weight_bidegrees(pair.source_table)
     slicesV = slice_weight_bidegrees(pair.target_table)
     report = VerificationReport([])
-    report.compare("exchange[plus]", *_part1(slices, slicesV, n, (0,), (1,)))
-    report.compare("exchange[minus]", *_part1(slices, slicesV, n, (1,), (0,)))
-    report.compare("s-slice-self-mirror", *_part2(slices, slicesV, n, 2, 1),
+    report.compare("exchange[plus]", *_part1(slices, slicesV, n, N, (0,), (1,)))
+    report.compare("exchange[minus]", *_part1(slices, slicesV, n, N, (1,), (0,)))
+    report.compare("s-slice-self-mirror", *_part2(slices, slicesV, n, N, 2, 1),
                    empty="s-slice-self-mirror/vacuous")
     return report

@@ -544,7 +544,9 @@ def is_fermat_diagonal(P: InvertiblePolynomial) -> bool:
 
 
 def split_cyclic(P: InvertiblePolynomial) -> tuple[int, InvertiblePolynomial]:
-    """Split W = x0^k + f(x1..xn): x0 must occur exactly once, as a pure power."""
+    """Split W = x0^k + f(x1..xn): x0 must occur exactly once, as a pure
+    power in the first monomial (where the parser puts it), so that row 0 of
+    E, and of its transpose, is x0^k."""
     rows_with_x0 = [i for i in range(P.num_vars) if P.exponents[i][0] > 0]
     if len(rows_with_x0) != 1:
         raise NotCyclicSplitError(
@@ -554,12 +556,13 @@ def split_cyclic(P: InvertiblePolynomial) -> tuple[int, InvertiblePolynomial]:
     if any(e > 0 for j, e in enumerate(row) if j != 0):
         raise NotCyclicSplitError(
             f"the monomial containing {P.var_names[0]} is not a pure power")
+    if r0 != 0:
+        raise NotCyclicSplitError(
+            f"{P.var_names[0]}^{row[0]} is row {r0} of the exponent matrix, not row 0")
     if P.num_vars < 2:
         raise NotCyclicSplitError("no remaining variables for the inner polynomial")
-    k = row[0]
-    sub_rows = [tuple(P.exponents[i][1:]) for i in range(P.num_vars) if i != r0]
-    f = from_exponents(sub_rows, P.var_names[1:])
-    return k, f
+    f = from_exponents([other[1:] for other in P.exponents[1:]], P.var_names[1:])
+    return row[0], f
 
 
 def restrict(P: InvertiblePolynomial, symmetry: Code) -> RestrictedPolynomial:

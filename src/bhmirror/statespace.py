@@ -22,10 +22,10 @@ A sector's coset is read off `setup.labels` and a key's charges off
 `setup.keys`, so every grading of an entry follows from its cell; the
 builders expand each fixed set's series once (`milnor.algebra_by_fixed_set`)
 and shift it per sector.  The slices, `sector_cells` (one pass over the
-Q_j = 0 part, feeding the LG slices and the grid) and the vanishing check
-read the cells.  `entries` is the `StateLabel` view of a table, decoded on
-read; a label, the unprojected map or a failed check is where a cell
-becomes rationals, and `cell_decoder` is that decoding for a bare cell.
+Q_j = 0 part, feeding the LG slices and the grid, with p and q kept as
+numerators over N) and the vanishing check read the cells.  `entries` is
+the `StateLabel` view of a table, decoded on read; a label and the
+unprojected map are where a cell becomes rationals.
 """
 
 from __future__ import annotations
@@ -154,18 +154,13 @@ def unprojected_cells(P: InvertiblePolynomial) -> dict[IntegerCell, int]:
             for key, p, q, dim in terms(h)}
 
 
-def cell_decoder(N: int) -> Callable[[IntegerCell], tuple[Symmetry, Symmetry, Fraction, Fraction]]:
-    """(sector, key, p, q) on integers over N -> the same cell as rationals."""
-    decode = decoder(N)
-    return lambda cell: (decode(cell[0]), decode(cell[1]), *decode(cell[2:]))
-
-
 def unprojected_state_space(P: InvertiblePolynomial
                             ) -> dict[tuple[Symmetry, Symmetry, Fraction, Fraction], int]:
     """The decoded view of `unprojected_cells`: the map (sector, key, p, q)
     -> dimension with `Fraction` vectors and bidegrees."""
-    decode = cell_decoder(exponent_determinant(P))
-    return {decode(cell): dim for cell, dim in unprojected_cells(P).items()}
+    decode = decoder(exponent_determinant(P))
+    return {(decode(h), decode(key), *decode((p, q))): dim
+            for (h, key, p, q), dim in unprojected_cells(P).items()}
 
 
 def _coordinates(setup: AdmissibleSetup, sector: Code, key: Code) -> tuple[str, int, int]:
@@ -282,10 +277,10 @@ def elevator_fixed(setup: AdmissibleSetup, label: StateLabel, z_new: int) -> Sta
 # aggregations used by the mirror verifiers and the grids
 # ---------------------------------------------------------------------------
 
-def sector_cells(table: StateTable) -> dict[tuple[int, int, int, Fraction, Fraction], int]:
+def sector_cells(table: StateTable) -> dict[tuple[int, int, int, int, int], int]:
     """The Q_j = 0 part in one pass, (b, a, weight, p, q) -> dimension: row
-    b = k*d_s is the slice `fjrw_state_space(table, b)`, column a = X.
-    Summed on integers; p and q are decoded once per summed cell."""
+    b = k*d_s is the slice `fjrw_state_space(table, b)`, column a = X, and
+    p, q numerators over N."""
     labels, keys = table.setup.labels, table.setup.keys
     sums: dict[tuple[int, int, int, int, int], int] = {}
     for (h, key, p, q), dim in table.cells.items():
@@ -294,26 +289,25 @@ def sector_cells(table: StateTable) -> dict[tuple[int, int, int, Fraction, Fract
             a, b = labels[h]
             cell = (b, a, weight, p, q)
             sums[cell] = sums.get(cell, 0) + dim
-    decode = decoder(table.setup.N)
-    return {(b, a, weight, *decode((p, q))): dim for (b, a, weight, p, q), dim in sums.items()}
+    return sums
 
 
-def slice_weight_bidegrees(table: StateTable) -> dict[int, dict[tuple[int, Fraction, Fraction], int]]:
-    """Per slice b: map (weight, p, q) -> dimension of the Q_j = 0 part."""
+def slice_weight_bidegrees(table: StateTable) -> dict[int, dict[tuple[int, int, int], int]]:
+    """Per slice b: map (weight, p, q) -> dimension of the Q_j = 0 part, p
+    and q numerators over N."""
     out: dict[int, dict] = {b: {} for b in range(table.setup.k)}
     for (b, _, weight, p, q), dim in sector_cells(table).items():
         out[b][weight, p, q] = out[b].get((weight, p, q), 0) + dim
     return out
 
 
-def moving_vanishing_violations(table: StateTable) -> list[StateLabel]:
-    """Labels violating the vanishing rule: the moving Q_j = 0 part with
-    X = b, Y = Z = t must be empty whenever k does not divide b*t.  Read on
-    the cells; only a violating cell is decoded."""
+def moving_vanishing_violations(table: StateTable) -> list[IntegerCell]:
+    """Cells violating the vanishing rule: the moving Q_j = 0 part with
+    X = b, Y = Z = t must be empty whenever k does not divide b*t."""
     setup = table.setup
     bad = []
     for cell in table.cells:
         kqj, weight = setup.keys[cell[1]]  # on the moving side, Z is the weight
         if weight != 0 and kqj == 0 and setup.labels[cell[0]][0] * weight % setup.k != 0:
             bad.append(cell)
-    return list(map(_labeler(setup), bad))
+    return bad

@@ -20,8 +20,8 @@ the transpose is closed to be filtered.  A code is made only by
 K as a `SymmetryGroup` of f; its `labels` (the coset group in coset order
 j^a s^b K, read off the closure order of (K, s, j)) and keys, Ann(K), are
 codes, each key graded once by its charges (k*Q_j, k*Q_s) mod k, read off
-as k*sum(key) and k*key[r0] over N, since E*j = N*1 and E*s = N*e_r0 for
-the row r0 of x0^k (both checked once per setup): the dual of <K, j, s>
+as k*sum(key) and k*key[0] over N, since E*j = N*1 and E*s = N*e_0, x0^k
+being row 0 of E (both checked once per setup): the dual of <K, j, s>
 is the keys of charge (0, 0), as SL is the dual of <j^T>.  Cached:
 `aut_group` enumerates once per polynomial (bounded cache keyed on the
 polynomial; the cap is checked on every call, before the cache is
@@ -359,15 +359,14 @@ def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) ->
             f"cosets {(0, a)} and {(a, 0)} coincide; "
             "the (d_j, d_s) grading is not single-valued")
     labels = {e: divmod(i // K_inner.order, k) for i, e in enumerate(codes)}
-    # Q_j = (E*j/N) . key/N mod 1, and likewise Q_s; E*j = N*1 and E*s = N*e_r0
-    # for the row r0 of x0^k, so k*Q_j*N is k*sum(key) and k*Q_s*N is k*key[r0]
-    r0 = next(i for i, row in enumerate(W.exponents) if row[0])
+    # Q_j = (E*j/N) . key/N mod 1, and likewise Q_s; E*j = N*1 and E*s = N*e_0,
+    # x0^k being row 0, so k*Q_j*N is k*sum(key) and k*Q_s*N is k*key[0]
     if (monomial_phases(W, N, j) != (1,) * W.num_vars
-            or monomial_phases(W, N, s) != tuple(int(i == r0) for i in range(W.num_vars))):
-        raise InternalError(f"E*j is not N*1 or E*s is not N*e_{r0} for N = {N}")
+            or monomial_phases(W, N, s) != (1,) + (0,) * f.num_vars):
+        raise InternalError(f"E*j is not N*1 or E*s is not N*e_0 for N = {N}")
     keys = {}
     for key in annihilator(W, K_gens, K_inner.order):
-        kqj, kqs = k * sum(key), k * key[r0]  # over N
+        kqj, kqs = k * sum(key), k * key[0]  # over N
         if kqj % N or kqs % N:
             raise DualityViolationError(
                 f"charges of key {format_vector(key, N)} are not multiples of 1/{k}")

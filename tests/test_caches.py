@@ -8,7 +8,14 @@ import pytest
 from bhmirror.cli import main
 from bhmirror.errors import GroupTooLargeError, InputError
 from bhmirror.milnor import equivariant_hilbert, sector_algebra
-from bhmirror.mirror import build_mirror_pair, verify_krawitz, verify_pair_duality
+from bhmirror.geometry import fit_k3_pattern, sector_grid
+from bhmirror.mirror import (
+    build_mirror_pair,
+    verify_krawitz,
+    verify_lg_mirror,
+    verify_order2_exchange,
+    verify_pair_duality,
+)
 from bhmirror.poly import (
     encode,
     exponent_inverse,
@@ -176,22 +183,36 @@ def test_membership_is_checked_where_a_code_is_made(monkeypatch):
     assert counts == {"monomial_phases": 12, "encode": 0}
 
 
-def test_transpose_duality_hashes_no_fraction(monkeypatch):
-    # the Krawitz scan and pair duality compare integer cells: a passing
-    # check hashes and sorts no `Fraction`
+def test_transpose_duality_hashes_no_fraction(monkeypatch, pair_cache):
+    # the Krawitz scan and pair duality compare integer cells, and so do the
+    # LG identities and the order-2 exchange: a passing check hashes and
+    # sorts no `Fraction`; nor do a Calabi-Yau grid and its K3 fit
     loop = parse_polynomial("x0^2*x1+x1^3*x2+x2^4*x3+x3^5*x0")
     octic = build_mirror_pair(parse_polynomial("x0^8+x1^8+x2^4+x3^2"))
+    quartic, toy = pair_cache("fermat-quartic"), pair_cache("toy-k2")
     hashed = []
     real = Fraction.__hash__
     monkeypatch.setattr(Fraction, "__hash__", lambda self: hashed.append(self) or real(self))
     counts = {}
     for statement, check in (("krawitz", lambda: verify_krawitz(loop)),
-                             ("pair-duality", lambda: verify_pair_duality(octic))):
+                             ("pair-duality", lambda: verify_pair_duality(octic)),
+                             ("lg-mirror[fermat-quartic]", lambda: verify_lg_mirror(quartic)),
+                             ("lg-mirror[toy-k2]", lambda: verify_lg_mirror(toy)),
+                             ("order2-exchange[toy-k2]", lambda: verify_order2_exchange(toy))):
         hashed.clear()
         report = check()
         assert report.passed and report.cells_checked > 0
         counts[statement] = len(hashed)
-    assert counts == {"krawitz": 0, "pair-duality": 0}
+    for name, pair in (("fermat-quartic", quartic), ("toy-k2", toy)):
+        hashed.clear()
+        grids = [sector_grid(pair.source_table), sector_grid(pair.target_table)]
+        assert all(grid.calabi_yau and grid.weighted for grid in grids)
+        counts[f"grids[{name}]"] = len(hashed)
+    hashed.clear()
+    report = fit_k3_pattern(sector_grid(quartic.source_table))
+    assert report.kind == "order4"
+    counts["k3-fit[fermat-quartic]"] = len(hashed)
+    assert counts == dict.fromkeys(counts, 0)
 
 
 def test_state_tables_hash_no_fraction(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from bhmirror import cli
 from bhmirror.cli import main
 from bhmirror.milnor import GroupRingSeries
+from bhmirror.statespace import StateTable
 
 
 def run(capsys, *argv):
@@ -321,6 +322,27 @@ class TestVerify:
         assert "FAIL  elliptic-cubic: milnor-dimensions  [bad: ['[1/3, 0, 0]', '[2/3, 0, 0]']]" in out
         assert "FAIL  elliptic-cubic: fermat-oracle" in out
         assert "2 CHECKS FAILED" in out
+
+    def test_lg_mirror_fault_names_its_cell(self, capsys, monkeypatch):
+        # one source cell of the untwisted Q_j = 0, weight-0 part raised by 1:
+        # LG part 1 fails at that cell, printed as rationals; pair duality
+        # and the order-2 exchange fail with it
+        real = cli.build_mirror_pair
+
+        def bumped(W, K=None):
+            pair = real(W, K)
+            setup, cells = pair.source, dict(pair.source_table.cells)
+            cell = next(c for c in cells
+                        if setup.keys[c[1]] == (0, 0) and setup.labels[c[0]][1] == 0)
+            cells[cell] += 1
+            return pair._replace(source_table=StateTable(setup, cells))
+
+        monkeypatch.setattr(cli, "build_mirror_pair", bumped)
+        code, out, _ = run(capsys, "verify", "--case", "toy-k2")
+        assert code == 1
+        assert "FAIL  toy-k2: lg-mirror  [part1[1, 1]: 2 != 1]" in out
+        assert "FAIL  toy-k2: pair-duality" in out and "FAIL  toy-k2: order2-exchange" in out
+        assert "3 CHECKS FAILED (6 checks)" in out
 
     def test_failure_exit_code(self, capsys, tmp_path):
         # an admissible setup that breaks the theorem's weight hypothesis

@@ -102,16 +102,18 @@ class TestSectorGrid:
 class TestOnePassViews:
     @pytest.mark.parametrize("name", [case.name for case in ADMISSIBLE_CASES])
     def test_views_match_the_slices(self, pair_cache, name):
-        # the one-pass LG slices and grid against the per-slice reference
+        # the one-pass LG slices and grid against the per-slice reference;
+        # the slices keep p and q as numerators over N
         pair = pair_cache(name)
         for table in (pair.source_table, pair.target_table):
+            N = table.setup.N
             slices = slice_weight_bidegrees(table)
             grid = sector_grid(table)
             totals = grid.row_totals()
             for b in range(grid.k):
                 reference = fjrw_state_space(table, b)
                 assert slices[b] == reference.dimensions_by(
-                    lambda lab: (lab.weight, lab.p, lab.q))
+                    lambda lab: (lab.weight, lab.p * N, lab.q * N))
                 assert sum(totals[b]) == reference.total_dimension
                 columns = reference.dimensions_by(lambda lab: lab.x)
                 for a in range(grid.k):

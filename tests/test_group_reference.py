@@ -255,20 +255,18 @@ def polynomial_and_generators(draw):
 
 
 @st.composite
-def cyclic_setups(draw, any_row=False):
+def cyclic_setups(draw):
     """W = x0^k + f with f on at most 3 variables and k <= 12 a multiple of
     the denominator of age(j_f), and generators of K: j_f^k and up to two
     elements of SL_f.  K lies in SL_f; the cosets collide when j_f^a lies
     in K for some a < k.  x0^k is the first monomial, as the parser makes
-    it, or with `any_row` in any row (a setup, but not a mirror pair, of
-    such a W is built)."""
+    it and `split_cyclic` requires."""
     f = draw(small_polynomials(max_vars=3))
     k = age(j_element(f)).denominator * draw(st.integers(1, 3))
     assume(2 <= k <= 12)
     picks = draw(st.lists(st.sampled_from(sl_subgroup(f).elements), max_size=2))
     rows = [[0, *row] for row in f.exponents]
-    rows.insert(draw(st.integers(0, f.num_vars)) if any_row else 0, [k] + [0] * f.num_vars)
-    W = from_exponents(rows)
+    W = from_exponents([[k] + [0] * f.num_vars] + rows)
     return W, [symmetry(k * a for a in j_element(f))] + picks
 
 
@@ -371,7 +369,7 @@ def test_unprojected_map_matches_reference(P):
 
 
 @settings(deadline=None, max_examples=60)
-@given(cyclic_setups(any_row=True))
+@given(cyclic_setups())
 def test_coset_labels_match_reference(case):
     # the closure order of (K, s, j) against the triple loop: same labels
     # in the same coset order, or the same collision message; and the keys
@@ -555,9 +553,9 @@ def test_kernel_basis_annihilator_matches_closure_and_filter(case):
 
 
 @settings(deadline=None, max_examples=40)
-@given(cyclic_setups(any_row=True))
+@given(cyclic_setups())
 def test_key_charges_match_dot_products(case):
-    # sum(key) and key[r0] against the dot products with E*j/N and E*s/N
+    # sum(key) and key[0] against the dot products with E*j/N and E*s/N
     W, gens = case
     try:
         setup = admissible_setup(W, enumerate_group(split_cyclic(W)[1], gens))

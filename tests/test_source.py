@@ -102,11 +102,11 @@ def _callers(name):
 
 def test_decoder_only_where_results_leave():
     # codes stay codes inside the engine; `decoder` makes the `Fraction`
-    # view only where a group's elements, a state label, a summed grid cell
-    # or an unprojected cell (of the public map, or of a failed check) leave
-    # it; building a state table decodes nothing
-    allowed = {"symmetry.SymmetryGroup.elements", "statespace.cell_decoder",
-               "statespace._labeler", "statespace.sector_cells", "statespace._relabel"}
+    # view only where a group's elements, a state label, a non-Calabi-Yau
+    # grid cell or a cell of the public unprojected map leave it; building a
+    # state table, and checking it, decodes nothing
+    allowed = {"symmetry.SymmetryGroup.elements", "statespace.unprojected_state_space",
+               "statespace._labeler", "geometry.sector_grid", "statespace._relabel"}
     callers = _callers("decoder")
     assert callers <= allowed, f"decoder called in {sorted(callers - allowed)}"
 

@@ -10,14 +10,17 @@ from bhmirror.errors import (
     GroupTooLargeError,
     InternalError,
     NotAdmissibleError,
+    NotCyclicSplitError,
     NotInGroupError,
 )
+from bhmirror.mirror import build_mirror_pair
 from bhmirror.poly import (
     decoder,
     dual_characters,
     encode,
     exponent_determinant,
     exponent_inverse,
+    from_exponents,
     parse_polynomial,
     split_cyclic,
     transpose,
@@ -232,6 +235,15 @@ class TestAdmissibleSetup:
         setup = admissible_setup(QUARTIC)
         assert setup.k == 4 and setup.group_order == 16
         assert setup.labels[encode(QUARTIC, (F(1, 2), F(1, 4), F(1, 4), F(1, 4)))] == (1, 1)
+
+    def test_x0_power_outside_row_0_rejected(self):
+        # the charges of a key are read off sum(key) and key[0], as x0^k is
+        # row 0 of E and of its transpose; the parser always puts it there
+        W = from_exponents(((0, 2, 1), (4, 0, 0), (0, 0, 2)))
+        for build in (admissible_setup, build_mirror_pair):
+            with pytest.raises(NotCyclicSplitError,
+                               match=r"x0\^4 is row 1 of the exponent matrix, not row 0"):
+                build(W)
 
     def test_K_outside_sl_rejected(self):
         with pytest.raises(NotAdmissibleError):
