@@ -28,11 +28,9 @@ from .symmetry import (
     SymmetryGroup,
     admissible_setup,
     age,
-    aut_generators,
     aut_group,
     dual_group,
     enumerate_group,
-    in_sl,
     j_element,
     pairing,
     s_element,

@@ -10,9 +10,16 @@ are numerators over N = |det E|: a Calabi-Yau grid subtracts N + b*N/k on
 integers and divides by N, and any other grid decodes them to rationals
 for display.
 
-For K3 setups (four variables, Calabi-Yau) with cyclic order 4 or an odd
-prime, the whole grid is a closed-form pattern in a handful of integer
-parameters; fitting is strict, any residual cell mismatch is an error.
+For K3 setups (four variables, Calabi-Yau) with a cyclic order k in
+K3_ORDERS (4, or an odd prime p with p - 1 dividing 24), the whole grid is
+one closed-form pattern in a handful of integer parameters: row b is the
+cohomology of Fix(s^b).  Row 0 holds the untwisted middle, then columns
+f_1 ... f_{k-1}; each row b >= 1 opens with f0, the fixed curves, and
+cell (b, t) is empty where k divides b + t, f_t where b + t < k, and f_t
+shifted by (-1, -1) beyond.  Order 4 overrides one cell: (2, 2) holds the
+fixed locus of s^2.  One fit reads the parameters off designated cells
+and rebuilds the grid; fitting is strict, any residual cell mismatch is
+an error.
 """
 
 from __future__ import annotations
@@ -82,15 +89,24 @@ def sector_grid(table: StateTable) -> SectorGrid:
 
 class K3Report(NamedTuple):
     order: int
-    kind: str                    # "order4" | "prime"
     params: dict[str, int]       # a, g (+ b, c for order 4) and their duals
+
+    @property
+    def kind(self) -> str:
+        """The pattern fitted: "order4" or "prime"."""
+        return "order4" if self.order == 4 else "prime"
 
     def dual(self) -> "K3Report":
         swapped = {}
         for name, value in self.params.items():
             other = name[:-5] if name.endswith("_dual") else name + "_dual"
             swapped[other] = value
-        return K3Report(self.order, self.kind, swapped)
+        return K3Report(self.order, swapped)
+
+
+# The cyclic orders of the K3 patterns: 4, and the odd primes p with p - 1
+# dividing 24
+K3_ORDERS = (3, 4, 5, 7, 13)
 
 
 def check_prime_divisibility(k: int) -> bool:
@@ -102,49 +118,23 @@ def _is_prime(k: int) -> bool:
     return k > 1 and all(k % i for i in range(2, int(k**0.5) + 1))
 
 
-def _expected_order4(a: int, b: int, c: int, g: int,
-                     ad: int, bd: int, cd: int, gd: int) -> dict:
-    """Weighted diamonds of the generic order-4 grid, display coordinates."""
-    f0 = {(0, 0, 0): gd, (1, 0, 0): g, (0, 1, 0): g, (1, 1, 0): gd}
-    f1 = {(0, 0, 0): 1, (1, 1, 0): ad - 1}
-    f2 = {(1, 1, 0): bd}
-    f3 = {(1, 1, 0): ad - 1, (2, 2, 0): 1}
-    m0 = {(2, 0, 1): 1, (1, 1, 1): a - 1, (1, 1, 2): b, (1, 1, 3): a - 1, (0, 2, 3): 1}
-    m2 = {(0, 0, 2): c, (1, 0, 2): cd, (0, 1, 2): cd, (1, 1, 2): c}
-    drop = lambda cell: {(p - 1, q - 1, w): v for (p, q, w), v in cell.items()}
-    grid = {
-        (0, 0): m0, (0, 1): f1, (0, 2): f2, (0, 3): f3,
-        (1, 0): f0, (1, 1): f1, (1, 2): f2, (1, 3): {},
-        (2, 0): f0, (2, 1): f1, (2, 2): m2, (2, 3): drop(f3),
-        (3, 0): f0, (3, 1): {}, (3, 2): drop(f2), (3, 3): drop(f3),
-    }
-    return {cell: {pos: v for pos, v in diamond.items() if v != 0}
-            for cell, diamond in grid.items()}
-
-
-def _expected_prime(p: int, a: int, g: int, ad: int, gd: int) -> dict:
-    """Weighted diamonds of the generic prime-order grid.  The weight split
-    of the untwisted middle is not prescribed (recorded as weight -1,
-    meaning compare at total level)."""
-    f0 = {(0, 0, 0): gd, (1, 0, 0): g, (0, 1, 0): g, (1, 1, 0): gd}
-    f = {1: {(0, 0, 0): 1, (1, 1, 0): ad - 1}}
-    for t in range(2, p - 1):
-        f[t] = {(1, 1, 0): ad}
-    f[p - 1] = {(1, 1, 0): ad - 1, (2, 2, 0): 1}
-    m0 = {(2, 0, 1): 1, (1, 1, -1): (p - 1) * a - 2, (0, 2, p - 1): 1}
-    grid: dict = {(0, 0): m0}
-    for t in range(1, p):
-        grid[(0, t)] = dict(f[t])
-    for b in range(1, p):
-        grid[(b, 0)] = dict(f0)
-        for t in range(1, p):
-            if (t + b) % p == 0:
-                grid[(b, t)] = {}
-            elif t + b < p:
-                grid[(b, t)] = dict(f[t])
-            else:
-                grid[(b, t)] = {(pp - 1, qq - 1, w): v
-                                for (pp, qq, w), v in f[t].items()}
+def _expected_grid(k: int, g: int, g_dual: int, a_dual: int, middle: int,
+                   m0: WeightedDiamond, extra=()) -> dict:
+    """Weighted diamonds of the generic K3 grid of order k in display
+    coordinates, by the one rule above: the middle columns f_2 ... f_{k-2}
+    carry `middle` at (1, 1), and `extra`, cell -> diamond, overrides cells."""
+    f0 = {(0, 0, 0): g_dual, (1, 0, 0): g, (0, 1, 0): g, (1, 1, 0): g_dual}
+    f = {t: {(1, 1, 0): middle} for t in range(2, k - 1)}
+    f[1] = {(0, 0, 0): 1, (1, 1, 0): a_dual - 1}
+    f[k - 1] = {(1, 1, 0): a_dual - 1, (2, 2, 0): 1}
+    grid = {(0, 0): m0} | {(0, t): f[t] for t in range(1, k)}
+    for b in range(1, k):
+        grid[(b, 0)] = f0
+        for t in range(1, k):
+            drop = 0 if b + t < k else 1
+            grid[(b, t)] = {} if (b + t) % k == 0 else {
+                (p - drop, q - drop, w): v for (p, q, w), v in f[t].items()}
+    grid.update(extra)
     return {cell: {pos: v for pos, v in diamond.items() if v != 0}
             for cell, diamond in grid.items()}
 
@@ -167,63 +157,53 @@ def _match_weighted(actual: WeightedDiamond, expected: WeightedDiamond) -> bool:
 
 def require_k3_shape(calabi_yau: bool, num_vars: int, k: int) -> None:
     """Reject setups outside the K3 patterns: Calabi-Yau in four variables,
-    with cyclic order 4 or an odd prime p such that p - 1 divides 24."""
+    with a cyclic order in K3_ORDERS."""
     if not calabi_yau or num_vars != 4:
         raise PatternMismatchError(
             "pattern fitting applies to Calabi-Yau setups in four variables")
-    if k != 4 and (not _is_prime(k) or k == 2):
+    if k in K3_ORDERS:
+        return
+    if k == 2 or not _is_prime(k):
         raise PatternMismatchError(f"unsupported cyclic order {k} (need 4 or an odd prime)")
-    if not check_prime_divisibility(k):
-        raise PatternMismatchError(f"no K3 setup exists for prime order {k}: "
-                                   f"{k - 1} does not divide 24")
+    raise PatternMismatchError(f"no K3 setup exists for prime order {k}: "
+                               f"{k - 1} does not divide 24")
 
 
 def fit_k3_pattern(grid: SectorGrid) -> K3Report:
     """Solve the closed-form table parameters from designated cells, then
     verify every cell of the grid against the rebuilt pattern."""
     require_k3_shape(grid.calabi_yau, grid.num_vars, grid.k)
-    if grid.k == 4:
-        return _fit_order4(grid)
-    return _fit_prime(grid)
-
-
-def _fit_order4(grid: SectorGrid) -> K3Report:
-    c00 = grid.weighted_cell(0, 0)
-    a = c00.get((1, 1, 1), 0) + 1
-    b = c00.get((1, 1, 2), 0)
+    k = grid.k
     g = grid.cell(1, 0).get((1, 0), 0)
     gd = grid.cell(1, 0).get((0, 0), 0)
-    ad = grid.cell(0, 1).get((1, 1), 0) + 1
-    bd = grid.cell(0, 2).get((1, 1), 0)
-    c = grid.weighted_cell(2, 2).get((0, 0, 2), 0)
-    cd = grid.weighted_cell(2, 2).get((1, 0, 2), 0)
-    params = {"a": a, "b": b, "c": c, "g": g,
-              "a_dual": ad, "b_dual": bd, "c_dual": cd, "g_dual": gd}
-    expected = _expected_order4(a, b, c, g, ad, bd, cd, gd)
+    ad = grid.cell(0, 2).get((1, 1), 0) if k >= 5 else grid.cell(0, 1).get((1, 1), 0) + 1
+    if k == 4:
+        c00, c22 = grid.weighted_cell(0, 0), grid.weighted_cell(2, 2)
+        a, b = c00.get((1, 1, 1), 0) + 1, c00.get((1, 1, 2), 0)
+        bd = grid.cell(0, 2).get((1, 1), 0)
+        c, cd = c22.get((0, 0, 2), 0), c22.get((1, 0, 2), 0)
+        params = {"a": a, "b": b, "c": c, "g": g,
+                  "a_dual": ad, "b_dual": bd, "c_dual": cd, "g_dual": gd}
+        m0 = {(2, 0, 1): 1, (1, 1, 1): a - 1, (1, 1, 2): b, (1, 1, 3): a - 1, (0, 2, 3): 1}
+        m2 = {(0, 0, 2): c, (1, 0, 2): cd, (0, 1, 2): cd, (1, 1, 2): c}
+        expected = _expected_grid(k, g, gd, ad, bd, m0, {(2, 2): m2})
+        identity, total = "2a+b+2a'+b'", 2 * a + b + 2 * ad + bd
+    else:
+        # the weight split of the untwisted middle is not prescribed:
+        # weight -1 compares it at total level
+        middle = grid.cell(0, 0).get((1, 1), 0)
+        if (middle + 2) % (k - 1) != 0:
+            raise PatternMismatchError(
+                f"untwisted middle dimension {middle} is not (p-1)a - 2")
+        a = (middle + 2) // (k - 1)
+        params = {"a": a, "g": g, "a_dual": ad, "g_dual": gd}
+        m0 = {(2, 0, 1): 1, (1, 1, -1): middle, (0, 2, k - 1): 1}
+        expected = _expected_grid(k, g, gd, ad, ad, m0)
+        identity, total = "(p-1)(a+a')", (k - 1) * (a + ad)
     _verify_pattern(grid, expected)
-    if 2 * a + b + 2 * ad + bd != 24:
-        raise PatternMismatchError(
-            f"2a+b+2a'+b' = {2 * a + b + 2 * ad + bd} differs from 24")
-    return K3Report(4, "order4", params)
-
-
-def _fit_prime(grid: SectorGrid) -> K3Report:
-    p = grid.k
-    middle = grid.cell(0, 0).get((1, 1), 0)
-    if (middle + 2) % (p - 1) != 0:
-        raise PatternMismatchError(
-            f"untwisted middle dimension {middle} is not (p-1)a - 2")
-    a = (middle + 2) // (p - 1)
-    ad = grid.cell(0, 2).get((1, 1), 0) if p >= 5 else grid.cell(0, 1).get((1, 1), 0) + 1
-    g = grid.cell(1, 0).get((1, 0), 0)
-    gd = grid.cell(1, 0).get((0, 0), 0)
-    params = {"a": a, "g": g, "a_dual": ad, "g_dual": gd}
-    expected = _expected_prime(p, a, g, ad, gd)
-    _verify_pattern(grid, expected)
-    if (p - 1) * (a + ad) != 24:
-        raise PatternMismatchError(
-            f"(p-1)(a+a') = {(p - 1) * (a + ad)} differs from 24")
-    return K3Report(p, "prime", params)
+    if total != 24:
+        raise PatternMismatchError(f"{identity} = {total} differs from 24")
+    return K3Report(k, params)
 
 
 def _verify_pattern(grid: SectorGrid, expected: dict) -> None:
@@ -272,7 +252,7 @@ def lattice_invariants(p: int, g: int, N: int) -> tuple[int, int]:
     a from m = 2g + a with m = (22 - r)/(p - 1).  Both must come out as
     integers, and a nonnegative, for a valid p-elementary lattice.
     """
-    if p not in (3, 5, 7, 13):
+    if p == 4 or p not in K3_ORDERS:
         raise NonIntegralLatticeError(f"no lattice classification for order {p}")
     r = (N - g) * (p - 1) + (11 - p)
     if (22 - r) % (p - 1) != 0:

@@ -26,8 +26,8 @@ is the keys of charge (0, 0), as SL is the dual of <j^T>.  Cached:
 `aut_group` enumerates once per polynomial (bounded cache keyed on the
 polynomial; the cap is checked on every call, before the cache is
 consulted).
-`age`, `in_sl` and `pairing` take rational vectors, for callers outside
-the engine.
+`age` and `pairing` take rational vectors, for callers outside the
+engine.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .poly import (
     dual_characters,
     encode,
     exponent_determinant,
-    exponent_inverse,
     format_vector,
     monomial_phases,
     split_cyclic,
@@ -100,11 +99,6 @@ def age(g: Sequence[Fraction]) -> Fraction:
     the integer code D*g mod D."""
     D, scaled = common_denominator(g)
     return Fraction(sum(x % D for x in scaled), D)
-
-
-def in_sl(g: Symmetry) -> bool:
-    """True iff the symmetry has determinant 1, i.e. integral age."""
-    return age(g) % 1 == 0
 
 
 class SymmetryGroup(NamedTuple):
@@ -157,13 +151,6 @@ def enumerate_group(P: InvertiblePolynomial,
     return SymmetryGroup(P, gens, codes)
 
 
-def aut_generators(P: InvertiblePolynomial) -> tuple[Symmetry, ...]:
-    """Columns of the inverse exponent matrix, reduced mod 1."""
-    inv = exponent_inverse(P)
-    n = P.num_vars
-    return tuple(symmetry(inv[i][j] for i in range(n)) for j in range(n))
-
-
 def aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
     """The full diagonal symmetry group; its order equals |det E|.
 
@@ -177,7 +164,7 @@ def aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
 @lru_cache(maxsize=4)
 def _aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
     det = exponent_determinant(P)
-    gens = tuple(zip(*dual_characters(P)))  # the codes of `aut_generators`
+    gens = tuple(zip(*dual_characters(P)))  # the columns of N*E^{-1} mod N
     group = SymmetryGroup(P, gens, tuple(sorted(_closure(gens, P.num_vars, det))))
     if group.order != det:
         raise InternalError(f"|Aut| = {group.order} differs from |det E| = {det}")

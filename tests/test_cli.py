@@ -5,6 +5,7 @@ import pytest
 
 from bhmirror import cli
 from bhmirror.cli import main
+from bhmirror.errors import DualityViolationError
 from bhmirror.milnor import GroupRingSeries
 from bhmirror.statespace import StateTable
 
@@ -326,7 +327,8 @@ class TestVerify:
     def test_lg_mirror_fault_names_its_cell(self, capsys, monkeypatch):
         # one source cell of the untwisted Q_j = 0, weight-0 part raised by 1:
         # LG part 1 fails at that cell, printed as rationals; pair duality
-        # and the order-2 exchange fail with it
+        # (sector [1/2, 1/2], key [0, 0]) and the order-2 exchange fail
+        # with it, and each names its cell and both sides
         real = cli.build_mirror_pair
 
         def bumped(W, K=None):
@@ -341,8 +343,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--case", "toy-k2")
         assert code == 1
         assert "FAIL  toy-k2: lg-mirror  [part1[1, 1]: 2 != 1]" in out
-        assert "FAIL  toy-k2: pair-duality" in out and "FAIL  toy-k2: order2-exchange" in out
+        assert "FAIL  toy-k2: pair-duality  [pair-duality[1/2, 1/2][0, 0][1, 1]: 2 != 1]" in out
+        assert "FAIL  toy-k2: order2-exchange  [exchange[plus][1, 1]: 2 != 1]" in out
         assert "3 CHECKS FAILED (6 checks)" in out
+
+    def test_k3_read_off_internal_error_exits_3(self, capsys, monkeypatch):
+        # a duality violation inside the K3 read-off is a defect, not a
+        # failing check: it ends the run as `bhmirror k3` would
+        def broken(table):
+            raise DualityViolationError("non-integral display bidegree")
+
+        monkeypatch.setattr(cli, "sector_grid", broken)
+        code, out, err = run(capsys, "verify", "--case", "fermat-quartic")
+        assert code == 3 and out == ""
+        assert err == ("internal error [DualityViolation]: case 'fermat-quartic': "
+                       "non-integral display bidegree\n")
 
     def test_failure_exit_code(self, capsys, tmp_path):
         # an admissible setup that breaks the theorem's weight hypothesis

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -6,6 +7,7 @@ from bhmirror.catalog import ADMISSIBLE_CASES
 from bhmirror.errors import NonIntegralLatticeError, PatternMismatchError
 from bhmirror.geometry import (
     SectorGrid,
+    _expected_grid,
     check_prime_divisibility,
     fit_k3_pattern,
     k3_invariants,
@@ -66,6 +68,51 @@ QUARTIC_MIRROR_CELLS = {
     (3, 2): {(0, 0): 7},
     (3, 3): {(0, 0): 6, (1, 1): 1},
 }
+
+
+def ref_expected_order4(a, b, c, g, ad, bd, cd, gd):
+    """Weighted diamonds of the generic order-4 grid, written out cell by cell."""
+    f0 = {(0, 0, 0): gd, (1, 0, 0): g, (0, 1, 0): g, (1, 1, 0): gd}
+    f1 = {(0, 0, 0): 1, (1, 1, 0): ad - 1}
+    f2 = {(1, 1, 0): bd}
+    f3 = {(1, 1, 0): ad - 1, (2, 2, 0): 1}
+    m0 = {(2, 0, 1): 1, (1, 1, 1): a - 1, (1, 1, 2): b, (1, 1, 3): a - 1, (0, 2, 3): 1}
+    m2 = {(0, 0, 2): c, (1, 0, 2): cd, (0, 1, 2): cd, (1, 1, 2): c}
+    drop = lambda cell: {(p - 1, q - 1, w): v for (p, q, w), v in cell.items()}
+    grid = {
+        (0, 0): m0, (0, 1): f1, (0, 2): f2, (0, 3): f3,
+        (1, 0): f0, (1, 1): f1, (1, 2): f2, (1, 3): {},
+        (2, 0): f0, (2, 1): f1, (2, 2): m2, (2, 3): drop(f3),
+        (3, 0): f0, (3, 1): {}, (3, 2): drop(f2), (3, 3): drop(f3),
+    }
+    return {cell: {pos: v for pos, v in diamond.items() if v != 0}
+            for cell, diamond in grid.items()}
+
+
+def ref_expected_prime(p, a, g, ad, gd):
+    """Weighted diamonds of the generic prime-order grid, row by row; the
+    untwisted middle is compared at total level (weight -1)."""
+    f0 = {(0, 0, 0): gd, (1, 0, 0): g, (0, 1, 0): g, (1, 1, 0): gd}
+    f = {1: {(0, 0, 0): 1, (1, 1, 0): ad - 1}}
+    for t in range(2, p - 1):
+        f[t] = {(1, 1, 0): ad}
+    f[p - 1] = {(1, 1, 0): ad - 1, (2, 2, 0): 1}
+    m0 = {(2, 0, 1): 1, (1, 1, -1): (p - 1) * a - 2, (0, 2, p - 1): 1}
+    grid: dict = {(0, 0): m0}
+    for t in range(1, p):
+        grid[(0, t)] = dict(f[t])
+    for b in range(1, p):
+        grid[(b, 0)] = dict(f0)
+        for t in range(1, p):
+            if (t + b) % p == 0:
+                grid[(b, t)] = {}
+            elif t + b < p:
+                grid[(b, t)] = dict(f[t])
+            else:
+                grid[(b, t)] = {(pp - 1, qq - 1, w): v
+                                for (pp, qq, w), v in f[t].items()}
+    return {cell: {pos: v for pos, v in diamond.items() if v != 0}
+            for cell, diamond in grid.items()}
 
 
 class TestSectorGrid:
@@ -198,6 +245,48 @@ class TestK3Fit:
         with pytest.raises(PatternMismatchError, match="divide 24"):
             fit_k3_pattern(fake)
 
+
+    def test_one_rule_matches_the_order4_reference(self):
+        for a, b, c, g, ad, bd, cd, gd in product(range(3), repeat=8):
+            m0 = {(2, 0, 1): 1, (1, 1, 1): a - 1, (1, 1, 2): b, (1, 1, 3): a - 1, (0, 2, 3): 1}
+            m2 = {(0, 0, 2): c, (1, 0, 2): cd, (0, 1, 2): cd, (1, 1, 2): c}
+            assert (_expected_grid(4, g, gd, ad, bd, m0, {(2, 2): m2})
+                    == ref_expected_order4(a, b, c, g, ad, bd, cd, gd))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_one_rule_matches_the_prime_reference(self, p):
+        for a, g, ad, gd in product(range(4), repeat=4):
+            m0 = {(2, 0, 1): 1, (1, 1, -1): (p - 1) * a - 2, (0, 2, p - 1): 1}
+            assert _expected_grid(p, g, gd, ad, ad, m0) == ref_expected_prime(p, a, g, ad, gd)
+
+    @pytest.mark.parametrize("name,cell,pos", [
+        ("fermat-quartic", (3, 3), (1, 1, 0)),
+        ("k3-p7", (4, 5), (0, 0, 0)),
+    ])
+    def test_a_raised_cell_is_named(self, pair_cache, name, cell, pos):
+        grid = sector_grid(pair_cache(name).source_table)
+        weighted = dict(grid.weighted)
+        weighted[cell] = {**weighted[cell], pos: weighted[cell][pos] + 1}
+        with pytest.raises(PatternMismatchError, match=rf"^cell \({cell[0]}, {cell[1]}\):"):
+            fit_k3_pattern(grid._replace(weighted=weighted))
+
+    @pytest.mark.parametrize("name,fits", [("k3-p7", True), ("fermat-quartic", False)])
+    def test_untwisted_weights_are_free_at_a_prime_only(self, pair_cache, name, fits):
+        # one (1, 1) class of the untwisted middle moved from weight 3 to
+        # weight 2: a prime pattern compares that middle at total level
+        # (weight -1), the order-4 pattern weight by weight
+        grid = sector_grid(pair_cache(name).source_table)
+        weighted = dict(grid.weighted)
+        middle = dict(weighted[(0, 0)])
+        middle[(1, 1, 3)] -= 1
+        middle[(1, 1, 2)] += 1
+        weighted[(0, 0)] = middle
+        moved = grid._replace(weighted=weighted)
+        if fits:
+            assert fit_k3_pattern(moved) == fit_k3_pattern(grid)
+        else:
+            with pytest.raises(PatternMismatchError, match=r"^cell \(0, 0\):"):
+                fit_k3_pattern(moved)
 
 class TestInvariants:
     def test_quartic_fixed_locus(self, pair_cache):

@@ -1,17 +1,17 @@
 """The integer-coded group kernel against a plain `Fraction` reference.
 
 The reference below is the straightforward encoding: a `Fraction`
-Gauss-Jordan inverse, a breadth-first closure over `Fraction` vectors
-mod 1, the pairing (E*g) . h mod 1 in `Fraction` arithmetic, an
-annihilator that filters the transpose's group by that pairing (and the
-same filter on codes, which the kernel-basis annihilator replaced), key
-charges as dot products with E*j and E*s, SL as the elements of integral
-age, the
-dual-group-graded Milnor series expanded on `Fraction` keys and shifted
-by the age into a sector algebra, and the k^2 cosets j^a s^b K of a cyclic
-setup labelled by a triple loop.  The library holds symmetries as codes
-mod |det E|; decoded, they must agree with the reference element for
-element on random invertible polynomials of up to four variables.
+Gauss-Jordan inverse, Aut's generators as the columns of E^{-1} mod 1, a
+breadth-first closure over `Fraction` vectors mod 1, the pairing
+(E*g) . h mod 1 in `Fraction` arithmetic, an annihilator that filters the
+transpose's group by that pairing (and the same filter on codes, which
+the kernel-basis annihilator replaced), key charges as dot products with
+E*j and E*s, SL as the elements of integral age, the dual-group-graded
+Milnor series expanded on `Fraction` keys and shifted by the age into a
+sector algebra, and the k^2 cosets j^a s^b K of a cyclic setup labelled
+by a triple loop.  The library holds symmetries as codes mod |det E|;
+decoded, they must agree with the reference element for element on
+random invertible polynomials of up to four variables.
 """
 
 import re
@@ -51,7 +51,6 @@ from bhmirror.symmetry import (
     admissible_setup,
     age,
     annihilator,
-    aut_generators,
     aut_group,
     dual_group,
     enumerate_group,
@@ -84,6 +83,18 @@ def ref_invert_matrix(rows):
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug), det
+
+
+def aut_generators(P):
+    """Columns of the inverse exponent matrix, reduced mod 1."""
+    inv = exponent_inverse(P)
+    n = P.num_vars
+    return tuple(symmetry(inv[i][j] for i in range(n)) for j in range(n))
+
+
+def in_sl(g):
+    """True iff the symmetry has determinant 1, i.e. integral age."""
+    return age(g) % 1 == 0
 
 
 def ref_symmetry(g):

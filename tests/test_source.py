@@ -117,6 +117,10 @@ def test_annihilator_has_two_callers():
     assert _callers("annihilator") == {"symmetry.dual_group", "symmetry.admissible_setup"}
 
 
+def test_one_k3_grid_rule():
+    # the order-4 and prime sector grids are one pattern, rebuilt by the one fit
+    assert _callers("_expected_grid") == {"geometry.fit_k3_pattern"}
+
 def test_annihilator_closes_no_aut_group():
     # Ann(K) is the image of a kernel basis, closed in work proportional to
     # |Ann|; the transpose's whole group is never closed to be filtered

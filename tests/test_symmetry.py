@@ -29,19 +29,17 @@ from bhmirror.symmetry import (
     admissible_setup,
     age,
     annihilator,
-    aut_generators,
     aut_group,
     dual_group,
     enumerate_group,
     identity,
-    in_sl,
     j_element,
     pairing,
     s_element,
     sl_subgroup,
     symmetry,
 )
-from test_group_reference import ref_add, ref_neg, ref_scale
+from test_group_reference import aut_generators, in_sl, ref_add, ref_neg, ref_scale
 
 F = Fraction
 
