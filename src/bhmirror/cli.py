@@ -433,17 +433,18 @@ def cmd_verify(args) -> int:
             raise
 
     if not args.case or args.case == "krawitz-scan":
-        bad = []
+        failing = []
         checked = 0
         for text in cat.KRAWITZ_POLYNOMIALS:
-            rep = verify_krawitz(parse_polynomial(text))
+            P = parse_polynomial(text)
+            rep = verify_krawitz(P)
             checked += rep.cells_checked
             if not rep.passed:
-                bad.append(text)
+                failing.append(f"{text}: {_report_detail(rep, exponent_determinant(P))}")
         results.append({"case": "krawitz-scan", "check": "krawitz",
-                        "passed": not bad,
+                        "passed": not failing,
                         "detail": f"{len(cat.KRAWITZ_POLYNOMIALS)} polynomials, {checked} cells"
-                        if not bad else f"failing: {bad}"})
+                        if not failing else "failing: " + "; ".join(failing)})
 
     all_pass = all(r["passed"] for r in results)
     if args.format == "json":

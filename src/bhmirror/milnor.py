@@ -1,8 +1,8 @@
 """Equivariant graded Milnor algebras of restricted polynomials.
 
-The general engine is a truncated power series in one variable t with
-coefficients in the monoid ring over the dual symmetry group: the factor
-contributed by a fixed variable x_i of weight w is
+The general engine is a power series in one variable t with coefficients
+in the monoid ring over the dual symmetry group: the factor contributed by
+a fixed variable x_i of weight w is
 
     chi_i t^w * (1 - chi_i^{-1} t^{d-w}) / (1 - chi_i t^w),
 
@@ -10,8 +10,21 @@ where chi_i is row i of the inverse exponent matrix of the parent (the
 dual-group character of x_i).  The leading chi_i t^w accounts for the
 volume-form factor dx_i, so a basis form prod x^{b-1} dx carries the key
 prod chi_i^{b_i} at degree sum b_i w_i.  Division is truncated geometric
-expansion; the truncation bound is the socle degree, above which the
-algebra provably vanishes.
+expansion.
+
+A non-degenerate restriction is a Thom-Sebastiani sum of Fermat, chain and
+loop blocks, its atoms (`RestrictedPolynomial.blocks`), so its algebra is
+the tensor product of theirs.  A block's series is the product of its
+variables' factors truncated at the block's own socle degree
+sum (d - w_i), where the product is exactly the block's Hilbert
+polynomial; it is checked when it is made (every multiplicity positive,
+their sum the block's Milnor number) and cached on (P, block), since one
+block recurs across fixed sets and tables.  A fixed set's series is the
+product of its blocks' series.  That product is exact, so nothing is
+truncated and nothing cancels, and it needs no reduction mod N: E^{-1} is
+block-diagonal over the atoms of the parent, each block lies inside one of
+them and no two inside the same one, so the keys of different blocks have
+disjoint support.
 
 Keys are codes mod N = |det E| (see `poly`), sums of the checked dual
 characters, never checked again.  Direct monomial enumeration is kept for
@@ -31,6 +44,7 @@ sector stays on integers until a label or a report decodes it (see
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 from typing import Callable, Container, NamedTuple
 
 from .errors import InternalError, NotFermatError
@@ -42,7 +56,9 @@ from .poly import (
     exponent_determinant,
     fixed_variables,
     format_vector,
+    milnor_number,
     restrict,
+    socle_degree,
 )
 
 SeriesCoefficients = dict[int, dict[Code, int]]  # keys as codes mod |det E|
@@ -99,6 +115,52 @@ def _variable_factor(char: Code, w: int, d: int, bound: int, N: int) -> SeriesCo
     return {m: keys for m, keys in out.items() if keys}
 
 
+def _check_series(series: SeriesCoefficients, milnor: int, N: int) -> None:
+    """Every multiplicity is positive and they sum to the Milnor number."""
+    total = 0
+    for m, keys in series.items():  # each key is a sum of dual characters
+        for key, mult in keys.items():
+            if mult <= 0:
+                raise InternalError(f"multiplicity {mult} of key {format_vector(key, N)} at "
+                                    f"degree {m} is not positive")
+            total += mult
+    if total != milnor:
+        raise InternalError(f"series dimension {total} is not the Milnor number {milnor}")
+
+
+# Blocks recur across the fixed sets of P and across its tables; each is
+# expanded and checked once.
+@lru_cache(maxsize=256)
+def _block_series(P: InvertiblePolynomial, block: tuple[int, ...]) -> SeriesCoefficients:
+    """The series of one block of a restriction: the product of its
+    variables' factors, truncated at the block's own socle degree, where it
+    is exactly the block's Hilbert polynomial."""
+    N = exponent_determinant(P)
+    chars = dual_characters(P)
+    bound = socle_degree(P, block)
+    factors = [_variable_factor(chars[i], P.weights[i], P.degree, bound, N) for i in block]
+    series = factors[0]
+    for factor in factors[1:]:
+        series = _multiply(series, factor, bound, N)
+    _check_series(series, milnor_number(P, block), N)
+    return series
+
+
+def _product(A: SeriesCoefficients, B: SeriesCoefficients) -> SeriesCoefficients:
+    """The exact product of the series of disjoint blocks.  Their keys have
+    disjoint support, so they add with no reduction mod N; the
+    multiplicities are positive, so nothing cancels."""
+    out: SeriesCoefficients = {}
+    for ma, keys_a in A.items():
+        for mb, keys_b in B.items():
+            bucket = out.setdefault(ma + mb, {})
+            for ka, ca in keys_a.items():
+                for kb, cb in keys_b.items():
+                    key = tuple(map(add, ka, kb))
+                    bucket[key] = bucket.get(key, 0) + ca * cb
+    return out
+
+
 # A table asks for each of its fixed sets once; the cache serves the series
 # again to the CLI's Milnor and oracle checks and to later tables of P.
 @lru_cache(maxsize=128)
@@ -107,26 +169,17 @@ def equivariant_hilbert(R: RestrictedPolynomial) -> GroupRingSeries:
 
     Exact for every non-degenerate restriction: the partial derivatives of
     the restriction are simultaneous eigenvectors of the dual grading, so
-    the Koszul closed form holds with characters attached.
+    the Koszul closed form holds with characters attached.  R is the
+    Thom-Sebastiani sum of its blocks, so the series is the product of
+    theirs.
     """
     P = R.parent
-    N = exponent_determinant(P)
-    chars = dual_characters(P)
-    bound = R.top_degree
-    series: SeriesCoefficients = {0: {(0,) * P.num_vars: 1}}
-    for i in R.fixed_vars:
-        factor = _variable_factor(chars[i], P.weights[i], P.degree, bound, N)
-        series = _multiply(series, factor, bound, N)
-    for m, keys in series.items():  # each key is a sum of dual characters
-        for key, mult in keys.items():
-            if mult <= 0:
-                raise InternalError(f"multiplicity {mult} of key {format_vector(key, N)} at "
-                                    f"degree {m} is not positive")
-    result = GroupRingSeries(series)
-    if result.total_dimension != R.milnor_dimension:
-        raise InternalError(f"series dimension {result.total_dimension} is not the "
-                            f"Milnor number {R.milnor_dimension}")
-    return result
+    blocks = [_block_series(P, block) for block in R.blocks]
+    series = blocks[0] if blocks else {0: {(0,) * P.num_vars: 1}}
+    for block_series in blocks[1:]:
+        series = _product(series, block_series)
+    _check_series(series, R.milnor_dimension, exponent_determinant(P))
+    return GroupRingSeries(series)
 
 
 def fermat_monomial_basis(R: RestrictedPolynomial) -> list[tuple[tuple[int, ...], Code, int]]:

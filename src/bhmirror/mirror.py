@@ -9,13 +9,13 @@ All checks here are exact integer identities per bidegree cell; reports
 carry every compared cell, on integers, and decode none.  Transpose duality
 (the Krawitz scan and pair duality) compares two maps on integer cells, the
 source cells and the reflected mirror cells (for pair duality, the cells of
-the two tables): sector and key are codes and p, q numerators over
-N = |det E|, which a polynomial shares with its transpose.  The LG
-identities and the order-2 exchange compare (p, q) cells over the same N:
-N = k*|det E_f|, so the shifts b/k, the pads 1 and the reflections at n
-and n+1 are the integers b*N/k, N, n*N and (n+1)*N.  Cells keep
-state-space bidegrees; `geometry.sector_grid` applies the (-1, -1)
-Calabi-Yau shift.
+the two tables; for a self-transposed polynomial, its one map and itself):
+sector and key are codes and p, q numerators over N = |det E|, which a
+polynomial shares with its transpose.  The LG identities and the order-2
+exchange compare (p, q) cells over the same N: N = k*|det E_f|, so the
+shifts b/k, the pads 1 and the reflections at n and n+1 are the integers
+b*N/k, N, n*N and (n+1)*N.  Cells keep state-space bidegrees;
+`geometry.sector_grid` applies the (-1, -1) Calabi-Yau shift.
 """
 
 from __future__ import annotations
@@ -140,8 +140,11 @@ def build_mirror_pair(W: InvertiblePolynomial, K: SymmetryGroup | None = None) -
 
 def verify_krawitz(P: InvertiblePolynomial) -> VerificationReport:
     """Check dim U_h^key(P) at (p, q) = dim U_key^h(transpose) at (n-p, q)
-    for every sector/key pair, n the number of variables."""
-    return _transpose_duality("krawitz", P, unprojected_cells(P), unprojected_cells(transpose(P)))
+    for every sector/key pair, n the number of variables.  A self-transposed
+    P builds its map once and compares it with itself."""
+    lhs = unprojected_cells(P)
+    Pv = transpose(P)
+    return _transpose_duality("krawitz", P, lhs, lhs if Pv == P else unprojected_cells(Pv))
 
 
 def _transpose_duality(statement: str, P: InvertiblePolynomial, lhs: dict[Cell, int],

@@ -21,7 +21,8 @@ products, and `exponent_inverse`, E^{-1} as `Fraction`s, is an output
 view.  Cached (bounded, keyed on frozen values): that elimination per
 exponent matrix, which serves the weights, `exponent_determinant` and
 `dual_characters`; `exponent_inverse` and `transpose` per polynomial;
-and the surviving rows of a restriction per exponent matrix and fixed set.
+and the surviving rows of a restriction, with the atoms they form (its
+blocks), per exponent matrix and fixed set.
 """
 
 from __future__ import annotations
@@ -105,21 +106,40 @@ class RestrictedPolynomial(NamedTuple):
 
     @property
     def milnor_dimension(self) -> int:
-        d, weights = self.parent.degree, self.parent.weights
-        numerator = denominator = 1
-        for i in self.fixed_vars:
-            numerator *= d - weights[i]
-            denominator *= weights[i]
-        if numerator % denominator or numerator <= 0:  # the weights are positive
-            raise InternalError(
-                f"Milnor number {Fraction(numerator, denominator)} is not a positive integer")
-        return numerator // denominator
+        return milnor_number(self.parent, self.fixed_vars)
 
     @property
     def top_degree(self) -> int:
         """Socle degree of the Milnor algebra including the volume form."""
-        d = self.parent.degree
-        return sum(d - self.parent.weights[i] for i in self.fixed_vars)
+        return socle_degree(self.parent, self.fixed_vars)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The Fermat, chain and loop atoms of the restriction, each as its
+        variables in parent coordinates; each lies inside one atom of the
+        parent, and no two inside the same one (a chain restricts to a tail,
+        a loop to all or none of it)."""
+        return _restriction_rows(self.parent.exponents, self.fixed_vars)[1]
+
+
+def milnor_number(P: InvertiblePolynomial, variables: Sequence[int]) -> int:
+    """prod (d - w_i) / w_i over the variables: the Milnor number of the
+    restriction of P to them, when it is non-degenerate."""
+    d, weights = P.degree, P.weights
+    numerator = denominator = 1
+    for i in variables:
+        numerator *= d - weights[i]
+        denominator *= weights[i]
+    if numerator % denominator or numerator <= 0:  # the weights are positive
+        raise InternalError(
+            f"Milnor number {Fraction(numerator, denominator)} is not a positive integer")
+    return numerator // denominator
+
+
+def socle_degree(P: InvertiblePolynomial, variables: Sequence[int]) -> int:
+    """sum (d - w_i) over the variables: the top degree of the Milnor algebra
+    of the restriction to them, volume form included, in units of 1/d."""
+    return sum(P.degree - P.weights[i] for i in variables)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +596,7 @@ def restrict(P: InvertiblePolynomial, symmetry: Code) -> RestrictedPolynomial:
     silent.
     """
     fixed = fixed_variables(symmetry)
-    return RestrictedPolynomial(P, fixed, _restriction_rows(P.exponents, fixed))
+    return RestrictedPolynomial(P, fixed, _restriction_rows(P.exponents, fixed)[0])
 
 
 def fixed_variables(code: Code) -> tuple[int, ...]:
@@ -585,19 +605,22 @@ def fixed_variables(code: Code) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
-def _restriction_rows(E: Matrix, fixed: tuple[int, ...]) -> tuple[int, ...]:
+def _restriction_rows(E: Matrix, fixed: tuple[int, ...]
+                      ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Rows of E supported on the fixed variables, checked to form a
-    non-degenerate square block; memoized on the fixed set."""
+    non-degenerate square block, and the atoms of that block as tuples of
+    variables of E; memoized on the fixed set."""
     fixed_set = set(fixed)
     rows = tuple(i for i, row in enumerate(E)
                  if all(e == 0 for j, e in enumerate(row) if j not in fixed_set))
     if len(rows) != len(fixed):
         raise DegenerateRestrictionError(
             f"{len(rows)} monomials survive on {len(fixed)} fixed variables")
-    if fixed:
-        sub = [tuple(E[r][j] for j in fixed) for r in rows]
-        try:
-            classify_atoms(sub)
-        except DegenerateShapeError as exc:
-            raise DegenerateRestrictionError(f"restriction is degenerate: {exc}") from exc
-    return rows
+    if not fixed:
+        return rows, ()
+    sub = [tuple(E[r][j] for j in fixed) for r in rows]
+    try:
+        atoms = classify_atoms(sub)
+    except DegenerateShapeError as exc:
+        raise DegenerateRestrictionError(f"restriction is degenerate: {exc}") from exc
+    return rows, tuple(tuple(fixed[v] for v in atom.variables) for atom in atoms)

@@ -22,10 +22,10 @@ A sector's coset is read off `setup.labels` and a key's charges off
 `setup.keys`, so every grading of an entry follows from its cell; the
 builders expand each fixed set's series once (`milnor.algebra_by_fixed_set`)
 and shift it per sector.  The slices, `sector_cells` (one pass over the
-Q_j = 0 part, feeding the LG slices and the grid, with p and q kept as
-numerators over N) and the vanishing check read the cells.  `entries` is
-the `StateLabel` view of a table, decoded on read; a label and the
-unprojected map are where a cell becomes rationals.
+Q_j = 0 part, kept by the table and shared by the LG slices and the grid,
+with p and q kept as numerators over N) and the vanishing check read the
+cells.  `entries` is the `StateLabel` view of a table, decoded on read; a
+label and the unprojected map are where a cell becomes rationals.
 """
 
 from __future__ import annotations
@@ -75,13 +75,17 @@ class StateLabel(NamedTuple):
 IntegerCell = tuple[Code, Code, int, int]  # (sector, key, N*p, N*q)
 
 
-class StateTable(NamedTuple):
+class StateTable:
     """A state space as its integer cells (sector, key, N*p, N*q) ->
     dimension; the coset of a sector is `setup.labels[sector]` and the
-    charges of a key are `setup.keys[key]`."""
+    charges of a key are `setup.keys[key]`.  The cells are not changed
+    once the table is made, so `sector_cells` sums them once per table."""
 
-    setup: AdmissibleSetup
-    cells: dict[IntegerCell, int]
+    __slots__ = ("setup", "cells", "_sector_cells")
+
+    def __init__(self, setup: AdmissibleSetup, cells: dict[IntegerCell, int]):
+        self.setup, self.cells = setup, cells
+        self._sector_cells: dict[tuple[int, int, int, int, int], int] | None = None
 
     @property
     def entries(self) -> StateEntries:
@@ -280,7 +284,15 @@ def elevator_fixed(setup: AdmissibleSetup, label: StateLabel, z_new: int) -> Sta
 def sector_cells(table: StateTable) -> dict[tuple[int, int, int, int, int], int]:
     """The Q_j = 0 part in one pass, (b, a, weight, p, q) -> dimension: row
     b = k*d_s is the slice `fjrw_state_space(table, b)`, column a = X, and
-    p, q numerators over N."""
+    p, q numerators over N.  Summed on the first call and kept by the
+    table: the LG identities, the order-2 exchange and the sector grid of
+    one table share it, and none of them changes it."""
+    if table._sector_cells is None:
+        table._sector_cells = _sum_sector_cells(table)
+    return table._sector_cells
+
+
+def _sum_sector_cells(table: StateTable) -> dict[tuple[int, int, int, int, int], int]:
     labels, keys = table.setup.labels, table.setup.keys
     sums: dict[tuple[int, int, int, int, int], int] = {}
     for (h, key, p, q), dim in table.cells.items():

@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +231,48 @@ def test_state_tables_hash_no_fraction(monkeypatch):
     assert len(pair.source_table.cells) + len(pair.target_table.cells) == 840
     assert report.passed and report.cells_checked == 420 and violations == [[], []]
     assert hashed == []
+
+
+def test_verify_expands_each_block_once(monkeypatch, capsys):
+    # a fixed set's series is the product of its blocks' series, and each
+    # block is expanded once, up to its own socle degree: the benchmark
+    # catalog's verify builds at most 220 variable factors from cold caches
+    # (542 when each fixed set multiplied one factor per variable up to the
+    # socle degree of the whole set)
+    from bhmirror import milnor
+    built = []
+    real = milnor._variable_factor
+    monkeypatch.setattr(milnor, "_variable_factor", lambda *args: built.append(args) or real(*args))
+    equivariant_hilbert.cache_clear()
+    milnor._block_series.cache_clear()
+    catalog = str(Path(__file__).parent.parent / "perfbench" / "verify_catalog.json")
+    assert main(["verify", "--catalog", catalog, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert 0 < len(built) <= 220
+
+
+def test_verify_sums_each_table_once(monkeypatch, capsys):
+    # the LG identities, the order-2 exchange and the K3 grid of one table
+    # share one sum of its Q_j = 0 part: the built-in verify sums each of
+    # its 44 tables once (74 sums before)
+    from bhmirror import statespace
+    summed = []
+    real = statespace._sum_sector_cells
+    monkeypatch.setattr(statespace, "_sum_sector_cells",
+                        lambda table: summed.append(table) or real(table))
+    assert main(["verify"]) == 0
+    capsys.readouterr()
+    assert len(summed) == len({id(table) for table in summed}) == 44
+
+
+def test_self_transposed_krawitz_builds_one_map(monkeypatch):
+    # a self-transposed polynomial's unprojected map is built once and
+    # stands on both sides of its Krawitz check; a chain's transpose is
+    # another polynomial, with its own map
+    from bhmirror import mirror
+    built = []
+    real = mirror.unprojected_cells
+    monkeypatch.setattr(mirror, "unprojected_cells", lambda P: built.append(P) or real(P))
+    quartic, chain = map(parse_polynomial, ("x^4+y^4+z^4+w^4", "x^2*y+y^3"))
+    assert verify_krawitz(quartic).passed and verify_krawitz(chain).passed
+    assert built == [quartic, chain, transpose(chain)]

@@ -347,6 +347,29 @@ class TestVerify:
         assert "FAIL  toy-k2: order2-exchange  [exchange[plus][1, 1]: 2 != 1]" in out
         assert "3 CHECKS FAILED (6 checks)" in out
 
+    def test_krawitz_fault_names_its_cell(self, capsys, monkeypatch):
+        # one cell of the self-transposed quartic's unprojected map raised by
+        # 1: the one map stands on both sides of its Krawitz check, which
+        # fails at that cell and at its mirror cell and names the polynomial,
+        # then each cell (sector, key, bidegree) and both sides
+        from bhmirror import mirror
+        real = mirror.unprojected_cells
+        cell = ((0, 0, 0, 0), (64, 64, 64, 64), 768, 256)  # codes and numerators over 256
+
+        def bumped(P):
+            cells = real(P)
+            if str(P) == "x^4 + y^4 + z^4 + w^4":
+                cells[cell] += 1
+            return cells
+
+        monkeypatch.setattr(mirror, "unprojected_cells", bumped)
+        code, out, _ = run(capsys, "verify", "--case", "krawitz-scan")
+        assert code == 1
+        assert out == ("FAIL  krawitz-scan: krawitz  [failing: x^4+y^4+z^4+w^4: "
+                       "krawitz[0, 0, 0, 0][1/4, 1/4, 1/4, 1/4][3, 1]: 2 != 1; "
+                       "krawitz[1/4, 1/4, 1/4, 1/4][0, 0, 0, 0][1, 1]: 1 != 2]\n"
+                       "1 CHECKS FAILED (1 checks)\n")
+
     def test_k3_read_off_internal_error_exits_3(self, capsys, monkeypatch):
         # a duality violation inside the K3 read-off is a defect, not a
         # failing check: it ends the run as `bhmirror k3` would

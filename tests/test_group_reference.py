@@ -8,8 +8,9 @@ transpose's group by that pairing (and the same filter on codes, which
 the kernel-basis annihilator replaced), key charges as dot products with
 E*j and E*s, SL as the elements of integral age, the dual-group-graded
 Milnor series expanded on `Fraction` keys and shifted by the age into a
-sector algebra, and the k^2 cosets j^a s^b K of a cyclic setup labelled
-by a triple loop.  The library holds symmetries as codes mod |det E|;
+sector algebra, the same series on codes as one product of per-variable
+factors over the whole fixed set (the engine before the block product),
+and the k^2 cosets j^a s^b K of a cyclic setup labelled by a triple loop.  The library holds symmetries as codes mod |det E|;
 decoded, they must agree with the reference element for element on
 random invertible polynomials of up to four variables.
 """
@@ -21,12 +22,13 @@ from math import lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from bhmirror.catalog import ADMISSIBLE_CASES, KRAWITZ_POLYNOMIALS
 from bhmirror.errors import (
     GradingCollisionError,
     NotAdmissibleError,
     SingularExponentMatrixError,
 )
-from bhmirror.milnor import equivariant_hilbert, sector_algebra
+from bhmirror.milnor import _multiply, _variable_factor, equivariant_hilbert, sector_algebra
 from bhmirror.mirror import build_mirror_pair
 from bhmirror.poly import (
     RestrictedPolynomial,
@@ -36,10 +38,12 @@ from bhmirror.poly import (
     encode,
     exponent_determinant,
     exponent_inverse,
+    fixed_variables,
     fixes,
     format_vector,
     from_exponents,
     monomial_phases,
+    parse_polynomial,
     restrict,
     solve_weights,
     split_cyclic,
@@ -189,6 +193,21 @@ def ref_series(R):
         if c:
             out.setdefault(m, {})[key] = c
     return out
+
+
+def ref_equivariant_hilbert(R):
+    """The series of R on codes as one product of per-variable factors over
+    all its fixed variables, truncated at the socle degree of the whole
+    fixed set, where the terms past each block's own socle degree cancel."""
+    P = R.parent
+    N = exponent_determinant(P)
+    chars = dual_characters(P)
+    bound = R.top_degree
+    series = {0: {(0,) * P.num_vars: 1}}
+    for i in R.fixed_vars:
+        factor = _variable_factor(chars[i], P.weights[i], P.degree, bound, N)
+        series = _multiply(series, factor, bound, N)
+    return series
 
 
 def ref_sector_algebra(P, h):
@@ -573,3 +592,30 @@ def test_key_charges_match_dot_products(case):
     except GradingCollisionError:
         return
     assert list(setup.keys.items()) == list(old_key_charges(setup).items())
+
+
+def assert_block_product(P):
+    """Every fixed set of P: its blocks split it, one per atom of P met, and
+    the product of their series is the per-variable product."""
+    atom_of = {v: a for a, atom in enumerate(P.atoms) for v in atom.variables}
+    for h in {fixed_variables(h): h for h in aut_group(P).codes}.values():
+        R = restrict(P, h)
+        homes = [{atom_of[v] for v in block} for block in R.blocks]
+        assert all(len(home) == 1 for home in homes)
+        assert len(set.union(set(), *homes)) == len(homes)
+        assert sorted(v for block in R.blocks for v in block) == list(R.fixed_vars)
+        assert equivariant_hilbert(R).coefficients == ref_equivariant_hilbert(R)
+
+
+@pytest.mark.parametrize("text", sorted({case.polynomial for case in ADMISSIBLE_CASES}
+                                        | set(KRAWITZ_POLYNOMIALS)))
+def test_block_product_matches_per_variable_product(text):
+    P = parse_polynomial(text)
+    for Q in {P, transpose(P)}:
+        assert_block_product(Q)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_polynomials())
+def test_block_product_matches_on_shuffled_atoms(P):
+    assert_block_product(P)

@@ -145,26 +145,41 @@ class TestSectorAlgebra:
                   if pairing(QUARTIC, j, decode(lab[0])) == 0}
         assert kept == manual
 
-    @pytest.mark.parametrize("change, message", [
-        (lambda c: -c, "multiplicity -1 of key [4/5] at degree 4 is not positive"),
-        (lambda c: c + 1, "series dimension 5 is not the Milnor number 4"),
+    @pytest.mark.parametrize("change, block_message, product_message", [
+        (lambda c: -c, "multiplicity -1 of key [4/5] at degree 4 is not positive",
+         "multiplicity -1 of key [2/3, 2/3] at degree 4 is not positive"),
+        (lambda c: c + 1, "series dimension 5 is not the Milnor number 4",
+         "series dimension 5 is not the Milnor number 4"),
     ], ids=["negative", "milnor-number"])
-    def test_series_faults_are_internal_errors(self, monkeypatch, change, message):
+    def test_series_faults_are_internal_errors(self, monkeypatch, change, block_message,
+                                               product_message):
         # each key is a sum of dual characters and is not checked again;
         # every multiplicity must be positive, and they must sum to the
-        # Milnor number
+        # Milnor number: of a block when it is expanded (x^5 is one block,
+        # read from a cleared block cache) and of the product of blocks
+        # (x^3 + y^3 is two)
         from bhmirror import milnor
-        real = milnor._multiply
 
-        def changed(A, B, bound, N):
-            out = real(A, B, bound, N)
-            m, keys = max(out.items())
-            key = min(keys)
-            return {**out, m: {**keys, key: change(keys[key])}}
+        def changed(real):
+            def call(*args):
+                out = real(*args)
+                m, keys = max(out.items())
+                key = min(keys)
+                return {**out, m: {**keys, key: change(keys[key])}}
+            return call
 
-        monkeypatch.setattr(milnor, "_multiply", changed)
-        with pytest.raises(InternalError, match=re.escape(message)):
-            equivariant_hilbert.__wrapped__(restrict(parse_polynomial("x^5"), (0,)))
+        for where, polynomial, code, message in (
+                ("_variable_factor", "x^5", (0,), block_message),
+                ("_product", "x^3+y^3", (0, 0), product_message)):
+            with monkeypatch.context() as patch:
+                patch.setattr(milnor, where, changed(getattr(milnor, where)))
+                milnor._block_series.cache_clear()
+                R = restrict(parse_polynomial(polynomial), code)
+                with pytest.raises(InternalError, match=re.escape(message)):
+                    equivariant_hilbert.__wrapped__(R)
+                if where == "_variable_factor":  # raised by the block's own check
+                    with pytest.raises(InternalError, match=re.escape(message)):
+                        milnor._block_series(R.parent, (0,))
 
     def test_degree_not_dividing_the_modulus_is_an_internal_error(self, monkeypatch):
         # p and q are numerators over N = |det E|, which d divides; a
