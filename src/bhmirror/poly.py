@@ -18,11 +18,13 @@ E^{-1} is held on integers: one fraction-free (Bareiss) elimination of
 [E | I] gives det E and adj E, so B = +-adj E.  The weights and degree
 are read off the row sums of B, the Milnor number is a ratio of integer
 products, and `exponent_inverse`, E^{-1} as `Fraction`s, is an output
-view.  Cached (bounded, keyed on frozen values): that elimination per
-exponent matrix, which serves the weights, `exponent_determinant` and
-`dual_characters`; `exponent_inverse` and `transpose` per polynomial;
-and the surviving rows of a restriction, with the atoms they form (its
-blocks), per exponent matrix and fixed set.
+view.  Cached (bounded, keyed on frozen values), each because calls
+reuse it: that elimination per exponent matrix, which serves the
+weights, `exponent_determinant` and `dual_characters`; `transpose` per
+polynomial, so that a polynomial has one transpose object; and the
+surviving rows of a restriction, with the atoms they form (its blocks),
+per exponent matrix and fixed set, which every sector and series on
+that fixed set asks for again.
 """
 
 from __future__ import annotations
@@ -107,11 +109,6 @@ class RestrictedPolynomial(NamedTuple):
     @property
     def milnor_dimension(self) -> int:
         return milnor_number(self.parent, self.fixed_vars)
-
-    @property
-    def top_degree(self) -> int:
-        """Socle degree of the Milnor algebra including the volume form."""
-        return socle_degree(self.parent, self.fixed_vars)
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -207,7 +204,6 @@ def _exact_inverse(E: Matrix) -> tuple[int, Matrix, Matrix]:
     return N, B, tuple(tuple(b % N for b in row) for row in B)
 
 
-@lru_cache(maxsize=256)
 def exponent_inverse(P: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...]:
     """E^{-1} as `Fraction`s, the output view of the checked N*E^{-1}."""
     N, B, _ = _exact_inverse(P.exponents)

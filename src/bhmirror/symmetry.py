@@ -22,10 +22,9 @@ j^a s^b K, read off the closure order of (K, s, j)) and keys, Ann(K), are
 codes, each key graded once by its charges (k*Q_j, k*Q_s) mod k, read off
 as k*sum(key) and k*key[0] over N, since E*j = N*1 and E*s = N*e_0, x0^k
 being row 0 of E (both checked once per setup): the dual of <K, j, s>
-is the keys of charge (0, 0), as SL is the dual of <j^T>.  Cached:
-`aut_group` enumerates once per polynomial (bounded cache keyed on the
-polynomial; the cap is checked on every call, before the cache is
-consulted).
+is the keys of charge (0, 0), as SL is the dual of <j^T>.  Nothing here
+is cached: no command asks twice for the Aut of one polynomial, so
+`aut_group` checks the cap and closes Aut on every call.
 `age` and `pairing` take rational vectors, for callers outside the
 engine.
 """
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
@@ -158,11 +156,6 @@ def aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
     exceeds the cap.
     """
     require_within_cap(P)
-    return _aut_group(P)
-
-
-@lru_cache(maxsize=4)
-def _aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
     det = exponent_determinant(P)
     gens = tuple(zip(*dual_characters(P)))  # the columns of N*E^{-1} mod N
     group = SymmetryGroup(P, gens, tuple(sorted(_closure(gens, P.num_vars, det))))

@@ -293,6 +293,17 @@ class TestVerify:
         assert code == 2 and "error [Input]" in err
         assert "Traceback" not in err and out == ""
 
+    def test_repeated_case_name_is_an_input_error(self, capsys, tmp_path):
+        # two cases named alike would print blocks and errors that cannot be told apart
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps([
+            {"name": "a", "polynomial": "x0^6+x1^3+x2^2"},
+            {"name": "a", "polynomial": "x0^3+x1^3+x2^3"},
+        ]))
+        code, out, err = run(capsys, "verify", "--catalog", str(path), "--case", "a")
+        assert code == 2 and out == ""
+        assert err == f"error [Input]: catalog {path} names case 'a' more than once\n"
+
     @pytest.mark.parametrize("polynomial, error", [
         ("x0^3+*x1", "SyntaxError"),
         ("x0^3+x1^3+x2", "DegenerateShape"),

@@ -45,6 +45,7 @@ from bhmirror.poly import (
     monomial_phases,
     parse_polynomial,
     restrict,
+    socle_degree,
     solve_weights,
     split_cyclic,
     transpose,
@@ -171,7 +172,7 @@ def ref_series(R):
     """Product over the fixed variables of chi t^w (1 - chi^{-1} t^{d-w}) /
     (1 - chi t^w), truncated at the socle degree, with `Fraction` keys."""
     P = R.parent
-    n, d, bound = P.num_vars, P.degree, R.top_degree
+    n, d, bound = P.num_vars, P.degree, socle_degree(P, R.fixed_vars)
     series = {(0, ref_symmetry([0] * n)): 1}
     for i in R.fixed_vars:
         char, w = ref_symmetry(exponent_inverse(P)[i]), P.weights[i]
@@ -202,7 +203,7 @@ def ref_equivariant_hilbert(R):
     P = R.parent
     N = exponent_determinant(P)
     chars = dual_characters(P)
-    bound = R.top_degree
+    bound = socle_degree(P, R.fixed_vars)
     series = {0: {(0,) * P.num_vars: 1}}
     for i in R.fixed_vars:
         factor = _variable_factor(chars[i], P.weights[i], P.degree, bound, N)
