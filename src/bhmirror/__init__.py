@@ -67,7 +67,6 @@ from .geometry import (
     K3Invariants,
     K3Report,
     SectorGrid,
-    check_prime_divisibility,
     fit_k3_pattern,
     k3_invariants,
     lattice_invariants,

@@ -140,6 +140,8 @@ def load_catalog(path: str) -> tuple[CatalogCase, ...]:
                         for v in (obj.get("K", []), obj.get("tags", [])))):
             raise InputError(f"malformed catalog entry {obj!r}: name and polynomial "
                              "must be strings, K and tags lists of strings")
+        if not obj["name"].strip():
+            raise InputError(f"catalog {path} has a case with a blank name")
         if any(case.name == obj["name"] for case in cases):
             raise InputError(f"catalog {path} names case {obj['name']!r} more than once")
         cases.append(CatalogCase(obj["name"], obj["polynomial"],

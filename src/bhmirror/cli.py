@@ -419,7 +419,7 @@ def cmd_verify(args) -> int:
         cases = cat.load_catalog(args.catalog)
     else:
         cases = cat.ADMISSIBLE_CASES
-    if args.case:
+    if args.case is not None:
         cases = tuple(c for c in cases if c.name == args.case)
         if not cases and args.case != "krawitz-scan":
             raise InputError(f"no catalog case named {args.case!r}")
@@ -432,7 +432,7 @@ def cmd_verify(args) -> int:
             exc.args = (f"case {case.name!r}: {exc}",)
             raise
 
-    if not args.case or args.case == "krawitz-scan":
+    if args.case is None or args.case == "krawitz-scan":
         failing = []
         checked = 0
         for text in cat.KRAWITZ_POLYNOMIALS:

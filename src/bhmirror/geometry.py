@@ -109,11 +109,6 @@ class K3Report(NamedTuple):
 K3_ORDERS = (3, 4, 5, 7, 13)
 
 
-def check_prime_divisibility(k: int) -> bool:
-    """Pre-screen for prime-order K3 setups: k - 1 must divide 24."""
-    return k > 1 and 24 % (k - 1) == 0
-
-
 def _is_prime(k: int) -> bool:
     return k > 1 and all(k % i for i in range(2, int(k**0.5) + 1))
 

@@ -13,13 +13,13 @@ prod chi_i^{b_i} at degree sum b_i w_i.  Division is truncated geometric
 expansion.
 
 A non-degenerate restriction is a Thom-Sebastiani sum of Fermat, chain and
-loop blocks, its atoms (`RestrictedPolynomial.blocks`), so its algebra is
-the tensor product of theirs.  A block's series is the product of its
-variables' factors truncated at the block's own socle degree
-sum (d - w_i), where the product is exactly the block's Hilbert
-polynomial; it is checked when it is made (every multiplicity positive,
-their sum the block's Milnor number) and cached on (P, block), since one
-block recurs across fixed sets and tables.  A fixed set's series is the
+loop blocks (`RestrictedPolynomial.blocks`, which `restrict` reads off the
+parent's atoms), so its algebra is the tensor product of theirs.  A
+block's series is the product of its variables' factors truncated at the
+block's own socle degree sum (d - w_i), where the product is exactly the
+block's Hilbert polynomial; it is checked when it is made (every
+multiplicity positive, their sum the block's Milnor number) and cached on
+(P, block), since one block recurs across fixed sets and tables.  A fixed set's series is the
 product of its blocks' series.  That product is exact, so nothing is
 truncated and nothing cancels, and it needs no reduction mod N: E^{-1} is
 block-diagonal over the atoms of the parent, each block lies inside one of

@@ -20,11 +20,12 @@ are read off the row sums of B, the Milnor number is a ratio of integer
 products, and `exponent_inverse`, E^{-1} as `Fraction`s, is an output
 view.  Cached (bounded, keyed on frozen values), each because calls
 reuse it: that elimination per exponent matrix, which serves the
-weights, `exponent_determinant` and `dual_characters`; `transpose` per
-polynomial, so that a polynomial has one transpose object; and the
-surviving rows of a restriction, with the atoms they form (its blocks),
-per exponent matrix and fixed set, which every sector and series on
-that fixed set asks for again.
+weights, `exponent_determinant` and `dual_characters`; and `transpose`
+per polynomial, so that a polynomial has one transpose object.
+
+The atoms are found once, by `classify_atoms` in `from_exponents`.  A
+restriction to a fixed set is a sum of whole Fermat atoms, chain tails
+and whole loops of P, so `restrict` reads its blocks off `P.atoms`.
 """
 
 from __future__ import annotations
@@ -98,25 +99,19 @@ class InvertiblePolynomial(NamedTuple):
 class RestrictedPolynomial(NamedTuple):
     """Restriction of a polynomial to a subset of variables.
 
-    Holds the rows of the parent exponent matrix supported entirely on the
-    fixed variables; the grading is the parent's (never re-normalized).
+    `blocks` are its Fermat, chain and loop atoms, each as its variables in
+    parent coordinates, sorted by first variable; each is what one atom of
+    the parent keeps (a chain a tail, a loop all of it), in that atom's
+    order.  The grading is the parent's (never re-normalized).
     """
 
     parent: InvertiblePolynomial
     fixed_vars: tuple[int, ...]
-    row_indices: tuple[int, ...]
+    blocks: tuple[tuple[int, ...], ...]
 
     @property
     def milnor_dimension(self) -> int:
         return milnor_number(self.parent, self.fixed_vars)
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The Fermat, chain and loop atoms of the restriction, each as its
-        variables in parent coordinates; each lies inside one atom of the
-        parent, and no two inside the same one (a chain restricts to a tail,
-        a loop to all or none of it)."""
-        return _restriction_rows(self.parent.exponents, self.fixed_vars)[1]
 
 
 def milnor_number(P: InvertiblePolynomial, variables: Sequence[int]) -> int:
@@ -586,37 +581,28 @@ def restrict(P: InvertiblePolynomial, symmetry: Code) -> RestrictedPolynomial:
 
     The fixed set is read off the code's zero entries: a code lies in
     [0, N) and fixes P, checked where it was made (`encode`, or the group
-    kernel in `symmetry`), not again here.  Keeps the rows supported
-    entirely on the fixed set and verifies the result is non-degenerate
-    (square with a valid atom decomposition); a failure is an error, never
-    silent.
+    kernel in `symmetry`), not again here.  The restriction keeps the
+    monomials whose variables are all fixed.  It is non-degenerate (as many
+    monomials as fixed variables) exactly when each atom of P keeps none
+    of its variables, a tail of its chain (a Fermat atom is a chain of
+    one) or the whole loop; each kept part is a block, in the atom's order.
+    Any other fixed set is an error, never silent.
     """
     fixed = fixed_variables(symmetry)
-    return RestrictedPolynomial(P, fixed, _restriction_rows(P.exponents, fixed)[0])
+    blocks = []
+    for atom in P.atoms:
+        block = tuple([v for v in atom.variables if symmetry[v] == 0])
+        if not block:
+            continue
+        if block != (atom.variables if atom.kind == "loop" else atom.variables[-len(block):]):
+            survivors = sum(all(e == 0 or symmetry[j] == 0 for j, e in enumerate(row))
+                            for row in P.exponents)
+            raise DegenerateRestrictionError(
+                f"{survivors} monomials survive on {len(fixed)} fixed variables")
+        blocks.append(block)
+    return RestrictedPolynomial(P, fixed, tuple(sorted(blocks)))
 
 
 def fixed_variables(code: Code) -> tuple[int, ...]:
     """The variables a symmetry fixes: the zero entries of its code."""
     return tuple(i for i, x in enumerate(code) if x == 0)
-
-
-@lru_cache(maxsize=256)
-def _restriction_rows(E: Matrix, fixed: tuple[int, ...]
-                      ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Rows of E supported on the fixed variables, checked to form a
-    non-degenerate square block, and the atoms of that block as tuples of
-    variables of E; memoized on the fixed set."""
-    fixed_set = set(fixed)
-    rows = tuple(i for i, row in enumerate(E)
-                 if all(e == 0 for j, e in enumerate(row) if j not in fixed_set))
-    if len(rows) != len(fixed):
-        raise DegenerateRestrictionError(
-            f"{len(rows)} monomials survive on {len(fixed)} fixed variables")
-    if not fixed:
-        return rows, ()
-    sub = [tuple(E[r][j] for j in fixed) for r in rows]
-    try:
-        atoms = classify_atoms(sub)
-    except DegenerateShapeError as exc:
-        raise DegenerateRestrictionError(f"restriction is degenerate: {exc}") from exc
-    return rows, tuple(tuple(fixed[v] for v in atom.variables) for atom in atoms)

@@ -9,7 +9,7 @@ import pytest
 
 from bhmirror.catalog import ADMISSIBLE_CASES, KRAWITZ_POLYNOMIALS
 from bhmirror.geometry import (
-    check_prime_divisibility,
+    K3_ORDERS,
     fit_k3_pattern,
     k3_invariants,
     lattice_mirror_verdict,
@@ -227,7 +227,7 @@ def test_criterion_9_k3_corollaries(catalog_pairs):
                 assert verdict["a_mirror"] == verdict["a"]
         assert order4_seen >= 1
         assert primes_seen == {3, 5, 7, 13}
-        assert not check_prime_divisibility(11)
+        assert primes_seen == {k for k in K3_ORDERS if k % 2}
 
 
 def test_criterion_10_order_two_corollary(catalog_pairs):

@@ -261,6 +261,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--case", "no-such-case")
         assert code == 2
 
+    def test_empty_case_name_is_unknown(self, capsys):
+        # an empty name is a name, not a missing --case: it selects no case
+        code, out, err = run(capsys, "verify", "--case", "")
+        assert code == 2 and out == ""
+        assert err == "error [Input]: no catalog case named ''\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--case", "toy-k2",
                            "--format", "json")
@@ -303,6 +309,15 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--catalog", str(path), "--case", "a")
         assert code == 2 and out == ""
         assert err == f"error [Input]: catalog {path} names case 'a' more than once\n"
+
+    @pytest.mark.parametrize("name", ["", "  "], ids=["empty", "spaces"])
+    def test_blank_case_name_is_an_input_error(self, capsys, tmp_path, name):
+        # a blank name prints as "PASS  : ..." with nothing to tell the case by
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps([{"name": name, "polynomial": "x0^6+x1^3+x2^2"}]))
+        code, out, err = run(capsys, "verify", "--catalog", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error [Input]: catalog {path} has a case with a blank name\n"
 
     @pytest.mark.parametrize("polynomial, error", [
         ("x0^3+*x1", "SyntaxError"),

@@ -6,9 +6,9 @@ import pytest
 from bhmirror.catalog import ADMISSIBLE_CASES
 from bhmirror.errors import NonIntegralLatticeError, PatternMismatchError
 from bhmirror.geometry import (
+    K3_ORDERS,
     SectorGrid,
     _expected_grid,
-    check_prime_divisibility,
     fit_k3_pattern,
     k3_invariants,
     lattice_invariants,
@@ -338,7 +338,7 @@ class TestLattice:
         assert verdict["a"] == verdict["a_mirror"] >= 0
         assert (22 - verdict["r"]) % (rep.order - 1) == 0
 
-    def test_divisibility(self):
-        assert check_prime_divisibility(13)
-        assert not check_prime_divisibility(11)
-        assert check_prime_divisibility(7)
+    def test_odd_orders_are_the_primes_p_with_p_minus_1_dividing_24(self):
+        # a K3 table splits the total 24 as (p - 1)(a + a'); p - 1 <= 24
+        odd_primes = [p for p in range(3, 26, 2) if all(p % i for i in range(2, p))]
+        assert [k for k in K3_ORDERS if k % 2] == [p for p in odd_primes if 24 % (p - 1) == 0]

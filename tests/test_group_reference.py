@@ -10,9 +10,12 @@ E*j and E*s, SL as the elements of integral age, the dual-group-graded
 Milnor series expanded on `Fraction` keys and shifted by the age into a
 sector algebra, the same series on codes as one product of per-variable
 factors over the whole fixed set (the engine before the block product),
-and the k^2 cosets j^a s^b K of a cyclic setup labelled by a triple loop.  The library holds symmetries as codes mod |det E|;
-decoded, they must agree with the reference element for element on
-random invertible polynomials of up to four variables.
+the k^2 cosets j^a s^b K of a cyclic setup labelled by a triple loop, and
+a restriction's blocks found by a second atom search on its surviving
+rows (the engine before they were read off the parent's atoms).  The
+library holds symmetries as codes mod |det E|; decoded, they must agree
+with the reference element for element on random invertible polynomials
+of up to four variables.
 """
 
 import re
@@ -24,6 +27,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bhmirror.catalog import ADMISSIBLE_CASES, KRAWITZ_POLYNOMIALS
 from bhmirror.errors import (
+    DegenerateRestrictionError,
+    DegenerateShapeError,
     GradingCollisionError,
     NotAdmissibleError,
     SingularExponentMatrixError,
@@ -33,6 +38,7 @@ from bhmirror.mirror import build_mirror_pair
 from bhmirror.poly import (
     RestrictedPolynomial,
     adjugate,
+    classify_atoms,
     decoder,
     dual_characters,
     encode,
@@ -222,6 +228,25 @@ def ref_sector_algebra(P, h):
         for key, c in keys.items():
             out[key, shift + len(fixed) - charge, shift + charge] = c
     return out
+
+
+def ref_restriction_blocks(P, fixed):
+    """The blocks of the restriction of P to the variables `fixed`: the rows
+    of E supported on them must be as many as they are, and the atoms that
+    `classify_atoms` finds in that square sub-matrix, in variables of P."""
+    E = P.exponents
+    rows = [i for i, row in enumerate(E)
+            if all(e == 0 for j, e in enumerate(row) if j not in fixed)]
+    if len(rows) != len(fixed):
+        raise DegenerateRestrictionError(
+            f"{len(rows)} monomials survive on {len(fixed)} fixed variables")
+    if not fixed:
+        return ()
+    try:
+        atoms = classify_atoms([[E[r][j] for j in fixed] for r in rows])
+    except DegenerateShapeError as exc:
+        raise DegenerateRestrictionError(f"restriction is degenerate: {exc}") from exc
+    return tuple(tuple(fixed[v] for v in atom.variables) for atom in atoms)
 
 
 def ref_coset_labels(W, generators):
@@ -620,3 +645,36 @@ def test_block_product_matches_per_variable_product(text):
 @given(small_polynomials())
 def test_block_product_matches_on_shuffled_atoms(P):
     assert_block_product(P)
+
+
+def assert_restrictions_match_reference(P):
+    """Every subset of the variables, not only the fixed sets of symmetries:
+    `restrict` gives the reference's blocks, or both raise alike."""
+    n = P.num_vars
+    for mask in range(1 << n):
+        fixed = tuple(i for i in range(n) if mask >> i & 1)
+        code = tuple(0 if i in fixed else 1 for i in range(n))
+        try:
+            blocks = ref_restriction_blocks(P, fixed)
+        except DegenerateRestrictionError as exc:
+            with pytest.raises(DegenerateRestrictionError) as info:
+                restrict(P, code)
+            assert str(info.value) == str(exc)
+        else:
+            R = restrict(P, code)
+            assert (R.fixed_vars, R.blocks) == (fixed, blocks)
+
+
+@pytest.mark.parametrize("text", sorted({case.polynomial for case in ADMISSIBLE_CASES}
+                                        | set(KRAWITZ_POLYNOMIALS)))
+def test_restriction_blocks_match_second_atom_search(text):
+    P = parse_polynomial(text)
+    for Q in {P, transpose(P)}:
+        assert_restrictions_match_reference(Q)
+
+
+@settings(deadline=None)
+@given(small_polynomials())
+def test_restriction_blocks_match_second_atom_search_on_shuffled_atoms(P):
+    for Q in {P, transpose(P)}:
+        assert_restrictions_match_reference(Q)

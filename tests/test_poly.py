@@ -6,6 +6,7 @@ from bhmirror import poly
 from bhmirror.catalog import KRAWITZ_POLYNOMIALS
 from bhmirror.cli import main
 from bhmirror.errors import (
+    DegenerateRestrictionError,
     DegenerateShapeError,
     InternalError,
     NonPositiveWeightError,
@@ -217,7 +218,7 @@ class TestRestrict:
     def test_identity_keeps_everything(self):
         P = parse_polynomial("x^7")
         R = restrict(P, (Fraction(0),))
-        assert R.fixed_vars == (0,) and R.row_indices == (0,)
+        assert R.fixed_vars == (0,) and R.blocks == ((0,),)
 
     def test_free_sector_is_empty(self):
         P = parse_polynomial("x^7")
@@ -229,7 +230,7 @@ class TestRestrict:
         h = encode(P, (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
         assert h == (0, 64, 128, 64)
         R = restrict(P, h)
-        assert R.fixed_vars == (0,) and R.row_indices == (0,)
+        assert R.fixed_vars == (0,) and R.blocks == ((0,),)
         assert R.milnor_dimension == 3
 
     def test_identity_restriction_full(self):
@@ -237,7 +238,16 @@ class TestRestrict:
             P = parse_polynomial(text)
             R = restrict(P, (Fraction(0),) * P.num_vars)
             assert R.fixed_vars == tuple(range(P.num_vars))
-            assert R.row_indices == tuple(range(P.num_vars))
+            assert R.blocks == tuple(atom.variables for atom in P.atoms)
+
+    @pytest.mark.parametrize("text", ["x^2*y+y^3", "x^2*y+y^2*x"],
+                             ids=["chain-cut-above-its-tail", "part-of-a-loop"])
+    def test_degenerate_fixed_set_is_an_error(self, text):
+        # no symmetry fixes x alone here (a fixed set keeps whole chain tails
+        # and loops), so the code is written out: fix x, move y
+        with pytest.raises(DegenerateRestrictionError) as info:
+            restrict(parse_polynomial(text), (0, 1))
+        assert str(info.value) == "0 monomials survive on 1 fixed variables"
 
 
 class TestCodes:

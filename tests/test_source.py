@@ -117,6 +117,12 @@ def test_annihilator_has_two_callers():
     assert _callers("annihilator") == {"symmetry.dual_group", "symmetry.admissible_setup"}
 
 
+def test_atoms_are_classified_once_per_polynomial():
+    # a restriction keeps whole chain tails and loops of the parent's atoms,
+    # so `restrict` reads its blocks off them instead of searching again
+    assert _callers("classify_atoms") == {"poly.from_exponents"}
+
+
 def test_one_k3_grid_rule():
     # the order-4 and prime sector grids are one pattern, rebuilt by the one fit
     assert _callers("_expected_grid") == {"geometry.fit_k3_pattern"}
@@ -140,7 +146,7 @@ def test_codes_read_off_the_inverse_are_not_checked_again():
 
 def test_memoized_functions_are_the_measured_set():
     # each cache is kept because a run's calls hit it (the elimination, the
-    # one transpose object, restriction rows, block and fixed-set series);
+    # one transpose object, block and fixed-set series);
     # a new cache needs measured hits, and a cache no call reuses is removed.
     # `decoder`'s per-instance entry cache is a call, not a decorator
     memoized = set()
@@ -151,7 +157,7 @@ def test_memoized_functions_are_the_measured_set():
                     target = decorator.func if isinstance(decorator, ast.Call) else decorator
                     if getattr(target, "id", getattr(target, "attr", None)) in ("lru_cache", "cache"):
                         memoized.add(f"{path.stem}.{node.name}")
-    assert memoized == {"poly._exact_inverse", "poly.transpose", "poly._restriction_rows",
+    assert memoized == {"poly._exact_inverse", "poly.transpose",
                         "milnor._block_series", "milnor.equivariant_hilbert"}
 
 
