@@ -338,7 +338,10 @@ class TestLattice:
         assert verdict["a"] == verdict["a_mirror"] >= 0
         assert (22 - verdict["r"]) % (rep.order - 1) == 0
 
-    def test_odd_orders_are_the_primes_p_with_p_minus_1_dividing_24(self):
-        # a K3 table splits the total 24 as (p - 1)(a + a'); p - 1 <= 24
+    def test_divisibility(self):
+        # the odd K3 orders are the primes p <= 25 with (p - 1) | 24: a K3
+        # table splits the total 24 as (p - 1)(a + a'), so p - 1 <= 24
         odd_primes = [p for p in range(3, 26, 2) if all(p % i for i in range(2, p))]
         assert [k for k in K3_ORDERS if k % 2] == [p for p in odd_primes if 24 % (p - 1) == 0]
+        assert 13 in K3_ORDERS and 7 in K3_ORDERS
+        assert 11 not in K3_ORDERS
