@@ -5,8 +5,9 @@ the source's keys of charge (0, 0)); K is a `SymmetryGroup` on both sides,
 made for the mirror from those key codes without decoding.  The induced state
 spaces satisfy three families of exact bigraded-dimension identities
 relating weight spaces of the slices of one side to those of the other.
-All checks here are exact integer identities per bidegree cell; reports
-carry every compared cell, on integers, and decode none.  Transpose duality
+All checks here are exact integer identities per bidegree cell; a report
+keeps the integer maps it compared and decodes none, so a passing check is
+one map equality, and its cells are listed only when read.  Transpose duality
 (the Krawitz scan and pair duality) compares two maps on integer cells, the
 source cells and the reflected mirror cells (for pair duality, the cells of
 the two tables; for a self-transposed polynomial, its one map and itself):
@@ -58,14 +59,25 @@ class CheckItem(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    """The compared cells of one check, in the order they were recorded.
-    Each report is made as `VerificationReport([])`, so it owns its list."""
+    """The comparisons of one check, (statement, lhs, rhs) in call order,
+    an equal pair kept as lhs against itself.  Each report is made as
+    `VerificationReport([])`, so it owns its list.  A report passes when
+    every pair is equal, or else when no cell of either map differs; the
+    cells are derived on read, comparison by comparison and sorted within
+    each, so a passing check makes no `CheckItem`."""
 
-    items: list[CheckItem]
+    comparisons: list[tuple[str, dict[Cell, int], dict[Cell, int]]]
+
+    @property
+    def items(self) -> list[CheckItem]:
+        return [CheckItem(statement, cell, lhs.get(cell, 0), rhs.get(cell, 0))
+                for statement, lhs, rhs in self.comparisons
+                for cell in sorted({*lhs, *rhs})]
 
     @property
     def cells_checked(self) -> int:
-        return len(self.items)
+        return sum(len(lhs) if lhs is rhs else len({*lhs, *rhs})
+                   for _, lhs, rhs in self.comparisons)
 
     @property
     def violations(self) -> list[CheckItem]:
@@ -73,18 +85,18 @@ class VerificationReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return all(lhs is rhs for _, lhs, rhs in self.comparisons) or not self.violations
 
     def compare(self, statement: str, lhs: dict[Cell, int], rhs: dict[Cell, int],
                 empty: str | None = None) -> None:
-        """Record lhs against rhs, both maps cell -> dimension, at every cell
-        of either map in sorted order; a missing cell has dimension 0.  When
-        both maps are empty and `empty` is given, record that statement once
-        at the empty cell (), zero against zero."""
+        """Record lhs against rhs, both maps cell -> dimension, compared at
+        every cell of either map; a missing cell has dimension 0.  Equal
+        maps are kept as lhs against itself, so rhs is not held.  When both
+        maps are empty and `empty` is given, record that statement once at
+        the empty cell (), zero against zero."""
         if not (lhs or rhs) and empty is not None:
-            statement, lhs = empty, {(): 0}
-        for cell in sorted({*lhs, *rhs}):
-            self.items.append(CheckItem(statement, cell, lhs.get(cell, 0), rhs.get(cell, 0)))
+            statement, lhs, rhs = empty, {(): 0}, {(): 0}
+        self.comparisons.append((statement, lhs, lhs if lhs == rhs else rhs))
 
 
 # ---------------------------------------------------------------------------

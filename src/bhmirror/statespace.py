@@ -24,14 +24,16 @@ builders expand each fixed set's series once (`milnor.algebra_by_fixed_set`)
 and shift it per sector.  The slices, `sector_cells` (one pass over the
 Q_j = 0 part, kept by the table and shared by the LG slices and the grid,
 with p and q kept as numerators over N) and the vanishing check read the
-cells.  `entries` is the `StateLabel` view of a table, decoded on read; a
-label and the unprojected map are where a cell becomes rationals.
+cells.  `entries` is the `StateLabel` view of a table, decoded on read with
+each sector and key decoded once per view; a label and the unprojected map
+are where a cell becomes rationals.
 """
 
 from __future__ import annotations
 
 from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -186,22 +188,26 @@ def _coordinates(setup: AdmissibleSetup, sector: Code, key: Code) -> tuple[str, 
     return side, (weight - kqj) % k, z
 
 
-def _make_label(setup: AdmissibleSetup, sector: Code, key: Code, p: Fraction, q: Fraction,
-                decode: Callable[[Code], Symmetry]) -> StateLabel:
-    """Assemble the label of an entry from codes and its bidegree."""
-    k = setup.k
-    a, b = setup.labels[sector]
-    kqj, weight = setup.keys[key]
-    side, y, z = _coordinates(setup, sector, key)
-    return StateLabel(decode(sector), decode(key), p, q, Fraction(a, k), Fraction(b, k),
-                      Fraction(kqj, k), Fraction(weight, k), weight, side, a, y, z)
-
-
 def _labeler(setup: AdmissibleSetup) -> Callable[[IntegerCell], StateLabel]:
-    """cell -> its `StateLabel`; each distinct code entry and numerator is
-    decoded once per labeler."""
-    decode = decoder(setup.N)
-    return lambda cell: _make_label(setup, cell[0], cell[1], *decode(cell[2:]), decode)
+    """cell -> its `StateLabel`, assembled from the part of its sector (code,
+    d_j = a/k, d_s = b/k, X = a), the part of its key (code, Q_j, Q_s,
+    weight), its decoded (p, q) and the side, Y and Z of `_coordinates`,
+    checked per cell.  Each part, each numerator over N and each i/k is made
+    once per labeler; p and q may be `Fraction` numerators."""
+    decode, over_k = decoder(setup.N), [Fraction(i, setup.k) for i in range(setup.k)]
+    sector_part = lru_cache(maxsize=None)(
+        lambda h: (decode(h), *(over_k[c] for c in setup.labels[h]), setup.labels[h][0]))
+    key_part = lru_cache(maxsize=None)(
+        lambda key: (decode(key), *(over_k[c] for c in setup.keys[key]), setup.keys[key][1]))
+
+    def label(cell: IntegerCell) -> StateLabel:
+        sector, key, p, q = cell
+        h, dj, ds, x = sector_part(sector)
+        g, qj, qs, weight = key_part(key)
+        side, y, z = _coordinates(setup, sector, key)
+        return StateLabel(h, g, *decode((p, q)), dj, ds, qj, qs, weight, side, x, y, z)
+
+    return label
 
 
 def build_state_space(setup: AdmissibleSetup) -> StateTable:
@@ -246,8 +252,7 @@ def _relabel(setup: AdmissibleSetup, label: StateLabel, name: str, side: str, ou
                    for x, y in zip(encode(setup.W, label.sector), setup.s))
     key = tuple((x + key_power * y) % N
                 for x, y in zip(encode(transpose(setup.W), label.key), setup.s))
-    out = _make_label(setup, sector, key, label.p + Fraction(dp, k), label.q + Fraction(dq, k),
-                      decoder(N))
+    out = _labeler(setup)((sector, key, label.p * N + dp * N // k, label.q * N + dq * N // k))
     if (out.side, out.x, out.y, out.z) != (out_side, label.x, label.y, z_new):
         raise DualityViolationError(f"{name} broke (X, Y, Z) at {format_vector(label.sector)}")
     return out

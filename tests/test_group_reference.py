@@ -12,10 +12,14 @@ sector algebra, the same series on codes as one product of per-variable
 factors over the whole fixed set (the engine before the block product),
 the k^2 cosets j^a s^b K of a cyclic setup labelled by a triple loop, and
 a restriction's blocks found by a second atom search on its surviving
-rows (the engine before they were read off the parent's atoms).  The
-library holds symmetries as codes mod |det E|; decoded, they must agree
-with the reference element for element on random invertible polynomials
-of up to four variables.
+rows (the engine before they were read off the parent's atoms), a report
+that records one `CheckItem` per compared cell as it compares (the
+engine before reports kept their maps), and a state label assembled cell
+by cell with four `Fraction`s of its own (the engine before labels were
+assembled from per-sector and per-key parts).  The library holds
+symmetries as codes mod |det E|; decoded, they must agree with the
+reference element for element on random invertible polynomials of up to
+four variables.
 """
 
 import re
@@ -29,12 +33,23 @@ from bhmirror.catalog import ADMISSIBLE_CASES, KRAWITZ_POLYNOMIALS
 from bhmirror.errors import (
     DegenerateRestrictionError,
     DegenerateShapeError,
+    DualityViolationError,
     GradingCollisionError,
     NotAdmissibleError,
+    SideMismatchError,
     SingularExponentMatrixError,
+    ZOutOfRangeError,
 )
 from bhmirror.milnor import _multiply, _variable_factor, equivariant_hilbert, sector_algebra
-from bhmirror.mirror import build_mirror_pair
+from bhmirror.mirror import (
+    CheckItem,
+    VerificationReport,
+    build_mirror_pair,
+    verify_krawitz,
+    verify_lg_mirror,
+    verify_order2_exchange,
+    verify_pair_duality,
+)
 from bhmirror.poly import (
     RestrictedPolynomial,
     adjugate,
@@ -56,7 +71,17 @@ from bhmirror.poly import (
     split_cyclic,
     transpose,
 )
-from bhmirror.statespace import unprojected_cells, unprojected_state_space
+from bhmirror.statespace import (
+    FIXED,
+    MOVING,
+    StateLabel,
+    _coordinates,
+    elevator_fixed,
+    elevator_moving,
+    twist,
+    unprojected_cells,
+    unprojected_state_space,
+)
 from bhmirror.symmetry import (
     SymmetryGroup,
     admissible_setup,
@@ -266,6 +291,65 @@ def ref_coset_labels(W, generators):
                             "the (d_j, d_s) grading is not single-valued")
                 labels[element] = (a, b)
     return labels
+
+
+def ref_report_items(calls):
+    """The eager report: each compare call (statement, lhs, rhs, empty)
+    records one `CheckItem` per cell of either map, in sorted order, a
+    missing cell reading 0; two empty maps with `empty` given record that
+    statement once at the cell (), zero against zero."""
+    items = []
+    for statement, lhs, rhs, empty in calls:
+        if not (lhs or rhs) and empty is not None:
+            statement, lhs = empty, {(): 0}
+        for cell in sorted({*lhs, *rhs}):
+            items.append(CheckItem(statement, cell, lhs.get(cell, 0), rhs.get(cell, 0)))
+    return items
+
+
+def ref_label(setup, sector, key, p, q, decode):
+    """The label of an entry assembled cell by cell: the codes decoded and
+    the four gradings made as `Fraction`s over k for this entry alone."""
+    k = setup.k
+    a, b = setup.labels[sector]
+    kqj, weight = setup.keys[key]
+    side, y, z = _coordinates(setup, sector, key)
+    return StateLabel(decode(sector), decode(key), p, q, Fraction(a, k), Fraction(b, k),
+                      Fraction(kqj, k), Fraction(weight, k), weight, side, a, y, z)
+
+
+def ref_relabel(setup, label, name, side, out_side, z_new, sector_power, key_power, dp, dq):
+    """The twist and the elevators with the image assembled by `ref_label`
+    and its bidegree shifted by (dp, dq)/k in `Fraction` arithmetic."""
+    if label.side != side:
+        raise SideMismatchError(f"{name} applies to {side} entries")
+    k, N = setup.k, setup.N
+    if not 0 < z_new < k:
+        raise ZOutOfRangeError(f"target level {z_new} outside 1..{k - 1}")
+    sector = tuple((x + sector_power * y) % N
+                   for x, y in zip(encode(setup.W, label.sector), setup.s))
+    key = tuple((x + key_power * y) % N
+                for x, y in zip(encode(transpose(setup.W), label.key), setup.s))
+    out = ref_label(setup, sector, key, label.p + Fraction(dp, k), label.q + Fraction(dq, k),
+                    decoder(N))
+    if (out.side, out.x, out.y, out.z) != (out_side, label.x, label.y, z_new):
+        raise DualityViolationError(f"{name} broke (X, Y, Z) at {format_vector(label.sector)}")
+    return out
+
+
+def ref_twist(setup, lab):
+    z = lab.z
+    return ref_relabel(setup, lab, "twist", MOVING, FIXED, z, z, -z, 2 * z - setup.k, 0)
+
+
+def ref_elevator_moving(setup, lab, z_new):
+    delta = z_new - lab.z
+    return ref_relabel(setup, lab, "moving elevator", MOVING, MOVING, z_new, 0, delta, -delta, delta)
+
+
+def ref_elevator_fixed(setup, lab, z_new):
+    delta = z_new - lab.z
+    return ref_relabel(setup, lab, "fixed elevator", FIXED, FIXED, z_new, delta, 0, delta, delta)
 
 
 ATOMS = {
@@ -678,3 +762,122 @@ def test_restriction_blocks_match_second_atom_search(text):
 def test_restriction_blocks_match_second_atom_search_on_shuffled_atoms(P):
     for Q in {P, transpose(P)}:
         assert_restrictions_match_reference(Q)
+
+
+def assert_report_matches_reference(report, calls):
+    """items, violations, cells_checked and passed as the eager report has them."""
+    items = ref_report_items(calls)
+    violations = [item for item in items if not item.ok]
+    assert report.items == items
+    assert report.violations == violations
+    assert report.cells_checked == len(items)
+    assert report.passed == (not violations)
+
+
+report_cells = st.tuples(st.integers(0, 3), st.integers(0, 3))
+report_maps = st.dictionaries(report_cells, st.integers(0, 2), max_size=6)
+
+
+@st.composite
+def comparisons(draw):
+    """(statement, lhs, rhs, empty): equal maps, maps differing by explicit
+    zeros on either side, maps on disjoint cells, unrelated maps, or two
+    empty maps; `empty` is None or a statement."""
+    lhs = draw(report_maps)
+    kind = draw(st.sampled_from(["equal", "zeros", "disjoint", "unrelated", "empty"]))
+    if kind == "equal":
+        rhs = dict(lhs)
+    elif kind == "zeros":
+        # lhs's own zeros left out, and zeros at cells lhs lacks put in
+        rhs = {cell: dim for cell, dim in lhs.items() if dim}
+        rhs.update(dict.fromkeys(set(draw(st.lists(report_cells, max_size=3))) - set(lhs), 0))
+    elif kind == "disjoint":
+        rhs = {(a + 4, b): dim for (a, b), dim in draw(report_maps).items()}
+    elif kind == "unrelated":
+        rhs = draw(report_maps)
+    else:
+        lhs, rhs = {}, {}
+    if draw(st.booleans()):
+        lhs, rhs = rhs, lhs
+    empty = draw(st.sampled_from([None, "vacuous"]))
+    return draw(st.sampled_from(["s", "t"])), lhs, rhs, empty
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(comparisons(), max_size=5))
+def test_report_matches_eager_reference(calls):
+    report = VerificationReport([])
+    for statement, lhs, rhs, empty in calls:
+        report.compare(statement, dict(lhs), dict(rhs), empty)
+    assert_report_matches_reference(report, calls)
+
+
+@pytest.fixture
+def compare_calls(monkeypatch):
+    """The arguments of every `VerificationReport.compare` call, copied as
+    they were passed."""
+    calls = []
+    real = VerificationReport.compare
+
+    def recording(self, statement, lhs, rhs, empty=None):
+        calls.append((statement, dict(lhs), dict(rhs), empty))
+        real(self, statement, lhs, rhs, empty)
+
+    monkeypatch.setattr(VerificationReport, "compare", recording)
+    return calls
+
+
+@pytest.mark.parametrize("case", ADMISSIBLE_CASES, ids=lambda case: case.name)
+def test_catalog_reports_match_eager_reference(pair_cache, compare_calls, case):
+    pair = pair_cache(case.name)
+    checks = [verify_pair_duality, verify_lg_mirror]
+    if pair.source.k == 2:
+        checks.append(verify_order2_exchange)
+    for verify in checks:
+        compare_calls.clear()
+        assert_report_matches_reference(verify(pair), compare_calls)
+
+
+@pytest.mark.parametrize("text", KRAWITZ_POLYNOMIALS)
+def test_krawitz_reports_match_eager_reference(compare_calls, text):
+    report = verify_krawitz(parse_polynomial(text))
+    assert_report_matches_reference(report, compare_calls)
+
+
+def field_types(label):
+    return [tuple(map(type, x)) if isinstance(x, tuple) else type(x) for x in label]
+
+
+def relabel_outcome(relabel, *args):
+    """The image with its field types, or the type of the error raised."""
+    try:
+        image = relabel(*args)
+    except (SideMismatchError, ZOutOfRangeError) as exc:
+        return type(exc)
+    return image, field_types(image)
+
+
+@pytest.mark.parametrize("name", [case.name for case in ADMISSIBLE_CASES] + ["octic"])
+def test_labels_match_cell_by_cell_reference(pair_cache, name):
+    # every entry of both tables, decoded through `entries`, against the label
+    # assembled cell by cell; then the twist and the elevators of the source
+    # entries, at every level, against the images assembled that way
+    pair = (build_mirror_pair(parse_polynomial("x0^8+x1^8+x2^4+x3^2")) if name == "octic"
+            else pair_cache(name))
+    for table in (pair.source_table, pair.target_table):
+        setup = table.setup
+        decode = decoder(setup.N)
+        labels = list(table.entries)
+        assert len(labels) == len(table.cells)
+        for lab, cell in zip(labels, table.cells):
+            expected = ref_label(setup, cell[0], cell[1], *decode(cell[2:]), decode)
+            assert lab == expected
+            assert field_types(lab) == field_types(expected)
+    setup = pair.source
+    for lab in pair.source_table.entries:
+        assert relabel_outcome(twist, setup, lab) == relabel_outcome(ref_twist, setup, lab)
+        for z_new in range(setup.k + 1):
+            for relabel, ref in ((elevator_moving, ref_elevator_moving),
+                                 (elevator_fixed, ref_elevator_fixed)):
+                assert (relabel_outcome(relabel, setup, lab, z_new)
+                        == relabel_outcome(ref, setup, lab, z_new))

@@ -173,12 +173,15 @@ class TestLgMirrorTheorem:
             assert verify_pair_duality(pair_cache(name)).passed
 
     def test_reports_own_their_items(self, pair_cache):
-        # a report is a NamedTuple over a list, made as VerificationReport([]),
-        # so two checks of one pair never record into one list
+        # a report is a NamedTuple over its list of comparisons, made as
+        # VerificationReport([]), so two checks of one pair never record into
+        # one list; `items` is derived from the comparisons on each read, so a
+        # later check leaves the cells of an earlier report as they were
         pair = pair_cache("k2-elliptic")
         duality = verify_pair_duality(pair)
         cells = list(duality.items)
         lg = verify_lg_mirror(pair)
+        assert duality.comparisons is not lg.comparisons
         assert duality.items is not lg.items and duality.items == cells
         assert {item.statement for item in duality.items} == {"pair-duality"}
         assert "pair-duality" not in {item.statement for item in lg.items}

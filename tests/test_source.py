@@ -106,9 +106,22 @@ def test_decoder_only_where_results_leave():
     # grid cell or a cell of the public unprojected map leave it; building a
     # state table, and checking it, decodes nothing
     allowed = {"symmetry.SymmetryGroup.elements", "statespace.unprojected_state_space",
-               "statespace._labeler", "geometry.sector_grid", "statespace._relabel"}
+               "statespace._labeler", "geometry.sector_grid"}
     callers = _callers("decoder")
     assert callers <= allowed, f"decoder called in {sorted(callers - allowed)}"
+
+
+def test_check_items_are_made_only_by_the_report():
+    # a report keeps the maps it compared; its cells become `CheckItem`s only
+    # when `items` is read, so no check builds one per cell as it compares
+    assert _callers("CheckItem") == {"mirror.VerificationReport.items"}
+
+
+def test_one_label_assembly():
+    # every `StateLabel` of the library, a table entry or the image of a twist
+    # or an elevator, is assembled in the one labeler from per-sector and
+    # per-key parts
+    assert _callers("StateLabel") == {"statespace._labeler.label"}
 
 
 def test_annihilator_has_two_callers():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bhmirror import statespace
 from bhmirror.catalog import ADMISSIBLE_CASES
 from bhmirror.errors import DualityViolationError, SideMismatchError, ZOutOfRangeError
 from bhmirror.poly import parse_polynomial, split_cyclic, transpose
@@ -101,6 +102,20 @@ class TestStateTable:
         setup, table = elliptic
         key = next(key for _, key, _, _ in table.cells if setup.keys[key][1] != 0)
         wrong = setup._replace(keys={**setup.keys, key: (setup.keys[key][0], 0)})
+        with pytest.raises(DualityViolationError, match="contradicts its coset label"):
+            build_state_space(wrong)
+
+    def test_coset_contradiction_raises_before_any_label(self, elliptic, monkeypatch):
+        # a sector whose coset moves on or off a + b = 0 mod k contradicts the
+        # side of each of its entries; building the table reports it, and
+        # no label is assembled on the way
+        setup, table = elliptic
+        sector = next(iter(table.cells))[0]
+        a, b = setup.labels[sector]
+        wrong = setup._replace(labels={**setup.labels,
+                                       sector: (a, (-a if (a + b) % setup.k else b + 1) % setup.k)})
+        monkeypatch.setattr(statespace, "_labeler",
+                            lambda setup: pytest.fail("a label was assembled"))
         with pytest.raises(DualityViolationError, match="contradicts its coset label"):
             build_state_space(wrong)
 
