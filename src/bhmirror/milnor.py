@@ -9,17 +9,21 @@ a fixed variable x_i of weight w is
 where chi_i is row i of the inverse exponent matrix of the parent (the
 dual-group character of x_i).  The leading chi_i t^w accounts for the
 volume-form factor dx_i, so a basis form prod x^{b-1} dx carries the key
-prod chi_i^{b_i} at degree sum b_i w_i.  Division is truncated geometric
-expansion.
+prod chi_i^{b_i} at degree sum b_i w_i.
 
 A non-degenerate restriction is a Thom-Sebastiani sum of Fermat, chain and
 loop blocks (`RestrictedPolynomial.blocks`, which `restrict` reads off the
 parent's atoms), so its algebra is the tensor product of theirs.  A
-block's series is the product of its variables' factors truncated at the
-block's own socle degree sum (d - w_i), where the product is exactly the
-block's Hilbert polynomial; it is checked when it is made (every
-multiplicity positive, their sum the block's Milnor number) and cached on
-(P, block), since one block recurs across fixed sets and tables.  A fixed set's series is the
+block's series, the product of its variables' factors, is exactly the
+block's Hilbert polynomial, of degree the block's own socle degree
+sum (d - w_i).  It is expanded by exact division: the numerators
+chi_i t^w_i - t^d are multiplied out up to the socle degree, and the
+product is divided by each 1 - chi_i t^w_i in turn with the one-term
+recurrence Q[m] = S[m] + chi_i Q[m - w_i], one pass over the occupied
+degrees rather than a convolution; an entry is dropped when it cancels to
+0.  The series is checked when it is made (every multiplicity positive,
+their sum the block's Milnor number) and cached on (P, block), since one
+block recurs across fixed sets and tables.  A fixed set's series is the
 product of its blocks' series.  That product is exact, so nothing is
 truncated and nothing cancels, and it needs no reduction mod N: E^{-1} is
 block-diagonal over the atoms of the parent, each block lies inside one of
@@ -74,45 +78,60 @@ class GroupRingSeries(NamedTuple):
         return sum(sum(keys.values()) for keys in self.coefficients.values())
 
 
-def _multiply(A: SeriesCoefficients, B: SeriesCoefficients, bound: int, N: int) -> SeriesCoefficients:
-    out: SeriesCoefficients = {}
-    for ma, keys_a in A.items():
-        for mb, keys_b in B.items():
-            m = ma + mb
-            if m > bound:
-                continue
-            bucket = out.setdefault(m, {})
-            for ka, ca in keys_a.items():
-                for kb, cb in keys_b.items():
-                    key = tuple((x + y) % N for x, y in zip(ka, kb))
-                    c = bucket.get(key, 0) + ca * cb
-                    if c == 0:
-                        bucket.pop(key, None)
-                    else:
-                        bucket[key] = c
-    return {m: keys for m, keys in out.items() if keys}
-
-
-def _variable_factor(char: Code, w: int, d: int, bound: int, N: int) -> SeriesCoefficients:
-    """chi t^w (1 - chi^{-1} t^{d-w}) / (1 - chi t^w), expanded to the bound."""
-    out: SeriesCoefficients = {}
-    r = 0
-    while (r + 1) * w <= bound:
-        bucket = out.setdefault((r + 1) * w, {})
-        key = tuple((r + 1) * x % N for x in char)
-        bucket[key] = bucket.get(key, 0) + 1
-        r += 1
-    r = 0
-    while d + r * w <= bound:
-        bucket = out.setdefault(d + r * w, {})
-        key = tuple(r * x % N for x in char)
-        c = bucket.get(key, 0) - 1
-        if c == 0:
-            del bucket[key]
-        else:
+def _add_into(bucket: dict[Code, int], keys: dict[Code, int], sign: int,
+              char: Code | None, N: int) -> None:
+    """bucket += sign * chi * keys (chi = 1 when char is None), dropping
+    each entry that reaches 0."""
+    for key, c in keys.items():
+        if char is not None:
+            key = tuple([(x + y) % N for x, y in zip(key, char)])
+        c = bucket.get(key, 0) + sign * c
+        if c:
             bucket[key] = c
-        r += 1
-    return {m: keys for m, keys in out.items() if keys}
+        else:
+            del bucket[key]
+
+
+def _binomials(P: InvertiblePolynomial, block: tuple[int, ...], bound: int,
+               N: int) -> SeriesCoefficients:
+    """prod (chi_i t^{w_i} - t^d) over the block's variables, up to the bound.
+    Every factor raises the degree, so pruning each partial product at the
+    bound loses nothing below it."""
+    d = P.degree
+    chars = dual_characters(P)
+    series: SeriesCoefficients = {0: {(0,) * P.num_vars: 1}}
+    for i in block:
+        char, w = chars[i], P.weights[i]
+        out: SeriesCoefficients = {}
+        for m, keys in series.items():
+            if m + w <= bound:
+                _add_into(out.setdefault(m + w, {}), keys, 1, char, N)
+            if m + d <= bound:
+                _add_into(out.setdefault(m + d, {}), keys, -1, None, N)
+        series = {m: keys for m, keys in out.items() if keys}
+    return series
+
+
+def _divide(S: SeriesCoefficients, char: Code, w: int, bound: int, N: int) -> SeriesCoefficients:
+    """S / (1 - chi t^w) up to the bound, by Q[m] = S[m] + chi Q[m - w].
+
+    Each degree of S not yet reached starts a walk m, m + w, ... that goes
+    on while the last Q[m] is non-zero or S has a term at the next step, so
+    only occupied degrees are visited.  S is consumed: its buckets become
+    Q's."""
+    Q: SeriesCoefficients = {}
+    for m in sorted(S):
+        carry: dict[Code, int] = {}
+        while m in S or carry:
+            bucket = S.pop(m, {})
+            _add_into(bucket, carry, 1, char, N)
+            if bucket:
+                Q[m] = bucket
+            m += w
+            if m > bound:
+                break
+            carry = bucket
+    return Q
 
 
 def _check_series(series: SeriesCoefficients, milnor: int, N: int) -> None:
@@ -132,16 +151,15 @@ def _check_series(series: SeriesCoefficients, milnor: int, N: int) -> None:
 # expanded and checked once.
 @lru_cache(maxsize=256)
 def _block_series(P: InvertiblePolynomial, block: tuple[int, ...]) -> SeriesCoefficients:
-    """The series of one block of a restriction: the product of its
-    variables' factors, truncated at the block's own socle degree, where it
-    is exactly the block's Hilbert polynomial."""
+    """The series of one block of a restriction, the block's Hilbert
+    polynomial: the product of its variables' numerators up to the block's
+    own socle degree, divided exactly by each denominator."""
     N = exponent_determinant(P)
     chars = dual_characters(P)
     bound = socle_degree(P, block)
-    factors = [_variable_factor(chars[i], P.weights[i], P.degree, bound, N) for i in block]
-    series = factors[0]
-    for factor in factors[1:]:
-        series = _multiply(series, factor, bound, N)
+    series = _binomials(P, block, bound, N)
+    for i in block:
+        series = _divide(series, chars[i], P.weights[i], bound, N)
     _check_series(series, milnor_number(P, block), N)
     return series
 

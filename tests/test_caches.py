@@ -226,22 +226,44 @@ def test_state_tables_hash_no_fraction(monkeypatch):
     assert hashed == []
 
 
+BENCHMARK_CATALOG = str(Path(__file__).parent.parent / "perfbench" / "verify_catalog.json")
+
+
 def test_verify_expands_each_block_once(monkeypatch, capsys):
     # a fixed set's series is the product of its blocks' series, and each
-    # block is expanded once, up to its own socle degree: the benchmark
-    # catalog's verify builds at most 220 variable factors from cold caches
-    # (542 when each fixed set multiplied one factor per variable up to the
-    # socle degree of the whole set)
+    # block is expanded once, by exact division up to its own socle degree:
+    # the benchmark catalog's verify multiplies out one numerator per block
+    # cache miss, 135 from cold caches
     from bhmirror import milnor
     built = []
-    real = milnor._variable_factor
-    monkeypatch.setattr(milnor, "_variable_factor", lambda *args: built.append(args) or real(*args))
+    real = milnor._binomials
+    monkeypatch.setattr(milnor, "_binomials", lambda *args: built.append(args) or real(*args))
     equivariant_hilbert.cache_clear()
     milnor._block_series.cache_clear()
-    catalog = str(Path(__file__).parent.parent / "perfbench" / "verify_catalog.json")
-    assert main(["verify", "--catalog", catalog, "--format", "json"]) == 0
+    assert main(["verify", "--catalog", BENCHMARK_CATALOG, "--format", "json"]) == 0
     capsys.readouterr()
-    assert 0 < len(built) <= 220
+    assert len(built) == milnor._block_series.cache_info().misses == 135
+    assert len(set(built)) == len(built)
+
+
+def test_verify_builds_each_fixed_set_series_once(monkeypatch, capsys):
+    # the fixed-set cache (maxsize 128) evicts only series that no later call
+    # asks for: the benchmark catalog's verify misses once per distinct
+    # restriction, 308 from cold caches, so no series is rebuilt
+    from bhmirror import cli, milnor
+    asked = []
+
+    def record(R):
+        asked.append(R)
+        return equivariant_hilbert(R)
+
+    monkeypatch.setattr(milnor, "equivariant_hilbert", record)
+    monkeypatch.setattr(cli, "equivariant_hilbert", record)
+    equivariant_hilbert.cache_clear()
+    assert main(["verify", "--catalog", BENCHMARK_CATALOG, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert equivariant_hilbert.cache_info().misses == len(set(asked)) == 308
+    assert equivariant_hilbert.cache_info().hits == len(asked) - 308
 
 
 def test_verify_sums_each_table_once(monkeypatch, capsys):

@@ -156,8 +156,8 @@ class TestSectorAlgebra:
         # each key is a sum of dual characters and is not checked again;
         # every multiplicity must be positive, and they must sum to the
         # Milnor number: of a block when it is expanded (x^5 is one block,
-        # read from a cleared block cache) and of the product of blocks
-        # (x^3 + y^3 is two)
+        # read from a cleared block cache, and its last division is
+        # corrupted) and of the product of blocks (x^3 + y^3 is two)
         from bhmirror import milnor
 
         def changed(real):
@@ -169,7 +169,7 @@ class TestSectorAlgebra:
             return call
 
         for where, polynomial, code, message in (
-                ("_variable_factor", "x^5", (0,), block_message),
+                ("_divide", "x^5", (0,), block_message),
                 ("_product", "x^3+y^3", (0, 0), product_message)):
             with monkeypatch.context() as patch:
                 patch.setattr(milnor, where, changed(getattr(milnor, where)))
@@ -177,7 +177,7 @@ class TestSectorAlgebra:
                 R = restrict(parse_polynomial(polynomial), code)
                 with pytest.raises(InternalError, match=re.escape(message)):
                     equivariant_hilbert.__wrapped__(R)
-                if where == "_variable_factor":  # raised by the block's own check
+                if where == "_divide":  # raised by the block's own check
                     with pytest.raises(InternalError, match=re.escape(message)):
                         milnor._block_series(R.parent, (0,))
 

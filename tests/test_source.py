@@ -157,6 +157,45 @@ def test_codes_read_off_the_inverse_are_not_checked_again():
         assert not _callers(name) & readers, f"{name} called in {sorted(_callers(name) & readers)}"
 
 
+def _items_loop(node):
+    """The name whose items() the loop `node` walks, if it walks a map's items."""
+    if (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+            and isinstance(node.iter.func, ast.Attribute) and node.iter.func.attr == "items"
+            and isinstance(node.iter.func.value, ast.Name)):
+        return node.iter.func.value.id
+    return None
+
+
+def _convolutions():
+    """The functions, as `module.owner`, that convolve two maps: a loop over
+    one map's items() around a loop over the items() of a map that the
+    outer loop does not bind."""
+    found = set()
+    for path, tree in _library_trees():
+        owners = _owners(tree)
+        for outer in ast.walk(tree):
+            if _items_loop(outer) is None:
+                continue
+            bound = {node.id for node in ast.walk(outer.target) if isinstance(node, ast.Name)}
+            if any(_items_loop(inner) not in (None, *bound)
+                   for inner in ast.walk(outer) if inner is not outer):
+                found.add(f"{path.stem}.{owners[outer]}")
+    return found
+
+
+def test_no_truncated_convolution():
+    # a block's series is its numerator divided exactly by each variable's
+    # 1 - chi t^w, one pass over the occupied degrees; the convolutions left
+    # are exact products (of disjoint blocks' series, and of unprojected
+    # maps), which take the two maps and no bound to truncate at
+    convolutions = _convolutions()
+    assert convolutions == {"milnor._product", "mirror.thom_sebastiani_convolution"}
+    for path, tree in _library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and f"{path.stem}.{node.name}" in convolutions:
+                assert len(node.args.args) == 2, node.name
+
+
 def test_memoized_functions_are_the_measured_set():
     # each cache is kept because a run's calls hit it (the elimination, the
     # one transpose object, block and fixed-set series);
