@@ -53,14 +53,20 @@ class CatalogCase(NamedTuple):
 
 
 def parse_vector(text: str) -> tuple[Fraction, ...]:
-    """Parse "[1/4,3/4,0]" into a tuple of rationals; an empty entry, as in
-    "[1/3,,0]" or "[]", is an InputError."""
+    """Parse "[1/4,3/4,0]" into a tuple of rationals.  An entry is an
+    integer, p/q or a plain decimal; an empty entry, as in "[1/3,,0]" or
+    "[]", is an InputError, and so is exponent notation, which `Fraction`
+    would expand into an integer of up to a billion digits ("1e999999999")."""
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
     parts = [part.strip() for part in body.split(",")]
     if "" in parts:
         raise InputError(f"cannot parse rational vector {text!r}: empty entry")
+    for part in parts:
+        if "e" in part or "E" in part:
+            raise InputError(f"cannot parse rational vector {text!r}: entry {part!r} "
+                             "is not an integer, p/q or plain decimal")
     try:
         return tuple(map(Fraction, parts))
     except ValueError as exc:

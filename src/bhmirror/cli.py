@@ -11,6 +11,7 @@ Exit status: 0 success / all checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from fractions import Fraction
 
@@ -506,7 +507,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one `bhmirror` command and return its exit status.
+
+    With `argv=None` (the console script, `python -m bhmirror.cli`) the
+    arguments are `sys.argv[1:]` and `main` owns the process: whichever way
+    it ends, exit status or argparse's `SystemExit`, it then freezes the
+    garbage collector, so the interpreter's shutdown collections skip what
+    the import and the command left alive and the OS reclaims it instead.
+    A caller that passes `argv` is a library user or a test that goes on
+    running, and its collector is left as it was.
+    """
+    try:
+        return _run(build_parser().parse_args(argv))
+    finally:
+        if argv is None:
+            gc.freeze()
+
+
+def _run(args: argparse.Namespace) -> int:
     handlers = {
         "analyze": cmd_analyze,
         "mirror": cmd_mirror,

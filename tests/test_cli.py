@@ -1,11 +1,19 @@
+import gc
 import json
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bhmirror
 from bhmirror import cli
+from bhmirror.catalog import parse_vector
 from bhmirror.cli import main
-from bhmirror.errors import DualityViolationError
+from bhmirror.errors import DualityViolationError, InputError
 from bhmirror.milnor import GroupRingSeries
 from bhmirror.statespace import StateTable
 
@@ -150,6 +158,12 @@ class TestTable:
          "error [Input]: cannot parse rational vector '[1/3,,0]': empty entry"),
         (("mirror", "x0^3+x1^3", "--group", "gen:[,1/3,0,]"),
          "error [Input]: cannot parse rational vector '[,1/3,0,]': empty entry"),
+        (("mirror", "x^3+y^3", "--group", "gen:[1E3,0]"),
+         "error [Input]: cannot parse rational vector '[1E3,0]': entry '1E3' "
+         "is not an integer, p/q or plain decimal"),
+        (("table", "x0^3+x1^3+x2^3", "--K", "gen:[0, 2.5e-1]"),
+         "error [Input]: cannot parse rational vector '[0, 2.5e-1]': entry '2.5e-1' "
+         "is not an integer, p/q or plain decimal"),
         (("mirror", "x^3+y^3", "--group", ""),
          "error [Input]: bad group spec '': expected gen:[...] or a preset J | SL | full | trivial"),
         (("mirror", "x^3+y^3", "--group", ";"),
@@ -157,7 +171,7 @@ class TestTable:
         (("table", "x0^3+x1^3+x2^3", "--K", " "),
          "error [Input]: bad group spec '': expected gen:[...] or a preset J | SL | full | trivial"),
     ], ids=["zero-denominator", "mirror-short-vector", "table-short-vector",
-            "inner-empty-entry", "outer-empty-entries",
+            "inner-empty-entry", "outer-empty-entries", "mirror-exponent", "table-exponent",
             "blank-group", "semicolon-group", "blank-K"])
     def test_bad_vectors_name_their_fault(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -416,3 +430,90 @@ class TestVerify:
         ]))
         code, _, err = run(capsys, "verify", "--catalog", str(path), "--case", "bad")
         assert code == 2  # surfaced as an input error by the hypothesis guard
+
+
+def test_vector_entries_are_integers_fractions_or_decimals():
+    assert parse_vector("[1, -2/4, 0.25, 1_0, +.5]") == (1, Fraction(-1, 2), Fraction(1, 4), 10,
+                                                         Fraction(1, 2))
+    for text in ("[1e3]", "[0,2E0]", "[.5e-1]", "[1/2e1]"):
+        with pytest.raises(InputError, match="is not an integer, p/q or plain decimal"):
+            parse_vector(text)
+
+
+SRC = Path(bhmirror.__file__).resolve().parent.parent
+
+
+def _fresh(argv, *, hook_dir=None, timeout=60):
+    """A fresh interpreter running `argv` with the library on its path and,
+    with `hook_dir`, that directory's `sitecustomize` loaded first."""
+    path = [str(hook_dir)] if hook_dir else []
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([*path, str(SRC)])}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+def test_exponent_notation_is_rejected_before_it_is_expanded():
+    # `Fraction("1e999999999")` builds an integer of a billion digits; the
+    # entry must be refused before that, also from a fresh process
+    proc = _fresh(["-m", "bhmirror.cli", "mirror", "x0^3+x1^3+x2^3",
+                   "--group", "gen:[1e999999999,0,0]"], timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error [Input]: cannot parse rational vector")
+
+
+class TestProcessOwnership:
+    """`main()` with no `argv` owns its process and freezes the collector on
+    the way out, so shutdown skips collecting what the OS reclaims anyway;
+    `main(argv)` leaves the caller's collector as it was."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (["analyze", "x0^6+x1^3+x2^2"], 0),
+        (["analyze", "2*x0^3+x1^3"], 2),
+    ], ids=["pass", "coded-exit"])
+    def test_in_process_call_keeps_the_collector(self, capsys, argv, status):
+        before = gc.get_freeze_count()
+        assert main(argv) == status
+        assert gc.get_freeze_count() == before
+
+    def test_in_process_usage_error_keeps_the_collector(self, capsys):
+        before = gc.get_freeze_count()
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze"])
+        assert exc.value.code == 2
+        assert gc.get_freeze_count() == before
+
+    # what the `bhmirror` console script and the benchmark run, and `-m`
+    ENTRY_POINTS = {
+        "script": ["-c", "import sys; from bhmirror.cli import main; sys.exit(main())"],
+        "module": ["-m", "bhmirror.cli"],
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("argv, status", [
+        (["analyze", "x0^6+x1^3+x2^2"], 0),
+        (["analyze", "2*x0^3+x1^3"], 2),
+        (["analyze"], 2),
+    ], ids=["pass", "coded-exit", "usage-error"])
+    def test_fresh_process_ends_frozen(self, tmp_path, entry, argv, status):
+        # an exit hook, run after `main` returns or raises SystemExit,
+        # writes the freeze count where the test reads it
+        count = tmp_path / "freeze_count"
+        (tmp_path / "sitecustomize.py").write_text(
+            "import atexit, gc\n"
+            f"atexit.register(lambda: open({str(count)!r}, 'w').write(str(gc.get_freeze_count())))\n")
+        proc = _fresh([*self.ENTRY_POINTS[entry], *argv], hook_dir=tmp_path)
+        assert proc.returncode == status, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert int(count.read_text()) > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["mirror", "x0^6+x1^3+x2^2", "--group", "SL"],
+        ["k3", "x0^4+x1^3*x2+x2^3*x1+x3^4", "--format", "json"],
+        ["table", "x0^3+x1^3+x2^4+x3^12", "--K", "gen:[0,3/4,1/4]", "--format", "csv"],
+        ["table", "x0^4+x1^4+x2^4+x3^4", "--K", "gen:[1/4,0,0]"],
+    ], ids=["text", "json", "csv", "reject"])
+    def test_fresh_process_prints_what_an_in_process_call_prints(self, capsys, argv):
+        proc = _fresh(["-m", "bhmirror.cli", *argv])
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)

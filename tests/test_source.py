@@ -226,6 +226,28 @@ def test_no_dataclasses():
     assert not found, f"dataclasses imported in the library: {found}"
 
 
+def test_collector_frozen_only_by_main():
+    # `cli.main` freezes the collector when it owns the process; a
+    # module-level freeze, `gc.disable()` or a threshold setting would
+    # change the collector of every library caller
+    importers, uses = [], []
+    for path, tree in _library_trees():
+        owners = _owners(tree)
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Import) and any(alias.name == "gc" for alias in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "gc"):
+                importers.append(f"{path.stem}:{ast.unparse(node)}")
+            elif isinstance(node, ast.Name) and node.id == "gc":
+                attr = parents[node]
+                called = (isinstance(attr, ast.Attribute) and isinstance(parents[attr], ast.Call)
+                          and parents[attr].func is attr and not parents[attr].args)
+                uses.append(f"{path.stem}.{owners[node]}:"
+                            f"{ast.unparse(parents[attr] if called else attr)}")
+    assert importers == ["cli:import gc"]
+    assert uses == ["cli.main:gc.freeze()"]
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # a fresh interpreter without `site`, so that nothing but bhmirror.cli
     # decides what is loaded; `json` loads only for JSON output or a catalog file
