@@ -27,7 +27,6 @@ from .symmetry import (
     AdmissibleSetup,
     SymmetryGroup,
     admissible_setup,
-    age,
     aut_group,
     dual_group,
     enumerate_group,

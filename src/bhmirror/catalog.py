@@ -17,6 +17,7 @@ from .errors import InputError
 from .poly import InvertiblePolynomial, parse_polynomial, split_cyclic
 from .symmetry import SymmetryGroup, enumerate_group
 
+KRAWITZ_SCAN = "krawitz-scan"  # the case `verify` reports the KRAWITZ_POLYNOMIALS scan as
 # every atom type, sizes up to 5 variables, plus mixed sums
 KRAWITZ_POLYNOMIALS: tuple[str, ...] = (
     # Fermat
@@ -148,6 +149,9 @@ def load_catalog(path: str) -> tuple[CatalogCase, ...]:
                              "must be strings, K and tags lists of strings")
         if not obj["name"].strip():
             raise InputError(f"catalog {path} has a case with a blank name")
+        if obj["name"] == KRAWITZ_SCAN:
+            raise InputError(f"catalog {path} names a case {KRAWITZ_SCAN!r}, "
+                             "the name of the built-in Krawitz scan")
         if any(case.name == obj["name"] for case in cases):
             raise InputError(f"catalog {path} names case {obj['name']!r} more than once")
         cases.append(CatalogCase(obj["name"], obj["polynomial"],

@@ -54,6 +54,7 @@ from .symmetry import (
     aut_group,
     dual_group,
     enumerate_group,
+    grading_group,
     group_cap,
     j_element,
     require_within_cap,
@@ -82,7 +83,7 @@ def parse_group_spec(spec: str, P: InvertiblePolynomial) -> SymmetryGroup:
     if spec == "trivial":
         return enumerate_group(P, ())
     if spec == "J":
-        return enumerate_group(P, (j_element(P),))
+        return grading_group(P)
     if spec == "SL":
         return sl_subgroup(P)
     if spec == "full":
@@ -422,7 +423,7 @@ def cmd_verify(args) -> int:
         cases = cat.ADMISSIBLE_CASES
     if args.case is not None:
         cases = tuple(c for c in cases if c.name == args.case)
-        if not cases and args.case != "krawitz-scan":
+        if not cases and args.case != cat.KRAWITZ_SCAN:
             raise InputError(f"no catalog case named {args.case!r}")
 
     results = []
@@ -433,7 +434,7 @@ def cmd_verify(args) -> int:
             exc.args = (f"case {case.name!r}: {exc}",)
             raise
 
-    if args.case is None or args.case == "krawitz-scan":
+    if args.case is None or args.case == cat.KRAWITZ_SCAN:
         failing = []
         checked = 0
         for text in cat.KRAWITZ_POLYNOMIALS:
@@ -442,7 +443,7 @@ def cmd_verify(args) -> int:
             checked += rep.cells_checked
             if not rep.passed:
                 failing.append(f"{text}: {_report_detail(rep, exponent_determinant(P))}")
-        results.append({"case": "krawitz-scan", "check": "krawitz",
+        results.append({"case": cat.KRAWITZ_SCAN, "check": "krawitz",
                         "passed": not failing,
                         "detail": f"{len(cat.KRAWITZ_POLYNOMIALS)} polynomials, {checked} cells"
                         if not failing else "failing: " + "; ".join(failing)})

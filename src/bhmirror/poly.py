@@ -9,10 +9,10 @@ and so are inputs of more than MAX_VARIABLES variables, before any
 elimination.  A symmetry g of P or of its transpose lies in (1/N)Z^n,
 N = |det E|, and is held as its code N*g mod N (`encode`, `decoder`).
 `encode` checks that an outside vector fixes P, and E*B = N*I checks
-B = N*E^{-1} and so the codes A = B mod N once; a code made from checked
+B = N*E^{-1} and so the codes A = B mod N once: the dual characters,
+Aut's generators and j (`grading_code`).  A code made from checked
 codes needs no second check, so `restrict` reads the fixed set straight
-off the code.  `format_vector` renders every symmetry or key shown to a
-user.
+off the code.  `format_vector` renders every symmetry or key shown.
 
 E^{-1} is held on integers: one fraction-free (Bareiss) elimination of
 [E | I] gives det E and adj E, so B = +-adj E.  The weights and degree
@@ -237,6 +237,12 @@ def dual_characters(P: InvertiblePolynomial) -> tuple[Code, ...]:
     """Row i of N*E^{-1} mod N, the dual character of x_i: a code of the
     transpose.  The columns generate Aut of P, and the row sums are j."""
     return _exact_inverse(P.exponents)[2]
+
+
+def grading_code(P: InvertiblePolynomial) -> Code:
+    """The code of j = E^{-1}*1 = [w_0/d, ..., w_n/d]: the row sums of N*E^{-1} mod N."""
+    N, _, A = _exact_inverse(P.exponents)
+    return tuple(sum(row) % N for row in A)
 
 
 # ---------------------------------------------------------------------------

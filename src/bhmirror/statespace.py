@@ -1,32 +1,24 @@
 """State spaces of invertible polynomials with a cyclic automorphism.
 
-For W = x0^k + f and an admissible K, the big state space collects the
+For W = x0^k + f and an admissible K, a state table collects the
 K-invariant sector algebras (keys in the setup's Ann(K)) over the k^2
-labelled cosets j^a s^b K.  Every entry carries four mod-1 gradings: the
-coset labels d_j = a/k, d_s = b/k and the charges Q_j, Q_s of its
-dual-group key, read off the setup's keys and packed redundantly into
-coordinates (X, Y, Z) that are cross-checked at construction time.  With
-no invariance taken, the unprojected state space is the plain map
-(sector, key, p, q) -> dimension over every diagonal symmetry:
+labelled cosets j^a s^b K, as integer cells (sector, key, p, q) ->
+dimension: sector and key are codes (see `poly`), p and q numerators over
+N = |det E|.  A sector's coset (a, b) is read off `setup.labels` and a
+key's charges Q_j, Q_s off `setup.keys`, so every grading of an entry,
+d_j = a/k, d_s = b/k and the redundant coordinates (X, Y, Z), follows
+from its cell; side and Z are cross-checked when the table is built.
+Entries split into a moving side (Q_s != 0) and a fixed side (Q_s = 0).
+The twist exchanges the sides at constant (X, Y, Z) and elevators move
+along Z: one body shifts the cell of a label, with p and q kept as
+numerators over N.  The builders expand each fixed set's series once
+(`milnor.algebra_by_fixed_set`) and shift it per sector; the slices,
+`sector_cells` (the Q_j = 0 part, summed once per table) and the
+vanishing check read the cells.  A label is where a cell becomes
+rationals: `entries` decodes cells with one labeler, and one reader,
+`_cell`, turns a label back into its cell.  With no invariance taken,
+the unprojected state space is the map over every diagonal symmetry:
 `unprojected_cells` on integers, `unprojected_state_space` decoded.
-
-Entries split into a moving side (Q_s != 0; the sector fixes x0, so the
-cyclic symmetry acts on the form with nonzero weight) and a fixed side
-(Q_s = 0).  The twist exchanges the two sides at constant (X, Y, Z);
-elevators move along Z on either side.  Both are dimension-preserving
-relabelings with prescribed bidegree shifts, sharing one body.
-
-A table is its integer cells (sector, key, p, q) -> dimension: sectors and
-keys are codes (see `poly`) and p, q integer numerators over N = |det E|.
-A sector's coset is read off `setup.labels` and a key's charges off
-`setup.keys`, so every grading of an entry follows from its cell; the
-builders expand each fixed set's series once (`milnor.algebra_by_fixed_set`)
-and shift it per sector.  The slices, `sector_cells` (one pass over the
-Q_j = 0 part, kept by the table and shared by the LG slices and the grid,
-with p and q kept as numerators over N) and the vanishing check read the
-cells.  `entries` is the `StateLabel` view of a table, decoded on read with
-each sector and key decoded once per view; a label and the unprojected map
-are where a cell becomes rationals.
 """
 
 from __future__ import annotations
@@ -47,10 +39,8 @@ from .poly import (
     Code,
     InvertiblePolynomial,
     decoder,
-    encode,
     exponent_determinant,
     format_vector,
-    transpose,
 )
 from .symmetry import AdmissibleSetup, Symmetry, aut_group
 
@@ -108,8 +98,8 @@ class StateTable:
 
 class StateEntries(Mapping):
     """The cells of a table viewed as `StateLabel` -> dimension.  Iteration
-    decodes the labels in cell order; a lookup encodes the label to its cell
-    and checks that the cell decodes back to it, so no label is hashed."""
+    decodes the labels in cell order; a lookup reads the label's cell with
+    `_cell`, so no label is hashed."""
 
     __slots__ = ("_setup", "_cells", "_label")
 
@@ -124,15 +114,10 @@ class StateEntries(Mapping):
         return map(self._label, self._cells)
 
     def __getitem__(self, label: StateLabel) -> int:
-        n, N = self._setup.W.num_vars, self._setup.N
-        if isinstance(label, StateLabel):
-            scaled = [Fraction(x) * N for x in (*label.sector, *label.key, label.p, label.q)]
-            if all(x.denominator == 1 for x in scaled):
-                v = tuple(map(int, scaled))
-                cell = (v[:n], v[n:2 * n], v[-2], v[-1])
-                if cell in self._cells and self._label(cell) == label:
-                    return self._cells[cell]
-        raise NoSuchEntryError(label)
+        cell = _cell(self._setup, self._label, label)
+        if cell not in self._cells:
+            raise NoSuchEntryError(label)
+        return self._cells[cell]
 
     def items(self) -> ItemsView:
         return _DecodedItems(self)
@@ -192,8 +177,7 @@ def _labeler(setup: AdmissibleSetup) -> Callable[[IntegerCell], StateLabel]:
     """cell -> its `StateLabel`, assembled from the part of its sector (code,
     d_j = a/k, d_s = b/k, X = a), the part of its key (code, Q_j, Q_s,
     weight), its decoded (p, q) and the side, Y and Z of `_coordinates`,
-    checked per cell.  Each part, each numerator over N and each i/k is made
-    once per labeler; p and q may be `Fraction` numerators."""
+    checked per cell; each part, numerator over N and i/k is made once."""
     decode, over_k = decoder(setup.N), [Fraction(i, setup.k) for i in range(setup.k)]
     sector_part = lru_cache(maxsize=None)(
         lambda h: (decode(h), *(over_k[c] for c in setup.labels[h]), setup.labels[h][0]))
@@ -208,6 +192,26 @@ def _labeler(setup: AdmissibleSetup) -> Callable[[IntegerCell], StateLabel]:
         return StateLabel(h, g, *decode((p, q)), dj, ds, qj, qs, weight, side, x, y, z)
 
     return label
+
+
+def _cell(setup: AdmissibleSetup, label_of: Callable[[IntegerCell], StateLabel],
+          label: StateLabel) -> IntegerCell:
+    """The cell of a label, (sector, key, p, q) times N; NoSuchEntryError
+    unless each is over N, the sector is in `setup.labels`, the key in
+    `setup.keys` and the cell decodes back to the label under `label_of`."""
+    n, N = setup.W.num_vars, setup.N
+    if isinstance(label, StateLabel):
+        scaled = [Fraction(x) * N for x in (*label.sector, *label.key, label.p, label.q)]
+        if all(x.denominator == 1 for x in scaled):
+            v = tuple(map(int, scaled))
+            cell = (v[:n], v[n:2 * n], v[-2], v[-1])
+            if cell[0] in setup.labels and cell[1] in setup.keys:
+                try:
+                    if label_of(cell) == label:
+                        return cell
+                except DualityViolationError:  # no entry pairs this sector with this key
+                    pass
+    raise NoSuchEntryError(label)
 
 
 def build_state_space(setup: AdmissibleSetup) -> StateTable:
@@ -241,18 +245,19 @@ def fjrw_state_space(table: StateTable, b: int) -> StateTable:
 
 def _relabel(setup: AdmissibleSetup, label: StateLabel, name: str, side: str, out_side: str,
              z_new: int, sector_power: int, key_power: int, dp: int, dq: int) -> StateLabel:
-    """The twist and the elevators: sector * s^sector_power, key * s^key_power,
-    (p, q) + (dp, dq)/k, and the image checked to land at (out_side, X, Y, z_new)."""
+    """The twist and the elevators on the label's cell: sector * s^sector_power,
+    key * s^key_power, (p, q) + (dp, dq)/k as numerators over N, and the image
+    checked to land at (out_side, X, Y, z_new)."""
     if label.side != side:
         raise SideMismatchError(f"{name} applies to {side} entries")
     k, N = setup.k, setup.N
     if not 0 < z_new < k:
         raise ZOutOfRangeError(f"target level {z_new} outside 1..{k - 1}")
-    sector = tuple((x + sector_power * y) % N
-                   for x, y in zip(encode(setup.W, label.sector), setup.s))
-    key = tuple((x + key_power * y) % N
-                for x, y in zip(encode(transpose(setup.W), label.key), setup.s))
-    out = _labeler(setup)((sector, key, label.p * N + dp * N // k, label.q * N + dq * N // k))
+    label_of = _labeler(setup)
+    sector, key, p, q = _cell(setup, label_of, label)
+    sector = tuple((x + sector_power * y) % N for x, y in zip(sector, setup.s))
+    key = tuple((x + key_power * y) % N for x, y in zip(key, setup.s))
+    out = label_of((sector, key, p + dp * N // k, q + dq * N // k))
     if (out.side, out.x, out.y, out.z) != (out_side, label.x, label.y, z_new):
         raise DualityViolationError(f"{name} broke (X, Y, Z) at {format_vector(label.sector)}")
     return out

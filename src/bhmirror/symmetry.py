@@ -1,32 +1,21 @@
 """Diagonal symmetry groups of invertible polynomials.
 
 A diagonal symmetry is a vector [a_0, ..., a_n] of rationals mod 1, acting
-on variables by x_i -> exp(2*pi*i*a_i) x_i.  The duality pairing between
-symmetries of P and of its transpose is the closed form (E*g) . h mod 1.
+by x_i -> exp(2*pi*i*a_i) x_i.  N = |det E| is the one bound, checked by
+`require_within_cap` before any closure, and the one modulus: inside the
+engine a symmetry is its code N*g mod N (see `poly`).  A `SymmetryGroup`
+is codes only; `elements`, its `Fraction` view, is decoded on every read.
 
-N = |det E| is the one bound, checked by `require_within_cap` before any
-closure, and the one modulus: inside the engine a symmetry is its code
-N*g mod N (see `poly`).  A `SymmetryGroup` is codes only, its generators
-and its sorted closure; `elements`, the rational view for output, is
-decoded on every read, and the engine never reads it.  Rational vectors
-enter once, through `encode`.
-One kernel, `_closure`, closes every group over codes.  The annihilator
-of generators g is the image under A = N*E^{-1} mod N of the lattice
-{x : g . x = 0 mod N}: at most n vectors of its `_kernel_basis` are
-mapped and closed, so its work is proportional to |Ann|, and no Aut of
-the transpose is closed to be filtered.  A code is made only by
-`encode`, `dual_characters` (Aut's generators, j), `_closure` or
-`annihilator`, and is checked to be a member there only.  A setup takes
-K as a `SymmetryGroup` of f; its `labels` (the coset group in coset order
-j^a s^b K, read off the closure order of (K, s, j)) and keys, Ann(K), are
-codes, each key graded once by its charges (k*Q_j, k*Q_s) mod k, read off
-as k*sum(key) and k*key[0] over N, since E*j = N*1 and E*s = N*e_0, x0^k
-being row 0 of E (both checked once per setup): the dual of <K, j, s>
-is the keys of charge (0, 0), as SL is the dual of <j^T>.  Nothing here
-is cached: no command asks twice for the Aut of one polynomial, so
-`aut_group` checks the cap and closes Aut on every call.
-`age` and `pairing` take rational vectors, for callers outside the
-engine.
+One kernel, `_closure`, closes codes, and one constructor, `_span`, makes
+every group from generators: the cap check, the closure and the sort.
+Rational vectors enter once, through `enumerate_group`, which encodes
+each; Aut is spanned by the columns of N*E^{-1} mod N, <j> by the code of
+j (`poly.grading_code`), and SL is the dual of the transpose's <j^T>.  A
+code is made only by `encode`, the checked inverse, `_closure` or
+`annihilator`, and is checked to be a member there only; a setup's cosets
+and keys are codes too.  Nothing is cached: no command asks twice for one
+polynomial's Aut.  `j_element`, `s_element` and `pairing` give or take
+rational vectors, for output and for callers outside the engine.
 """
 
 from __future__ import annotations
@@ -54,6 +43,7 @@ from .poly import (
     encode,
     exponent_determinant,
     format_vector,
+    grading_code,
     monomial_phases,
     split_cyclic,
     transpose,
@@ -86,17 +76,6 @@ def require_within_cap(P: InvertiblePolynomial) -> None:
 def symmetry(entries: Iterable) -> Symmetry:
     """Normalize a rational vector to entries in [0, 1)."""
     return tuple(Fraction(a) % 1 for a in entries)
-
-
-def identity(num_vars: int) -> Symmetry:
-    return (Fraction(0),) * num_vars
-
-
-def age(g: Sequence[Fraction]) -> Fraction:
-    """Sum of the entries, taken with representatives in [0, 1), read off
-    the integer code D*g mod D."""
-    D, scaled = common_denominator(g)
-    return Fraction(sum(x % D for x in scaled), D)
 
 
 class SymmetryGroup(NamedTuple):
@@ -139,35 +118,41 @@ def _closure(steps: Sequence[Code], num_vars: int, N: int) -> list[Code]:
     return list(elements)
 
 
+def _span(P: InvertiblePolynomial, generators: Iterable[Code]) -> SymmetryGroup:
+    """The group that codes of P span, read and closed once |det E|, which
+    bounds it, is within the cap; a rational vector would never close."""
+    require_within_cap(P)
+    gens = tuple(generators)
+    codes = _closure(gens, P.num_vars, exponent_determinant(P))
+    return SymmetryGroup(P, gens, tuple(sorted(codes)))
+
+
 def enumerate_group(P: InvertiblePolynomial,
                     generators: Iterable[Sequence[Fraction]]) -> SymmetryGroup:
-    """The group the generators span, closed by `_closure` once |det E|,
-    which bounds it, is within the cap; each generator is encoded once."""
-    require_within_cap(P)
-    gens = tuple(encode(P, g) for g in generators)
-    codes = tuple(sorted(_closure(gens, P.num_vars, exponent_determinant(P))))
-    return SymmetryGroup(P, gens, codes)
+    """The group that rational vectors span, each encoded once: the one
+    place where outside symmetries enter a group."""
+    return _span(P, (encode(P, g) for g in generators))
 
 
 def aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
-    """The full diagonal symmetry group; its order equals |det E|.
-
-    Raises GroupTooLargeError before enumerating anything when |det E|
-    exceeds the cap.
-    """
-    require_within_cap(P)
+    """The full diagonal symmetry group, spanned by the columns of
+    N*E^{-1} mod N, its order checked to equal |det E|; GroupTooLargeError
+    before anything is closed when |det E| exceeds the cap."""
+    group = _span(P, zip(*dual_characters(P)))
     det = exponent_determinant(P)
-    gens = tuple(zip(*dual_characters(P)))  # the columns of N*E^{-1} mod N
-    group = SymmetryGroup(P, gens, tuple(sorted(_closure(gens, P.num_vars, det))))
     if group.order != det:
         raise InternalError(f"|Aut| = {group.order} differs from |det E| = {det}")
     return group
 
 
+def grading_group(P: InvertiblePolynomial) -> SymmetryGroup:
+    """<j>, the group of the grading symmetry, spanned by its code."""
+    return _span(P, (grading_code(P),))
+
+
 def sl_subgroup(P: InvertiblePolynomial) -> SymmetryGroup:
     """The integral-age symmetries: the dual of <j^T>, as E^T j^T = 1 makes pairing the age."""
-    Pv = transpose(P)
-    return dual_group(enumerate_group(Pv, (j_element(Pv),)))
+    return dual_group(grading_group(transpose(P)))
 
 
 def j_element(P: InvertiblePolynomial) -> Symmetry:
@@ -319,7 +304,7 @@ def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) ->
     if K_inner.polynomial != f:
         raise NotAdmissibleError(f"K is a group of {K_inner.polynomial}, not of {f}")
     N_f = exponent_determinant(f)
-    jf_k = tuple(k * sum(row) % N_f for row in dual_characters(f))  # j_f = E_f^{-1} * 1
+    jf_k = tuple(k * x % N_f for x in grading_code(f))
     if jf_k not in K_inner.codes:
         raise NotAdmissibleError(
             f"j_f^{k} = {format_vector(jf_k, N_f)} is not in K (add it as a generator)")
@@ -328,7 +313,7 @@ def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) ->
             raise NotAdmissibleError(f"K contains {format_vector(g, N_f)}, which is outside SL_f")
 
     N = exponent_determinant(W)
-    j, s = tuple(sum(row) % N for row in dual_characters(W)), (N // k,) + (0,) * f.num_vars
+    j, s = grading_code(W), (N // k,) + (0,) * f.num_vars
     K_gens = tuple((0, *(k * x for x in g)) for g in K_inner.generators)  # N = k*N_f; fixing x0
     codes = _closure(K_gens + (s, j), W.num_vars, N)
     sk_order = k * K_inner.order  # |<s, K>|

@@ -34,7 +34,7 @@ from bhmirror.statespace import (
     moving_vanishing_violations,
     unprojected_state_space,
 )
-from bhmirror.symmetry import identity
+from test_group_reference import identity
 
 F = Fraction
 

@@ -333,6 +333,16 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error [Input]: catalog {path} has a case with a blank name\n"
 
+    def test_scan_name_is_reserved(self, capsys, tmp_path):
+        # a case named like the built-in Krawitz scan would run beside it and
+        # print under the same label
+        path = tmp_path / "cases.json"
+        path.write_text(json.dumps([{"name": "krawitz-scan", "polynomial": "x0^6+x1^3+x2^2"}]))
+        code, out, err = run(capsys, "verify", "--catalog", str(path), "--case", "krawitz-scan")
+        assert code == 2 and out == ""
+        assert err == (f"error [Input]: catalog {path} names a case 'krawitz-scan', "
+                       "the name of the built-in Krawitz scan\n")
+
     @pytest.mark.parametrize("polynomial, error", [
         ("x0^3+*x1", "SyntaxError"),
         ("x0^3+x1^3+x2", "DegenerateShape"),

@@ -16,9 +16,11 @@ the k^2 cosets j^a s^b K of a cyclic setup labelled by a triple loop, and
 a restriction's blocks found by a second atom search on its surviving
 rows (the engine before they were read off the parent's atoms), a report
 that records one `CheckItem` per compared cell as it compares (the
-engine before reports kept their maps), and a state label assembled cell
+engine before reports kept their maps), a state label assembled cell
 by cell with four `Fraction`s of its own (the engine before labels were
-assembled from per-sector and per-key parts).  The library holds
+assembled from per-sector and per-key parts), and <j>, SL and Aut spanned
+by `Fraction` vectors that `enumerate_group` encodes (the engine before
+they were spanned by codes read off N*E^{-1}).  The library holds
 symmetries as codes mod |det E|; decoded, they must agree with the
 reference element for element on random invertible polynomials of up to
 four variables.
@@ -56,6 +58,7 @@ from bhmirror.poly import (
     RestrictedPolynomial,
     adjugate,
     classify_atoms,
+    common_denominator,
     decoder,
     dual_characters,
     encode,
@@ -65,6 +68,7 @@ from bhmirror.poly import (
     fixes,
     format_vector,
     from_exponents,
+    grading_code,
     monomial_phases,
     parse_polynomial,
     restrict,
@@ -87,17 +91,29 @@ from bhmirror.statespace import (
 from bhmirror.symmetry import (
     SymmetryGroup,
     admissible_setup,
-    age,
     annihilator,
     aut_group,
     dual_group,
     enumerate_group,
+    grading_group,
     j_element,
     pairing,
     s_element,
     sl_subgroup,
     symmetry,
 )
+
+
+def identity(num_vars):
+    """The identity symmetry as a `Fraction` vector."""
+    return (Fraction(0),) * num_vars
+
+
+def age(g):
+    """Sum of the entries, taken with representatives in [0, 1), read off
+    the integer code D*g mod D."""
+    D, scaled = common_denominator(g)
+    return Fraction(sum(x % D for x in scaled), D)
 
 
 def ref_invert_matrix(rows):
@@ -500,6 +516,36 @@ def test_pairing_matches_reference(case, data):
     h = duals[data.draw(st.integers(0, len(duals) - 1))]
     for g in gens:
         assert pairing(P, g, h) == ref_pairing(P, g, h)
+
+
+def old_groups(P):
+    """<j>, SL (the dual of <j^T>) and Aut by the old path: j and the
+    columns of E^{-1} as `Fraction` vectors, each encoded by `enumerate_group`."""
+    Pv = transpose(P)
+    return (enumerate_group(P, (j_element(P),)),
+            dual_group(enumerate_group(Pv, (j_element(Pv),))),
+            enumerate_group(P, aut_generators(P)))
+
+
+def assert_groups_match_old_path(P):
+    """j's code decodes to `j_element`, and each group spanned by codes has
+    the old group's generators and codes."""
+    assert decoder(exponent_determinant(P))(grading_code(P)) == j_element(P)
+    assert (grading_group(P), sl_subgroup(P), aut_group(P)) == old_groups(P)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_polynomials())
+def test_groups_from_codes_match_old_path(P):
+    assert_groups_match_old_path(P)
+
+
+@pytest.mark.parametrize("text", sorted({case.polynomial for case in ADMISSIBLE_CASES}
+                                        | set(KRAWITZ_POLYNOMIALS)))
+def test_catalog_groups_from_codes_match_old_path(text):
+    P = parse_polynomial(text)
+    for Q in {P, transpose(P)}:
+        assert_groups_match_old_path(Q)
 
 
 @settings(deadline=None, max_examples=40)

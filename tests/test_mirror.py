@@ -28,7 +28,8 @@ from bhmirror.mirror import (
 )
 from bhmirror.poly import direct_sum, parse_polynomial, transpose
 from bhmirror.statespace import StateTable, unprojected_state_space
-from bhmirror.symmetry import identity, pairing, symmetry
+from bhmirror.symmetry import pairing, symmetry
+from test_group_reference import identity
 
 F = Fraction
 

@@ -16,8 +16,8 @@ from bhmirror.poly import (
     transpose,
 )
 from bhmirror.mirror import verify_krawitz
-from bhmirror.symmetry import age, aut_group
-from test_group_reference import ref_neg
+from bhmirror.symmetry import aut_group
+from test_group_reference import age, ref_neg
 
 
 @st.composite

@@ -152,9 +152,22 @@ def test_codes_read_off_the_inverse_are_not_checked_again():
     # generators, of j_f, j and s, and the series keys, sums of dual
     # characters, are read off N*E^{-1}, whose one check covers them
     assert _callers("fixes") == {"poly.encode"}
-    readers = {"symmetry.aut_group", "symmetry.admissible_setup"}
-    for name in ("encode", "j_element", "s_element"):
-        assert not _callers(name) & readers, f"{name} called in {sorted(_callers(name) & readers)}"
+
+
+def test_fractions_enter_the_engine_once():
+    # a rational vector becomes a code only where outside generators span a
+    # group; j, <j>, SL and Aut are spanned by codes read off N*E^{-1}, and
+    # `j_element` and `s_element` are `Fraction` views that `analyze` prints
+    assert _callers("encode") == {"symmetry.enumerate_group"}
+    for name in ("j_element", "s_element"):
+        assert _callers(name) == {"cli.cmd_analyze"}, name
+
+
+def test_one_group_constructor():
+    # every `SymmetryGroup` closed from generators is closed by `_span`; the
+    # annihilator closes its kernel images, and a setup its coset group
+    assert _callers("_closure") == {"symmetry._span", "symmetry.annihilator",
+                                    "symmetry.admissible_setup"}
 
 
 def _items_loop(node):

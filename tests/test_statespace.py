@@ -4,7 +4,12 @@ import pytest
 
 from bhmirror import statespace
 from bhmirror.catalog import ADMISSIBLE_CASES
-from bhmirror.errors import DualityViolationError, SideMismatchError, ZOutOfRangeError
+from bhmirror.errors import (
+    DualityViolationError,
+    NoSuchEntryError,
+    SideMismatchError,
+    ZOutOfRangeError,
+)
 from bhmirror.poly import parse_polynomial, split_cyclic, transpose
 from bhmirror.statespace import (
     FIXED,
@@ -21,13 +26,13 @@ from bhmirror.symmetry import (
     admissible_setup,
     aut_group,
     enumerate_group,
-    identity,
     j_element,
     pairing,
     s_element,
     sl_subgroup,
     symmetry,
 )
+from test_group_reference import identity
 
 F = Fraction
 
@@ -118,6 +123,17 @@ class TestStateTable:
                             lambda setup: pytest.fail("a label was assembled"))
         with pytest.raises(DualityViolationError, match="contradicts its coset label"):
             build_state_space(wrong)
+
+    def test_sector_and_key_that_no_entry_pairs_name_no_entry(self, elliptic):
+        # a moving entry's sector with a fixed entry's key fails the side
+        # cross-check: the label names no entry, for a lookup and a twist alike
+        setup, table = elliptic
+        moving = next(lab for lab in table.entries if lab.side == MOVING)
+        fixed = next(lab for lab in table.entries if lab.side == FIXED)
+        label = fixed._replace(sector=moving.sector, dj=moving.dj, ds=moving.ds, x=moving.x)
+        assert label not in table.entries
+        with pytest.raises(NoSuchEntryError):
+            twist(setup, label._replace(side=MOVING))
 
     def test_order2_weights_split_by_side(self):
         W = parse_polynomial("x0^2+x1^4+x2^4")
@@ -245,6 +261,22 @@ class TestTwistAndElevators:
             right(setup, lab, 0)
         with pytest.raises(ZOutOfRangeError):
             right(setup, lab, setup.k)
+
+    def test_label_off_the_coset_group_names_no_entry(self, pair_cache):
+        # the sector shifted by (0, 1/4, 0, 3/4) still fixes W but lies in no
+        # coset j^a s^b K: the twist and the elevators read the label's cell
+        # as a lookup does, so they raise NoSuchEntryError, not a bare KeyError
+        pair = pair_cache("k3-quartic-z2z2")
+        setup, shift = pair.source, (0, F(1, 4), 0, F(3, 4))
+        for side, relabels in ((MOVING, (lambda lab: twist(setup, lab),
+                                         lambda lab: elevator_moving(setup, lab, 2))),
+                               (FIXED, (lambda lab: elevator_fixed(setup, lab, 2),))):
+            lab = next(lab for lab in pair.source_table.entries if lab.side == side)
+            foreign = lab._replace(sector=tuple((a + b) % 1 for a, b in zip(lab.sector, shift)))
+            assert foreign not in pair.source_table.entries
+            for relabel in relabels:
+                with pytest.raises(NoSuchEntryError):
+                    relabel(foreign)
 
 
 class TestWeightDecomposition:

@@ -27,19 +27,25 @@ from bhmirror.poly import (
 )
 from bhmirror.symmetry import (
     admissible_setup,
-    age,
     annihilator,
     aut_group,
     dual_group,
     enumerate_group,
-    identity,
     j_element,
     pairing,
     s_element,
     sl_subgroup,
     symmetry,
 )
-from test_group_reference import aut_generators, in_sl, ref_add, ref_neg, ref_scale
+from test_group_reference import (
+    age,
+    aut_generators,
+    identity,
+    in_sl,
+    ref_add,
+    ref_neg,
+    ref_scale,
+)
 
 F = Fraction
 
