@@ -5,15 +5,17 @@ Commands: analyze, mirror, table, verify, k3.  Output formats: text
 deterministic: identical invocations produce byte-identical output.
 
 Exit status: 0 success / all checks pass, 1 verification failure,
-2 input error, 3 internal check failure.
+2 input error, 3 internal check failure.  `-h` prints help and exits 0,
+and a usage error exits 2; both come from argparse, which is imported only
+for a command line that the grammar `COMMANDS` does not read as well formed.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import catalog as cat
 from .errors import BHMirrorError, InputError, InternalError
@@ -467,49 +469,106 @@ def cmd_verify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+# The command-line grammar, the one source of both readers: `_read_argv`
+# reads a well-formed command line from it, and `build_parser` builds the
+# argparse parser that prints help and usage errors.  Each command has its
+# help line, whether it takes `polynomial`, and its options in help order;
+# an option is (name, default, choices, help), and a False default marks a
+# flag.
+FORMATS = ("text", "json")
+COMMANDS = {
+    "analyze": ("weights, atoms, symmetry groups", True, (
+        ("format", "text", FORMATS, None),
+    )),
+    "mirror": ("transpose polynomial and dual group", True, (
+        ("group", "J", None, "subgroup of Aut: gen:[..];gen:[..] or J | SL | full | trivial"),
+        ("format", "text", FORMATS, None),
+    )),
+    "table": ("sector grid of the state space", True, (
+        ("K", "trivial", None, "inner invariance group over the non-cyclic variables"),
+        ("weights", False, None, "weight-resolved cells"),
+        ("diamonds", False, None, "bidegree-resolved cells"),
+        ("format", "text", (*FORMATS, "csv"), None),
+    )),
+    "k3": ("K3 pattern fit, fixed-locus and lattice invariants", True, (
+        ("K", "trivial", None, None),
+        ("format", "text", FORMATS, None),
+    )),
+    "verify": ("run the verification suite over a catalog", False, (
+        ("catalog", None, None, "path to a JSON catalog file"),
+        ("case", None, None, "run a single named case"),
+        ("format", "text", FORMATS, None),
+    )),
+}
+
+
+def build_parser():
+    """The argparse parser of `COMMANDS`, which `main` runs only on a command
+    line that `_read_argv` declines: it prints help and usage errors."""
+    import argparse  # only help and usage errors pay for argparse, gettext and locale
+
     parser = argparse.ArgumentParser(
         prog="bhmirror",
         description="Exact mirror-symmetry computations for invertible "
                     "polynomials with a cyclic automorphism.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, formats=("text", "json")):
-        p.add_argument("--format", choices=formats, default="text")
-
-    p = sub.add_parser("analyze", help="weights, atoms, symmetry groups")
-    p.add_argument("polynomial")
-    add_common(p)
-
-    p = sub.add_parser("mirror", help="transpose polynomial and dual group")
-    p.add_argument("polynomial")
-    p.add_argument("--group", default="J",
-                   help="subgroup of Aut: gen:[..];gen:[..] or J | SL | full | trivial")
-    add_common(p)
-
-    p = sub.add_parser("table", help="sector grid of the state space")
-    p.add_argument("polynomial")
-    p.add_argument("--K", default="trivial",
-                   help="inner invariance group over the non-cyclic variables")
-    p.add_argument("--weights", action="store_true", help="weight-resolved cells")
-    p.add_argument("--diamonds", action="store_true", help="bidegree-resolved cells")
-    add_common(p, ("text", "json", "csv"))
-
-    p = sub.add_parser("k3", help="K3 pattern fit, fixed-locus and lattice invariants")
-    p.add_argument("polynomial")
-    p.add_argument("--K", default="trivial")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="run the verification suite over a catalog")
-    p.add_argument("--catalog", help="path to a JSON catalog file")
-    p.add_argument("--case", help="run a single named case")
-    add_common(p)
+    for command, (summary, takes_polynomial, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        if takes_polynomial:
+            p.add_argument("polynomial")
+        for name, default, choices, text in options:
+            if default is False:
+                p.add_argument(f"--{name}", action="store_true", help=text)
+            else:
+                p.add_argument(f"--{name}", default=default, choices=choices, help=text)
     return parser
+
+
+def _read_argv(argv):
+    """The namespace that `build_parser()` makes of `argv`, read straight off
+    `COMMANDS`, or None for any command line argparse may read otherwise.
+
+    `argv[0]` is a command; each `--name` is one of its options, given at
+    most once; a valued option is followed by a value that does not start
+    with "-" and is one of its choices, where it has choices; the one other
+    token is the polynomial, where the command takes one.  Help, `--`,
+    `--name=value`, abbreviations, repeats, dash-leading tokens and missing
+    or extra tokens all return None.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, takes_polynomial, options = COMMANDS[argv[0]]
+    declared = {f"--{name}": (name, default, choices) for name, default, choices, _ in options}
+    values = {name: default for name, default, _ in declared.values()}
+    positional = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positional.append(token)
+            continue
+        if token not in declared:  # popped when first given, so a repeat lands here too
+            return None
+        name, default, choices = declared.pop(token)
+        if default is False:
+            values[name] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-") or choices is not None and value not in choices:
+            return None
+        values[name] = value
+    if len(positional) != int(takes_polynomial):
+        return None
+    if takes_polynomial:
+        values["polynomial"] = positional[0]
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def main(argv=None) -> int:
     """Run one `bhmirror` command and return its exit status.
 
+    A well-formed command line is read by `_read_argv` without argparse;
+    any other, help included, goes to `build_parser()`, so argparse alone
+    prints help (its `SystemExit(0)`) and usage errors (`SystemExit(2)`).
     With `argv=None` (the console script, `python -m bhmirror.cli`) the
     arguments are `sys.argv[1:]` and `main` owns the process: whichever way
     it ends, exit status or argparse's `SystemExit`, it then freezes the
@@ -519,13 +578,15 @@ def main(argv=None) -> int:
     running, and its collector is left as it was.
     """
     try:
-        return _run(build_parser().parse_args(argv))
+        words = sys.argv[1:] if argv is None else list(argv)
+        args = _read_argv(words)
+        return _run(build_parser().parse_args(words) if args is None else args)
     finally:
         if argv is None:
             gc.freeze()
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args) -> int:
     handlers = {
         "analyze": cmd_analyze,
         "mirror": cmd_mirror,

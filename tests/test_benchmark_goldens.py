@@ -51,3 +51,16 @@ def test_benchmark_operations_match_their_goldens(monkeypatch, capsys):
         if not outcome.matches(goldens[op.name]):
             mismatches.append((op.name, outcome.record(), err[-500:]))
     assert not mismatches
+
+
+def test_benchmark_command_lines_are_read_without_argparse(monkeypatch):
+    # every command line the benchmark times is well formed, so `main` reads
+    # it off the grammar and never imports argparse for it
+    _load(monkeypatch, "spans")
+    run = _load(monkeypatch, "run")
+    from bhmirror import cli
+
+    for op in (*run.ACCEPTED, *run.REJECTS, *run.VERIFY):
+        read = cli._read_argv(list(op.argv))
+        assert read is not None, op.name
+        assert vars(read) == vars(cli.build_parser().parse_args(list(op.argv))), op.name

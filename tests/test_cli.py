@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -8,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bhmirror
 from bhmirror import cli
@@ -485,11 +489,15 @@ class TestProcessOwnership:
         assert main(argv) == status
         assert gc.get_freeze_count() == before
 
-    def test_in_process_usage_error_keeps_the_collector(self, capsys):
+    @pytest.mark.parametrize("argv, status", [
+        (["analyze"], 2),
+        (["-h"], 0),
+    ], ids=["usage-error", "help"])
+    def test_in_process_argparse_exit_keeps_the_collector(self, capsys, argv, status):
         before = gc.get_freeze_count()
         with pytest.raises(SystemExit) as exc:
-            main(["analyze"])
-        assert exc.value.code == 2
+            main(argv)
+        assert exc.value.code == status
         assert gc.get_freeze_count() == before
 
     # what the `bhmirror` console script and the benchmark run, and `-m`
@@ -503,7 +511,8 @@ class TestProcessOwnership:
         (["analyze", "x0^6+x1^3+x2^2"], 0),
         (["analyze", "2*x0^3+x1^3"], 2),
         (["analyze"], 2),
-    ], ids=["pass", "coded-exit", "usage-error"])
+        (["-h"], 0),
+    ], ids=["pass", "coded-exit", "usage-error", "help"])
     def test_fresh_process_ends_frozen(self, tmp_path, entry, argv, status):
         # an exit hook, run after `main` returns or raises SystemExit,
         # writes the freeze count where the test reads it
@@ -527,3 +536,174 @@ class TestProcessOwnership:
         code = main(argv)
         captured = capsys.readouterr()
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+def ref_build_parser() -> argparse.ArgumentParser:
+    """The argparse parser as it was written out before the grammar became
+    `cli.COMMANDS`: the reference for help, usage errors and namespaces."""
+    parser = argparse.ArgumentParser(
+        prog="bhmirror",
+        description="Exact mirror-symmetry computations for invertible "
+                    "polynomials with a cyclic automorphism.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p, formats=("text", "json")):
+        p.add_argument("--format", choices=formats, default="text")
+
+    p = sub.add_parser("analyze", help="weights, atoms, symmetry groups")
+    p.add_argument("polynomial")
+    add_common(p)
+
+    p = sub.add_parser("mirror", help="transpose polynomial and dual group")
+    p.add_argument("polynomial")
+    p.add_argument("--group", default="J",
+                   help="subgroup of Aut: gen:[..];gen:[..] or J | SL | full | trivial")
+    add_common(p)
+
+    p = sub.add_parser("table", help="sector grid of the state space")
+    p.add_argument("polynomial")
+    p.add_argument("--K", default="trivial",
+                   help="inner invariance group over the non-cyclic variables")
+    p.add_argument("--weights", action="store_true", help="weight-resolved cells")
+    p.add_argument("--diamonds", action="store_true", help="bidegree-resolved cells")
+    add_common(p, ("text", "json", "csv"))
+
+    p = sub.add_parser("k3", help="K3 pattern fit, fixed-locus and lattice invariants")
+    p.add_argument("polynomial")
+    p.add_argument("--K", default="trivial")
+    add_common(p)
+
+    p = sub.add_parser("verify", help="run the verification suite over a catalog")
+    p.add_argument("--catalog", help="path to a JSON catalog file")
+    p.add_argument("--case", help="run a single named case")
+    add_common(p)
+    return parser
+
+
+def _parse(build, argv):
+    """What the parser `build()` makes of `argv`: ("exit", status, stdout,
+    stderr) when argparse exits, else its namespace as a dict."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            namespace = build().parse_args(argv)
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue(), err.getvalue())
+    return vars(namespace)
+
+
+# A command line is a command name, or some other token, followed by
+# phrases: option names and their prefixes with a value or without, `=`
+# forms, help, `--`, `-`, dash-leading tokens, empty strings and values in
+# and out of the options' choices; a phrase may repeat
+_VALUES = ["", "-", "-1", "-x0^2", "x0^6+x1^3+x2^2", "text", "json", "csv", "xml", "SL",
+           "gen:[1/3,0]"]
+_PHRASES = sorted({
+    *((value,) for value in _VALUES), ("-h",), ("--help",), ("--",), ("--=x",),
+    *(phrase for _, _, options in cli.COMMANDS.values() for name, *_ in options
+      for spelled in (f"--{name}", f"--{name[:3]}", f"-{name}")
+      for phrase in ((spelled,), *((spelled, value) for value in _VALUES),
+                     (f"{spelled}=json",), (f"{spelled}=",))),
+})
+
+
+@st.composite
+def _command_lines(draw):
+    """A first token, then in any order: some of its options with values
+    they take (when it is a command), polynomials, and other phrases."""
+    first = draw(st.sampled_from([*cli.COMMANDS] * 3 + ["frob", "-h", "--", "x0^6+x1^3+x2^2"]))
+    _, _, options = cli.COMMANDS.get(first, (None, None, ()))
+    own = sorted({(f"--{name}",) if default is False else (f"--{name}", value)
+                  for name, default, choices, _ in options for value in choices or ("SL", "")})
+    phrases = draw(st.lists(st.sampled_from(own), max_size=3)) if own else []
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        phrases.append(draw(st.sampled_from([("x0^6+x1^3+x2^2",), ("",)])))
+    phrases += draw(st.lists(st.sampled_from(_PHRASES), max_size=1))
+    return [first, *(token for phrase in draw(st.permutations(phrases)) for token in phrase)]
+
+
+_COMMAND_LINES = _command_lines() | st.lists(st.sampled_from(_VALUES), max_size=2)
+
+
+class TestCommandLine:
+    """`main` reads a well-formed command line off `cli.COMMANDS` without
+    argparse and hands any other to `build_parser()`: help, usage errors and
+    what either reader makes of a command line match the reference parser."""
+
+    ELLIPTIC = "x0^6+x1^3+x2^2"
+
+    @staticmethod
+    def outcome(capsys, call):
+        try:
+            status = call()
+        except SystemExit as exc:
+            status = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    def check_against_reference(self, capsys, argv):
+        got = self.outcome(capsys, lambda: main(list(argv)))
+        want = self.outcome(capsys, lambda: cli._run(ref_build_parser().parse_args(list(argv))))
+        assert got == want
+
+    @pytest.mark.parametrize("columns", ["80", "200"])
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["analyze", "-h"], ["mirror", "-h"], ["table", "-h"], ["k3", "-h"], ["verify", "-h"],
+    ], ids=["top", "analyze", "mirror", "table", "k3", "verify"])
+    def test_help(self, capsys, monkeypatch, columns, argv):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert cli._read_argv(argv) is None
+        self.check_against_reference(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["frob", ELLIPTIC],
+        ["analyze"],
+        ["table", ELLIPTIC, "--format", "xml"],
+        ["analyze", ELLIPTIC, "--bogus"],
+        ["mirror", ELLIPTIC, "--group"],
+        ["analyze", ELLIPTIC, "x0^3+x1^3"],
+    ], ids=["no-command", "unknown-command", "missing-polynomial", "bad-choice",
+            "unknown-option", "no-value", "extra-positional"])
+    def test_usage_errors(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli._read_argv(argv) is None
+        self.check_against_reference(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", ELLIPTIC, "--form", "json"],
+        ["table", ELLIPTIC, "--K=SL"],
+        ["analyze", ELLIPTIC, "--format", "json", "--format", "text"],
+    ], ids=["abbreviation", "equals-form", "repeat"])
+    def test_forms_the_reader_declines_run_through_argparse(self, capsys, argv):
+        assert cli._read_argv(argv) is None
+        self.check_against_reference(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", ""],
+        ["mirror", ELLIPTIC, "--group", ""],
+        ["table", "--weights", ELLIPTIC, "--K", "gen:[1/3,0]", "--diamonds", "--format", "csv"],
+        ["k3", "--format", "json", "x0^4+x1^4+x2^4+x3^4"],
+        ["verify"],
+        ["verify", "--case", "toy-k2", "--catalog", "cases.json"],
+        ["analyze", "verify"],
+    ])
+    def test_well_formed_lines_are_read_without_argparse(self, argv):
+        read = cli._read_argv(argv)
+        assert read is not None and vars(read) == _parse(ref_build_parser, argv)
+
+    def test_argv_may_be_any_iterable(self, capsys):
+        # argparse takes any iterable of words; so does the reader before it
+        assert self.outcome(capsys, lambda: main(iter(["analyze", self.ELLIPTIC]))) \
+            == self.outcome(capsys, lambda: main(["analyze", self.ELLIPTIC]))
+
+    @settings(max_examples=600, deadline=None)
+    @given(argv=_COMMAND_LINES)
+    def test_reader_is_argparse_or_declines(self, argv):
+        want = _parse(ref_build_parser, argv)
+        read = cli._read_argv(argv)
+        if isinstance(want, tuple):  # argparse exits: help or a usage error
+            assert read is None
+        else:
+            assert read is None or vars(read) == want
+        assert _parse(cli.build_parser, argv) == want

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bhmirror
 
 
@@ -264,13 +266,76 @@ def test_collector_frozen_only_by_main():
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # a fresh interpreter without `site`, so that nothing but bhmirror.cli
     # decides what is loaded; `json` loads only for JSON output or a catalog file
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "json"]
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "json",
+             "argparse", "gettext", "locale"]
     code = (f"import sys; sys.path.insert(0, {str(Path(bhmirror.__file__).parent.parent)!r}); "
             f"import bhmirror.cli; print([m for m in {heavy!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# argparse and what its messages load: a command line only pays for them
+# when it asks for help or is a usage error
+ARGPARSE_MODULES = ("argparse", "gettext", "locale")
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["analyze", "x0^6+x1^3+x2^2"], 0),
+    (["table", "x0^3+x1^3+x2^4+x3^12", "--K", "gen:[0,3/4,1/4]", "--format", "csv"], 0),
+    (["verify", "--case", "toy-k2", "--format", "json"], 0),
+    (["analyze", "2*x0^3+x1^3"], 2),
+    (["-h"], 0),
+], ids=["text", "csv", "verify-json", "coded-reject", "help"])
+def test_cli_command_loads_argparse_only_for_help(argv, status):
+    # a fresh interpreter without `site` runs the command as the console
+    # script does, then names on its last stderr line the argparse modules
+    # it has loaded
+    code = (f"import sys; sys.path.insert(0, {str(Path(bhmirror.__file__).parent.parent)!r})\n"
+            "from bhmirror.cli import main\n"
+            "try: sys.exit(main())\n"
+            f"finally: print([m for m in {ARGPARSE_MODULES!r} if m in sys.modules], file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == status, proc.stderr
+    loaded = ast.literal_eval(proc.stderr.splitlines()[-1])
+    if argv == ["-h"]:
+        assert "argparse" in loaded
+    else:
+        assert loaded == []
+
+
+def test_argparse_is_imported_only_to_build_the_parser():
+    # `cli.main` reads a well-formed command line off `cli.COMMANDS`; only
+    # `build_parser`, for help and usage errors, imports argparse
+    importers = []
+    for path, tree in _library_trees():
+        owners = _owners(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Import) and any(a.name == "argparse" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "argparse"):
+                importers.append(f"{path.stem}.{owners[node]}")
+    assert importers == ["cli.build_parser"]
+
+
+def test_one_grammar():
+    # `cli.COMMANDS` declares each command's polynomial and options once;
+    # each handler `cmd_<command>` reads exactly what its command declares,
+    # and elsewhere only `args.command` is read, so an option cannot reach
+    # one reader of the command line and not the other
+    from bhmirror import cli
+    tree = ast.parse(Path(cli.__file__).read_text())
+    owners = _owners(tree)
+    reads = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "args":
+            reads.setdefault(owners[node], set()).add(node.attr)
+    for command, (_, takes_polynomial, options) in cli.COMMANDS.items():
+        declared = {name for name, *_ in options} | ({"polynomial"} if takes_polynomial else set())
+        assert reads.pop(f"cmd_{command}") == declared, command
+    assert set().union(*reads.values()) == {"command"}, reads
 
 
 def _load_spans():
