@@ -31,7 +31,6 @@ from .symmetry import (
     dual_group,
     enumerate_group,
     j_element,
-    pairing,
     s_element,
     sl_subgroup,
 )
@@ -39,7 +38,6 @@ from .milnor import (
     GroupRingSeries,
     equivariant_hilbert,
     fermat_monomial_basis,
-    sector_algebra,
 )
 from .statespace import (
     StateLabel,

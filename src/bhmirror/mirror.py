@@ -206,6 +206,9 @@ class FermatState(_FermatStateFields):
         P = polynomial
         if not is_fermat_diagonal(P):
             raise NotFermatError("basis states exist only for diagonal polynomials")
+        if len(a) != P.num_vars or len(b) != P.num_vars:
+            raise NotFermatError(
+                f"a has {len(a)} and b {len(b)} entries for {P.num_vars} variables")
         for i in range(P.num_vars):
             top = P.exponents[i][i]
             if not ((a[i] == 0) == (b[i] != 0)):

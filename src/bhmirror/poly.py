@@ -23,9 +23,11 @@ reuse it: that elimination per exponent matrix, which serves the
 weights, `exponent_determinant` and `dual_characters`; and `transpose`
 per polynomial, so that a polynomial has one transpose object.
 
-The atoms are found once, by `classify_atoms` in `from_exponents`.  A
-restriction to a fixed set is a sum of whole Fermat atoms, chain tails
-and whole loops of P, so `restrict` reads its blocks off `P.atoms`.
+The atoms are found once, by `classify_atoms` in `from_exponents`: one
+product of the monomials' readings and one forward walk (at most 2^12
+combinations, as only x*y monomials have two readings).  A restriction
+to a fixed set is a sum of whole Fermat atoms, chain tails and whole
+loops of P, so `restrict` reads its blocks off `P.atoms`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 from typing import Callable, NamedTuple, Sequence
 
@@ -57,31 +60,13 @@ Code = tuple[int, ...]  # a diagonal symmetry g as N*g mod N, N = |det E|
 
 
 class Atom(NamedTuple):
-    """One block of the Fermat/chain/loop decomposition.
-
-    variables are original variable indices in atom order; exponents[l] is
-    the self-exponent of variables[l]; rows[l] is the original row index of
-    the monomial headed by variables[l].
-    """
+    """One block of the Fermat/chain/loop decomposition: its variables in
+    atom order, each pointing at the next (a loop's last at its first), and
+    exponents[l], the self-exponent of variables[l]."""
 
     kind: str  # "fermat" | "chain" | "loop"
     variables: tuple[int, ...]
     exponents: tuple[int, ...]
-    rows: tuple[int, ...]
-
-    def block_rows(self, num_vars: int) -> list[tuple[int, tuple[int, ...]]]:
-        """Reassemble the atom's monomial rows in ambient coordinates."""
-        out = []
-        m = len(self.variables)
-        for l, (v, e, r) in enumerate(zip(self.variables, self.exponents, self.rows)):
-            row = [0] * num_vars
-            row[v] = e
-            if self.kind == "chain" and l < m - 1:
-                row[self.variables[l + 1]] += 1
-            elif self.kind == "loop":
-                row[self.variables[(l + 1) % m]] += 1
-            out.append((r, tuple(row)))
-        return out
 
 
 class InvertiblePolynomial(NamedTuple):
@@ -299,54 +284,6 @@ def _row_candidates(row: Sequence[int], row_index: int) -> list[tuple[int, int |
         f"monomial {row_index} involves {len(support)} variables; at most 2 allowed")
 
 
-def _atoms_from_matching(exponents: Matrix, head: list[int], succ: list[int | None],
-                         head_row: list[int]) -> tuple[Atom, ...] | None:
-    """Turn a monomial/variable matching into atoms, or None if invalid."""
-    n = len(head)
-    indegree = [0] * n
-    for v in range(n):
-        if succ[v] is not None:
-            indegree[succ[v]] += 1
-            if indegree[succ[v]] > 1:
-                return None
-    pred: list[int | None] = [None] * n
-    for v in range(n):
-        if succ[v] is not None:
-            pred[succ[v]] = v
-
-    atoms = []
-    seen = [False] * n
-    for t in range(n):
-        if succ[t] is not None:
-            continue
-        chain = [t]
-        while pred[chain[0]] is not None:
-            chain.insert(0, pred[chain[0]])
-        for v in chain:
-            seen[v] = True
-        exps = tuple(exponents[head_row[v]][v] for v in chain)
-        rows = tuple(head_row[v] for v in chain)
-        kind = "fermat" if len(chain) == 1 else "chain"
-        atoms.append(Atom(kind, tuple(chain), exps, rows))
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        v = succ[start]
-        while v is not None and v != start:
-            if seen[v]:
-                return None
-            cycle.append(v)
-            seen[v] = True
-            v = succ[v]
-        exps = tuple(exponents[head_row[v]][v] for v in cycle)
-        rows = tuple(head_row[v] for v in cycle)
-        atoms.append(Atom("loop", tuple(cycle), exps, rows))
-    atoms.sort(key=lambda a: a.variables[0])
-    return tuple(atoms)
-
-
 def _check_variable_count(n: int) -> None:
     if n > MAX_VARIABLES:
         raise TooManyVariablesError(
@@ -356,10 +293,16 @@ def _check_variable_count(n: int) -> None:
 def classify_atoms(exponents: Sequence[Sequence[int]]) -> tuple[Atom, ...]:
     """Decompose the exponent matrix into Fermat/chain/loop atoms.
 
-    Searches for a perfect matching between monomials and their head
-    variables (each monomial has at most two readings), taking the first
-    valid matching in lowest-head-index order, so the result is
-    deterministic.
+    A reading of E picks, for each monomial, its head variable and the
+    variable it points at (`_row_candidates`).  The readings are tried as
+    one product over the rows, in row order and each row's readings in
+    order, and the first that heads every variable once and points at each
+    variable at most once is taken, so the result is deterministic.  Only
+    x*y monomials (both exponents 1) have two readings, so with at most
+    MAX_VARIABLES = 12 rows that is at most 2^12 combinations.  The atoms
+    are read off that reading by one forward walk: from each variable that
+    nothing points at (a chain, or a Fermat atom if it points nowhere),
+    then around each loop from its lowest remaining variable.
     """
     n = len(exponents)
     _check_variable_count(n)
@@ -367,29 +310,27 @@ def classify_atoms(exponents: Sequence[Sequence[int]]) -> tuple[Atom, ...]:
     for j in range(n):
         if all(E[i][j] == 0 for i in range(n)):
             raise DegenerateShapeError(f"variable {j} appears in no monomial")
-    candidates = [_row_candidates(E[i], i) for i in range(n)]
-
-    head = [-1] * n          # head variable of each row
-    head_row = [-1] * n      # row matched to each variable
-    succ: list[int | None] = [None] * n
-
-    def search(row: int) -> tuple[Atom, ...] | None:
-        if row == n:
-            return _atoms_from_matching(E, head, succ, head_row)
-        for h, s in candidates[row]:
-            if head_row[h] != -1:
-                continue
-            head[row], head_row[h], succ[h] = h, row, s
-            result = search(row + 1)
-            if result is not None:
-                return result
-            head[row], head_row[h], succ[h] = -1, -1, None
-        return None
-
-    atoms = search(0)
-    if atoms is None:
+    for reading in product(*(_row_candidates(E[i], i) for i in range(n))):
+        targets = [s for _, s in reading if s is not None]
+        if len({h for h, _ in reading}) == n and len(set(targets)) == len(targets):
+            break
+    else:
         raise DegenerateShapeError("no Fermat/chain/loop decomposition exists")
-    return atoms
+    succ = dict(reading)
+    exponent = {h: E[r][h] for r, (h, _) in enumerate(reading)}
+    atoms, seen = [], set()
+    # from each chain's head first; every variable not yet walked lies on a loop
+    for start in [*(v for v in range(n) if v not in targets), *range(n)]:
+        walk, v = [], start
+        while v is not None and v not in seen:
+            seen.add(v)
+            walk.append(v)
+            v = succ[v]
+        if walk:
+            kind = "loop" if v is not None else "chain" if len(walk) > 1 else "fermat"
+            atoms.append(Atom(kind, tuple(walk), tuple(exponent[u] for u in walk)))
+    atoms.sort(key=lambda a: a.variables[0])
+    return tuple(atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +533,10 @@ def restrict(P: InvertiblePolynomial, symmetry: Code) -> RestrictedPolynomial:
     monomials as fixed variables) exactly when each atom of P keeps none
     of its variables, a tail of its chain (a Fermat atom is a chain of
     one) or the whole loop; each kept part is a block, in the atom's order.
-    Any other fixed set is an error, never silent.
+    Any other fixed set, or a code of the wrong length, is an error.
     """
+    if len(symmetry) != P.num_vars:
+        raise NotInGroupError(f"{len(symmetry)} entries for {P.num_vars} variables")
     fixed = fixed_variables(symmetry)
     blocks = []
     for atom in P.atoms:

@@ -18,9 +18,11 @@ rows (the engine before they were read off the parent's atoms), a report
 that records one `CheckItem` per compared cell as it compares (the
 engine before reports kept their maps), a state label assembled cell
 by cell with four `Fraction`s of its own (the engine before labels were
-assembled from per-sector and per-key parts), and <j>, SL and Aut spanned
-by `Fraction` vectors that `enumerate_group` encodes (the engine before
-they were spanned by codes read off N*E^{-1}).  The library holds
+assembled from per-sector and per-key parts), the atoms found by a
+recursive search for a matching of monomials to head variables (the
+engine before one product of readings and a forward walk), and <j>, SL
+and Aut spanned by `Fraction` vectors that `enumerate_group` encodes
+(the engine before they were spanned by codes read off N*E^{-1}).  The library holds
 symmetries as codes mod |det E|; decoded, they must agree with the
 reference element for element on random invertible polynomials of up to
 four variables.
@@ -36,12 +38,14 @@ from hypothesis import assume, given, settings, strategies as st
 from bhmirror.catalog import ADMISSIBLE_CASES, KRAWITZ_POLYNOMIALS
 from bhmirror.errors import (
     DegenerateRestrictionError,
+    BHMirrorError,
     DegenerateShapeError,
     DualityViolationError,
     GradingCollisionError,
     NotAdmissibleError,
     SideMismatchError,
     SingularExponentMatrixError,
+    TooManyVariablesError,
     ZOutOfRangeError,
 )
 from bhmirror.milnor import _block_series, equivariant_hilbert, sector_algebra
@@ -55,7 +59,9 @@ from bhmirror.mirror import (
     verify_pair_duality,
 )
 from bhmirror.poly import (
+    MAX_VARIABLES,
     RestrictedPolynomial,
+    _row_candidates,
     adjugate,
     classify_atoms,
     common_denominator,
@@ -337,6 +343,85 @@ def ref_restriction_blocks(P, fixed):
     except DegenerateShapeError as exc:
         raise DegenerateRestrictionError(f"restriction is degenerate: {exc}") from exc
     return tuple(tuple(fixed[v] for v in atom.variables) for atom in atoms)
+
+
+def ref_atoms_from_matching(E, head, succ, head_row):
+    """Turn a monomial/variable matching into atoms (kind, variables,
+    exponents), chains walked back from their ends, or None if invalid."""
+    n = len(head)
+    indegree = [0] * n
+    for v in range(n):
+        if succ[v] is not None:
+            indegree[succ[v]] += 1
+            if indegree[succ[v]] > 1:
+                return None
+    pred = [None] * n
+    for v in range(n):
+        if succ[v] is not None:
+            pred[succ[v]] = v
+    atoms = []
+    seen = [False] * n
+    for t in range(n):
+        if succ[t] is not None:
+            continue
+        chain = [t]
+        while pred[chain[0]] is not None:
+            chain.insert(0, pred[chain[0]])
+        for v in chain:
+            seen[v] = True
+        exps = tuple(E[head_row[v]][v] for v in chain)
+        atoms.append(("fermat" if len(chain) == 1 else "chain", tuple(chain), exps))
+    for start in range(n):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        v = succ[start]
+        while v is not None and v != start:
+            if seen[v]:
+                return None
+            cycle.append(v)
+            seen[v] = True
+            v = succ[v]
+        atoms.append(("loop", tuple(cycle), tuple(E[head_row[v]][v] for v in cycle)))
+    atoms.sort(key=lambda a: a[1][0])
+    return atoms
+
+
+def ref_classify_atoms(exponents):
+    """The atoms by a recursive search for a perfect matching of monomials to
+    their head variables, rows in order and each row's readings in order,
+    backtracking past a reused head or an invalid matching."""
+    n = len(exponents)
+    if n > MAX_VARIABLES:
+        raise TooManyVariablesError(
+            f"{n} variables exceed the supported maximum of {MAX_VARIABLES}")
+    E = tuple(tuple(int(e) for e in row) for row in exponents)
+    for j in range(n):
+        if all(E[i][j] == 0 for i in range(n)):
+            raise DegenerateShapeError(f"variable {j} appears in no monomial")
+    candidates = [_row_candidates(E[i], i) for i in range(n)]
+    head = [-1] * n
+    head_row = [-1] * n
+    succ = [None] * n
+
+    def search(row):
+        if row == n:
+            return ref_atoms_from_matching(E, head, succ, head_row)
+        for h, s in candidates[row]:
+            if head_row[h] != -1:
+                continue
+            head[row], head_row[h], succ[h] = h, row, s
+            result = search(row + 1)
+            if result is not None:
+                return result
+            head[row], head_row[h], succ[h] = -1, -1, None
+        return None
+
+    atoms = search(0)
+    if atoms is None:
+        raise DegenerateShapeError("no Fermat/chain/loop decomposition exists")
+    return atoms
 
 
 def ref_coset_labels(W, generators):
@@ -872,6 +957,88 @@ def test_restriction_blocks_match_second_atom_search(text):
 def test_restriction_blocks_match_second_atom_search_on_shuffled_atoms(P):
     for Q in {P, transpose(P)}:
         assert_restrictions_match_reference(Q)
+
+
+def assert_atoms_match_reference(E):
+    """`classify_atoms` gives the reference's atoms, or both raise alike."""
+    try:
+        expected = ref_classify_atoms(E)
+    except BHMirrorError as exc:
+        with pytest.raises(BHMirrorError) as info:
+            classify_atoms(E)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+    else:
+        assert [tuple(atom) for atom in classify_atoms(E)] == expected
+
+
+@pytest.mark.parametrize("text", sorted({case.polynomial for case in ADMISSIBLE_CASES}
+                                        | set(KRAWITZ_POLYNOMIALS)))
+def test_atoms_match_recursive_search(text):
+    # the polynomial, its transpose and every square sub-matrix of rows
+    # supported on a subset of the variables, which a restriction can pick
+    P = parse_polynomial(text)
+    for Q in {P, transpose(P)}:
+        assert_atoms_match_reference(Q.exponents)
+        E, n = Q.exponents, Q.num_vars
+        for mask in range(1, 1 << n):
+            fixed = [i for i in range(n) if mask >> i & 1]
+            rows = [row for row in E if all(e == 0 for j, e in enumerate(row) if j not in fixed)]
+            if len(rows) == len(fixed):
+                assert_atoms_match_reference([[row[j] for j in fixed] for row in rows])
+
+
+@st.composite
+def two_term_matrices(draw):
+    """Square matrices of up to 6 variables, row i x_h^a or x_h^a * x_t^b
+    with h the i-th of a drawn permutation, so every variable occurs;
+    exponents 1 are drawn often (x*y rows have two readings, a bare x_h
+    none), and a pointer may meet another, so some have no decomposition."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for h in draw(st.permutations(range(n))):
+        row = [0] * n
+        two = n > 1 and draw(st.integers(0, 3)) > 0
+        row[h] = draw(st.sampled_from([1, 1, 2, 3] if two else [1, 2, 2, 3, 3]))
+        if two:
+            t = draw(st.integers(0, n - 2))
+            row[t + (t >= h)] = draw(st.sampled_from([1, 1, 1, 2]))
+        rows.append(row)
+    return rows
+
+
+@settings(deadline=None, max_examples=500)
+@given(two_term_matrices())
+def test_atoms_match_recursive_search_on_drawn_matrices(E):
+    assert_atoms_match_reference(E)
+
+
+def xy_path(n):
+    """x0*x1 + x1*x2 + ... + x(n-2)*x(n-1) + x0^2 as an exponent matrix."""
+    return [[int(j in (i, i + 1)) for j in range(n)] for i in range(n - 1)] + \
+        [[2] + [0] * (n - 1)]
+
+
+def test_every_xy_monomial_takes_its_second_reading():
+    # x0^2 heads x0, so each x_i*x_(i+1) must head x_(i+1) and point at x_i:
+    # the last of the 2^11 combinations, one chain from x11 down to x0
+    E = xy_path(MAX_VARIABLES)
+    atoms = classify_atoms(E)
+    assert atoms == (("chain", tuple(range(11, -1, -1)), (1,) * 11 + (2,)),)
+    assert [tuple(atom) for atom in atoms] == ref_classify_atoms(E)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_xy_loops_match_recursive_search(n):
+    assert_atoms_match_reference([[int(j in (i, (i + 1) % n)) for j in range(n)]
+                                  for i in range(n)])
+
+
+def test_twelve_variables_without_a_reading():
+    # x0^2 heads x0, so every x0*x_k must point at x0: no combination is valid
+    E = [[2] + [0] * 11] + [[1] + [int(j == k) for j in range(1, 12)] for k in range(1, 12)]
+    with pytest.raises(DegenerateShapeError, match="no Fermat/chain/loop decomposition"):
+        classify_atoms(E)
+    assert_atoms_match_reference(E)
 
 
 def assert_report_matches_reference(report, calls):

@@ -154,6 +154,13 @@ class TestFermatStates:
         with pytest.raises(error, match=message):
             make(parse_polynomial("x^6"))
 
+    @pytest.mark.parametrize("a, b", [((0,), (1,)), ((0, 0, 1), (1, 1, 0))],
+                             ids=["short", "long"])
+    def test_wrong_length_state_is_an_error(self, a, b):
+        with pytest.raises(NotFermatError) as info:
+            FermatState(parse_polynomial("x^3+y^3"), a, b)
+        assert str(info.value) == f"a has {len(a)} and b {len(b)} entries for 2 variables"
+
     def test_twist_roundtrip(self):
         P = parse_polynomial("x0^4+x1^4+x2^4+x3^4")
         for state in fermat_states(P)[:200]:

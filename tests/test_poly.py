@@ -33,6 +33,21 @@ from bhmirror.poly import (
 )
 
 
+def reassemble(P):
+    """The monomials of P's atoms, rebuilt from their kinds, variables and
+    exponents: x_v^e, times the next variable unless v ends a chain."""
+    rows = []
+    for kind, variables, exponents in P.atoms:
+        m = len(variables)
+        for l, (v, e) in enumerate(zip(variables, exponents)):
+            row = [0] * P.num_vars
+            row[v] = e
+            if kind == "loop" or kind == "chain" and l < m - 1:
+                row[variables[(l + 1) % m]] += 1
+            rows.append(tuple(row))
+    return rows
+
+
 class TestParse:
     def test_elliptic_sextic(self):
         P = parse_polynomial("x0^6 + x1^3 + x2^2")
@@ -150,11 +165,7 @@ class TestAtoms:
     def test_reassembly_reproduces_matrix(self):
         for text in KRAWITZ_POLYNOMIALS:
             P = parse_polynomial(text)
-            seen_rows = {}
-            for atom in P.atoms:
-                for r, row in atom.block_rows(P.num_vars):
-                    seen_rows[r] = row
-            assert seen_rows == {i: row for i, row in enumerate(P.exponents)}
+            assert sorted(reassemble(P)) == sorted(P.exponents)
 
 
 class TestTranspose:
@@ -248,6 +259,13 @@ class TestRestrict:
         with pytest.raises(DegenerateRestrictionError) as info:
             restrict(parse_polynomial(text), (0, 1))
         assert str(info.value) == "0 monomials survive on 1 fixed variables"
+
+    @pytest.mark.parametrize("code", [(0,), (0, 0, 0)], ids=["short", "long"])
+    def test_wrong_length_code_is_an_error(self, code):
+        # `monomial_phases` words the same check the same way
+        with pytest.raises(NotInGroupError) as info:
+            restrict(parse_polynomial("x^2+y^3"), code)
+        assert str(info.value) == f"{len(code)} entries for 2 variables"
 
 
 class TestCodes:

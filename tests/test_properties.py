@@ -18,6 +18,7 @@ from bhmirror.poly import (
 from bhmirror.mirror import verify_krawitz
 from bhmirror.symmetry import aut_group
 from test_group_reference import age, ref_neg
+from test_poly import reassemble
 
 
 @st.composite
@@ -85,11 +86,7 @@ def test_transpose_involution_and_charge_total(P):
 @settings(deadline=None, max_examples=40)
 @given(invertible_polynomials())
 def test_atoms_reassemble(P):
-    rows = {}
-    for atom in P.atoms:
-        for r, row in atom.block_rows(P.num_vars):
-            rows[r] = row
-    assert rows == {i: row for i, row in enumerate(P.exponents)}
+    assert sorted(reassemble(P)) == sorted(P.exponents)
 
 
 @settings(deadline=None, max_examples=25)

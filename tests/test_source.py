@@ -138,6 +138,23 @@ def test_atoms_are_classified_once_per_polynomial():
     assert _callers("classify_atoms") == {"poly.from_exponents"}
 
 
+def test_atom_keeps_kind_variables_and_exponents():
+    from bhmirror.poly import Atom
+    assert Atom._fields == ("kind", "variables", "exponents")
+
+
+def test_no_poly_function_calls_itself():
+    # the atoms are one product of readings and a forward walk, not a
+    # recursive search
+    path = Path(bhmirror.__file__).parent / "poly.py"
+    tree = ast.parse(path.read_text(), str(path))
+    owners = _owners(tree)
+    found = [f"{owners[node]}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and owners.get(node, "").split(".")[-1] == node.func.id]
+    assert not found, f"recursive calls in poly: {found}"
+
+
 def test_one_k3_grid_rule():
     # the order-4 and prime sector grids are one pattern, rebuilt by the one fit
     assert _callers("_expected_grid") == {"geometry.fit_k3_pattern"}
