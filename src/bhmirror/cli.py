@@ -3,6 +3,7 @@
 Commands: analyze, mirror, table, verify, k3.  Output formats: text
 (default), json (schema "bhmirror/1"), csv (table only).  All output is
 deterministic: identical invocations produce byte-identical output.
+`verify` only formats `mirror.check_pair` and `geometry.k3_corollaries`.
 
 Exit status: 0 success / all checks pass, 1 verification failure,
 2 input error, 3 internal check failure.  `-h` prints help and exits 0,
@@ -23,33 +24,22 @@ from .geometry import (
     K3_ORDERS,
     SectorGrid,
     fit_k3_pattern,
-    k3_invariants,
-    lattice_mirror_verdict,
+    k3_corollaries,
     require_k3_shape,
     sector_grid,
 )
-from .milnor import equivariant_hilbert, fermat_monomial_basis
-from .mirror import (
-    build_mirror_pair,
-    verify_krawitz,
-    verify_lg_mirror,
-    verify_order2_exchange,
-    verify_pair_duality,
-)
+from .mirror import build_mirror_pair, check_pair, verify_krawitz
 from .poly import (
     InvertiblePolynomial,
     exponent_determinant,
-    fixed_variables,
     format_polynomial,
     format_vector,
     is_calabi_yau,
-    is_fermat_diagonal,
     parse_polynomial,
-    restrict,
     split_cyclic,
     transpose,
 )
-from .statespace import build_state_space, moving_vanishing_violations
+from .statespace import build_state_space
 from .symmetry import (
     SymmetryGroup,
     admissible_setup,
@@ -269,11 +259,10 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _k3_read_off(pair):
-    """Both grids' K3 fits: (report, mirror report, inv, mirror inv, lattice or None)."""
+    """Both grids' K3 fits and their `k3_corollaries`: (report, mirror report, corollaries)."""
     report = fit_k3_pattern(sector_grid(pair.source_table))
     mirror_report = fit_k3_pattern(sector_grid(pair.target_table))
-    lattice = lattice_mirror_verdict(report, mirror_report) if report.kind == "prime" else None
-    return report, mirror_report, k3_invariants(report), k3_invariants(mirror_report), lattice
+    return report, mirror_report, k3_corollaries(report, mirror_report)
 
 
 def cmd_k3(args) -> int:
@@ -282,7 +271,7 @@ def cmd_k3(args) -> int:
     require_k3_shape(is_calabi_yau(W), W.num_vars, k)
     pair = build_mirror_pair(W, parse_group_spec(args.K, f))
     N_f = exponent_determinant(f)
-    report, mirror_report, inv, minv, lattice = _k3_read_off(pair)
+    report, mirror_report, (inv, minv, lattice, _) = _k3_read_off(pair)
     data = {
         "schema": SCHEMA,
         "command": "k3",
@@ -342,79 +331,40 @@ def _report_detail(report, N: int) -> str:
                      for v in report.violations[:5])
 
 
+def _check_detail(check: str, report, setup) -> str:
+    """The detail of a `check_pair` report: the sectors of a failing Milnor
+    check, else the sector count of the series checks; the violation count
+    of a failing vanishing check; else `_report_detail`."""
+    if check == "milnor-dimensions" and not report.passed:
+        return f"bad: {[format_vector(h, setup.N) for h in sorted(v.cell for v in report.violations)]}"
+    if check in ("milnor-dimensions", "fermat-oracle"):
+        return f"{len(setup.labels)} sectors"
+    if check == "vanishing":
+        return "" if report.passed else f"{len(report.violations)} violations"
+    return _report_detail(report, setup.N)
+
+
 def _check_case(case: cat.CatalogCase) -> list[dict]:
-    results = []
-
-    def record(check: str, passed: bool, detail: str = "", cells=None) -> None:
-        entry = {"case": case.name, "check": check,
-                 "passed": bool(passed), "detail": detail}
-        if cells is not None:
-            entry["cells"] = cells
-        results.append(entry)
-
+    """The results of one case: the checks of its mirror pair, then the K3
+    corollaries of a K3 case of a K3 order."""
     W = case.parse()
     pair = build_mirror_pair(W, case.K_group(W))
     setup = pair.source
-
-    # Totals against the Milnor numbers, and the series engine against
-    # direct monomial enumeration for Fermat W.  Both sides of each check
-    # depend on the sector's fixed set only, so each distinct one is checked
-    # once.
-    sectors = setup.labels
-    fermat = is_fermat_diagonal(W)
-    by_fixed_set: dict = {}
-    for h in sectors:
-        by_fixed_set.setdefault(fixed_variables(h), []).append(h)
-    mismatch = []
-    oracle_ok = True
-    for hs in by_fixed_set.values():
-        R = restrict(W, hs[0])
-        series = equivariant_hilbert(R)
-        if series.total_dimension != R.milnor_dimension:
-            mismatch += hs
-        if fermat:
-            oracle: dict = {}
-            for _, key, degree in fermat_monomial_basis(R):
-                bucket = oracle.setdefault(degree, {})
-                bucket[key] = bucket.get(key, 0) + 1
-            oracle_ok = oracle_ok and oracle == series.coefficients
-    record("milnor-dimensions", not mismatch,
-           f"{len(sectors)} sectors" if not mismatch
-           else f"bad: {[format_vector(h, setup.N) for h in sorted(mismatch)]}")
-    if fermat:
-        record("fermat-oracle", oracle_ok, f"{len(sectors)} sectors")
-
-    violations = moving_vanishing_violations(pair.source_table)
-    record("vanishing", not violations, f"{len(violations)} violations" if violations else "")
-
-    dual = verify_pair_duality(pair)
-    record("pair-duality", dual.passed, _report_detail(dual, setup.N))
-
-    lg = verify_lg_mirror(pair)
-    record("lg-mirror", lg.passed, _report_detail(lg, setup.N), cells=_cells_json(lg, setup.N))
-
-    if setup.k == 2:
-        o2 = verify_order2_exchange(pair)
-        record("order2-exchange", o2.passed, _report_detail(o2, setup.N),
-               cells=_cells_json(o2, setup.N))
-
+    results = []
+    for check, report in check_pair(pair):
+        results.append({"case": case.name, "check": check, "passed": report.passed,
+                        "detail": _check_detail(check, report, setup)})
+        if check in ("lg-mirror", "order2-exchange"):
+            results[-1]["cells"] = _cells_json(report, setup.N)
     if "k3" in case.tags and setup.k in K3_ORDERS:
         try:
-            rep, _, inv, minv, lattice = _k3_read_off(pair)
-            ok = inv.N1 == minv.g1 + 1 and minv.N1 == inv.g1 + 1
-            detail = f"N1={inv.N1} g1'={minv.g1}"
-            if rep.kind == "order4":
-                p4 = rep.params
-                ok = ok and 2 * p4["a"] + p4["b"] + 2 * p4["a_dual"] + p4["b_dual"] == 24
-                detail += " 2a+b+2a'+b'=24"
-            else:
-                p = rep.order
-                ok = ok and inv.f1 + minv.f1 + 4 == 24 * (p - 2) // (p - 1)
-                ok = ok and lattice["mirror_ok"]
-                detail += f" lattice=({lattice['r']},{lattice['a']})"
-            record("k3-corollaries", ok, detail)
+            _, _, (inv, minv, lattice, passed) = _k3_read_off(pair)
+            detail = f"N1={inv.N1} g1'={minv.g1}" + (
+                " 2a+b+2a'+b'=24" if lattice is None else f" lattice=({lattice['r']},{lattice['a']})")
         except InputError as exc:  # a grid off the pattern; an InternalError exits 3
-            record("k3-corollaries", False, f"{type(exc).__name__}: {exc}")
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append({"case": case.name, "check": "k3-corollaries",
+                        "passed": passed, "detail": detail})
     return results
 
 

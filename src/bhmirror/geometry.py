@@ -271,3 +271,21 @@ def lattice_mirror_verdict(report: K3Report, mirror_report: K3Report) -> dict:
         "r": r, "a": a_lat, "r_mirror": rm, "a_mirror": am,
         "mirror_ok": rm == 20 - r and am == a_lat,
     }
+
+
+def k3_corollaries(report: K3Report, mirror_report: K3Report
+                   ) -> tuple[K3Invariants, K3Invariants, dict | None, bool]:
+    """Both sides' fixed-locus invariants, the lattice verdict at a prime
+    order (else None) and whether every K3 relation of the fits holds:
+    N1 = g1' + 1 both ways; at order 4, 2a + b + 2a' + b' = 24; at a prime
+    p, f1 + f1' + 4 = 24(p - 2)/(p - 1) and mirror lattices."""
+    inv, minv = k3_invariants(report), k3_invariants(mirror_report)
+    holds = inv.N1 == minv.g1 + 1 and minv.N1 == inv.g1 + 1
+    if report.kind == "order4":
+        P = report.params
+        holds = holds and 2 * P["a"] + P["b"] + 2 * P["a_dual"] + P["b_dual"] == 24
+        return inv, minv, None, holds
+    p = report.order
+    lattice = lattice_mirror_verdict(report, mirror_report)
+    holds = holds and inv.f1 + minv.f1 + 4 == 24 * (p - 2) // (p - 1) and lattice["mirror_ok"]
+    return inv, minv, lattice, holds

@@ -180,7 +180,8 @@ def _product(A: SeriesCoefficients, B: SeriesCoefficients) -> SeriesCoefficients
 
 
 # A table asks for each of its fixed sets once; the cache serves the series
-# again to the CLI's Milnor and oracle checks and to later tables of P.
+# again to the Milnor and oracle checks of `mirror.check_pair` and to later
+# tables of P.
 @lru_cache(maxsize=128)
 def equivariant_hilbert(R: RestrictedPolynomial) -> GroupRingSeries:
     """Dual-group-graded Hilbert series of the Milnor algebra of R.

@@ -17,6 +17,7 @@ exchange compare (p, q) cells over the same N: N = k*|det E_f|, so the
 shifts b/k, the pads 1 and the reflections at n and n+1 are the integers
 b*N/k, N, n*N and (n+1)*N.  Cells keep state-space bidegrees;
 `geometry.sector_grid` applies the (-1, -1) Calabi-Yau shift.
+`check_pair` runs every check of one pair, as `bhmirror verify` does.
 """
 
 from __future__ import annotations
@@ -25,10 +26,19 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DualityViolationError, NotAdmissibleError, NotFermatError, ZOutOfRangeError
-from .poly import InvertiblePolynomial, exponent_determinant, is_fermat_diagonal, transpose
+from .milnor import equivariant_hilbert, fermat_monomial_basis
+from .poly import (
+    InvertiblePolynomial,
+    exponent_determinant,
+    fixed_variables,
+    is_fermat_diagonal,
+    restrict,
+    transpose,
+)
 from .statespace import (
     StateTable,
     build_state_space,
+    moving_vanishing_violations,
     slice_weight_bidegrees,
     unprojected_cells,
 )
@@ -407,3 +417,44 @@ def verify_order2_exchange(pair: MirrorPair) -> VerificationReport:
     report.compare("s-slice-self-mirror", *_part2(slices, slicesV, n, N, 2, 1),
                    empty="s-slice-self-mirror/vacuous")
     return report
+
+
+# ---------------------------------------------------------------------------
+# the checks of one pair
+# ---------------------------------------------------------------------------
+
+def check_pair(pair: MirrorPair) -> list[tuple[str, VerificationReport]]:
+    """The checks of one pair, named, in the order `bhmirror verify` prints
+    them: each sector's series total against its Milnor number; for Fermat
+    W, each series against monomial enumeration, degree by degree (the
+    sides are key -> multiplicity maps); the cells the vanishing rule
+    forces to zero against none; pair duality; the LG identities; and, when
+    k = 2, the order-2 exchange.  The first two read a sector's fixed set
+    only, so each distinct fixed set is restricted and expanded once."""
+    W, table = pair.source.W, pair.source_table
+    by_fixed_set: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for h in pair.source.labels:
+        by_fixed_set.setdefault(fixed_variables(h), []).append(h)
+    dimensions, oracle = VerificationReport([]), VerificationReport([])
+    for hs in by_fixed_set.values():
+        R = restrict(W, hs[0])
+        series = equivariant_hilbert(R)
+        dimensions.compare("milnor-dimensions", dict.fromkeys(hs, series.total_dimension),
+                           dict.fromkeys(hs, R.milnor_dimension))
+        if is_fermat_diagonal(W):
+            basis: dict = {}
+            for _, key, degree in fermat_monomial_basis(R):
+                keys = basis.setdefault(degree, {})
+                keys[key] = keys.get(key, 0) + 1
+            oracle.compare("fermat-oracle", basis, series.coefficients)
+    vanishing = VerificationReport([])
+    vanishing.compare("vanishing", {cell: table.cells[cell]
+                                    for cell in moving_vanishing_violations(table)}, {})
+    checks = [("milnor-dimensions", dimensions)]
+    if is_fermat_diagonal(W):
+        checks.append(("fermat-oracle", oracle))
+    checks += [("vanishing", vanishing), ("pair-duality", verify_pair_duality(pair)),
+               ("lg-mirror", verify_lg_mirror(pair))]
+    if pair.source.k == 2:
+        checks.append(("order2-exchange", verify_order2_exchange(pair)))
+    return checks

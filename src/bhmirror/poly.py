@@ -99,14 +99,22 @@ class RestrictedPolynomial(NamedTuple):
         return milnor_number(self.parent, self.fixed_vars)
 
 
+def _weights_of(P: InvertiblePolynomial, variables: Sequence[int]) -> list[int]:
+    """The weights of the given variables, each an index in range(num_vars)."""
+    for i in variables:
+        if not 0 <= i < P.num_vars:
+            raise InputError(f"variable index {i} is not in range({P.num_vars})")
+    return [P.weights[i] for i in variables]
+
+
 def milnor_number(P: InvertiblePolynomial, variables: Sequence[int]) -> int:
     """prod (d - w_i) / w_i over the variables: the Milnor number of the
     restriction of P to them, when it is non-degenerate."""
-    d, weights = P.degree, P.weights
+    d = P.degree
     numerator = denominator = 1
-    for i in variables:
-        numerator *= d - weights[i]
-        denominator *= weights[i]
+    for w in _weights_of(P, variables):
+        numerator *= d - w
+        denominator *= w
     if numerator % denominator or numerator <= 0:  # the weights are positive
         raise InternalError(
             f"Milnor number {Fraction(numerator, denominator)} is not a positive integer")
@@ -116,7 +124,7 @@ def milnor_number(P: InvertiblePolynomial, variables: Sequence[int]) -> int:
 def socle_degree(P: InvertiblePolynomial, variables: Sequence[int]) -> int:
     """sum (d - w_i) over the variables: the top degree of the Milnor algebra
     of the restriction to them, volume form included, in units of 1/d."""
-    return sum(P.degree - P.weights[i] for i in variables)
+    return sum(P.degree - w for w in _weights_of(P, variables))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +203,10 @@ def exponent_determinant(P: InvertiblePolynomial) -> int:
 
 
 def fixes(P: InvertiblePolynomial, N: int, code: Code) -> bool:
-    """True iff the symmetry code/N multiplies every monomial of P by 1."""
+    """True iff the symmetry code/N multiplies every monomial of P by 1;
+    a code of the wrong length is a NotInGroupError."""
+    if len(code) != P.num_vars:
+        raise NotInGroupError(f"{len(code)} entries for {P.num_vars} variables")
     return all(sum(e * x for e, x in zip(row, code)) % N == 0 for row in P.exponents)
 
 

@@ -250,7 +250,7 @@ def test_verify_builds_each_fixed_set_series_once(monkeypatch, capsys):
     # the fixed-set cache (maxsize 128) evicts only series that no later call
     # asks for: the benchmark catalog's verify misses once per distinct
     # restriction, 308 from cold caches, so no series is rebuilt
-    from bhmirror import cli, milnor
+    from bhmirror import milnor, mirror
     asked = []
 
     def record(R):
@@ -258,7 +258,7 @@ def test_verify_builds_each_fixed_set_series_once(monkeypatch, capsys):
         return equivariant_hilbert(R)
 
     monkeypatch.setattr(milnor, "equivariant_hilbert", record)
-    monkeypatch.setattr(cli, "equivariant_hilbert", record)
+    monkeypatch.setattr(mirror, "equivariant_hilbert", record)
     equivariant_hilbert.cache_clear()
     assert main(["verify", "--catalog", BENCHMARK_CATALOG, "--format", "json"]) == 0
     capsys.readouterr()

@@ -361,7 +361,8 @@ class TestVerify:
     def test_series_faults_are_reported(self, capsys, monkeypatch):
         # one restriction's series one too large: the sectors that share it
         # are named, sorted, and the Fermat oracle disagrees with it
-        real = cli.equivariant_hilbert
+        from bhmirror import mirror
+        real = mirror.equivariant_hilbert
 
         def off_by_one(R):
             series = real(R)
@@ -371,7 +372,7 @@ class TestVerify:
             key, c = min(keys.items())
             return GroupRingSeries({**series.coefficients, m: {**keys, key: c + 1}})
 
-        monkeypatch.setattr(cli, "equivariant_hilbert", off_by_one)
+        monkeypatch.setattr(mirror, "equivariant_hilbert", off_by_one)
         code, out, _ = run(capsys, "verify", "--case", "elliptic-cubic")
         assert code == 1
         assert "FAIL  elliptic-cubic: milnor-dimensions  [bad: ['[1/3, 0, 0]', '[2/3, 0, 0]']]" in out
@@ -400,6 +401,62 @@ class TestVerify:
         assert "FAIL  toy-k2: pair-duality  [pair-duality[1/2, 1/2][0, 0][1, 1]: 2 != 1]" in out
         assert "FAIL  toy-k2: order2-exchange  [exchange[plus][1, 1]: 2 != 1]" in out
         assert "3 CHECKS FAILED (6 checks)" in out
+
+    def test_vanishing_fault_counts_its_cells(self, capsys, monkeypatch):
+        # two moving Q_j = 0 cells put at X = 1 with nonzero weights t = Z,
+        # where k = 3 divides no X*t: the vanishing check counts them
+        real = cli.build_mirror_pair
+
+        def seeded(W, K=None):
+            pair = real(W, K)
+            setup, cells = pair.source, dict(pair.source_table.cells)
+            sector = next(h for h, (x, _) in setup.labels.items() if x == 1)
+            keys = [key for key, (kqj, weight) in setup.keys.items() if kqj == 0 and weight]
+            for key in keys[:2]:
+                cells[(sector, key, 0, 0)] = cells.get((sector, key, 0, 0), 0) + 1
+            return pair._replace(source_table=StateTable(setup, cells))
+
+        monkeypatch.setattr(cli, "build_mirror_pair", seeded)
+        code, out, _ = run(capsys, "verify", "--case", "elliptic-cubic")
+        assert code == 1
+        assert "FAIL  elliptic-cubic: vanishing  [2 violations]\n" in out
+
+    def test_k3_grid_off_the_pattern_fails_its_check(self, capsys, monkeypatch):
+        # a stray class in cell (0, 1) of each grid: the fit rejects the
+        # grid, and the check fails with the error's name and message after
+        # the case's other checks have printed
+        real = cli.sector_grid
+
+        def stray(table):
+            grid = real(table)
+            return grid._replace(weighted={**grid.weighted, (0, 1): {(5, 5, 0): 1}})
+
+        monkeypatch.setattr(cli, "sector_grid", stray)
+        code, out, _ = run(capsys, "verify", "--case", "k3-p3")
+        assert code == 1
+        lines = out.splitlines()
+        assert [line.split("  [")[0] for line in lines[:5]] == [
+            f"PASS  k3-p3: {check}" for check in
+            ("milnor-dimensions", "fermat-oracle", "vanishing", "pair-duality", "lg-mirror")]
+        assert lines[5].startswith(
+            "FAIL  k3-p3: k3-corollaries  [PatternMismatchError: cell (0, 1): computed [((5, 5, 0), 1)]")
+        assert lines[6] == "1 CHECKS FAILED (6 checks)"
+
+    def test_broken_k3_relation_keeps_its_detail(self, capsys, monkeypatch):
+        # b raised by 1 in both fits of the Fermat quartic: 2a+b+2a'+b' is
+        # 25, so the order-4 relation fails; the fixed curves are unchanged
+        # and so is the detail
+        real = cli.fit_k3_pattern
+
+        def raised(grid):
+            report = real(grid)
+            return report._replace(params={**report.params, "b": report.params["b"] + 1})
+
+        monkeypatch.setattr(cli, "fit_k3_pattern", raised)
+        code, out, _ = run(capsys, "verify", "--case", "fermat-quartic")
+        assert code == 1
+        assert "FAIL  fermat-quartic: k3-corollaries  [N1=1 g1'=0 2a+b+2a'+b'=24]\n" in out
+        assert "1 CHECKS FAILED (6 checks)" in out
 
     def test_krawitz_fault_names_its_cell(self, capsys, monkeypatch):
         # one cell of the self-transposed quartic's unprojected map raised by

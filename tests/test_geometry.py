@@ -10,6 +10,7 @@ from bhmirror.geometry import (
     SectorGrid,
     _expected_grid,
     fit_k3_pattern,
+    k3_corollaries,
     k3_invariants,
     lattice_invariants,
     lattice_mirror_verdict,
@@ -345,3 +346,20 @@ class TestLattice:
         assert [k for k in K3_ORDERS if k % 2] == [p for p in odd_primes if 24 % (p - 1) == 0]
         assert 13 in K3_ORDERS and 7 in K3_ORDERS
         assert 11 not in K3_ORDERS
+
+
+@pytest.mark.parametrize("name", ["k3-p3", "k3-p5", "k3-p13"])
+def test_k3_corollaries_count_the_isolated_fixed_points(pair_cache, name):
+    # a_dual one larger adds p - 2 isolated fixed points on the source side
+    # and leaves the curves and the lattices as they were: only
+    # f1 + f1' + 4 = 24(p - 2)/(p - 1) breaks
+    pair = pair_cache(name)
+    report, mirror_report = (fit_k3_pattern(sector_grid(table))
+                             for table in (pair.source_table, pair.target_table))
+    inv, minv, lattice, holds = k3_corollaries(report, mirror_report)
+    assert holds and lattice == lattice_mirror_verdict(report, mirror_report)
+    assert (inv, minv) == (k3_invariants(report), k3_invariants(mirror_report))
+    more = report._replace(params={**report.params, "a_dual": report.params["a_dual"] + 1})
+    inv_more, _, lattice_more, holds_more = k3_corollaries(more, mirror_report)
+    assert inv_more.f1 == inv.f1 + report.order - 2 and lattice_more == lattice
+    assert not holds_more

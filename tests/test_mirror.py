@@ -15,6 +15,7 @@ from bhmirror.mirror import (
     FermatState,
     MirrorPair,
     build_mirror_pair,
+    check_pair,
     fermat_elevator_moving,
     fermat_mirror_map,
     fermat_states,
@@ -354,3 +355,18 @@ class TestMovingBecomesFixed:
         mirror_moved = sum(dim for (h, _, _, _), dim in Uv.items()
                            if h[0] != 0)
         assert invariant == mirror_moved
+
+
+@pytest.mark.parametrize("name, checks", [
+    ("toy-k2", ["milnor-dimensions", "fermat-oracle", "vanishing", "pair-duality",
+                "lg-mirror", "order2-exchange"]),
+    ("elliptic-loop", ["milnor-dimensions", "vanishing", "pair-duality", "lg-mirror"]),
+])
+def test_check_pair_names_its_reports_in_verify_order(pair_cache, name, checks):
+    # the oracle runs for Fermat W only, the exchange for k = 2 only; the
+    # Milnor check reads one cell per sector
+    pair = pair_cache(name)
+    reports = check_pair(pair)
+    assert [check for check, _ in reports] == checks
+    assert all(report.passed for _, report in reports)
+    assert dict(reports)["milnor-dimensions"].cells_checked == pair.source.group_order

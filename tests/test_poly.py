@@ -8,6 +8,7 @@ from bhmirror.cli import main
 from bhmirror.errors import (
     DegenerateRestrictionError,
     DegenerateShapeError,
+    InputError,
     InternalError,
     NonPositiveWeightError,
     NonSquareError,
@@ -267,6 +268,15 @@ class TestRestrict:
             restrict(parse_polynomial("x^2+y^3"), code)
         assert str(info.value) == f"{len(code)} entries for 2 variables"
 
+    @pytest.mark.parametrize("read", [poly.milnor_number, poly.socle_degree],
+                             ids=["milnor-number", "socle-degree"])
+    @pytest.mark.parametrize("index", [2, 5, -1])
+    def test_variable_outside_the_polynomial_is_an_error(self, read, index):
+        # -1 is no variable, not the last one: x^2+y^3 has two
+        with pytest.raises(InputError) as info:
+            read(parse_polynomial("x^2+y^3"), (0, index))
+        assert str(info.value) == f"variable index {index} is not in range(2)"
+
 
 class TestCodes:
     def test_round_trip(self):
@@ -284,6 +294,13 @@ class TestCodes:
     def test_non_symmetries_rejected(self, g, message):
         with pytest.raises(NotInGroupError, match=message):
             encode(parse_polynomial("x^2*y+y^2*x"), g)
+
+    @pytest.mark.parametrize("code", [(3,), (0, 0, 0)], ids=["short", "long"])
+    def test_fixes_rejects_a_code_of_the_wrong_length(self, code):
+        # zipped with a row, a short code drops the entries it lacks
+        with pytest.raises(NotInGroupError) as info:
+            poly.fixes(parse_polynomial("x^2+y^3"), 6, code)
+        assert str(info.value) == f"{len(code)} entries for 2 variables"
 
     def test_decoder_makes_each_entry_once(self):
         decode = decoder(12)

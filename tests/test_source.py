@@ -155,6 +155,17 @@ def test_no_poly_function_calls_itself():
     assert not found, f"recursive calls in poly: {found}"
 
 
+def test_verify_checks_live_in_the_library():
+    # `verify` formats the reports of `mirror.check_pair` and the K3
+    # relations of `geometry.k3_corollaries`; no CLI function restricts,
+    # expands a series or reads vanishing cells or fixed loci itself
+    for name in ("fermat_monomial_basis", "equivariant_hilbert", "restrict",
+                 "moving_vanishing_violations", "k3_invariants"):
+        callers = {caller for caller in _callers(name) if caller.startswith("cli.")}
+        assert not callers, f"{name} called in {sorted(callers)}"
+    assert _callers("fermat_monomial_basis") == {"mirror.check_pair"}
+
+
 def test_one_k3_grid_rule():
     # the order-4 and prime sector grids are one pattern, rebuilt by the one fit
     assert _callers("_expected_grid") == {"geometry.fit_k3_pattern"}
