@@ -10,13 +10,7 @@ Only p in {3, 5, 7, 13} can occur: the state-space total of a K3 is 24,
 and the table splits it as (p - 1)(a + a'), so p - 1 must divide 24.
 """
 
-from bhmirror import (
-    build_mirror_pair,
-    fit_k3_pattern,
-    k3_invariants,
-    lattice_mirror_verdict,
-    sector_grid,
-)
+from bhmirror import build_mirror_pair, k3_read_off
 from bhmirror.catalog import find_case
 
 print("prime orders p with p - 1 | 24:",
@@ -27,10 +21,7 @@ for name in ("k3-p3", "k3-p5", "k3-p7", "k3-p13"):
     case = find_case(name)
     W = case.parse()
     pair = build_mirror_pair(W, case.K_group(W))
-    rep = fit_k3_pattern(sector_grid(pair.source_table))
-    mrep = fit_k3_pattern(sector_grid(pair.target_table))
-    inv, minv = k3_invariants(rep), k3_invariants(mrep)
-    verdict = lattice_mirror_verdict(rep, mrep)
+    rep, mrep, (inv, minv, verdict, _) = k3_read_off(pair)
     print(f"\n{name}: W = {W}")
     print(f"  parameters {rep.params}")
     print(f"  fixed locus: {inv.f1} points + {inv.N1} curves (genus {inv.g1});"

@@ -66,6 +66,7 @@ from .geometry import (
     SectorGrid,
     fit_k3_pattern,
     k3_invariants,
+    k3_read_off,
     lattice_invariants,
     lattice_mirror_verdict,
     sector_grid,

@@ -3,7 +3,8 @@
 Commands: analyze, mirror, table, verify, k3.  Output formats: text
 (default), json (schema "bhmirror/1"), csv (table only).  All output is
 deterministic: identical invocations produce byte-identical output.
-`verify` only formats `mirror.check_pair` and `geometry.k3_corollaries`.
+`verify` only formats `mirror.check_pair` and, for a K3 case,
+`geometry.k3_read_off`, the K3 fits and relations that `k3` prints.
 
 Exit status: 0 success / all checks pass, 1 verification failure,
 2 input error, 3 internal check failure.  `-h` prints help and exits 0,
@@ -23,8 +24,7 @@ from .errors import BHMirrorError, InputError, InternalError
 from .geometry import (
     K3_ORDERS,
     SectorGrid,
-    fit_k3_pattern,
-    k3_corollaries,
+    k3_read_off,
     require_k3_shape,
     sector_grid,
 )
@@ -258,20 +258,13 @@ def cmd_table(args) -> int:
 # k3
 # ---------------------------------------------------------------------------
 
-def _k3_read_off(pair):
-    """Both grids' K3 fits and their `k3_corollaries`: (report, mirror report, corollaries)."""
-    report = fit_k3_pattern(sector_grid(pair.source_table))
-    mirror_report = fit_k3_pattern(sector_grid(pair.target_table))
-    return report, mirror_report, k3_corollaries(report, mirror_report)
-
-
 def cmd_k3(args) -> int:
     W = parse_polynomial(args.polynomial)
     k, f = split_cyclic(W)
     require_k3_shape(is_calabi_yau(W), W.num_vars, k)
     pair = build_mirror_pair(W, parse_group_spec(args.K, f))
     N_f = exponent_determinant(f)
-    report, mirror_report, (inv, minv, lattice, _) = _k3_read_off(pair)
+    report, mirror_report, (inv, minv, lattice, _) = k3_read_off(pair)
     data = {
         "schema": SCHEMA,
         "command": "k3",
@@ -358,7 +351,7 @@ def _check_case(case: cat.CatalogCase) -> list[dict]:
             results[-1]["cells"] = _cells_json(report, setup.N)
     if "k3" in case.tags and setup.k in K3_ORDERS:
         try:
-            _, _, (inv, minv, lattice, passed) = _k3_read_off(pair)
+            _, _, (inv, minv, lattice, passed) = k3_read_off(pair)
             detail = f"N1={inv.N1} g1'={minv.g1}" + (
                 " 2a+b+2a'+b'=24" if lattice is None else f" lattice=({lattice['r']},{lattice['a']})")
         except InputError as exc:  # a grid off the pattern; an InternalError exits 3

@@ -19,7 +19,9 @@ cell (b, t) is empty where k divides b + t, f_t where b + t < k, and f_t
 shifted by (-1, -1) beyond.  Order 4 overrides one cell: (2, 2) holds the
 fixed locus of s^2.  One fit reads the parameters off designated cells
 and rebuilds the grid; fitting is strict, any residual cell mismatch is
-an error.
+an error.  `k3_read_off` fits both tables of a mirror pair and reads the
+K3 relations of the two fits (`k3_corollaries`): the fixed-locus
+invariants, and at a prime order the invariant lattices, of both sides.
 """
 
 from __future__ import annotations
@@ -263,10 +265,14 @@ def lattice_invariants(p: int, g: int, N: int) -> tuple[int, int]:
 def lattice_mirror_verdict(report: K3Report, mirror_report: K3Report) -> dict:
     """Lattice invariants of both sides and whether they are mirror:
     (r', a') = (20 - r, a)."""
-    inv = k3_invariants(report)
-    inv_m = k3_invariants(mirror_report)
-    r, a_lat = lattice_invariants(report.order, inv.g1, inv.N1)
-    rm, am = lattice_invariants(mirror_report.order, inv_m.g1, inv_m.N1)
+    return _lattice_verdict(report.order, k3_invariants(report),
+                            mirror_report.order, k3_invariants(mirror_report))
+
+
+def _lattice_verdict(order: int, inv: K3Invariants, mirror_order: int,
+                     minv: K3Invariants) -> dict:
+    r, a_lat = lattice_invariants(order, inv.g1, inv.N1)
+    rm, am = lattice_invariants(mirror_order, minv.g1, minv.N1)
     return {
         "r": r, "a": a_lat, "r_mirror": rm, "a_mirror": am,
         "mirror_ok": rm == 20 - r and am == a_lat,
@@ -286,6 +292,14 @@ def k3_corollaries(report: K3Report, mirror_report: K3Report
         holds = holds and 2 * P["a"] + P["b"] + 2 * P["a_dual"] + P["b_dual"] == 24
         return inv, minv, None, holds
     p = report.order
-    lattice = lattice_mirror_verdict(report, mirror_report)
+    lattice = _lattice_verdict(p, inv, mirror_report.order, minv)
     holds = holds and inv.f1 + minv.f1 + 4 == 24 * (p - 2) // (p - 1) and lattice["mirror_ok"]
     return inv, minv, lattice, holds
+
+
+def k3_read_off(pair) -> tuple[K3Report, K3Report, tuple]:
+    """The K3 fits of both tables of a `mirror.MirrorPair` and their
+    `k3_corollaries`: (report, mirror report, corollaries)."""
+    report = fit_k3_pattern(sector_grid(pair.source_table))
+    mirror_report = fit_k3_pattern(sector_grid(pair.target_table))
+    return report, mirror_report, k3_corollaries(report, mirror_report)

@@ -38,18 +38,20 @@ The series depends only on the parent and the fixed-variable set, not on
 the sector, so `equivariant_hilbert` is memoized on the restriction (a
 bounded cache keyed on parent and fixed variables; the returned series is
 shared and never mutated).  Its checks run once per distinct fixed set.
-`algebra_by_fixed_set` turns each fixed set's series into unshifted terms
-(key, p, q, dimension) once, keeping only the keys asked for, and a sector
-adds its age shift to them: p and q are integer numerators over N, so a
-sector stays on integers until a label or a report decodes it (see
-`statespace`).  `sector_algebra` is the same for one sector.
+`shifted_cells` is the one builder of a sector's cells: it turns each
+distinct fixed set's series into terms (key, p, q, dimension) once,
+keeping only the keys asked for, and adds each sector's age shift to them.
+p and q are integer numerators over N, so a sector stays on integers until
+a label or a report decodes it (see `statespace`).  `sector_algebra` is the
+view of one sector.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from operator import add
-from typing import Callable, Container, NamedTuple
+from typing import Container, Iterable, NamedTuple
 
 from .errors import InternalError, NotFermatError
 from .poly import (
@@ -206,7 +208,8 @@ def fermat_monomial_basis(R: RestrictedPolynomial) -> list[tuple[tuple[int, ...]
 
     Valid when every atom of the parent meeting the fixed set is a Fermat
     x_i^{k_i}; the basis is all b with 1 <= b_i <= k_i - 1 on the fixed
-    variables.  Serves as the independent oracle for the series engine.
+    variables, the first fixed variable outermost.  Serves as the
+    independent oracle for the series engine.
     """
     P = R.parent
     fixed = set(R.fixed_vars)
@@ -221,65 +224,52 @@ def fermat_monomial_basis(R: RestrictedPolynomial) -> list[tuple[tuple[int, ...]
         tops[atom.variables[0]] = atom.exponents[0]
     N = exponent_determinant(P)
     chars = dual_characters(P)
-
-    basis: list[tuple[tuple[int, ...], Code, int]] = []
-
-    def rec(pos: int, b: list[int], key: Code, degree: int) -> None:
-        if pos == len(R.fixed_vars):
-            basis.append((tuple(b), key, degree))
-            return
-        i = R.fixed_vars[pos]
-        for bi in range(1, tops[i]):
-            rec(pos + 1, b + [bi], tuple((x + bi * c) % N for x, c in zip(key, chars[i])),
-                degree + bi * P.weights[i])
-
-    rec(0, [], (0,) * P.num_vars, 0)
+    basis = []
+    for b in product(*(range(1, tops[i]) for i in R.fixed_vars)):
+        terms = list(zip(b, R.fixed_vars))
+        key = tuple(sum(bi * chars[i][v] for bi, i in terms) % N for v in range(P.num_vars))
+        basis.append((b, key, sum(bi * P.weights[i] for bi, i in terms)))
     return basis
 
 
-Terms = list[tuple[Code, int, int, int]]  # (key, p, q, dimension) before the age shift
+def shifted_cells(P: InvertiblePolynomial, sectors: Iterable[Code],
+                  keys: Container[Code] | None = None) -> dict[tuple[Code, Code, int, int], int]:
+    """The age-shifted algebras of the sectors, in the order given, as the
+    cells (sector, key, p, q) -> dimension, with p and q integer numerators
+    over N = |det E|.
 
-
-def algebra_by_fixed_set(P: InvertiblePolynomial,
-                         keys: Container[Code] | None = None) -> Callable[[Code], Terms]:
-    """The sector algebras of P before their age shift, one list per fixed set.
-
-    The returned function maps a sector code h to terms (key, p, q,
-    dimension), with p and q integer numerators over N = |det E|; the
-    sector's entries are (key, p + sum(h), q + sum(h)) -> dimension,
-    because the entries of h lie in [0, N), so N*age(h) = sum(h).  Degree m
-    of the series sits at q = m/d and p = #fixed - m/d before the shift, so
-    p + q - 2 age(h) = #fixed on every entry.  The fixed set is read off h's
-    zero entries; its series is fetched and filtered to `keys` (every key
-    when None) the first time it is asked for, and shared by every later
-    sector with that fixed set.  d divides N, because every weight is a row
-    sum of E^{-1}; that is checked once per call.
+    Degree m of the series of h's fixed set sits at q = m/d and
+    p = #fixed - m/d, shifted by age(h) = sum(h)/N, because the entries of h
+    lie in [0, N); so p + q - 2 age(h) = #fixed on every cell.  The fixed
+    set is read off h's zero entries; its series is fetched and filtered to
+    `keys` (every key when None) for the first sector with that fixed set
+    and shared by every later one.  d divides N, because every weight is a
+    row sum of E^{-1}; that is checked once per call.
     """
     N = exponent_determinant(P)
     if N % P.degree:
         raise InternalError(f"degree {P.degree} does not divide |det E| = {N}")
     step = N // P.degree
-    memo: dict[tuple[int, ...], Terms] = {}
-
-    def terms(h: Code) -> Terms:
+    by_fixed_set: dict[tuple[int, ...], list[tuple[Code, int, int, int]]] = {}
+    cells = {}
+    for h in sectors:
         fixed = fixed_variables(h)
-        found = memo.get(fixed)
-        if found is None:
+        terms = by_fixed_set.get(fixed)
+        if terms is None:
             top = len(fixed) * N
-            found = memo[fixed] = [
+            terms = by_fixed_set[fixed] = [
                 (key, top - m * step, m * step, mult)
                 for m, by_key in equivariant_hilbert(restrict(P, h)).coefficients.items()
                 for key, mult in by_key.items() if keys is None or key in keys]
-        return found
-
-    return terms
+        shift = sum(h)
+        for key, p, q, mult in terms:
+            cells[h, key, p + shift, q + shift] = mult
+    return cells
 
 
 def sector_algebra(P: InvertiblePolynomial, h: Code) -> list[tuple[tuple[Code, int, int], int]]:
     """Age-shifted algebra of the sector with code h as ((key, p, q),
     dimension) pairs, with every key kept; `dict()` of the list is its
     table.  p and q are integer numerators over N = |det E| (see
-    `algebra_by_fixed_set`)."""
-    shift = sum(h)
-    return [((key, p + shift, q + shift), mult)
-            for key, p, q, mult in algebra_by_fixed_set(P)(h)]
+    `shifted_cells`)."""
+    return [((key, p, q), mult) for (_, key, p, q), mult in shifted_cells(P, (h,)).items()]

@@ -430,7 +430,12 @@ def check_pair(pair: MirrorPair) -> list[tuple[str, VerificationReport]]:
     sides are key -> multiplicity maps); the cells the vanishing rule
     forces to zero against none; pair duality; the LG identities; and, when
     k = 2, the order-2 exchange.  The first two read a sector's fixed set
-    only, so each distinct fixed set is restricted and expanded once."""
+    only, so each distinct fixed set is restricted and expanded once.
+
+    The Milnor check is a second reading of a fact the series engine
+    already checks: `equivariant_hilbert` raises `InternalError` when a
+    series' total is not the Milnor number, so with the real engine that
+    report cannot fail, and a mismatch ends `verify` with exit 3."""
     W, table = pair.source.W, pair.source_table
     by_fixed_set: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for h in pair.source.labels:

@@ -11,10 +11,10 @@ from its cell; side and Z are cross-checked when the table is built.
 Entries split into a moving side (Q_s != 0) and a fixed side (Q_s = 0).
 The twist exchanges the sides at constant (X, Y, Z) and elevators move
 along Z: one body shifts the cell of a label, with p and q kept as
-numerators over N.  The builders expand each fixed set's series once
-(`milnor.algebra_by_fixed_set`) and shift it per sector; the slices,
-`sector_cells` (the Q_j = 0 part, summed once per table) and the
-vanishing check read the cells.  A label is where a cell becomes
+numerators over N.  Both builders take their cells from
+`milnor.shifted_cells`, which expands each fixed set's series once and
+shifts it per sector; the slices, `sector_cells` (the Q_j = 0 part,
+summed once per table) and the vanishing check read the cells.  A label is where a cell becomes
 rationals: `entries` decodes cells with one labeler, and one reader,
 `_cell`, turns a label back into its cell.  With no invariance taken,
 the unprojected state space is the map over every diagonal symmetry:
@@ -34,7 +34,7 @@ from .errors import (
     SideMismatchError,
     ZOutOfRangeError,
 )
-from .milnor import algebra_by_fixed_set
+from .milnor import shifted_cells
 from .poly import (
     Code,
     InvertiblePolynomial,
@@ -138,11 +138,7 @@ def unprojected_cells(P: InvertiblePolynomial) -> dict[IntegerCell, int]:
     """Sum of the age-shifted sector algebras over every diagonal symmetry,
     with no invariance taken, on integers: the map (sector, key, p, q) ->
     dimension with sector and key codes and p, q numerators over N = |det E|."""
-    terms = algebra_by_fixed_set(P)
-    return {(h, key, p + shift, q + shift): dim
-            for h in aut_group(P).codes
-            for shift in (sum(h),)
-            for key, p, q, dim in terms(h)}
+    return shifted_cells(P, aut_group(P).codes)
 
 
 def unprojected_state_space(P: InvertiblePolynomial
@@ -218,13 +214,9 @@ def build_state_space(setup: AdmissibleSetup) -> StateTable:
     """The K-invariant state space over the labelled cosets j^a s^b K: the
     cells of each sector whose key lies in the setup's keys, Ann(K), with the
     side and Z of every entry cross-checked against its coset."""
-    terms = algebra_by_fixed_set(setup.W, setup.keys)
-    cells = {}
-    for h in setup.labels:
-        shift = sum(h)
-        for key, p, q, dim in terms(h):
-            _coordinates(setup, h, key)
-            cells[h, key, p + shift, q + shift] = dim
+    cells = shifted_cells(setup.W, setup.labels, setup.keys)
+    for sector, key, _, _ in cells:
+        _coordinates(setup, sector, key)
     return StateTable(setup, cells)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bhmirror
-from bhmirror import cli
+from bhmirror import cli, geometry
 from bhmirror.catalog import parse_vector
 from bhmirror.cli import main
 from bhmirror.errors import DualityViolationError, InputError
@@ -379,6 +379,26 @@ class TestVerify:
         assert "FAIL  elliptic-cubic: fermat-oracle" in out
         assert "2 CHECKS FAILED" in out
 
+    def test_series_off_its_milnor_number_exits_3(self, capsys, monkeypatch):
+        # the engine checks each series' total against the Milnor number as
+        # it makes it, so a real mismatch ends `verify` as an internal error
+        # before the milnor-dimensions check, a second reading, is printed
+        from bhmirror import milnor
+        real = milnor.milnor_number
+        monkeypatch.setattr(milnor, "milnor_number",
+                            lambda P, block: real(P, block) + (len(block) == 2))
+        caches = (milnor._block_series, milnor.equivariant_hilbert)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            code, out, err = run(capsys, "verify", "--case", "k2-chain")
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert code == 3 and out == ""
+        assert err == ("internal error [Internal]: case 'k2-chain': "
+                       "series dimension 9 is not the Milnor number 10\n")
+
     def test_lg_mirror_fault_names_its_cell(self, capsys, monkeypatch):
         # one source cell of the untwisted Q_j = 0, weight-0 part raised by 1:
         # LG part 1 fails at that cell, printed as rationals; pair duality
@@ -425,13 +445,13 @@ class TestVerify:
         # a stray class in cell (0, 1) of each grid: the fit rejects the
         # grid, and the check fails with the error's name and message after
         # the case's other checks have printed
-        real = cli.sector_grid
+        real = geometry.sector_grid
 
         def stray(table):
             grid = real(table)
             return grid._replace(weighted={**grid.weighted, (0, 1): {(5, 5, 0): 1}})
 
-        monkeypatch.setattr(cli, "sector_grid", stray)
+        monkeypatch.setattr(geometry, "sector_grid", stray)
         code, out, _ = run(capsys, "verify", "--case", "k3-p3")
         assert code == 1
         lines = out.splitlines()
@@ -446,13 +466,13 @@ class TestVerify:
         # b raised by 1 in both fits of the Fermat quartic: 2a+b+2a'+b' is
         # 25, so the order-4 relation fails; the fixed curves are unchanged
         # and so is the detail
-        real = cli.fit_k3_pattern
+        real = geometry.fit_k3_pattern
 
         def raised(grid):
             report = real(grid)
             return report._replace(params={**report.params, "b": report.params["b"] + 1})
 
-        monkeypatch.setattr(cli, "fit_k3_pattern", raised)
+        monkeypatch.setattr(geometry, "fit_k3_pattern", raised)
         code, out, _ = run(capsys, "verify", "--case", "fermat-quartic")
         assert code == 1
         assert "FAIL  fermat-quartic: k3-corollaries  [N1=1 g1'=0 2a+b+2a'+b'=24]\n" in out
@@ -487,7 +507,7 @@ class TestVerify:
         def broken(table):
             raise DualityViolationError("non-integral display bidegree")
 
-        monkeypatch.setattr(cli, "sector_grid", broken)
+        monkeypatch.setattr(geometry, "sector_grid", broken)
         code, out, err = run(capsys, "verify", "--case", "fermat-quartic")
         assert code == 3 and out == ""
         assert err == ("internal error [DualityViolation]: case 'fermat-quartic': "

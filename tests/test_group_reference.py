@@ -20,9 +20,11 @@ engine before reports kept their maps), a state label assembled cell
 by cell with four `Fraction`s of its own (the engine before labels were
 assembled from per-sector and per-key parts), the atoms found by a
 recursive search for a matching of monomials to head variables (the
-engine before one product of readings and a forward walk), and <j>, SL
+engine before one product of readings and a forward walk), <j>, SL
 and Aut spanned by `Fraction` vectors that `enumerate_group` encodes
-(the engine before they were spanned by codes read off N*E^{-1}).  The library holds
+(the engine before they were spanned by codes read off N*E^{-1}), and
+the Fermat monomial basis by a recursion over the fixed variables (the
+oracle before one product over their exponents).  The library holds
 symmetries as codes mod |det E|; decoded, they must agree with the
 reference element for element on random invertible polynomials of up to
 four variables.
@@ -30,6 +32,7 @@ four variables.
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import pytest
@@ -43,12 +46,18 @@ from bhmirror.errors import (
     DualityViolationError,
     GradingCollisionError,
     NotAdmissibleError,
+    NotFermatError,
     SideMismatchError,
     SingularExponentMatrixError,
     TooManyVariablesError,
     ZOutOfRangeError,
 )
-from bhmirror.milnor import _block_series, equivariant_hilbert, sector_algebra
+from bhmirror.milnor import (
+    _block_series,
+    equivariant_hilbert,
+    fermat_monomial_basis,
+    sector_algebra,
+)
 from bhmirror.mirror import (
     CheckItem,
     VerificationReport,
@@ -75,6 +84,7 @@ from bhmirror.poly import (
     format_vector,
     from_exponents,
     grading_code,
+    is_fermat_diagonal,
     monomial_phases,
     parse_polynomial,
     restrict,
@@ -223,6 +233,9 @@ def old_key_charges(setup):
             for key in setup.keys}
 
 
+# kept per restriction: a table's sectors share few fixed sets, and no
+# caller changes the map
+@lru_cache(maxsize=256)
 def ref_series(R):
     """Product over the fixed variables of chi t^w (1 - chi^{-1} t^{d-w}) /
     (1 - chi t^w), truncated at the socle degree, with `Fraction` keys."""
@@ -324,6 +337,37 @@ def ref_sector_algebra(P, h):
         for key, c in keys.items():
             out[key, shift + len(fixed) - charge, shift + charge] = c
     return out
+
+
+def ref_fermat_monomial_basis(R):
+    """The monomial basis (b, key, degree) of a Fermat-supported restriction
+    by a recursion over its fixed variables, the first outermost, carrying
+    the key and the degree down each branch."""
+    P = R.parent
+    fixed = set(R.fixed_vars)
+    tops = {}
+    for atom in P.atoms:
+        touching = [v for v in atom.variables if v in fixed]
+        if not touching:
+            continue
+        if atom.kind != "fermat":
+            raise NotFermatError(f"variables {touching} lie in a {atom.kind} atom")
+        tops[atom.variables[0]] = atom.exponents[0]
+    N = exponent_determinant(P)
+    chars = dual_characters(P)
+    basis = []
+
+    def rec(pos, b, key, degree):
+        if pos == len(R.fixed_vars):
+            basis.append((tuple(b), key, degree))
+            return
+        i = R.fixed_vars[pos]
+        for bi in range(1, tops[i]):
+            rec(pos + 1, b + [bi], tuple((x + bi * c) % N for x, c in zip(key, chars[i])),
+                degree + bi * P.weights[i])
+
+    rec(0, [], (0,) * P.num_vars, 0)
+    return basis
 
 
 def ref_restriction_blocks(P, fixed):
@@ -686,6 +730,49 @@ def test_unprojected_map_matches_reference(P):
                  for h in aut_group(P).elements
                  for cell, dim in ref_sector_algebra(P, h).items()}
     assert unprojected_state_space(P) == decoded == reference
+
+
+@pytest.mark.parametrize("name", [case.name for case in ADMISSIBLE_CASES])
+def test_tables_match_key_filtered_reference(pair_cache, name):
+    # each table's cells, in cell order, against the reference algebras of
+    # its sectors with the keys outside Ann(K) left out: sector by sector
+    # in label order, a sector's cells in the order of its one-sector
+    # view, every dimension the reference's, and no reference cell missed
+    pair = pair_cache(name)
+    for table in (pair.source_table, pair.target_table):
+        setup = table.setup
+        W, N, decode = setup.W, setup.N, decoder(setup.N)
+        keys = {decode(key) for key in setup.keys}
+        expected = []
+        for h in setup.labels:
+            reference = {cell: dim for cell, dim in ref_sector_algebra(W, decode(h)).items()
+                         if cell[0] in keys}
+            for (key, p, q), _ in sector_algebra(W, h):
+                if key in setup.keys:
+                    cell = (decode(key), Fraction(p, N), Fraction(q, N))
+                    expected.append(((h, key, p, q), reference.pop(cell, None)))
+            assert reference == {}, f"cells of {decode(h)} left out: {sorted(reference)}"
+        assert list(table.cells.items()) == expected
+
+
+@pytest.mark.parametrize("text", sorted({case.polynomial for case in ADMISSIBLE_CASES}
+                                        | {text for text in KRAWITZ_POLYNOMIALS
+                                           if is_fermat_diagonal(parse_polynomial(text))}))
+def test_fermat_basis_matches_recursion(text):
+    # on every restriction, of W and of its transpose, to a fixed set of
+    # Aut: the same basis in the same order where every atom it meets is
+    # Fermat, and a `NotFermatError` from both elsewhere
+    P = parse_polynomial(text)
+    for Q in {P, transpose(P)}:
+        restrictions = {fixed_variables(h): restrict(Q, h) for h in aut_group(Q).codes}
+        for R in restrictions.values():
+            try:
+                expected = ref_fermat_monomial_basis(R)
+            except NotFermatError:
+                with pytest.raises(NotFermatError):
+                    fermat_monomial_basis(R)
+            else:
+                assert fermat_monomial_basis(R) == expected
 
 
 @settings(deadline=None, max_examples=60)

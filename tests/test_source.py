@@ -145,22 +145,36 @@ def test_atom_keeps_kind_variables_and_exponents():
 
 def test_no_poly_function_calls_itself():
     # the atoms are one product of readings and a forward walk, not a
-    # recursive search
-    path = Path(bhmirror.__file__).parent / "poly.py"
-    tree = ast.parse(path.read_text(), str(path))
-    owners = _owners(tree)
-    found = [f"{owners[node]}:{node.lineno}" for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-             and owners.get(node, "").split(".")[-1] == node.func.id]
-    assert not found, f"recursive calls in poly: {found}"
+    # recursive search; the Fermat oracle is one product over the fixed
+    # variables' exponents
+    for module in ("poly", "milnor"):
+        path = Path(bhmirror.__file__).parent / f"{module}.py"
+        tree = ast.parse(path.read_text(), str(path))
+        owners = _owners(tree)
+        found = [f"{owners[node]}:{node.lineno}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and owners.get(node, "").split(".")[-1] == node.func.id]
+        assert not found, f"recursive calls in {module}: {found}"
+
+
+def test_one_builder_of_a_sectors_cells():
+    # a sector's cells are its fixed set's series terms shifted by its age,
+    # made in one place: the tables take them from `milnor.shifted_cells`,
+    # and only the Milnor and oracle checks read a series themselves
+    from bhmirror import milnor
+    assert _callers("equivariant_hilbert") == {"milnor.shifted_cells", "mirror.check_pair"}
+    assert _callers("shifted_cells") == {"milnor.sector_algebra", "statespace.unprojected_cells",
+                                         "statespace.build_state_space"}
+    assert not hasattr(milnor, "algebra_by_fixed_set")
 
 
 def test_verify_checks_live_in_the_library():
     # `verify` formats the reports of `mirror.check_pair` and the K3
-    # relations of `geometry.k3_corollaries`; no CLI function restricts,
-    # expands a series or reads vanishing cells or fixed loci itself
+    # relations of `geometry.k3_read_off`; no CLI function restricts,
+    # expands a series, reads vanishing cells or fixed loci or fits a grid
+    # itself
     for name in ("fermat_monomial_basis", "equivariant_hilbert", "restrict",
-                 "moving_vanishing_violations", "k3_invariants"):
+                 "moving_vanishing_violations", "k3_invariants", "fit_k3_pattern"):
         callers = {caller for caller in _callers(name) if caller.startswith("cli.")}
         assert not callers, f"{name} called in {sorted(callers)}"
     assert _callers("fermat_monomial_basis") == {"mirror.check_pair"}
