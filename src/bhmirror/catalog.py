@@ -10,8 +10,8 @@ that a setup takes.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import InputError
 from .poly import InvertiblePolynomial, parse_polynomial, split_cyclic
@@ -39,11 +39,10 @@ KRAWITZ_POLYNOMIALS: tuple[str, ...] = (
 )
 
 
-class CatalogCase(NamedTuple):
-    name: str
-    polynomial: str
-    K: tuple[str, ...] = ()
-    tags: frozenset[str] = frozenset()
+class CatalogCase(namedtuple("CatalogCase", "name polynomial K tags",
+                             defaults=((), frozenset()))):
+    # name, polynomial: str; K: tuple[str, ...]; tags: frozenset[str]
+    __slots__ = ()
 
     def parse(self) -> InvertiblePolynomial:
         return parse_polynomial(self.polynomial)

@@ -26,8 +26,8 @@ invariants, and at a prime order the invariant lattices, of both sides.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import (
     DualityViolationError,
@@ -41,11 +41,9 @@ Diamond = dict[tuple, int]
 WeightedDiamond = dict[tuple, int]   # (p, q, weight) -> dim
 
 
-class SectorGrid(NamedTuple):
-    k: int
-    num_vars: int
-    calabi_yau: bool
-    weighted: dict[tuple[int, int], WeightedDiamond]
+class SectorGrid(namedtuple("SectorGrid", "k num_vars calabi_yau weighted")):
+    # k, num_vars: int; calabi_yau: bool; weighted: dict[tuple[int, int], WeightedDiamond]
+    __slots__ = ()
 
     def total(self, b: int, a: int) -> int:
         return sum(self.weighted.get((b, a), {}).values())
@@ -89,9 +87,9 @@ def sector_grid(table: StateTable) -> SectorGrid:
 # K3 pattern fitting
 # ---------------------------------------------------------------------------
 
-class K3Report(NamedTuple):
-    order: int
-    params: dict[str, int]       # a, g (+ b, c for order 4) and their duals
+class K3Report(namedtuple("K3Report", "order params")):
+    # order: int; params: dict[str, int], a, g (+ b, c for order 4) and their duals
+    __slots__ = ()
 
     @property
     def kind(self) -> str:
@@ -219,12 +217,10 @@ def _verify_pattern(grid: SectorGrid, expected: dict) -> None:
 # fixed-locus and lattice invariants
 # ---------------------------------------------------------------------------
 
-class K3Invariants(NamedTuple):
-    f1: int    # isolated fixed points of the automorphism
-    N1: int    # fixed curves
-    g1: int    # total genus of the fixed curves
-    N2: int | None = None   # square of the automorphism (order 4 only)
-    g2: int | None = None
+# f1: int, isolated fixed points of the automorphism; N1: int, fixed curves;
+# g1: int, total genus of the fixed curves; N2, g2: int | None, the same for
+# the square of the automorphism (order 4 only)
+K3Invariants = namedtuple("K3Invariants", "f1 N1 g1 N2 g2", defaults=(None, None))
 
 
 def k3_invariants(report: K3Report) -> K3Invariants:
@@ -264,7 +260,11 @@ def lattice_invariants(p: int, g: int, N: int) -> tuple[int, int]:
 
 def lattice_mirror_verdict(report: K3Report, mirror_report: K3Report) -> dict:
     """Lattice invariants of both sides and whether they are mirror:
-    (r', a') = (20 - r, a)."""
+    (r', a') = (20 - r, a).
+
+    The library's one-call form of the paper's K3 lattice corollary, for
+    callers that hold two fits; no command calls it, as `k3_corollaries`
+    builds the same verdict from the invariants it reads anyway."""
     return _lattice_verdict(report.order, k3_invariants(report),
                             mirror_report.order, k3_invariants(mirror_report))
 

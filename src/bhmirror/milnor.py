@@ -48,10 +48,11 @@ view of one sector.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Container, Iterable
 from functools import lru_cache
 from itertools import product
 from operator import add
-from typing import Container, Iterable, NamedTuple
 
 from .errors import InternalError, NotFermatError
 from .poly import (
@@ -60,7 +61,6 @@ from .poly import (
     RestrictedPolynomial,
     dual_characters,
     exponent_determinant,
-    fixed_variables,
     format_vector,
     milnor_number,
     restrict,
@@ -70,10 +70,11 @@ from .poly import (
 SeriesCoefficients = dict[int, dict[Code, int]]  # keys as codes mod |det E|
 
 
-class GroupRingSeries(NamedTuple):
+class GroupRingSeries(namedtuple("GroupRingSeries", "coefficients")):
     """Finite map degree -> (dual-group key, a code -> positive multiplicity)."""
 
-    coefficients: SeriesCoefficients
+    # coefficients: SeriesCoefficients
+    __slots__ = ()
 
     @property
     def total_dimension(self) -> int:
@@ -95,12 +96,12 @@ def _add_into(bucket: dict[Code, int], keys: dict[Code, int], sign: int,
 
 
 def _binomials(P: InvertiblePolynomial, block: tuple[int, ...], bound: int,
-               N: int) -> SeriesCoefficients:
-    """prod (chi_i t^{w_i} - t^d) over the block's variables, up to the bound.
-    Every factor raises the degree, so pruning each partial product at the
-    bound loses nothing below it."""
+               N: int, chars: tuple[Code, ...]) -> SeriesCoefficients:
+    """prod (chi_i t^{w_i} - t^d) over the block's variables, up to the bound,
+    chi_i = chars[i] being the dual characters of P.  Every factor raises the
+    degree, so pruning each partial product at the bound loses nothing
+    below it."""
     d = P.degree
-    chars = dual_characters(P)
     series: SeriesCoefficients = {0: {(0,) * P.num_vars: 1}}
     for i in block:
         char, w = chars[i], P.weights[i]
@@ -136,13 +137,14 @@ def _divide(S: SeriesCoefficients, char: Code, w: int, bound: int, N: int) -> Se
     return Q
 
 
-def _check_series(series: SeriesCoefficients, milnor: int, N: int) -> None:
+def _check_series(series: SeriesCoefficients, milnor: int, P: InvertiblePolynomial) -> None:
     """Every multiplicity is positive and they sum to the Milnor number."""
     total = 0
     for m, keys in series.items():  # each key is a sum of dual characters
         for key, mult in keys.items():
             if mult <= 0:
-                raise InternalError(f"multiplicity {mult} of key {format_vector(key, N)} at "
+                raise InternalError(f"multiplicity {mult} of key "
+                                    f"{format_vector(key, exponent_determinant(P))} at "
                                     f"degree {m} is not positive")
             total += mult
     if total != milnor:
@@ -159,10 +161,10 @@ def _block_series(P: InvertiblePolynomial, block: tuple[int, ...]) -> SeriesCoef
     N = exponent_determinant(P)
     chars = dual_characters(P)
     bound = socle_degree(P, block)
-    series = _binomials(P, block, bound, N)
+    series = _binomials(P, block, bound, N, chars)
     for i in block:
         series = _divide(series, chars[i], P.weights[i], bound, N)
-    _check_series(series, milnor_number(P, block), N)
+    _check_series(series, milnor_number(P, block), P)
     return series
 
 
@@ -199,7 +201,7 @@ def equivariant_hilbert(R: RestrictedPolynomial) -> GroupRingSeries:
     series = blocks[0] if blocks else {0: {(0,) * P.num_vars: 1}}
     for block_series in blocks[1:]:
         series = _product(series, block_series)
-    _check_series(series, R.milnor_dimension, exponent_determinant(P))
+    _check_series(series, R.milnor_dimension, P)
     return GroupRingSeries(series)
 
 
@@ -241,25 +243,27 @@ def shifted_cells(P: InvertiblePolynomial, sectors: Iterable[Code],
     Degree m of the series of h's fixed set sits at q = m/d and
     p = #fixed - m/d, shifted by age(h) = sum(h)/N, because the entries of h
     lie in [0, N); so p + q - 2 age(h) = #fixed on every cell.  The fixed
-    set is read off h's zero entries; its series is fetched and filtered to
-    `keys` (every key when None) for the first sector with that fixed set
-    and shared by every later one.  d divides N, because every weight is a
-    row sum of E^{-1}; that is checked once per call.
+    set is read off h's zero entries: the sectors are bucketed by which
+    entries are zero, and each bucket's fixed set is restricted, and its
+    series fetched and filtered to `keys` (every key when None), once, for
+    its first sector, and shared by every later one.  d divides N, because
+    every weight is a row sum of E^{-1}; that is checked once per call.
     """
     N = exponent_determinant(P)
     if N % P.degree:
         raise InternalError(f"degree {P.degree} does not divide |det E| = {N}")
     step = N // P.degree
-    by_fixed_set: dict[tuple[int, ...], list[tuple[Code, int, int, int]]] = {}
+    by_fixed_set: dict[tuple[bool, ...], list[tuple[Code, int, int, int]]] = {}
     cells = {}
     for h in sectors:
-        fixed = fixed_variables(h)
-        terms = by_fixed_set.get(fixed)
+        moved = tuple(map(bool, h))  # the fixed set, as the entries h moves
+        terms = by_fixed_set.get(moved)
         if terms is None:
-            top = len(fixed) * N
-            terms = by_fixed_set[fixed] = [
+            R = restrict(P, h)
+            top = len(R.fixed_vars) * N
+            terms = by_fixed_set[moved] = [
                 (key, top - m * step, m * step, mult)
-                for m, by_key in equivariant_hilbert(restrict(P, h)).coefficients.items()
+                for m, by_key in equivariant_hilbert(R).coefficients.items()
                 for key, mult in by_key.items() if keys is None or key in keys]
         shift = sum(h)
         for key, p, q, mult in terms:

@@ -22,28 +22,25 @@ b*N/k, N, n*N and (n+1)*N.  Cells keep state-space bidegrees;
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import DualityViolationError, NotAdmissibleError, NotFermatError, ZOutOfRangeError
 from .milnor import equivariant_hilbert, fermat_monomial_basis
 from .poly import (
     InvertiblePolynomial,
     exponent_determinant,
-    fixed_variables,
     is_fermat_diagonal,
     restrict,
     transpose,
 )
 from .statespace import (
-    StateTable,
     build_state_space,
     moving_vanishing_violations,
     slice_weight_bidegrees,
     unprojected_cells,
 )
 from .symmetry import (
-    AdmissibleSetup,
     Symmetry,
     SymmetryGroup,
     admissible_setup,
@@ -53,22 +50,20 @@ from .symmetry import (
 Cell = tuple
 
 
-class CheckItem(NamedTuple):
+class CheckItem(namedtuple("CheckItem", "statement cell lhs rhs")):
     """One compared cell: the integer cell at which lhs and rhs were read
     (numerators over N = |det E|, with codes for sector and key), or () for
     a statement recorded once, zero against zero, when both sides are empty."""
 
-    statement: str
-    cell: Cell
-    lhs: int
-    rhs: int
+    # statement: str; cell: Cell; lhs, rhs: int
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
 
 
-class VerificationReport(NamedTuple):
+class VerificationReport(namedtuple("VerificationReport", "comparisons")):
     """The comparisons of one check, (statement, lhs, rhs) in call order,
     an equal pair kept as lhs against itself.  Each report is made as
     `VerificationReport([])`, so it owns its list.  A report passes when
@@ -76,7 +71,8 @@ class VerificationReport(NamedTuple):
     cells are derived on read, comparison by comparison and sorted within
     each, so a passing check makes no `CheckItem`."""
 
-    comparisons: list[tuple[str, dict[Cell, int], dict[Cell, int]]]
+    # comparisons: list[tuple[str, dict[Cell, int], dict[Cell, int]]]
+    __slots__ = ()
 
     @property
     def items(self) -> list[CheckItem]:
@@ -113,11 +109,8 @@ class VerificationReport(NamedTuple):
 # mirror pair construction
 # ---------------------------------------------------------------------------
 
-class MirrorPair(NamedTuple):
-    source: AdmissibleSetup
-    source_table: StateTable
-    target: AdmissibleSetup
-    target_table: StateTable
+# source, target: AdmissibleSetup; source_table, target_table: StateTable
+MirrorPair = namedtuple("MirrorPair", "source source_table target target_table")
 
 
 def build_mirror_pair(W: InvertiblePolynomial, K: SymmetryGroup | None = None) -> MirrorPair:
@@ -197,10 +190,8 @@ def thom_sebastiani_convolution(U1: dict, U2: dict) -> dict:
 # explicit basis states for Fermat-diagonal polynomials
 # ---------------------------------------------------------------------------
 
-class _FermatStateFields(NamedTuple):
-    polynomial: InvertiblePolynomial
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+# polynomial: InvertiblePolynomial; a, b: tuple[int, ...]
+_FermatStateFields = namedtuple("_FermatStateFields", "polynomial a b")
 
 
 class FermatState(_FermatStateFields):
@@ -437,9 +428,9 @@ def check_pair(pair: MirrorPair) -> list[tuple[str, VerificationReport]]:
     series' total is not the Milnor number, so with the real engine that
     report cannot fail, and a mismatch ends `verify` with exit 3."""
     W, table = pair.source.W, pair.source_table
-    by_fixed_set: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for h in pair.source.labels:
-        by_fixed_set.setdefault(fixed_variables(h), []).append(h)
+    by_fixed_set: dict[tuple[bool, ...], list[tuple[int, ...]]] = {}
+    for h in pair.source.labels:  # a fixed set is the entries h leaves at 0
+        by_fixed_set.setdefault(tuple(map(bool, h)), []).append(h)
     dimensions, oracle = VerificationReport([]), VerificationReport([])
     for hs in by_fixed_set.values():
         R = restrict(W, hs[0])

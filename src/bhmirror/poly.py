@@ -19,25 +19,30 @@ E^{-1} is held on integers: one fraction-free (Bareiss) elimination of
 are read off the row sums of B, the Milnor number is a ratio of integer
 products, and `exponent_inverse`, E^{-1} as `Fraction`s, is an output
 view.  Cached (bounded, keyed on frozen values), each because calls
-reuse it: that elimination per exponent matrix, which serves the
-weights, `exponent_determinant` and `dual_characters`; and `transpose`
-per polynomial, so that a polynomial has one transpose object.
+reuse it: that elimination once per pair {E, E^T}, whose one entry holds
+B for E and B^T for E^T, each checked against its own matrix, and which
+serves the weights, `exponent_determinant` and `dual_characters` of a
+polynomial and of its transpose; and `transpose` per polynomial, so that
+a polynomial has one transpose object.
 
-The atoms are found once, by `classify_atoms` in `from_exponents`: one
-product of the monomials' readings and one forward walk (at most 2^12
-combinations, as only x*y monomials have two readings).  A restriction
-to a fixed set is a sum of whole Fermat atoms, chain tails and whole
-loops of P, so `restrict` reads its blocks off `P.atoms`.
+The atoms are found once per parsed polynomial, by `classify_atoms` in
+`from_exponents`: one product of the monomials' readings and one forward
+walk (at most 2^12 combinations, as only x*y monomials have two
+readings).  The transpose and the inner polynomial f of W = x0^k + f
+read theirs off the parent's atoms (`transpose`, `split_cyclic`).  A
+restriction to a fixed set is a sum of whole Fermat atoms, chain tails
+and whole loops of P, so `restrict` reads its blocks off `P.atoms`.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
-from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     DegenerateRestrictionError,
@@ -59,29 +64,26 @@ Matrix = tuple[tuple[int, ...], ...]
 Code = tuple[int, ...]  # a diagonal symmetry g as N*g mod N, N = |det E|
 
 
-class Atom(NamedTuple):
+class Atom(namedtuple("Atom", "kind variables exponents")):
     """One block of the Fermat/chain/loop decomposition: its variables in
     atom order, each pointing at the next (a loop's last at its first), and
     exponents[l], the self-exponent of variables[l]."""
 
-    kind: str  # "fermat" | "chain" | "loop"
-    variables: tuple[int, ...]
-    exponents: tuple[int, ...]
+    # kind: str, "fermat" | "chain" | "loop"; variables, exponents: tuple[int, ...]
+    __slots__ = ()
 
 
-class InvertiblePolynomial(NamedTuple):
-    num_vars: int
-    exponents: Matrix
-    weights: tuple[int, ...]
-    degree: int
-    atoms: tuple[Atom, ...]
-    var_names: tuple[str, ...]
+class InvertiblePolynomial(namedtuple(
+        "InvertiblePolynomial", "num_vars exponents weights degree atoms var_names")):
+    # num_vars: int; exponents: Matrix; weights: tuple[int, ...]; degree: int;
+    # atoms: tuple[Atom, ...]; var_names: tuple[str, ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
         return format_polynomial(self)
 
 
-class RestrictedPolynomial(NamedTuple):
+class RestrictedPolynomial(namedtuple("RestrictedPolynomial", "parent fixed_vars blocks")):
     """Restriction of a polynomial to a subset of variables.
 
     `blocks` are its Fermat, chain and loop atoms, each as its variables in
@@ -90,9 +92,9 @@ class RestrictedPolynomial(NamedTuple):
     order.  The grading is the parent's (never re-normalized).
     """
 
-    parent: InvertiblePolynomial
-    fixed_vars: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
+    # parent: InvertiblePolynomial; fixed_vars: tuple[int, ...];
+    # blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def milnor_dimension(self) -> int:
@@ -178,28 +180,41 @@ def monomial_phases(P: InvertiblePolynomial, D: int, scaled: Sequence[int]) -> t
     return tuple(phases)
 
 
+# One entry per pair {E, E^T}, keyed on the lesser orientation: a
+# polynomial and its transpose share one elimination.
 @lru_cache(maxsize=256)
-def _exact_inverse(E: Matrix) -> tuple[int, Matrix, Matrix]:
-    """N = |det E|, B = N*E^{-1} (+-adj E) and the rows of A = B mod N.  E*B = N*I,
-    checked once on integers, gives A*E = N*I: the columns and row sums of A are
-    codes of symmetries of P, and its rows of the transpose, never checked again."""
+def _exact_inverse(E: Matrix) -> tuple[tuple[int, Matrix, Matrix], ...]:
+    """N = |det E|, B = N*E^{-1} (+-adj E) and the rows of A = B mod N, for E
+    and then for E^T, from one elimination of E: N*(E^T)^{-1} is B^T.  Each
+    orientation's E*B = N*I is checked once on integers and gives A*E = N*I:
+    the columns and row sums of A are codes of symmetries of that
+    polynomial, and its rows of the transpose's, never checked again."""
     det, adj = adjugate(E)
     N = abs(det)
     B = adj if det > 0 else tuple(tuple(-x for x in row) for row in adj)
-    if any(sum(e * b for e, b in zip(row, col)) != (N if i == j else 0)
-           for i, row in enumerate(E) for j, col in enumerate(zip(*B))):
-        raise InternalError(f"N*E^-1 for N = |det E| = {N} is not an integer inverse of E")
-    return N, B, tuple(tuple(b % N for b in row) for row in B)
+    facts = []
+    for M, inverse in ((E, B), (tuple(zip(*E)), tuple(zip(*B)))):
+        if any(sum(e * b for e, b in zip(row, col)) != (N if i == j else 0)
+               for i, row in enumerate(M) for j, col in enumerate(zip(*inverse))):
+            raise InternalError(f"N*E^-1 for N = |det E| = {N} is not an integer inverse of E")
+        facts.append((N, inverse, tuple(tuple(b % N for b in row) for row in inverse)))
+    return tuple(facts)
+
+
+def _inverse(E: Matrix) -> tuple[int, Matrix, Matrix]:
+    """N, B and A of E, read off the one cache entry of {E, E^T}."""
+    ET = tuple(zip(*E))
+    return _exact_inverse(E)[0] if E <= ET else _exact_inverse(ET)[1]
 
 
 def exponent_inverse(P: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...]:
     """E^{-1} as `Fraction`s, the output view of the checked N*E^{-1}."""
-    N, B, _ = _exact_inverse(P.exponents)
+    N, B, _ = _inverse(P.exponents)
     return tuple(tuple(Fraction(b, N) for b in row) for row in B)
 
 
 def exponent_determinant(P: InvertiblePolynomial) -> int:
-    return _exact_inverse(P.exponents)[0]
+    return _inverse(P.exponents)[0]
 
 
 def fixes(P: InvertiblePolynomial, N: int, code: Code) -> bool:
@@ -232,12 +247,12 @@ def decoder(N: int) -> Callable[[Code], tuple[Fraction, ...]]:
 def dual_characters(P: InvertiblePolynomial) -> tuple[Code, ...]:
     """Row i of N*E^{-1} mod N, the dual character of x_i: a code of the
     transpose.  The columns generate Aut of P, and the row sums are j."""
-    return _exact_inverse(P.exponents)[2]
+    return _inverse(P.exponents)[2]
 
 
 def grading_code(P: InvertiblePolynomial) -> Code:
     """The code of j = E^{-1}*1 = [w_0/d, ..., w_n/d]: the row sums of N*E^{-1} mod N."""
-    N, _, A = _exact_inverse(P.exponents)
+    N, _, A = _inverse(P.exponents)
     return tuple(sum(row) % N for row in A)
 
 
@@ -254,7 +269,7 @@ def solve_weights(exponents: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], 
     n = len(exponents)
     if any(len(row) != n for row in exponents):
         raise NonSquareError("exponent matrix must be square")
-    N, B, _ = _exact_inverse(tuple(tuple(row) for row in exponents))
+    N, B, _ = _inverse(tuple(tuple(row) for row in exponents))
     sums = [sum(row) for row in B]  # N*q, as E^{-1}*1 = q
     if any(x <= 0 for x in sums):
         raise NonPositiveWeightError(
@@ -482,16 +497,57 @@ def format_polynomial(P: InvertiblePolynomial) -> str:
 def transpose(P: InvertiblePolynomial) -> InvertiblePolynomial:
     """Transpose the exponent matrix; variable order is preserved.
 
-    Memoized on P, so every request for the transpose of one polynomial
-    returns the same object.  An input error names the polynomial whose
-    transpose could not be built.
+    Built from P's checked facts, with no second elimination or atom
+    search: the weights are solved on E^T from the elimination of {E, E^T}
+    and checked positive before anything else is read (`solve_weights`),
+    and the atoms are read off P's (`_transposed_atoms`).  Memoized on P,
+    so every request for the transpose of one polynomial returns the same
+    object.  An input error names the polynomial whose transpose could not
+    be built.
     """
-    E = tuple(tuple(P.exponents[i][j] for i in range(P.num_vars)) for j in range(P.num_vars))
+    E = tuple(zip(*P.exponents))
     try:
-        return from_exponents(E, P.var_names)
+        weights, degree = solve_weights(E)
     except InputError as exc:
         exc.args = (f"transpose of {format_polynomial(P)}: {exc}",)
         raise
+    return InvertiblePolynomial(P.num_vars, E, weights, degree, _transposed_atoms(P), P.var_names)
+
+
+def _transposed_atoms(P: InvertiblePolynomial) -> tuple[Atom, ...]:
+    """The atoms of P^T, as `classify_atoms` reads them off E^T.
+
+    The variables of P^T are the monomials of P: for an atom v_1 ... v_m of
+    P, let r_i be the row headed by v_i.  Column v_i of E holds a_i in row
+    r_i and 1 in row r_{i-1}, so in P^T monomial v_i is headed by r_i and
+    points at r_{i-1}: a chain becomes r_m -> ... -> r_1 and a loop
+    r_1 -> r_m -> ... -> r_2, walked from its lowest variable.  A loop whose
+    exponents are all 1 is read either way round; `classify_atoms` takes
+    the reading in which monomial min(v_i), the first of the loop's rows,
+    is headed by the lesser of its two variables, and so does this.  The
+    weights of P^T are positive (checked first), so a chain of P does not
+    begin with exponent 1 and every monomial of P^T is a power or a link.
+    """
+    rows = {tuple((j, e) for j, e in enumerate(row) if e): i for i, row in enumerate(P.exponents)}
+    atoms = []
+    for kind, variables, exponents in P.atoms:
+        m = len(variables)
+        nexts = (*variables[1:], variables[0] if kind == "loop" else None)
+        r = [rows[((v, a),) if w is None else tuple(sorted(((v, a), (w, 1))))]
+             for v, a, w in zip(variables, exponents, nexts)]  # r[i] is headed by v_i
+        if kind != "loop":
+            order = [*range(m - 1, -1, -1)]
+        else:
+            first = variables.index(min(variables))
+            if set(exponents) == {1} and r[first] > r[first - 1]:
+                order = [*range(m)]  # the other way round: r_1 -> r_2 -> ... -> r_m
+            else:
+                order = [0, *range(m - 1, 0, -1)]
+            start = order.index(min(order, key=r.__getitem__))
+            order = order[start:] + order[:start]
+        atoms.append(Atom(kind, tuple(r[i] for i in order), tuple(exponents[i] for i in order)))
+    atoms.sort(key=lambda a: a.variables[0])
+    return tuple(atoms)
 
 
 def direct_sum(P: InvertiblePolynomial, Q: InvertiblePolynomial) -> InvertiblePolynomial:
@@ -515,7 +571,12 @@ def is_fermat_diagonal(P: InvertiblePolynomial) -> bool:
 def split_cyclic(P: InvertiblePolynomial) -> tuple[int, InvertiblePolynomial]:
     """Split W = x0^k + f(x1..xn): x0 must occur exactly once, as a pure
     power in the first monomial (where the parser puts it), so that row 0 of
-    E, and of its transpose, is x0^k."""
+    E, and of its transpose, is x0^k.
+
+    f is E without row and column 0.  Its weights are solved on that
+    matrix; its atoms are W's without the Fermat atom (0,), the first, each
+    index lowered by one: row 0 has one reading, so W's reading of the
+    other rows is the one `classify_atoms` takes for f."""
     rows_with_x0 = [i for i in range(P.num_vars) if P.exponents[i][0] > 0]
     if len(rows_with_x0) != 1:
         raise NotCyclicSplitError(
@@ -530,8 +591,11 @@ def split_cyclic(P: InvertiblePolynomial) -> tuple[int, InvertiblePolynomial]:
             f"{P.var_names[0]}^{row[0]} is row {r0} of the exponent matrix, not row 0")
     if P.num_vars < 2:
         raise NotCyclicSplitError("no remaining variables for the inner polynomial")
-    f = from_exponents([other[1:] for other in P.exponents[1:]], P.var_names[1:])
-    return row[0], f
+    E = tuple(other[1:] for other in P.exponents[1:])
+    atoms = tuple(Atom(kind, tuple(v - 1 for v in variables), exponents)
+                  for kind, variables, exponents in P.atoms[1:])
+    return row[0], InvertiblePolynomial(P.num_vars - 1, E, *solve_weights(E), atoms,
+                                        P.var_names[1:])
 
 
 def restrict(P: InvertiblePolynomial, symmetry: Code) -> RestrictedPolynomial:

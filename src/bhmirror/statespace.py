@@ -23,10 +23,10 @@ the unprojected state space is the map over every diagonal symmetry:
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Iterator, Mapping, ValuesView
+from collections import namedtuple
+from collections.abc import Callable, ItemsView, Iterator, Mapping, ValuesView
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple
 
 from .errors import (
     DualityViolationError,
@@ -48,20 +48,9 @@ MOVING = "moving"
 FIXED = "fixed"
 
 
-class StateLabel(NamedTuple):
-    sector: Symmetry
-    key: Symmetry
-    p: Fraction
-    q: Fraction
-    dj: Fraction
-    ds: Fraction
-    qj: Fraction
-    qs: Fraction
-    weight: int
-    side: str
-    x: int
-    y: int
-    z: int
+# sector, key: Symmetry; p, q, dj, ds, qj, qs: Fraction; weight: int;
+# side: str (MOVING or FIXED); x, y, z: int
+StateLabel = namedtuple("StateLabel", "sector key p q dj ds qj qs weight side x y z")
 
 
 IntegerCell = tuple[Code, Code, int, int]  # (sector, key, N*p, N*q)

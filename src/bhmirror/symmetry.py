@@ -21,9 +21,10 @@ rational vectors, for output and for callers outside the engine.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DualityViolationError,
@@ -78,14 +79,13 @@ def symmetry(entries: Iterable) -> Symmetry:
     return tuple(Fraction(a) % 1 for a in entries)
 
 
-class SymmetryGroup(NamedTuple):
+class SymmetryGroup(namedtuple("SymmetryGroup", "polynomial generators codes")):
     """A group of diagonal symmetries of `polynomial` as codes mod |det E|:
     its generators and its closure `codes`, sorted.  code -> code/N is
     monotone, so `elements`, the `Fraction` view, is sorted too."""
 
-    polynomial: InvertiblePolynomial
-    generators: tuple[Code, ...]
-    codes: tuple[Code, ...]
+    # polynomial: InvertiblePolynomial; generators, codes: tuple[Code, ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -263,7 +263,7 @@ def dual_group(H: SymmetryGroup) -> SymmetryGroup:
 # cyclic-automorphism setups
 # ---------------------------------------------------------------------------
 
-class AdmissibleSetup(NamedTuple):
+class AdmissibleSetup(namedtuple("AdmissibleSetup", "W k K_inner N j s labels keys")):
     """The groups attached to W = x0^k + f and K with j_f^k in K within SL_f.
 
     G is the union of the k*k cosets j^a s^b K; the label map records the
@@ -272,14 +272,11 @@ class AdmissibleSetup(NamedTuple):
     All are codes mod N = |det E| of W, and of its transpose.
     """
 
-    W: InvertiblePolynomial
-    k: int
-    K_inner: SymmetryGroup  # subgroup of Aut_f, in f coordinates
-    N: int
-    j: Code
-    s: Code
-    labels: dict[Code, tuple[int, int]]  # in coset order
-    keys: dict[Code, tuple[int, int]]  # Ann(K) in the transpose's group -> (k*Q_j, k*Q_s) mod k
+    # W: InvertiblePolynomial; k: int; K_inner: SymmetryGroup, a subgroup of
+    # Aut_f in f coordinates; N: int; j, s: Code;
+    # labels: dict[Code, tuple[int, int]], in coset order;
+    # keys: dict[Code, tuple[int, int]], Ann(K) in the transpose's group -> (k*Q_j, k*Q_s) mod k
+    __slots__ = ()
 
     @property
     def group_order(self) -> int:
@@ -316,21 +313,22 @@ def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) ->
     j, s = grading_code(W), (N // k,) + (0,) * f.num_vars
     K_gens = tuple((0, *(k * x for x in g)) for g in K_inner.generators)  # N = k*N_f; fixing x0
     codes = _closure(K_gens + (s, j), W.num_vars, N)
-    sk_order = k * K_inner.order  # |<s, K>|
+    order = K_inner.order  # read once, for the labels of every element
+    sk_order = k * order  # |<s, K>|
     if len(codes) < k * sk_order:
         # j^a is the first power of j in <s, K>; its first entry a/k puts it in s^a K
         a = len(codes) // sk_order
         raise GradingCollisionError(
             f"cosets {(0, a)} and {(a, 0)} coincide; "
             "the (d_j, d_s) grading is not single-valued")
-    labels = {e: divmod(i // K_inner.order, k) for i, e in enumerate(codes)}
+    labels = {e: divmod(i // order, k) for i, e in enumerate(codes)}
     # Q_j = (E*j/N) . key/N mod 1, and likewise Q_s; E*j = N*1 and E*s = N*e_0,
     # x0^k being row 0, so k*Q_j*N is k*sum(key) and k*Q_s*N is k*key[0]
     if (monomial_phases(W, N, j) != (1,) * W.num_vars
             or monomial_phases(W, N, s) != (1,) + (0,) * f.num_vars):
         raise InternalError(f"E*j is not N*1 or E*s is not N*e_0 for N = {N}")
     keys = {}
-    for key in annihilator(W, K_gens, K_inner.order):
+    for key in annihilator(W, K_gens, order):
         kqj, kqs = k * sum(key), k * key[0]  # over N
         if kqj % N or kqs % N:
             raise DualityViolationError(

@@ -291,3 +291,60 @@ def test_self_transposed_krawitz_builds_one_map(monkeypatch):
     quartic, chain = map(parse_polynomial, ("x^4+y^4+z^4+w^4", "x^2*y+y^3"))
     assert verify_krawitz(quartic).passed and verify_krawitz(chain).passed
     assert built == [quartic, chain, transpose(chain)]
+
+
+def test_verify_builds_each_polynomials_facts_once(monkeypatch, capsys):
+    # P^T and the inner f of W = x0^k + f read their atoms off the parent's,
+    # and P^T its inverse off the one elimination of {E, E^T}: the benchmark
+    # catalog's verify searches atoms only for its 38 parsed polynomials (98
+    # searches when P^T and f searched again) and eliminates each unordered
+    # pair {E, E^T} at most once; each `shifted_cells` call reads each
+    # distinct fixed set of its sectors once (once per sector as well before)
+    from bhmirror import milnor, poly, statespace
+    built, classified, eliminated, cell_calls = [], [], [], []
+    real_build, real_classify = poly.from_exponents, poly.classify_atoms
+    real_adjugate, real_fixed = poly.adjugate, poly.fixed_variables
+    real_cells = milnor.shifted_cells
+
+    def classify(exponents):
+        frame, callers = sys._getframe(1), set()
+        while frame is not None:
+            callers.add(frame.f_code.co_name)
+            frame = frame.f_back
+        classified.append(callers)
+        return real_classify(exponents)
+
+    def fixed(code):
+        if cell_calls and cell_calls[-1][2]:
+            cell_calls[-1][1] += 1
+        return real_fixed(code)
+
+    def cells(P, sectors, keys=None):
+        sectors = list(sectors)
+        cell_calls.append([sectors, 0, True])
+        try:
+            return real_cells(P, sectors, keys)
+        finally:
+            cell_calls[-1][2] = False
+
+    monkeypatch.setattr(poly, "from_exponents",
+                        lambda *args: built.append(args) or real_build(*args))
+    monkeypatch.setattr(poly, "classify_atoms", classify)
+    monkeypatch.setattr(poly, "adjugate",
+                        lambda rows: eliminated.append(tuple(map(tuple, rows)))
+                        or real_adjugate(rows))
+    monkeypatch.setattr(poly, "fixed_variables", fixed)
+    # also counted if `milnor` looks fixed sets up by its own name
+    monkeypatch.setattr(milnor, "fixed_variables", fixed, raising=False)
+    monkeypatch.setattr(milnor, "shifted_cells", cells)
+    monkeypatch.setattr(statespace, "shifted_cells", cells)
+    poly._exact_inverse.cache_clear()
+    transpose.cache_clear()
+    assert main(["verify", "--catalog", BENCHMARK_CATALOG, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(built) == len(classified) == 38
+    assert not [callers for callers in classified if {"transpose", "split_cyclic"} & callers]
+    pairs = {frozenset((E, tuple(zip(*E)))) for E in eliminated}
+    assert len(eliminated) == len(pairs)
+    assert cell_calls and all(
+        count == len({real_fixed(h) for h in sectors}) for sectors, count, _ in cell_calls)

@@ -271,8 +271,8 @@ def test_memoized_functions_are_the_measured_set():
 
 
 def test_no_dataclasses():
-    # records are NamedTuples; `dataclasses` and the decorations cost each
-    # CLI process tens of milliseconds of start-up
+    # records are `collections.namedtuple` classes; `dataclasses` and the
+    # decorations cost each CLI process tens of milliseconds of start-up
     found = [f"{path.name}:{node.lineno}"
              for path, tree in _library_trees()
              for node in ast.walk(tree)
@@ -281,6 +281,32 @@ def test_no_dataclasses():
              or isinstance(node, ast.ImportFrom)
              and (node.module or "").partition(".")[0] == "dataclasses"]
     assert not found, f"dataclasses imported in the library: {found}"
+
+
+def test_no_typing():
+    # records are `collections.namedtuple` classes, with their field types in
+    # comments, and the abstract types come from `collections.abc`: a
+    # `typing.NamedTuple` turns each annotation into a `ForwardRef` at import
+    found = [f"{path.name}:{node.lineno}"
+             for path, tree in _library_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             and any(alias.name.partition(".")[0] == "typing" for alias in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").partition(".")[0] == "typing"]
+    assert not found, f"typing imported in the library: {found}"
+
+
+def test_cli_import_leaves_out_typing():
+    # without `site`, which may load `typing` itself, importing the CLI
+    # loads no `typing`; this counts modules, not time
+    src = str(Path(bhmirror.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-S", "-c",
+                           "import bhmirror.cli, sys; print('typing' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_collector_frozen_only_by_main():
