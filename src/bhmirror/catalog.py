@@ -11,7 +11,6 @@ that a setup takes.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import InputError
 from .poly import InvertiblePolynomial, parse_polynomial, split_cyclic
@@ -57,6 +56,8 @@ def parse_vector(text: str) -> tuple[Fraction, ...]:
     integer, p/q or a plain decimal; an empty entry, as in "[1/3,,0]" or
     "[]", is an InputError, and so is exponent notation, which `Fraction`
     would expand into an integer of up to a billion digits ("1e999999999")."""
+    from fractions import Fraction
+
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import gc
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import catalog as cat
@@ -33,7 +32,9 @@ from .poly import (
     InvertiblePolynomial,
     exponent_determinant,
     format_polynomial,
+    format_ratio,
     format_vector,
+    grading_code,
     is_calabi_yau,
     parse_polynomial,
     split_cyclic,
@@ -48,17 +49,11 @@ from .symmetry import (
     enumerate_group,
     grading_group,
     group_cap,
-    j_element,
     require_within_cap,
-    s_element,
     sl_subgroup,
 )
 
 SCHEMA = "bhmirror/1"
-
-
-def _fmt_frac(x) -> str:
-    return str(Fraction(x))
 
 
 def _print_json(data) -> None:
@@ -96,10 +91,11 @@ def parse_group_spec(spec: str, P: InvertiblePolynomial) -> SymmetryGroup:
 
 def cmd_analyze(args) -> int:
     P = parse_polynomial(args.polynomial)
-    require_within_cap(P)  # |Aut| = |det E|, so Aut is not closed to print its order
+    N = require_within_cap(P)  # |Aut| = |det E|, so Aut is not closed to print its order
+    j = grading_code(P)
     try:
         k, _ = split_cyclic(P)
-        s = s_element(P)
+        s = (N // k,) + (0,) * (P.num_vars - 1)
     except BHMirrorError:
         k, s = None, None
     data = {
@@ -113,10 +109,10 @@ def cmd_analyze(args) -> int:
         "atoms": [{"kind": a.kind,
                    "variables": [P.var_names[v] for v in a.variables],
                    "exponents": list(a.exponents)} for a in P.atoms],
-        "aut_order": exponent_determinant(P),
+        "aut_order": N,
         "sl_order": sl_subgroup(P).order,
-        "j": [_fmt_frac(x) for x in j_element(P)],
-        "s": [_fmt_frac(x) for x in s] if s else None,
+        "j": [format_ratio(x, N) for x in j],
+        "s": [format_ratio(x, N) for x in s] if s else None,
         "k": k,
     }
     if args.format == "json":
@@ -131,9 +127,9 @@ def cmd_analyze(args) -> int:
         for a in data["atoms"])
     print(f"atoms:      {atoms}")
     print(f"aut_order:  {data['aut_order']}   sl_order: {data['sl_order']}")
-    print(f"j:          {format_vector(j_element(P))}")
+    print(f"j:          {format_vector(j, N)}")
     if s is not None:
-        print(f"s:          {format_vector(s)}   (k = {k})")
+        print(f"s:          {format_vector(s, N)}   (k = {k})")
     else:
         print("s:          none (not of the split form x0^k + f)")
     return 0
@@ -148,7 +144,7 @@ def cmd_mirror(args) -> int:
     Pv = transpose(P)
     H = parse_group_spec(args.group, P)
     Hv = dual_group(H)
-    elements = Hv.elements  # decoded once, for output
+    N = exponent_determinant(Pv)  # the dual group's codes are numerators over N
     data = {
         "schema": SCHEMA,
         "command": "mirror",
@@ -156,7 +152,7 @@ def cmd_mirror(args) -> int:
         "transpose": format_polynomial(Pv),
         "group_order": H.order,
         "dual_group_order": Hv.order,
-        "dual_group_elements": [[_fmt_frac(x) for x in g] for g in elements],
+        "dual_group_elements": [[format_ratio(x, N) for x in g] for g in Hv.codes],
     }
     if args.format == "json":
         _print_json(data)
@@ -165,8 +161,8 @@ def cmd_mirror(args) -> int:
     print(f"transpose  = {data['transpose']}")
     print(f"group H    : order {H.order}")
     print(f"dual H'    : order {Hv.order}, elements:")
-    for g in elements:
-        print(f"  {format_vector(g)}")
+    for g in Hv.codes:
+        print(f"  {format_vector(g, N)}")
     return 0
 
 
@@ -189,7 +185,7 @@ def _grid_json(grid: SectorGrid, views: list) -> list:
             for name, _, read in views:
                 cell[name] = []
                 for (p, q, *weight), dim in sorted(read(grid, b, a).items()):
-                    entry = {"p": _fmt_frac(p), "q": _fmt_frac(q), "dim": dim}
+                    entry = {"p": str(p), "q": str(q), "dim": dim}
                     if weight:
                         entry["weight"] = weight[0]
                     cell[name].append(entry)
@@ -218,7 +214,7 @@ def _print_grid_text(grid: SectorGrid, setup, views: list) -> None:
             for a in range(k):
                 cell = read(grid, b, a)
                 if cell:
-                    body = "  ".join("(" + ",".join(map(_fmt_frac, pos)) + f"):{d}"
+                    body = "  ".join("(" + ",".join(map(str, pos)) + f"):{d}"
                                      for pos, d in sorted(cell.items()))
                     print(f"  [b={b},a={a}] {body}")
 
@@ -248,7 +244,7 @@ def cmd_table(args) -> int:
         for b in range(grid.k):
             for a in range(grid.k):
                 for (p, q, w), dim in sorted(grid.weighted_cell(b, a).items()):
-                    print(f"{b},{a},{_fmt_frac(p)},{_fmt_frac(q)},{w},{dim}")
+                    print(f"{b},{a},{p},{q},{w},{dim}")
         return 0
     _print_grid_text(grid, setup, views)
     return 0
@@ -303,9 +299,9 @@ def cmd_k3(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cells_json(report, N: int) -> list[dict]:
-    """The compared cells of a report, each decoded from numerators over N."""
+    """The compared cells of a report, each formatted from numerators over N."""
     return [{"statement": item.statement,
-             "cell": [str(Fraction(x, N)) for x in item.cell],
+             "cell": [format_ratio(x, N) for x in item.cell],
              "lhs": item.lhs, "rhs": item.rhs,
              "pass": item.ok} for item in report.items]
 

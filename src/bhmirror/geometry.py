@@ -27,14 +27,13 @@ invariants, and at a prime order the invariant lattices, of both sides.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import (
     DualityViolationError,
     NonIntegralLatticeError,
     PatternMismatchError,
 )
-from .poly import decoder, is_calabi_yau
+from .poly import decoder, format_ratio, is_calabi_yau
 from .statespace import StateTable, sector_cells
 
 Diamond = dict[tuple, int]
@@ -66,7 +65,7 @@ def sector_grid(table: StateTable) -> SectorGrid:
     """Arrange the Q_j = 0 part by (d_s, d_j); reindex when Calabi-Yau."""
     k, N = table.setup.k, table.setup.N
     cy = is_calabi_yau(table.setup.W)
-    decode = decoder(N)
+    decode = None if cy else decoder(N)
     weighted: dict[tuple[int, int], WeightedDiamond] = {}
     for (b, a, weight, p, q), dim in sector_cells(table).items():
         if cy:
@@ -74,7 +73,7 @@ def sector_grid(table: StateTable) -> SectorGrid:
             p, q = p - shift, q - shift
             if p % N or q % N:
                 raise DualityViolationError(
-                    f"non-integral display bidegree ({Fraction(p, N)}, {Fraction(q, N)}) "
+                    f"non-integral display bidegree ({format_ratio(p, N)}, {format_ratio(q, N)}) "
                     f"in cell ({b}, {a})")
             p, q = p // N, q // N
         else:

@@ -59,9 +59,9 @@ from .poly import (
     Code,
     InvertiblePolynomial,
     RestrictedPolynomial,
-    dual_characters,
     exponent_determinant,
     format_vector,
+    inverse_codes,
     milnor_number,
     restrict,
     socle_degree,
@@ -158,8 +158,7 @@ def _block_series(P: InvertiblePolynomial, block: tuple[int, ...]) -> SeriesCoef
     """The series of one block of a restriction, the block's Hilbert
     polynomial: the product of its variables' numerators up to the block's
     own socle degree, divided exactly by each denominator."""
-    N = exponent_determinant(P)
-    chars = dual_characters(P)
+    N, chars = inverse_codes(P)
     bound = socle_degree(P, block)
     series = _binomials(P, block, bound, N, chars)
     for i in block:
@@ -224,8 +223,7 @@ def fermat_monomial_basis(R: RestrictedPolynomial) -> list[tuple[tuple[int, ...]
             raise NotFermatError(
                 f"variables {touching} lie in a {atom.kind} atom")
         tops[atom.variables[0]] = atom.exponents[0]
-    N = exponent_determinant(P)
-    chars = dual_characters(P)
+    N, chars = inverse_codes(P)
     basis = []
     for b in product(*(range(1, tops[i]) for i in R.fixed_vars)):
         terms = list(zip(b, R.fixed_vars))

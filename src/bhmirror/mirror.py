@@ -23,7 +23,6 @@ b*N/k, N, n*N and (n+1)*N.  Cells keep state-space bidegrees;
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import DualityViolationError, NotAdmissibleError, NotFermatError, ZOutOfRangeError
 from .milnor import equivariant_hilbert, fermat_monomial_basis
@@ -220,18 +219,24 @@ class FermatState(_FermatStateFields):
 
     @property
     def sector(self) -> Symmetry:
+        from fractions import Fraction
+
         P = self.polynomial
         return symmetry(Fraction(self.a[i] * P.weights[i], P.degree)
                         for i in range(P.num_vars))
 
     @property
     def key(self) -> Symmetry:
+        from fractions import Fraction
+
         P = self.polynomial
         return symmetry(Fraction(self.b[i] * P.weights[i], P.degree)
                         for i in range(P.num_vars))
 
     @property
     def bidegree(self) -> tuple[Fraction, Fraction]:
+        from fractions import Fraction
+
         P = self.polynomial
         qa = sum(Fraction(ai * w, P.degree) for ai, w in zip(self.a, P.weights))
         qb = sum(Fraction(bi * w, P.degree) for bi, w in zip(self.b, P.weights))

@@ -12,7 +12,11 @@ N = |det E|, and is held as its code N*g mod N (`encode`, `decoder`).
 B = N*E^{-1} and so the codes A = B mod N once: the dual characters,
 Aut's generators and j (`grading_code`).  A code made from checked
 codes needs no second check, so `restrict` reads the fixed set straight
-off the code.  `format_vector` renders every symmetry or key shown.
+off the code.  `format_vector` renders every symmetry or key shown, and
+`format_ratio` every numerator over N, on integers: `fractions` is
+imported, inside the function that needs it, only for a rational input
+(`common_denominator`) or a `Fraction` view (`decoder`,
+`exponent_inverse`).
 
 E^{-1} is held on integers: one fraction-free (Bareiss) elimination of
 [E | I] gives det E and adj E, so B = +-adj E.  The weights and degree
@@ -23,7 +27,8 @@ reuse it: that elimination once per pair {E, E^T}, whose one entry holds
 B for E and B^T for E^T, each checked against its own matrix, and which
 serves the weights, `exponent_determinant` and `dual_characters` of a
 polynomial and of its transpose; and `transpose` per polynomial, so that
-a polynomial has one transpose object.
+a polynomial has one transpose object.  A function that needs N and the
+dual characters reads both at once (`inverse_codes`).
 
 The atoms are found once per parsed polynomial, by `classify_atoms` in
 `from_exponents`: one product of the monomials' readings and one forward
@@ -39,7 +44,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
@@ -119,7 +123,7 @@ def milnor_number(P: InvertiblePolynomial, variables: Sequence[int]) -> int:
         denominator *= w
     if numerator % denominator or numerator <= 0:  # the weights are positive
         raise InternalError(
-            f"Milnor number {Fraction(numerator, denominator)} is not a positive integer")
+            f"Milnor number {format_ratio(numerator, denominator)} is not a positive integer")
     return numerator // denominator
 
 
@@ -159,6 +163,8 @@ def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
 
 def common_denominator(vector: Sequence) -> tuple[int, tuple[int, ...]]:
     """The least common denominator D of a rational vector, and D times it."""
+    from fractions import Fraction
+
     entries = [a if isinstance(a, Fraction) else Fraction(a) for a in vector]
     D = lcm(*(a.denominator for a in entries))
     return D, tuple(a.numerator * (D // a.denominator) for a in entries)
@@ -209,6 +215,8 @@ def _inverse(E: Matrix) -> tuple[int, Matrix, Matrix]:
 
 def exponent_inverse(P: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...]:
     """E^{-1} as `Fraction`s, the output view of the checked N*E^{-1}."""
+    from fractions import Fraction
+
     N, B, _ = _inverse(P.exponents)
     return tuple(tuple(Fraction(b, N) for b in row) for row in B)
 
@@ -240,6 +248,8 @@ def encode(P: InvertiblePolynomial, g: Sequence) -> Code:
 
 def decoder(N: int) -> Callable[[Code], tuple[Fraction, ...]]:
     """code -> code/N as a `Fraction` vector; each distinct entry is made once per decoder."""
+    from fractions import Fraction
+
     entry = lru_cache(maxsize=None)(lambda x: Fraction(x, N))
     return lambda code: tuple(map(entry, code))
 
@@ -248,6 +258,12 @@ def dual_characters(P: InvertiblePolynomial) -> tuple[Code, ...]:
     """Row i of N*E^{-1} mod N, the dual character of x_i: a code of the
     transpose.  The columns generate Aut of P, and the row sums are j."""
     return _inverse(P.exponents)[2]
+
+
+def inverse_codes(P: InvertiblePolynomial) -> tuple[int, tuple[Code, ...]]:
+    """N = |det E| and the dual characters, from one read of the inverse."""
+    N, _, A = _inverse(P.exponents)
+    return N, A
 
 
 def grading_code(P: InvertiblePolynomial) -> Code:
@@ -469,10 +485,19 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
     return from_exponents(E, var_order)
 
 
+def format_ratio(a: int, N: int) -> str:
+    """a/N in lowest terms, for integers a and N > 0, on integers: the text
+    `str(Fraction(a, N))` gives."""
+    g = gcd(a, N)
+    return str(a // g) if g == N else f"{a // g}/{N // g}"
+
+
 def format_vector(g: Sequence, N: int = 1) -> str:
-    """Render a rational vector, or a code mod N, as [a, b, ...]; every
-    message and output line that shows a symmetry or key uses it."""
-    return "[" + ", ".join(str(Fraction(a, N)) for a in g) + "]"
+    """Render a code mod N, or a rational vector, as [a, b, ...]; every
+    message and output line that shows a symmetry or key uses it.  Each
+    entry, an int or a `Fraction`, is formatted on its numerator and
+    denominator: the text `str(Fraction(a, N))` gives."""
+    return "[" + ", ".join(format_ratio(a.numerator, a.denominator * N) for a in g) + "]"
 
 
 def format_polynomial(P: InvertiblePolynomial) -> str:

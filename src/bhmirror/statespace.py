@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, ItemsView, Iterator, Mapping, ValuesView
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -163,6 +162,8 @@ def _labeler(setup: AdmissibleSetup) -> Callable[[IntegerCell], StateLabel]:
     d_j = a/k, d_s = b/k, X = a), the part of its key (code, Q_j, Q_s,
     weight), its decoded (p, q) and the side, Y and Z of `_coordinates`,
     checked per cell; each part, numerator over N and i/k is made once."""
+    from fractions import Fraction
+
     decode, over_k = decoder(setup.N), [Fraction(i, setup.k) for i in range(setup.k)]
     sector_part = lru_cache(maxsize=None)(
         lambda h: (decode(h), *(over_k[c] for c in setup.labels[h]), setup.labels[h][0]))
@@ -184,6 +185,8 @@ def _cell(setup: AdmissibleSetup, label_of: Callable[[IntegerCell], StateLabel],
     """The cell of a label, (sector, key, p, q) times N; NoSuchEntryError
     unless each is over N, the sector is in `setup.labels`, the key in
     `setup.keys` and the cell decodes back to the label under `label_of`."""
+    from fractions import Fraction
+
     n, N = setup.W.num_vars, setup.N
     if isinstance(label, StateLabel):
         scaled = [Fraction(x) * N for x in (*label.sector, *label.key, label.p, label.q)]

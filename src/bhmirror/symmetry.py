@@ -15,7 +15,9 @@ code is made only by `encode`, the checked inverse, `_closure` or
 `annihilator`, and is checked to be a member there only; a setup's cosets
 and keys are codes too.  Nothing is cached: no command asks twice for one
 polynomial's Aut.  `j_element`, `s_element` and `pairing` give or take
-rational vectors, for output and for callers outside the engine.
+rational vectors, for callers outside the engine: `analyze` prints j and
+s from their codes.  Each imports `fractions` when called, so a command
+that reads and prints no rational loads none.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -40,17 +41,17 @@ from .poly import (
     InvertiblePolynomial,
     common_denominator,
     decoder,
-    dual_characters,
     encode,
     exponent_determinant,
     format_vector,
     grading_code,
+    inverse_codes,
     monomial_phases,
     split_cyclic,
     transpose,
 )
 
-Symmetry = tuple[Fraction, ...]
+Symmetry = tuple  # tuple[Fraction, ...], entries in [0, 1)
 
 
 def group_cap() -> int:
@@ -67,15 +68,20 @@ def group_cap() -> int:
     return cap
 
 
-def require_within_cap(P: InvertiblePolynomial) -> None:
-    """Reject |det E| above the cap: it bounds every group of P and of its transpose."""
+def require_within_cap(P: InvertiblePolynomial) -> int:
+    """Reject |det E| above the cap: it bounds every group of P and of its
+    transpose.  Returns |det E|, so that a caller reads it once."""
     cap = group_cap()
-    if exponent_determinant(P) > cap:
+    N = exponent_determinant(P)
+    if N > cap:
         raise GroupTooLargeError(f"group exceeds the enumeration cap of {cap}")
+    return N
 
 
 def symmetry(entries: Iterable) -> Symmetry:
     """Normalize a rational vector to entries in [0, 1)."""
+    from fractions import Fraction
+
     return tuple(Fraction(a) % 1 for a in entries)
 
 
@@ -121,9 +127,9 @@ def _closure(steps: Sequence[Code], num_vars: int, N: int) -> list[Code]:
 def _span(P: InvertiblePolynomial, generators: Iterable[Code]) -> SymmetryGroup:
     """The group that codes of P span, read and closed once |det E|, which
     bounds it, is within the cap; a rational vector would never close."""
-    require_within_cap(P)
+    N = require_within_cap(P)
     gens = tuple(generators)
-    codes = _closure(gens, P.num_vars, exponent_determinant(P))
+    codes = _closure(gens, P.num_vars, N)
     return SymmetryGroup(P, gens, tuple(sorted(codes)))
 
 
@@ -138,8 +144,8 @@ def aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
     """The full diagonal symmetry group, spanned by the columns of
     N*E^{-1} mod N, its order checked to equal |det E|; GroupTooLargeError
     before anything is closed when |det E| exceeds the cap."""
-    group = _span(P, zip(*dual_characters(P)))
-    det = exponent_determinant(P)
+    det, chars = inverse_codes(P)
+    group = _span(P, zip(*chars))
     if group.order != det:
         raise InternalError(f"|Aut| = {group.order} differs from |det E| = {det}")
     return group
@@ -157,11 +163,15 @@ def sl_subgroup(P: InvertiblePolynomial) -> SymmetryGroup:
 
 def j_element(P: InvertiblePolynomial) -> Symmetry:
     """The grading symmetry [w_0/d, ..., w_n/d]."""
+    from fractions import Fraction
+
     return symmetry(Fraction(w, P.degree) for w in P.weights)
 
 
 def s_element(W: InvertiblePolynomial) -> Symmetry:
     """[1/k, 0, ..., 0] for W = x0^k + f."""
+    from fractions import Fraction
+
     k, _ = split_cyclic(W)
     return (Fraction(1, k),) + (Fraction(0),) * (W.num_vars - 1)
 
@@ -173,6 +183,8 @@ def pairing(P: InvertiblePolynomial, g: Sequence[Fraction], h: Sequence[Fraction
     inverse matrix) this evaluates to h_i, which pins the identification of
     the dual group with the character group.
     """
+    from fractions import Fraction
+
     if len(h) != P.num_vars:
         raise NotInGroupError("pairing applied to vectors of the wrong length")
     v = monomial_phases(P, *common_denominator(g))
@@ -232,9 +244,9 @@ def annihilator(P: InvertiblePolynomial, generators: Iterable[Code], order: int)
     (by bilinearity this covers the closure) before it is closed.
     """
     require_within_cap(transpose(P))  # names a degenerate transpose first
-    N = exponent_determinant(P)
+    N, chars = inverse_codes(P)
     gens = tuple(generators)
-    columns = tuple(zip(*dual_characters(P)))
+    columns = tuple(zip(*chars))
     images = [tuple(sum(x * a for x, a in zip(b, col)) % N for col in columns)
               for b in _kernel_basis(gens, P.num_vars, N)]
     for g in gens:
@@ -296,7 +308,7 @@ def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) ->
     Ann(K), whose keys' charges must be multiples of 1/k.
     """
     k, f = split_cyclic(W)
-    require_within_cap(W)
+    N = require_within_cap(W)
     K_inner = K or enumerate_group(f, ())
     if K_inner.polynomial != f:
         raise NotAdmissibleError(f"K is a group of {K_inner.polynomial}, not of {f}")
@@ -309,7 +321,6 @@ def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) ->
         if sum(g) % N_f:  # the age sum(g)/N_f is not an integer
             raise NotAdmissibleError(f"K contains {format_vector(g, N_f)}, which is outside SL_f")
 
-    N = exponent_determinant(W)
     j, s = grading_code(W), (N // k,) + (0,) * f.num_vars
     K_gens = tuple((0, *(k * x for x in g)) for g in K_inner.generators)  # N = k*N_f; fixing x0
     codes = _closure(K_gens + (s, j), W.num_vars, N)

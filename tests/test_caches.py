@@ -299,11 +299,14 @@ def test_verify_builds_each_polynomials_facts_once(monkeypatch, capsys):
     # catalog's verify searches atoms only for its 38 parsed polynomials (98
     # searches when P^T and f searched again) and eliminates each unordered
     # pair {E, E^T} at most once; each `shifted_cells` call reads each
-    # distinct fixed set of its sectors once (once per sector as well before)
+    # distinct fixed set of its sectors once (once per sector as well before).
+    # A function that needs N and the dual characters reads them at once, so
+    # the verify reads N, B or A 515 times (793 before) for 39 eliminations
     from bhmirror import milnor, poly, statespace
-    built, classified, eliminated, cell_calls = [], [], [], []
+    built, classified, eliminated, cell_calls, reads = [], [], [], [], []
     real_build, real_classify = poly.from_exponents, poly.classify_atoms
     real_adjugate, real_fixed = poly.adjugate, poly.fixed_variables
+    real_inverse = poly._inverse
     real_cells = milnor.shifted_cells
 
     def classify(exponents):
@@ -333,18 +336,21 @@ def test_verify_builds_each_polynomials_facts_once(monkeypatch, capsys):
     monkeypatch.setattr(poly, "adjugate",
                         lambda rows: eliminated.append(tuple(map(tuple, rows)))
                         or real_adjugate(rows))
+    monkeypatch.setattr(poly, "_inverse", lambda E: reads.append(E) or real_inverse(E))
     monkeypatch.setattr(poly, "fixed_variables", fixed)
     # also counted if `milnor` looks fixed sets up by its own name
     monkeypatch.setattr(milnor, "fixed_variables", fixed, raising=False)
     monkeypatch.setattr(milnor, "shifted_cells", cells)
     monkeypatch.setattr(statespace, "shifted_cells", cells)
-    poly._exact_inverse.cache_clear()
-    transpose.cache_clear()
+    for cache in (poly._exact_inverse, transpose,
+                  equivariant_hilbert, milnor._block_series):
+        cache.cache_clear()
     assert main(["verify", "--catalog", BENCHMARK_CATALOG, "--format", "json"]) == 0
     capsys.readouterr()
     assert len(built) == len(classified) == 38
     assert not [callers for callers in classified if {"transpose", "split_cyclic"} & callers]
     pairs = {frozenset((E, tuple(zip(*E)))) for E in eliminated}
-    assert len(eliminated) == len(pairs)
+    assert len(eliminated) == len(pairs) == 39
+    assert len(reads) == 515
     assert cell_calls and all(
         count == len({real_fixed(h) for h in sectors}) for sectors, count, _ in cell_calls)

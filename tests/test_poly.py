@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bhmirror import poly
 from bhmirror.catalog import KRAWITZ_POLYNOMIALS
@@ -24,6 +25,8 @@ from bhmirror.poly import (
     direct_sum,
     encode,
     format_polynomial,
+    format_ratio,
+    format_vector,
     from_exponents,
     is_calabi_yau,
     parse_polynomial,
@@ -325,6 +328,46 @@ class TestCheckedInverse:
             parse_polynomial("x^3*y+y^4")
         assert main(["analyze", "x0^6+x1^3+x2^2"]) == 3
         assert "is not an integer inverse of E" in capsys.readouterr().err
+
+
+def fraction_text(g, N=1):
+    """A vector as `format_vector` wrote it with a `Fraction` per entry."""
+    return "[" + ", ".join(str(Fraction(a, N)) for a in g) + "]"
+
+
+class TestFormatting:
+    # codes and numerators are formatted on integers; the text is the one a
+    # `Fraction` per entry gives, sign, lowest terms and integers included
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(), st.integers(min_value=1))
+    @example(0, 1)
+    @example(0, 12)
+    @example(-3, 12)
+    @example(7, 1)
+    @example(-7, 1)
+    @example(3 * 2**200, 2**201)
+    @example(-(10**40), 10**40)
+    def test_ratio_is_the_fraction_text(self, a, N):
+        assert format_ratio(a, N) == str(Fraction(a, N))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**12).flatmap(
+        lambda N: st.tuples(st.just(N), st.lists(st.integers(0, N - 1), max_size=12))))
+    def test_codes_format_as_before(self, drawn):
+        N, code = drawn
+        assert format_vector(code, N) == format_vector(tuple(code), N) == fraction_text(code, N)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.fractions(), st.integers()), max_size=8))
+    def test_rational_vectors_format_as_before(self, vector):
+        assert format_vector(vector) == fraction_text(vector)
+
+    def test_catalog_codes_format_as_their_decoded_view(self):
+        for text in KRAWITZ_POLYNOMIALS:
+            P = parse_polynomial(text)
+            N = poly.exponent_determinant(P)
+            for code in (*poly.dual_characters(P), poly.grading_code(P)):
+                assert format_vector(code, N) == fraction_text(decoder(N)(code))
 
 
 class TestDirectSum:

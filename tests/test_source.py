@@ -201,10 +201,11 @@ def test_codes_read_off_the_inverse_are_not_checked_again():
 def test_fractions_enter_the_engine_once():
     # a rational vector becomes a code only where outside generators span a
     # group; j, <j>, SL and Aut are spanned by codes read off N*E^{-1}, and
-    # `j_element` and `s_element` are `Fraction` views that `analyze` prints
+    # `j_element` and `s_element` are `Fraction` views for library callers:
+    # `analyze` prints j and s from their codes
     assert _callers("encode") == {"symmetry.enumerate_group"}
     for name in ("j_element", "s_element"):
-        assert _callers(name) == {"cli.cmd_analyze"}, name
+        assert _callers(name) == set(), name
 
 
 def test_one_group_constructor():
@@ -333,9 +334,11 @@ def test_collector_frozen_only_by_main():
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # a fresh interpreter without `site`, so that nothing but bhmirror.cli
-    # decides what is loaded; `json` loads only for JSON output or a catalog file
+    # decides what is loaded; `json` loads only for JSON output or a catalog
+    # file, and `fractions` (with `decimal` and `numbers`) only for a rational
+    # input or a `Fraction` view
     heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "json",
-             "argparse", "gettext", "locale"]
+             "argparse", "gettext", "locale", "fractions", "decimal", "numbers"]
     code = (f"import sys; sys.path.insert(0, {str(Path(bhmirror.__file__).parent.parent)!r}); "
             f"import bhmirror.cli; print([m for m in {heavy!r} if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
@@ -372,6 +375,49 @@ def test_cli_command_loads_argparse_only_for_help(argv, status):
         assert "argparse" in loaded
     else:
         assert loaded == []
+
+
+@pytest.mark.parametrize("argv, status, loads", [
+    (["analyze", "x0^7+x1^5*x2+x2^2*x3+x3^2*x1"], 0, False),
+    (["mirror", "x0^6+x1^3+x2^2", "--group", "SL", "--format", "json"], 0, False),
+    (["table", "x0^6+x1^6+x2^3+x3^3", "--diamonds", "--weights"], 0, False),
+    (["k3", "x0^4+x1^3*x2+x2^3*x1+x3^4", "--format", "json"], 0, False),
+    (["verify", "--case", "toy-k2"], 0, False),
+    (["analyze", "2*x0^3+x1^3"], 2, False),
+    (["table", "x0^3+x1^3+x2^4+x3^12", "--K", "gen:[0,3/4,1/4]", "--format", "csv"], 0, True),
+], ids=["analyze", "mirror-SL", "table", "k3", "verify", "coded-reject", "rational-K"])
+def test_cli_command_loads_fractions_only_for_a_rational_input(argv, status, loads):
+    # the CLI formats numerators over N on integers: only a command that
+    # parses a rational vector loads `fractions`, and with it `decimal` and
+    # `numbers`; a fresh interpreter without `site` names them on its last
+    # stderr line
+    modules = ("fractions", "decimal", "numbers")
+    code = (f"import sys; sys.path.insert(0, {str(Path(bhmirror.__file__).parent.parent)!r})\n"
+            "from bhmirror.cli import main\n"
+            "try: sys.exit(main())\n"
+            f"finally: print([m for m in {modules!r} if m in sys.modules], file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == status, proc.stderr
+    loaded = ast.literal_eval(proc.stderr.splitlines()[-1])
+    assert loaded == (list(modules) if loads else [])
+
+
+def test_fractions_imported_only_inside_functions():
+    # a `Fraction` is made only for a rational input or a library view, and
+    # the function that makes it imports `fractions`, so no module or class
+    # body loads it
+    found = []
+    for path, tree in _library_trees():
+        in_functions = {id(node) for function in ast.walk(tree)
+                        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for node in ast.walk(function)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in in_functions
+                  and (isinstance(node, ast.Import)
+                       and any(alias.name == "fractions" for alias in node.names)
+                       or isinstance(node, ast.ImportFrom) and node.module == "fractions")]
+    assert not found, f"fractions imported when a module loads: {found}"
 
 
 def test_argparse_is_imported_only_to_build_the_parser():
