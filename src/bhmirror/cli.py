@@ -30,7 +30,6 @@ from .geometry import (
 from .mirror import build_mirror_pair, check_pair, verify_krawitz
 from .poly import (
     InvertiblePolynomial,
-    exponent_determinant,
     format_polynomial,
     format_ratio,
     format_vector,
@@ -91,7 +90,8 @@ def parse_group_spec(spec: str, P: InvertiblePolynomial) -> SymmetryGroup:
 
 def cmd_analyze(args) -> int:
     P = parse_polynomial(args.polynomial)
-    N = require_within_cap(P)  # |Aut| = |det E|, so Aut is not closed to print its order
+    require_within_cap(P)  # |Aut| = |det E|, so Aut is not closed to print its order
+    N = P.N
     j = grading_code(P)
     try:
         k, _ = split_cyclic(P)
@@ -144,7 +144,7 @@ def cmd_mirror(args) -> int:
     Pv = transpose(P)
     H = parse_group_spec(args.group, P)
     Hv = dual_group(H)
-    N = exponent_determinant(Pv)  # the dual group's codes are numerators over N
+    N = Pv.N  # the dual group's codes are numerators over N
     data = {
         "schema": SCHEMA,
         "command": "mirror",
@@ -223,7 +223,7 @@ def cmd_table(args) -> int:
     W = parse_polynomial(args.polynomial)
     _, f = split_cyclic(W)
     setup = admissible_setup(W, parse_group_spec(args.K, f))
-    N_f = exponent_determinant(f)
+    N_f = f.N
     grid = sector_grid(build_state_space(setup))
     views = [view for view, wanted in zip(GRID_VIEWS, (args.diamonds, args.weights)) if wanted]
     if args.format == "json":
@@ -259,7 +259,7 @@ def cmd_k3(args) -> int:
     k, f = split_cyclic(W)
     require_k3_shape(is_calabi_yau(W), W.num_vars, k)
     pair = build_mirror_pair(W, parse_group_spec(args.K, f))
-    N_f = exponent_determinant(f)
+    N_f = f.N
     report, mirror_report, (inv, minv, lattice, _) = k3_read_off(pair)
     data = {
         "schema": SCHEMA,
@@ -383,7 +383,7 @@ def cmd_verify(args) -> int:
             rep = verify_krawitz(P)
             checked += rep.cells_checked
             if not rep.passed:
-                failing.append(f"{text}: {_report_detail(rep, exponent_determinant(P))}")
+                failing.append(f"{text}: {_report_detail(rep, P.N)}")
         results.append({"case": cat.KRAWITZ_SCAN, "check": "krawitz",
                         "passed": not failing,
                         "detail": f"{len(cat.KRAWITZ_POLYNOMIALS)} polynomials, {checked} cells"

@@ -59,9 +59,7 @@ from .poly import (
     Code,
     InvertiblePolynomial,
     RestrictedPolynomial,
-    exponent_determinant,
     format_vector,
-    inverse_codes,
     milnor_number,
     restrict,
     socle_degree,
@@ -144,7 +142,7 @@ def _check_series(series: SeriesCoefficients, milnor: int, P: InvertiblePolynomi
         for key, mult in keys.items():
             if mult <= 0:
                 raise InternalError(f"multiplicity {mult} of key "
-                                    f"{format_vector(key, exponent_determinant(P))} at "
+                                    f"{format_vector(key, P.N)} at "
                                     f"degree {m} is not positive")
             total += mult
     if total != milnor:
@@ -158,7 +156,7 @@ def _block_series(P: InvertiblePolynomial, block: tuple[int, ...]) -> SeriesCoef
     """The series of one block of a restriction, the block's Hilbert
     polynomial: the product of its variables' numerators up to the block's
     own socle degree, divided exactly by each denominator."""
-    N, chars = inverse_codes(P)
+    N, chars = P.N, P.characters
     bound = socle_degree(P, block)
     series = _binomials(P, block, bound, N, chars)
     for i in block:
@@ -223,7 +221,7 @@ def fermat_monomial_basis(R: RestrictedPolynomial) -> list[tuple[tuple[int, ...]
             raise NotFermatError(
                 f"variables {touching} lie in a {atom.kind} atom")
         tops[atom.variables[0]] = atom.exponents[0]
-    N, chars = inverse_codes(P)
+    N, chars = P.N, P.characters
     basis = []
     for b in product(*(range(1, tops[i]) for i in R.fixed_vars)):
         terms = list(zip(b, R.fixed_vars))
@@ -247,7 +245,7 @@ def shifted_cells(P: InvertiblePolynomial, sectors: Iterable[Code],
     its first sector, and shared by every later one.  d divides N, because
     every weight is a row sum of E^{-1}; that is checked once per call.
     """
-    N = exponent_determinant(P)
+    N = P.N
     if N % P.degree:
         raise InternalError(f"degree {P.degree} does not divide |det E| = {N}")
     step = N // P.degree

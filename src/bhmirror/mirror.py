@@ -28,7 +28,6 @@ from .errors import DualityViolationError, NotAdmissibleError, NotFermatError, Z
 from .milnor import equivariant_hilbert, fermat_monomial_basis
 from .poly import (
     InvertiblePolynomial,
-    exponent_determinant,
     is_fermat_diagonal,
     restrict,
     transpose,
@@ -166,7 +165,7 @@ def _transpose_duality(statement: str, P: InvertiblePolynomial, lhs: dict[Cell, 
     """Compare lhs, a map (sector, key, p, q) -> dimension on integers over
     N = |det E| of P, against rhs, the mirror's map over the same N, read
     at (key, sector, n*N - p, q), n the number of variables."""
-    N = exponent_determinant(P)
+    N = P.N
     top = P.num_vars * N
     report = VerificationReport([])
     report.compare(statement, lhs, {(key, sector, top - p, q): dim
@@ -193,6 +192,13 @@ def thom_sebastiani_convolution(U1: dict, U2: dict) -> dict:
 _FermatStateFields = namedtuple("_FermatStateFields", "polynomial a b")
 
 
+def _fermat_exponents(P: InvertiblePolynomial) -> tuple[int, ...]:
+    """k_i of x_i^{k_i} for each variable of a Fermat-diagonal P, read off
+    its atoms (one per variable, in variable order), whatever the order
+    of its monomials."""
+    return tuple(atom.exponents[0] for atom in P.atoms)
+
+
 class FermatState(_FermatStateFields):
     """Basis element of the unprojected state space of a diagonal polynomial.
 
@@ -209,8 +215,7 @@ class FermatState(_FermatStateFields):
         if len(a) != P.num_vars or len(b) != P.num_vars:
             raise NotFermatError(
                 f"a has {len(a)} and b {len(b)} entries for {P.num_vars} variables")
-        for i in range(P.num_vars):
-            top = P.exponents[i][i]
+        for i, top in enumerate(_fermat_exponents(P)):
             if not ((a[i] == 0) == (b[i] != 0)):
                 raise NotFermatError(f"exponents a={a}, b={b} clash at {i}")
             if not (0 <= a[i] < top and 0 <= b[i] < top):
@@ -227,11 +232,13 @@ class FermatState(_FermatStateFields):
 
     @property
     def key(self) -> Symmetry:
+        """The form's key: sum b_i times the dual character of x_i, a
+        symmetry of the transpose, whose variables are P's monomials."""
         from fractions import Fraction
 
         P = self.polynomial
-        return symmetry(Fraction(self.b[i] * P.weights[i], P.degree)
-                        for i in range(P.num_vars))
+        return symmetry(Fraction(sum(b * row[v] for b, row in zip(self.b, P.characters)), P.N)
+                        for v in range(P.num_vars))
 
     @property
     def bidegree(self) -> tuple[Fraction, Fraction]:
@@ -254,8 +261,7 @@ def fermat_states(P: InvertiblePolynomial) -> list[FermatState]:
     if not is_fermat_diagonal(P):
         raise NotFermatError("basis states exist only for diagonal polynomials")
     states = [((), ())]
-    for i in range(P.num_vars):
-        top = P.exponents[i][i]
+    for top in _fermat_exponents(P):
         choices = [(0, b) for b in range(1, top)] + [(a, 0) for a in range(1, top)]
         states = [(a + (ai,), b + (bi,)) for a, b in states for ai, bi in choices]
     return [FermatState(P, a, b) for a, b in states]
@@ -290,7 +296,7 @@ def fermat_twist_inverse(state: FermatState) -> FermatState:
 def fermat_elevator_moving(state: FermatState, z_new: int) -> FermatState:
     if state.b[0] == 0:
         raise NotFermatError("moving elevator needs a moving state")
-    top = state.polynomial.exponents[0][0]
+    top = _fermat_exponents(state.polynomial)[0]
     if not 0 < z_new < top:
         raise ZOutOfRangeError(f"level {z_new} outside 1..{top - 1}")
     return FermatState(state.polynomial, state.a, (z_new,) + state.b[1:])

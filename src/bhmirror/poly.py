@@ -18,25 +18,23 @@ imported, inside the function that needs it, only for a rational input
 (`common_denominator`) or a `Fraction` view (`decoder`,
 `exponent_inverse`).
 
-E^{-1} is held on integers: one fraction-free (Bareiss) elimination of
-[E | I] gives det E and adj E, so B = +-adj E.  The weights and degree
-are read off the row sums of B, the Milnor number is a ratio of integer
-products, and `exponent_inverse`, E^{-1} as `Fraction`s, is an output
-view.  Cached (bounded, keyed on frozen values), each because calls
-reuse it: that elimination once per pair {E, E^T}, whose one entry holds
-B for E and B^T for E^T, each checked against its own matrix, and which
-serves the weights, `exponent_determinant` and `dual_characters` of a
-polynomial and of its transpose; and `transpose` per polynomial, so that
-a polynomial has one transpose object.  A function that needs N and the
-dual characters reads both at once (`inverse_codes`).
+E^{-1} is held on integers, as fields of the polynomial: N, `inverse`
+(B) and `characters` (A).  One fraction-free (Bareiss) elimination of
+[E | I] in `from_exponents` gives det E and adj E, so B = +-adj E.  The
+weights and degree are read off the row sums of B, the Milnor number is
+a ratio of integer products, and `exponent_inverse`, E^{-1} as
+`Fraction`s, is an output view.  A transpose and the inner polynomial f
+of W = x0^k + f take theirs from the parent with no second elimination:
+N*(E^T)^{-1} is B^T, and E = diag(k, E_f) makes B = diag(N_f, k*B_f).
+Every record checks E*B = N*I on its own matrix.  `transpose` is cached
+per polynomial, so that a polynomial has one transpose object.
 
-The atoms are found once per parsed polynomial, by `classify_atoms` in
-`from_exponents`: one product of the monomials' readings and one forward
-walk (at most 2^12 combinations, as only x*y monomials have two
-readings).  The transpose and the inner polynomial f of W = x0^k + f
-read theirs off the parent's atoms (`transpose`, `split_cyclic`).  A
-restriction to a fixed set is a sum of whole Fermat atoms, chain tails
-and whole loops of P, so `restrict` reads its blocks off `P.atoms`.
+The atoms are found by `classify_atoms`, once per polynomial built: one
+product of the monomials' readings and one forward walk (at most 2^12
+combinations, as only x*y monomials have two readings).  The inner
+polynomial f reads its atoms off W's (`split_cyclic`).  A restriction
+to a fixed set is a sum of whole Fermat atoms, chain tails and whole
+loops of P, so `restrict` reads its blocks off `P.atoms`.
 """
 
 from __future__ import annotations
@@ -78,9 +76,17 @@ class Atom(namedtuple("Atom", "kind variables exponents")):
 
 
 class InvertiblePolynomial(namedtuple(
-        "InvertiblePolynomial", "num_vars exponents weights degree atoms var_names")):
+        "InvertiblePolynomial",
+        "num_vars exponents weights degree atoms var_names N inverse characters")):
+    """An invertible polynomial and its checked inverse: N = |det E|,
+    inverse = N*E^{-1} (+-adj E) and characters = inverse mod N, whose
+    row i is the dual character of x_i, a code of the transpose.  Made
+    only by `from_exponents`, `transpose` and `split_cyclic`, each of
+    which checks E*inverse = N*I."""
+
     # num_vars: int; exponents: Matrix; weights: tuple[int, ...]; degree: int;
-    # atoms: tuple[Atom, ...]; var_names: tuple[str, ...]
+    # atoms: tuple[Atom, ...]; var_names: tuple[str, ...]; N: int;
+    # inverse: Matrix; characters: tuple[Code, ...]
     __slots__ = ()
 
     def __str__(self) -> str:
@@ -186,43 +192,45 @@ def monomial_phases(P: InvertiblePolynomial, D: int, scaled: Sequence[int]) -> t
     return tuple(phases)
 
 
-# One entry per pair {E, E^T}, keyed on the lesser orientation: a
-# polynomial and its transpose share one elimination.
-@lru_cache(maxsize=256)
-def _exact_inverse(E: Matrix) -> tuple[tuple[int, Matrix, Matrix], ...]:
-    """N = |det E|, B = N*E^{-1} (+-adj E) and the rows of A = B mod N, for E
-    and then for E^T, from one elimination of E: N*(E^T)^{-1} is B^T.  Each
-    orientation's E*B = N*I is checked once on integers and gives A*E = N*I:
-    the columns and row sums of A are codes of symmetries of that
-    polynomial, and its rows of the transpose's, never checked again."""
+def _check_product(E: Matrix, N: int, B: Matrix) -> None:
+    """E*B = N*I on integers, checked once per record: it gives A*E = N*I
+    for the rows of A = B mod N, so the columns and row sums of A are codes
+    of symmetries of E's polynomial, and its rows of the transpose's,
+    never checked again."""
+    if any(sum(e * b for e, b in zip(row, col)) != (N if i == j else 0)
+           for i, row in enumerate(E) for j, col in enumerate(zip(*B))):
+        raise InternalError(f"N*E^-1 for N = |det E| = {N} is not an integer inverse of E")
+
+
+def _eliminate(E: Matrix) -> tuple[int, Matrix]:
+    """N = |det E| and B = N*E^{-1} (+-adj E), from one elimination and
+    checked (`_check_product`); the one caller of `adjugate`."""
     det, adj = adjugate(E)
-    N = abs(det)
-    B = adj if det > 0 else tuple(tuple(-x for x in row) for row in adj)
-    facts = []
-    for M, inverse in ((E, B), (tuple(zip(*E)), tuple(zip(*B)))):
-        if any(sum(e * b for e, b in zip(row, col)) != (N if i == j else 0)
-               for i, row in enumerate(M) for j, col in enumerate(zip(*inverse))):
-            raise InternalError(f"N*E^-1 for N = |det E| = {N} is not an integer inverse of E")
-        facts.append((N, inverse, tuple(tuple(b % N for b in row) for row in inverse)))
-    return tuple(facts)
+    N, B = abs(det), adj if det > 0 else tuple(tuple(-x for x in row) for row in adj)
+    _check_product(E, N, B)
+    return N, B
 
 
-def _inverse(E: Matrix) -> tuple[int, Matrix, Matrix]:
-    """N, B and A of E, read off the one cache entry of {E, E^T}."""
-    ET = tuple(zip(*E))
-    return _exact_inverse(E)[0] if E <= ET else _exact_inverse(ET)[1]
+def _inverse_facts(N: int, B: Matrix) -> tuple[tuple[int, ...], int, tuple[Code, ...]]:
+    """The weights, degree and dual characters A = B mod N of a checked
+    B = N*E^{-1}.  The weights are N*q = the row sums of B, as
+    E^{-1}*1 = q, checked positive; the degree is the least positive d
+    with every w_i = d*q_i integral, which keeps every later charge
+    denominator minimal."""
+    sums = [sum(row) for row in B]
+    if any(x <= 0 for x in sums):
+        raise NonPositiveWeightError(
+            f"weight vector {format_vector(sums, N)} has a non-positive entry")
+    degree = N // gcd(N, *sums)
+    return (tuple(x * degree // N for x in sums), degree,
+            tuple(tuple(b % N for b in row) for row in B))
 
 
 def exponent_inverse(P: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...]:
     """E^{-1} as `Fraction`s, the output view of the checked N*E^{-1}."""
     from fractions import Fraction
 
-    N, B, _ = _inverse(P.exponents)
-    return tuple(tuple(Fraction(b, N) for b in row) for row in B)
-
-
-def exponent_determinant(P: InvertiblePolynomial) -> int:
-    return _inverse(P.exponents)[0]
+    return tuple(tuple(Fraction(b, P.N) for b in row) for row in P.inverse)
 
 
 def fixes(P: InvertiblePolynomial, N: int, code: Code) -> bool:
@@ -238,7 +246,7 @@ def encode(P: InvertiblePolynomial, g: Sequence) -> Code:
     NotInGroupError unless g has one entry per variable and fixes P."""
     if len(g) != P.num_vars:
         raise NotInGroupError(f"{format_vector(g)} has {len(g)} entries for {P.num_vars} variables")
-    N = exponent_determinant(P)
+    N = P.N
     D, scaled = common_denominator(g)
     code = tuple(x * (N // D) % N for x in scaled)
     if N % D or not fixes(P, N, code):
@@ -254,44 +262,18 @@ def decoder(N: int) -> Callable[[Code], tuple[Fraction, ...]]:
     return lambda code: tuple(map(entry, code))
 
 
-def dual_characters(P: InvertiblePolynomial) -> tuple[Code, ...]:
-    """Row i of N*E^{-1} mod N, the dual character of x_i: a code of the
-    transpose.  The columns generate Aut of P, and the row sums are j."""
-    return _inverse(P.exponents)[2]
-
-
-def inverse_codes(P: InvertiblePolynomial) -> tuple[int, tuple[Code, ...]]:
-    """N = |det E| and the dual characters, from one read of the inverse."""
-    N, _, A = _inverse(P.exponents)
-    return N, A
-
-
 def grading_code(P: InvertiblePolynomial) -> Code:
     """The code of j = E^{-1}*1 = [w_0/d, ..., w_n/d]: the row sums of N*E^{-1} mod N."""
-    N, _, A = _inverse(P.exponents)
-    return tuple(sum(row) % N for row in A)
+    return tuple(sum(row) % P.N for row in P.characters)
 
-
-# ---------------------------------------------------------------------------
-# weights
-# ---------------------------------------------------------------------------
 
 def solve_weights(exponents: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
-    """Solve E*q = 1 exactly and scale to integer weights and degree.
-
-    The degree is the least positive integer d such that all w_i = d*q_i are
-    integral; that keeps every later charge denominator minimal.
-    """
+    """Solve E*q = 1 exactly and scale to integer weights and degree
+    (`_inverse_facts`)."""
     n = len(exponents)
     if any(len(row) != n for row in exponents):
         raise NonSquareError("exponent matrix must be square")
-    N, B, _ = _inverse(tuple(tuple(row) for row in exponents))
-    sums = [sum(row) for row in B]  # N*q, as E^{-1}*1 = q
-    if any(x <= 0 for x in sums):
-        raise NonPositiveWeightError(
-            f"weight vector {format_vector(sums, N)} has a non-positive entry")
-    degree = N // gcd(N, *sums)
-    return tuple(x * degree // N for x in sums), degree
+    return _inverse_facts(*_eliminate(tuple(tuple(row) for row in exponents)))[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -381,19 +363,22 @@ def classify_atoms(exponents: Sequence[Sequence[int]]) -> tuple[Atom, ...]:
 
 def from_exponents(exponents: Sequence[Sequence[int]],
                    var_names: Sequence[str] | None = None) -> InvertiblePolynomial:
-    """Build and validate a polynomial from its exponent matrix."""
+    """Build and validate a polynomial from its exponent matrix and, if
+    given, one distinct name per variable."""
     n = len(exponents)
     if any(len(row) != n for row in exponents):
         raise NonSquareError(
             f"{n} monomials on {len(exponents[0]) if exponents else 0} variables")
-    _check_variable_count(n)  # before the cubic elimination in solve_weights
+    _check_variable_count(n)  # before the cubic elimination
     E = tuple(tuple(int(e) for e in row) for row in exponents)
     if any(e < 0 for row in E for e in row):
         raise DegenerateShapeError("negative exponent")
-    weights, degree = solve_weights(E)
-    atoms = classify_atoms(E)
     names = tuple(var_names) if var_names is not None else tuple(f"x{i}" for i in range(n))
-    return InvertiblePolynomial(n, E, weights, degree, atoms, names)
+    if len(names) != n or len(set(names)) != n:
+        raise NonSquareError(f"{len(set(names))} distinct variable names for {n} variables")
+    N, B = _eliminate(E)
+    weights, degree, A = _inverse_facts(N, B)
+    return InvertiblePolynomial(n, E, weights, degree, classify_atoms(E), names, N, B, A)
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<op>[+*^]))")
@@ -522,63 +507,26 @@ def format_polynomial(P: InvertiblePolynomial) -> str:
 def transpose(P: InvertiblePolynomial) -> InvertiblePolynomial:
     """Transpose the exponent matrix; variable order is preserved.
 
-    Built from P's checked facts, with no second elimination or atom
-    search: the weights are solved on E^T from the elimination of {E, E^T}
-    and checked positive before anything else is read (`solve_weights`),
-    and the atoms are read off P's (`_transposed_atoms`).  Memoized on P,
-    so every request for the transpose of one polynomial returns the same
-    object.  An input error names the polynomial whose transpose could not
-    be built.
+    N and N*(E^T)^{-1} = B^T come from P, with no second elimination, and
+    are checked against E^T; the weights are read off B^T and checked
+    positive before the atoms of E^T are classified.  Memoized on P, so
+    every request for the transpose of one polynomial returns the same
+    object.  An input error names the polynomial whose transpose could
+    not be built.
     """
-    E = tuple(zip(*P.exponents))
+    E, B = tuple(zip(*P.exponents)), tuple(zip(*P.inverse))
+    _check_product(E, P.N, B)
     try:
-        weights, degree = solve_weights(E)
+        weights, degree, A = _inverse_facts(P.N, B)
+        atoms = classify_atoms(E)
     except InputError as exc:
         exc.args = (f"transpose of {format_polynomial(P)}: {exc}",)
         raise
-    return InvertiblePolynomial(P.num_vars, E, weights, degree, _transposed_atoms(P), P.var_names)
-
-
-def _transposed_atoms(P: InvertiblePolynomial) -> tuple[Atom, ...]:
-    """The atoms of P^T, as `classify_atoms` reads them off E^T.
-
-    The variables of P^T are the monomials of P: for an atom v_1 ... v_m of
-    P, let r_i be the row headed by v_i.  Column v_i of E holds a_i in row
-    r_i and 1 in row r_{i-1}, so in P^T monomial v_i is headed by r_i and
-    points at r_{i-1}: a chain becomes r_m -> ... -> r_1 and a loop
-    r_1 -> r_m -> ... -> r_2, walked from its lowest variable.  A loop whose
-    exponents are all 1 is read either way round; `classify_atoms` takes
-    the reading in which monomial min(v_i), the first of the loop's rows,
-    is headed by the lesser of its two variables, and so does this.  The
-    weights of P^T are positive (checked first), so a chain of P does not
-    begin with exponent 1 and every monomial of P^T is a power or a link.
-    """
-    rows = {tuple((j, e) for j, e in enumerate(row) if e): i for i, row in enumerate(P.exponents)}
-    atoms = []
-    for kind, variables, exponents in P.atoms:
-        m = len(variables)
-        nexts = (*variables[1:], variables[0] if kind == "loop" else None)
-        r = [rows[((v, a),) if w is None else tuple(sorted(((v, a), (w, 1))))]
-             for v, a, w in zip(variables, exponents, nexts)]  # r[i] is headed by v_i
-        if kind != "loop":
-            order = [*range(m - 1, -1, -1)]
-        else:
-            first = variables.index(min(variables))
-            if set(exponents) == {1} and r[first] > r[first - 1]:
-                order = [*range(m)]  # the other way round: r_1 -> r_2 -> ... -> r_m
-            else:
-                order = [0, *range(m - 1, 0, -1)]
-            start = order.index(min(order, key=r.__getitem__))
-            order = order[start:] + order[:start]
-        atoms.append(Atom(kind, tuple(r[i] for i in order), tuple(exponents[i] for i in order)))
-    atoms.sort(key=lambda a: a.variables[0])
-    return tuple(atoms)
+    return InvertiblePolynomial(P.num_vars, E, weights, degree, atoms, P.var_names, P.N, B, A)
 
 
 def direct_sum(P: InvertiblePolynomial, Q: InvertiblePolynomial) -> InvertiblePolynomial:
     """Sum of two polynomials in disjoint variables (block-diagonal matrix)."""
-    if set(P.var_names) & set(Q.var_names):
-        raise NonSquareError("direct sum requires disjoint variable names")
     n, m = P.num_vars, Q.num_vars
     E = [row + (0,) * m for row in P.exponents]
     E += [(0,) * n + row for row in Q.exponents]
@@ -598,10 +546,12 @@ def split_cyclic(P: InvertiblePolynomial) -> tuple[int, InvertiblePolynomial]:
     power in the first monomial (where the parser puts it), so that row 0 of
     E, and of its transpose, is x0^k.
 
-    f is E without row and column 0.  Its weights are solved on that
-    matrix; its atoms are W's without the Fermat atom (0,), the first, each
-    index lowered by one: row 0 has one reading, so W's reading of the
-    other rows is the one `classify_atoms` takes for f."""
+    f is E without row and column 0, and E = diag(k, E_f), so N = k*N_f
+    and B = diag(N_f, k*B_f): f's inverse is read off W's, and
+    E_f*B_f = N_f*I is checked, times k, before it is divided by k.  Its atoms are W's
+    without the Fermat atom (0,), the first, each index lowered by one:
+    row 0 has one reading, so W's reading of the other rows is the one
+    `classify_atoms` takes for f."""
     rows_with_x0 = [i for i in range(P.num_vars) if P.exponents[i][0] > 0]
     if len(rows_with_x0) != 1:
         raise NotCyclicSplitError(
@@ -616,11 +566,16 @@ def split_cyclic(P: InvertiblePolynomial) -> tuple[int, InvertiblePolynomial]:
             f"{P.var_names[0]}^{row[0]} is row {r0} of the exponent matrix, not row 0")
     if P.num_vars < 2:
         raise NotCyclicSplitError("no remaining variables for the inner polynomial")
+    k = row[0]
     E = tuple(other[1:] for other in P.exponents[1:])
+    kB = tuple(other[1:] for other in P.inverse[1:])
+    _check_product(E, P.N, kB)  # E_f*B_f = N_f*I, times k
+    N, B = P.N // k, tuple(tuple(b // k for b in row) for row in kB)
+    weights, degree, A = _inverse_facts(N, B)
     atoms = tuple(Atom(kind, tuple(v - 1 for v in variables), exponents)
                   for kind, variables, exponents in P.atoms[1:])
-    return row[0], InvertiblePolynomial(P.num_vars - 1, E, *solve_weights(E), atoms,
-                                        P.var_names[1:])
+    return k, InvertiblePolynomial(P.num_vars - 1, E, weights, degree, atoms,
+                                   P.var_names[1:], N, B, A)
 
 
 def restrict(P: InvertiblePolynomial, symmetry: Code) -> RestrictedPolynomial:

@@ -38,7 +38,6 @@ from .poly import (
     Code,
     InvertiblePolynomial,
     decoder,
-    exponent_determinant,
     format_vector,
 )
 from .symmetry import AdmissibleSetup, Symmetry, aut_group
@@ -133,7 +132,7 @@ def unprojected_state_space(P: InvertiblePolynomial
                             ) -> dict[tuple[Symmetry, Symmetry, Fraction, Fraction], int]:
     """The decoded view of `unprojected_cells`: the map (sector, key, p, q)
     -> dimension with `Fraction` vectors and bidegrees."""
-    decode = decoder(exponent_determinant(P))
+    decode = decoder(P.N)
     return {(decode(h), decode(key), *decode((p, q))): dim
             for (h, key, p, q), dim in unprojected_cells(P).items()}
 

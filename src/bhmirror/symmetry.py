@@ -42,10 +42,8 @@ from .poly import (
     common_denominator,
     decoder,
     encode,
-    exponent_determinant,
     format_vector,
     grading_code,
-    inverse_codes,
     monomial_phases,
     split_cyclic,
     transpose,
@@ -68,14 +66,12 @@ def group_cap() -> int:
     return cap
 
 
-def require_within_cap(P: InvertiblePolynomial) -> int:
+def require_within_cap(P: InvertiblePolynomial) -> None:
     """Reject |det E| above the cap: it bounds every group of P and of its
-    transpose.  Returns |det E|, so that a caller reads it once."""
+    transpose."""
     cap = group_cap()
-    N = exponent_determinant(P)
-    if N > cap:
+    if P.N > cap:
         raise GroupTooLargeError(f"group exceeds the enumeration cap of {cap}")
-    return N
 
 
 def symmetry(entries: Iterable) -> Symmetry:
@@ -101,7 +97,7 @@ class SymmetryGroup(namedtuple("SymmetryGroup", "polynomial generators codes")):
     def elements(self) -> tuple[Symmetry, ...]:
         """The closure as rational vectors in [0, 1), decoded anew on every
         read; the engine reads `codes`, and output decodes once."""
-        return tuple(map(decoder(exponent_determinant(self.polynomial)), self.codes))
+        return tuple(map(decoder(self.polynomial.N), self.codes))
 
 
 def _closure(steps: Sequence[Code], num_vars: int, N: int) -> list[Code]:
@@ -127,9 +123,9 @@ def _closure(steps: Sequence[Code], num_vars: int, N: int) -> list[Code]:
 def _span(P: InvertiblePolynomial, generators: Iterable[Code]) -> SymmetryGroup:
     """The group that codes of P span, read and closed once |det E|, which
     bounds it, is within the cap; a rational vector would never close."""
-    N = require_within_cap(P)
+    require_within_cap(P)
     gens = tuple(generators)
-    codes = _closure(gens, P.num_vars, N)
+    codes = _closure(gens, P.num_vars, P.N)
     return SymmetryGroup(P, gens, tuple(sorted(codes)))
 
 
@@ -144,10 +140,9 @@ def aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
     """The full diagonal symmetry group, spanned by the columns of
     N*E^{-1} mod N, its order checked to equal |det E|; GroupTooLargeError
     before anything is closed when |det E| exceeds the cap."""
-    det, chars = inverse_codes(P)
-    group = _span(P, zip(*chars))
-    if group.order != det:
-        raise InternalError(f"|Aut| = {group.order} differs from |det E| = {det}")
+    group = _span(P, zip(*P.characters))
+    if group.order != P.N:
+        raise InternalError(f"|Aut| = {group.order} differs from |det E| = {P.N}")
     return group
 
 
@@ -244,9 +239,9 @@ def annihilator(P: InvertiblePolynomial, generators: Iterable[Code], order: int)
     (by bilinearity this covers the closure) before it is closed.
     """
     require_within_cap(transpose(P))  # names a degenerate transpose first
-    N, chars = inverse_codes(P)
+    N = P.N
     gens = tuple(generators)
-    columns = tuple(zip(*chars))
+    columns = tuple(zip(*P.characters))
     images = [tuple(sum(x * a for x, a in zip(b, col)) % N for col in columns)
               for b in _kernel_basis(gens, P.num_vars, N)]
     for g in gens:
@@ -308,11 +303,12 @@ def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) ->
     Ann(K), whose keys' charges must be multiples of 1/k.
     """
     k, f = split_cyclic(W)
-    N = require_within_cap(W)
+    require_within_cap(W)
+    N = W.N
     K_inner = K or enumerate_group(f, ())
     if K_inner.polynomial != f:
         raise NotAdmissibleError(f"K is a group of {K_inner.polynomial}, not of {f}")
-    N_f = exponent_determinant(f)
+    N_f = f.N
     jf_k = tuple(k * x % N_f for x in grading_code(f))
     if jf_k not in K_inner.codes:
         raise NotAdmissibleError(

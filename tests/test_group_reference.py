@@ -75,9 +75,7 @@ from bhmirror.poly import (
     classify_atoms,
     common_denominator,
     decoder,
-    dual_characters,
     encode,
-    exponent_determinant,
     exponent_inverse,
     fixed_variables,
     fixes,
@@ -218,7 +216,7 @@ def old_annihilator(P, generators):
     """The closure-and-filter that the kernel-basis annihilator replaced:
     the codes of Aut of the transpose, sorted, with (E*g) . h = 0 mod N
     for every generator g."""
-    N = exponent_determinant(P)
+    N = P.N
     vectors = [monomial_phases(P, N, g) for g in generators]
     return tuple(h for h in aut_group(transpose(P)).codes
                  if all(sum(x * y for x, y in zip(v, h)) % N == 0 for v in vectors))
@@ -309,8 +307,8 @@ def variable_factor(char, w, d, bound, N):
 def ref_block_series(P, block):
     """The product of the factors of the variables in `block`, each a
     truncated geometric expansion, convolved up to their socle degree."""
-    N = exponent_determinant(P)
-    chars = dual_characters(P)
+    N = P.N
+    chars = P.characters
     bound = socle_degree(P, block)
     series = {0: {(0,) * P.num_vars: 1}}
     for i in block:
@@ -353,8 +351,8 @@ def ref_fermat_monomial_basis(R):
         if atom.kind != "fermat":
             raise NotFermatError(f"variables {touching} lie in a {atom.kind} atom")
         tops[atom.variables[0]] = atom.exponents[0]
-    N = exponent_determinant(P)
-    chars = dual_characters(P)
+    N = P.N
+    chars = P.characters
     basis = []
 
     def rec(pos, b, key, degree):
@@ -608,7 +606,7 @@ def cyclic_setups(draw):
 @given(small_polynomials())
 def test_aut_group_matches_reference(P):
     group = aut_group(P)
-    decode = decoder(exponent_determinant(P))
+    decode = decoder(P.N)
     assert tuple(map(decode, group.generators)) == tuple(ref_symmetry(g) for g in aut_generators(P))
     assert group.elements == ref_closure(P, aut_generators(P))
 
@@ -618,7 +616,7 @@ def test_aut_group_matches_reference(P):
 def test_enumerate_group_matches_reference(case):
     P, gens = case
     group = enumerate_group(P, gens)
-    decode = decoder(exponent_determinant(P))
+    decode = decoder(P.N)
     assert tuple(map(decode, group.generators)) == tuple(ref_symmetry(g) for g in gens)
     assert group.elements == ref_closure(P, gens)
 
@@ -630,7 +628,7 @@ def test_annihilator_and_dual_match_reference(case):
     H = enumerate_group(P, gens)
     expected = ref_annihilator(P, gens)
     codes = annihilator(P, [encode(P, g) for g in gens], H.order)
-    decode = decoder(exponent_determinant(P))
+    decode = decoder(P.N)
     assert tuple(map(decode, codes)) == expected
     dual = dual_group(H)
     assert dual.polynomial == transpose(P)
@@ -659,7 +657,7 @@ def old_groups(P):
 def assert_groups_match_old_path(P):
     """j's code decodes to `j_element`, and each group spanned by codes has
     the old group's generators and codes."""
-    assert decoder(exponent_determinant(P))(grading_code(P)) == j_element(P)
+    assert decoder(P.N)(grading_code(P)) == j_element(P)
     assert (grading_group(P), sl_subgroup(P), aut_group(P)) == old_groups(P)
 
 
@@ -687,7 +685,7 @@ def test_sl_subgroup_matches_integral_age(P):
 @settings(deadline=None, max_examples=40)
 @given(small_polynomials())
 def test_series_matches_fraction_expansion(P):
-    decode = decoder(exponent_determinant(P))
+    decode = decoder(P.N)
     fixed_sets = {restrict(P, h).fixed_vars: restrict(P, h) for h in aut_group(P).codes}
     for R in fixed_sets.values():
         series = equivariant_hilbert.__wrapped__(R).coefficients
@@ -710,7 +708,7 @@ def test_sector_algebra_matches_reference(P, data):
     h = elements[data.draw(st.integers(0, len(elements) - 1))]
     shift = data.draw(st.lists(st.integers(-2, 2), min_size=P.num_vars, max_size=P.num_vars))
     code = encode(P, tuple(a + s for a, s in zip(h, shift)))
-    N = exponent_determinant(P)
+    N = P.N
     decode = decoder(N)
     assert decode(code) == h
     assert {(decode(key), Fraction(p, N), Fraction(q, N)): dim
@@ -722,7 +720,7 @@ def test_sector_algebra_matches_reference(P, data):
 def test_unprojected_map_matches_reference(P):
     # the integer map (codes, numerators over N) decoded by hand is the
     # public `Fraction` view, and both equal every sector's reference algebra
-    N = exponent_determinant(P)
+    N = P.N
     decode = decoder(N)
     decoded = {(decode(h), decode(key), Fraction(p, N), Fraction(q, N)): dim
                for (h, key, p, q), dim in unprojected_cells(P).items()}
@@ -798,7 +796,7 @@ def test_coset_labels_match_reference(case):
 
 def assert_members(P, codes):
     """Each code lies in [0, N)^n, N = |det E|, and fixes P."""
-    N = exponent_determinant(P)
+    N = P.N
     for code in codes:
         assert len(code) == P.num_vars and all(0 <= x < N for x in code), code
         assert fixes(P, N, code), code
@@ -819,7 +817,7 @@ def test_kernel_codes_are_members(case):
 @settings(deadline=None, max_examples=40)
 @given(small_polynomials())
 def test_fixed_set_is_read_off_the_code(P):
-    decode = decoder(exponent_determinant(P))
+    decode = decoder(P.N)
     for h in aut_group(P).codes:
         assert restrict(P, h).fixed_vars == \
             tuple(i for i, a in enumerate(ref_symmetry(decode(h))) if a == 0)
@@ -848,11 +846,31 @@ def test_checked_inverse_matches_encoded_fractions(P):
     # the codes read off N*E^{-1} mod N against the old path, each
     # `Fraction` column and row of E^{-1} encoded on its own: the columns
     # generate Aut, and the rows are the dual characters
-    N = exponent_determinant(P)
+    N = P.N
     columns = tuple(encode(P, g) for g in aut_generators(P))
-    assert tuple(zip(*dual_characters(P))) == aut_group(P).generators == columns
-    assert dual_characters(P) == tuple(tuple(a.numerator * (N // a.denominator) % N for a in row)
+    assert tuple(zip(*P.characters)) == aut_group(P).generators == columns
+    assert P.characters == tuple(tuple(a.numerator * (N // a.denominator) % N for a in row)
                                        for row in exponent_inverse(P))
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_polynomials(), st.integers(2, 5))
+def test_records_carry_a_fresh_inverse(P, k):
+    # P, its transpose, W = x0^k + P, the inner f that W splits off and f's
+    # transpose each carry N = |det E|, N*E^{-1} and its residues mod N as
+    # a fresh elimination of their own matrix gives them, though only a
+    # parse eliminates; a transpose's atoms are those of its own matrix
+    W = from_exponents([[k] + [0] * P.num_vars] + [[0, *row] for row in P.exponents],
+                       ["w", *P.var_names])
+    _, f = split_cyclic(W)
+    assert f == P
+    for Q in (P, transpose(P), W, f, transpose(f)):
+        det, adj = adjugate(Q.exponents)
+        assert Q.N == abs(det)
+        assert Q.inverse == (adj if det > 0 else tuple(tuple(-b for b in row) for row in adj))
+        assert Q.characters == tuple(tuple(b % Q.N for b in row) for row in Q.inverse)
+    for Q in (P, W):
+        assert transpose(Q).atoms == classify_atoms(tuple(zip(*Q.exponents)))
 
 
 @settings(deadline=None, max_examples=40)
@@ -862,7 +880,7 @@ def test_setup_codes_match_encoded_fractions(case):
     # of a setup against `encode` of `j_element` and `s_element`
     W, gens = case
     k, f = split_cyclic(W)
-    N_f = exponent_determinant(f)
+    N_f = f.N
     jf_k = tuple(k * x % N_f for x in encode(f, j_element(f)))
     if any(jf_k):
         message = f"j_f^{k} = {format_vector(jf_k, N_f)} is not in K"
@@ -881,7 +899,7 @@ def test_setup_codes_match_encoded_fractions(case):
 def test_series_keys_are_dual_characters(P):
     # the series checks no key: each is a sum of dual characters, read off
     # the checked inverse, so each must fix the transpose
-    Pv, N = transpose(P), exponent_determinant(P)
+    Pv, N = transpose(P), P.N
     fixed_sets = {restrict(P, h).fixed_vars: restrict(P, h) for h in aut_group(P).codes}
     for R in fixed_sets.values():
         for keys in equivariant_hilbert(R).coefficients.values():
@@ -920,7 +938,7 @@ def test_integer_inverse_matches_fraction_gauss_jordan(P, data):
     E = [P.exponents[i] for i in perm]
     inverse, det = ref_invert_matrix(E)
     Q = from_exponents(E)
-    assert exponent_determinant(Q) == abs(det)
+    assert Q.N == abs(det)
     assert exponent_inverse(Q) == inverse
     q = [sum(row) for row in inverse]
     degree = lcm(*(a.denominator for a in q))

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,8 @@ from bhmirror.mirror import (
     verify_order2_exchange,
     verify_pair_duality,
 )
-from bhmirror.poly import direct_sum, parse_polynomial, transpose
-from bhmirror.statespace import StateTable, unprojected_state_space
+from bhmirror.poly import direct_sum, from_exponents, parse_polynomial, transpose
+from bhmirror.statespace import StateTable, unprojected_cells, unprojected_state_space
 from bhmirror.symmetry import pairing, symmetry
 from test_group_reference import identity
 
@@ -104,6 +105,15 @@ class TestFermatStates:
         for s in states:
             aggregated[s.label] = aggregated.get(s.label, 0) + 1
         assert aggregated == U
+
+    def test_monomials_in_any_order(self):
+        # x1^2 + x0^3: each variable's exponent is its Fermat atom's, not a
+        # diagonal entry of E, and each key sums the dual characters
+        P = from_exponents([[0, 2], [3, 0]])
+        states = fermat_states(P)
+        assert len(states) == sum(unprojected_cells(P).values()) == 8
+        assert Counter(s.label for s in states) == unprojected_state_space(P)
+        assert fermat_elevator_moving(FermatState(P, (0, 1), (1, 0)), 2).b == (2, 0)
 
     def test_one_variable_map(self):
         P = parse_polynomial("x^6")

@@ -111,6 +111,13 @@ class TestParse:
         with pytest.raises(NonSquareError):
             parse_polynomial("x^2 + x^2")
 
+    @pytest.mark.parametrize("names", [["x"], ["x", "y", "z"], ["x", "x"]],
+                             ids=["too-few", "too-many", "repeated"])
+    def test_names_are_one_distinct_name_per_variable(self, names):
+        # a short list printed as `x^2 + `, a repeated name as `x^2 + x^3`
+        with pytest.raises(NonSquareError, match="distinct variable names for 2 variables"):
+            from_exponents([[2, 0], [0, 3]], names)
+
     def test_non_positive_weight(self):
         # q0 + q1 = 1 and 2q0 + q1 = 1 force q0 = 0
         with pytest.raises(NonPositiveWeightError):
@@ -323,11 +330,29 @@ class TestCheckedInverse:
         # it, and the CLI exits 3
         real = poly.adjugate
         monkeypatch.setattr(poly, "adjugate", lambda rows: bump(*real(rows)))
-        poly._exact_inverse.cache_clear()  # a wrong inverse raises, so none is cached
         with pytest.raises(InternalError, match=r"N\*E\^-1 for N = \|det E\| = 12 is not"):
             parse_polynomial("x^3*y+y^4")
         assert main(["analyze", "x0^6+x1^3+x2^2"]) == 3
         assert "is not an integer inverse of E" in capsys.readouterr().err
+
+    def test_bumped_record_inverse_is_an_internal_error(self):
+        # a transpose and an inner f take their inverse from the parent's
+        # record and check it on their own matrix: a wrong entry of the
+        # record, by any amount, fails the check (f reads
+        # none of row and column 0)
+        W = parse_polynomial("x0^4+x1^3*x2+x2^4")
+        n = W.num_vars
+        for i in range(n):
+            for j in range(n):
+                for bump in (1, -1, 4):
+                    B = [list(row) for row in W.inverse]
+                    B[i][j] += bump
+                    wrong = W._replace(inverse=tuple(map(tuple, B)))
+                    with pytest.raises(InternalError, match=r"N\*E\^-1 for N = \|det E\| = "):
+                        transpose(wrong)
+                    if i and j:
+                        with pytest.raises(InternalError, match="is not an integer inverse of E"):
+                            split_cyclic(wrong)
 
 
 def fraction_text(g, N=1):
@@ -365,8 +390,8 @@ class TestFormatting:
     def test_catalog_codes_format_as_their_decoded_view(self):
         for text in KRAWITZ_POLYNOMIALS:
             P = parse_polynomial(text)
-            N = poly.exponent_determinant(P)
-            for code in (*poly.dual_characters(P), poly.grading_code(P)):
+            N = P.N
+            for code in (*P.characters, poly.grading_code(P)):
                 assert format_vector(code, N) == fraction_text(decoder(N)(code))
 
 

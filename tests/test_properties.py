@@ -12,7 +12,6 @@ from bhmirror.catalog import ADMISSIBLE_CASES, KRAWITZ_POLYNOMIALS
 from bhmirror.errors import InputError, NotCyclicSplitError
 from bhmirror.milnor import equivariant_hilbert
 from bhmirror.poly import (
-    exponent_determinant,
     format_polynomial,
     from_exponents,
     is_calabi_yau,
@@ -129,10 +128,10 @@ def test_atoms_reassemble(P):
 @settings(deadline=None, max_examples=25)
 @given(invertible_polynomials())
 def test_group_order_and_age_identity(P):
-    if exponent_determinant(P) > 400:
+    if P.N > 400:
         return
     group = aut_group(P)
-    assert group.order == exponent_determinant(P)
+    assert group.order == P.N
     for g in group.elements[:50]:
         assert age(g) + age(ref_neg(g)) == sum(1 for a in g if a != 0)
 
@@ -140,7 +139,7 @@ def test_group_order_and_age_identity(P):
 @settings(deadline=None, max_examples=15)
 @given(invertible_polynomials())
 def test_krawitz_random(P):
-    if exponent_determinant(P) > 200:
+    if P.N > 200:
         return
     assert verify_krawitz(P).passed
 
@@ -148,7 +147,7 @@ def test_krawitz_random(P):
 @settings(deadline=None, max_examples=15)
 @given(invertible_polynomials())
 def test_sector_dimensions_random(P):
-    if exponent_determinant(P) > 200:
+    if P.N > 200:
         return
     for h in aut_group(P).codes[:40]:
         R = restrict(P, h)

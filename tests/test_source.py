@@ -134,8 +134,18 @@ def test_annihilator_has_two_callers():
 
 def test_atoms_are_classified_once_per_polynomial():
     # a restriction keeps whole chain tails and loops of the parent's atoms,
-    # so `restrict` reads its blocks off them instead of searching again
-    assert _callers("classify_atoms") == {"poly.from_exponents"}
+    # so `restrict` reads its blocks off them instead of searching again;
+    # f of W = x0^k + f reads its atoms off W's
+    assert _callers("classify_atoms") == {"poly.from_exponents", "poly.transpose"}
+
+
+def test_a_polynomial_is_built_with_its_checked_inverse():
+    # every record is made where its inverse is checked: a parse eliminates
+    # once, and a transpose or an inner f takes its inverse from the parent
+    assert _callers("InvertiblePolynomial") == {"poly.from_exponents", "poly.transpose",
+                                                "poly.split_cyclic"}
+    assert _callers("adjugate") == {"poly._eliminate"}
+    assert _callers("_eliminate") == {"poly.from_exponents", "poly.solve_weights"}
 
 
 def test_atom_keeps_kind_variables_and_exponents():
@@ -255,8 +265,8 @@ def test_no_truncated_convolution():
 
 
 def test_memoized_functions_are_the_measured_set():
-    # each cache is kept because a run's calls hit it (the elimination, the
-    # one transpose object, block and fixed-set series);
+    # each cache is kept because a run's calls hit it (the one transpose
+    # object, block and fixed-set series); a polynomial's inverse is a field;
     # a new cache needs measured hits, and a cache no call reuses is removed.
     # `decoder`'s per-instance entry cache is a call, not a decorator
     memoized = set()
@@ -267,8 +277,7 @@ def test_memoized_functions_are_the_measured_set():
                     target = decorator.func if isinstance(decorator, ast.Call) else decorator
                     if getattr(target, "id", getattr(target, "attr", None)) in ("lru_cache", "cache"):
                         memoized.add(f"{path.stem}.{node.name}")
-    assert memoized == {"poly._exact_inverse", "poly.transpose",
-                        "milnor._block_series", "milnor.equivariant_hilbert"}
+    assert memoized == {"poly.transpose", "milnor._block_series", "milnor.equivariant_hilbert"}
 
 
 def test_no_dataclasses():
