@@ -86,7 +86,7 @@ class NotFermatError(InputError):
 
 
 class SideMismatchError(InputError):
-    """Elevator applied to an entry on the wrong side of the state space."""
+    """Twist or elevator applied to an entry on the wrong side of the state space."""
 
 
 class ZOutOfRangeError(InputError):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import DualityViolationError, NotAdmissibleError, NotFermatError, ZOutOfRangeError
+from .errors import DualityViolationError, NotAdmissibleError, NotFermatError
 from .milnor import equivariant_hilbert, fermat_monomial_basis
 from .poly import (
     InvertiblePolynomial,
@@ -188,10 +188,6 @@ def thom_sebastiani_convolution(U1: dict, U2: dict) -> dict:
 # explicit basis states for Fermat-diagonal polynomials
 # ---------------------------------------------------------------------------
 
-# polynomial: InvertiblePolynomial; a, b: tuple[int, ...]
-_FermatStateFields = namedtuple("_FermatStateFields", "polynomial a b")
-
-
 def _fermat_exponents(P: InvertiblePolynomial) -> tuple[int, ...]:
     """k_i of x_i^{k_i} for each variable of a Fermat-diagonal P, read off
     its atoms (one per variable, in variable order), whatever the order
@@ -199,13 +195,14 @@ def _fermat_exponents(P: InvertiblePolynomial) -> tuple[int, ...]:
     return tuple(atom.exponents[0] for atom in P.atoms)
 
 
-class FermatState(_FermatStateFields):
+class FermatState(namedtuple("FermatState", "polynomial a b")):
     """Basis element of the unprojected state space of a diagonal polynomial.
 
     a encodes the sector as exponents of the one-variable generators, b the
     monomial form; exactly one of a_i, b_i is nonzero for every variable.
     """
 
+    # polynomial: InvertiblePolynomial; a, b: tuple[int, ...]
     __slots__ = ()
 
     def __new__(cls, polynomial: InvertiblePolynomial, a: tuple[int, ...], b: tuple[int, ...]):
@@ -269,37 +266,13 @@ def fermat_states(P: InvertiblePolynomial) -> list[FermatState]:
 
 def fermat_mirror_map(state: FermatState) -> FermatState:
     """The transpose-duality bijection: exchange the sector and form
-    exponent vectors.  Involutive; flips (p, q) to (N - p, q)."""
-    return FermatState(transpose(state.polynomial), state.b, state.a)
-
-
-def fermat_twist(state: FermatState) -> FermatState:
-    """Basis-level twist: strip the x0-part of the form and shift the
-    sector by that power of the cyclic symmetry."""
-    z = state.b[0]
-    if z == 0:
-        raise NotFermatError("twist needs a moving state (x0 occurs in the form)")
-    a = (z,) + state.a[1:]
-    b = (0,) + state.b[1:]
-    return FermatState(state.polynomial, a, b)
-
-
-def fermat_twist_inverse(state: FermatState) -> FermatState:
-    z = state.a[0]
-    if z == 0:
-        raise NotFermatError("inverse twist needs a fixed state")
-    a = (0,) + state.a[1:]
-    b = (z,) + state.b[1:]
-    return FermatState(state.polynomial, a, b)
-
-
-def fermat_elevator_moving(state: FermatState, z_new: int) -> FermatState:
-    if state.b[0] == 0:
-        raise NotFermatError("moving elevator needs a moving state")
-    top = _fermat_exponents(state.polynomial)[0]
-    if not 0 < z_new < top:
-        raise ZOutOfRangeError(f"level {z_new} outside 1..{top - 1}")
-    return FermatState(state.polynomial, state.a, (z_new,) + state.b[1:])
+    exponent vectors.  The variables of the transpose are P's monomials,
+    so if monomial r is x_i^{k_i}, the image has a'_r = b_i and b'_r = a_i.
+    Involutive; exchanges sector and key and flips (p, q) to (n - p, q),
+    n the number of variables."""
+    var = [next(i for i, e in enumerate(row) if e) for row in state.polynomial.exponents]
+    return FermatState(transpose(state.polynomial), tuple(state.b[i] for i in var),
+                       tuple(state.a[i] for i in var))
 
 
 # ---------------------------------------------------------------------------

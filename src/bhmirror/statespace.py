@@ -10,15 +10,16 @@ d_j = a/k, d_s = b/k and the redundant coordinates (X, Y, Z), follows
 from its cell; side and Z are cross-checked when the table is built.
 Entries split into a moving side (Q_s != 0) and a fixed side (Q_s = 0).
 The twist exchanges the sides at constant (X, Y, Z) and elevators move
-along Z: one body shifts the cell of a label, with p and q kept as
-numerators over N.  Both builders take their cells from
-`milnor.shifted_cells`, which expands each fixed set's series once and
-shifts it per sector; the slices, `sector_cells` (the Q_j = 0 part,
-summed once per table) and the vanishing check read the cells.  A label is where a cell becomes
-rationals: `entries` decodes cells with one labeler, and one reader,
-`_cell`, turns a label back into its cell.  With no invariance taken,
-the unprojected state space is the map over every diagonal symmetry:
-`unprojected_cells` on integers, `unprojected_state_space` decoded.
+along Z: one body, the library's only copy of these maps, shifts the
+cell of a label, with p and q kept as numerators over N.  Both builders
+take their cells from `milnor.shifted_cells`, which expands each fixed
+set's series once and shifts it per sector; the slices, `sector_cells`
+(the Q_j = 0 part, summed once per table) and the vanishing check read
+the cells.  A label is where a cell becomes rationals: `entries`
+decodes cells with one labeler, and one reader, `_cell`, turns a label
+back into its cell.  With no invariance taken, the unprojected state
+space is the map over every diagonal symmetry: `unprojected_cells` on
+integers, `unprojected_state_space` decoded.
 """
 
 from __future__ import annotations

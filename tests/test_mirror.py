@@ -8,7 +8,6 @@ from bhmirror.errors import (
     DualityViolationError,
     NotAdmissibleError,
     NotFermatError,
-    ZOutOfRangeError,
 )
 from bhmirror.geometry import sector_grid
 from bhmirror.milnor import sector_algebra
@@ -17,11 +16,8 @@ from bhmirror.mirror import (
     MirrorPair,
     build_mirror_pair,
     check_pair,
-    fermat_elevator_moving,
     fermat_mirror_map,
     fermat_states,
-    fermat_twist,
-    fermat_twist_inverse,
     thom_sebastiani_convolution,
     verify_krawitz,
     verify_lg_mirror,
@@ -29,7 +25,14 @@ from bhmirror.mirror import (
     verify_pair_duality,
 )
 from bhmirror.poly import direct_sum, from_exponents, parse_polynomial, transpose
-from bhmirror.statespace import StateTable, unprojected_cells, unprojected_state_space
+from bhmirror.statespace import (
+    MOVING,
+    StateTable,
+    elevator_moving,
+    twist,
+    unprojected_cells,
+    unprojected_state_space,
+)
 from bhmirror.symmetry import pairing, symmetry
 from test_group_reference import identity
 
@@ -113,7 +116,6 @@ class TestFermatStates:
         states = fermat_states(P)
         assert len(states) == sum(unprojected_cells(P).values()) == 8
         assert Counter(s.label for s in states) == unprojected_state_space(P)
-        assert fermat_elevator_moving(FermatState(P, (0, 1), (1, 0)), 2).b == (2, 0)
 
     def test_one_variable_map(self):
         P = parse_polynomial("x^6")
@@ -142,25 +144,33 @@ class TestFermatStates:
             image = fermat_mirror_map(state)
             assert image.sector[0] == F(state.b[0], 4)
 
-    def test_elliptic_moving_composite(self):
-        # the composite mirror/untwist/elevator sends x*y dx^dy to x^2 dx^dz
-        W = parse_polynomial("x0^6+x1^3+x2^2")
-        state = FermatState(W, (0, 0, 1), (2, 2, 0))
+    def test_elliptic_moving_composite(self, pair_cache):
+        # the composite mirror/untwist/elevator sends x*y dx^dy to x^2 dx^dz:
+        # the basis state's mirror image is a fixed mirror entry, the twist of
+        # exactly one moving entry, whose moving elevator to level 3 lands on
+        # the basis state (0, 2, 0), (3, 0, 1)
+        pair = pair_cache("elliptic-sextic")
+        state = FermatState(pair.source.W, (0, 0, 1), (2, 2, 0))
         assert state.sector == symmetry([0, 0, F(1, 2)])
+        [_] = [lab for lab in pair.source_table.entries
+               if (lab.sector, lab.key, lab.p, lab.q) == state.label]
         mirrored = fermat_mirror_map(state)
         assert (mirrored.a, mirrored.b) == ((2, 2, 0), (0, 0, 1))
-        untwisted = fermat_twist_inverse(mirrored)
-        image = fermat_elevator_moving(untwisted, 3)
-        assert (image.a, image.b) == ((0, 2, 0), (3, 0, 1))
-        assert image.sector == symmetry([0, F(2, 3), 0])
-        assert image.bidegree == (F(5, 3), F(5, 3))
+        [image] = [lab for lab in pair.target_table.entries
+                   if (lab.sector, lab.key, lab.p, lab.q) == mirrored.label]
+        setup = pair.target
+        [untwisted] = [lab for lab in pair.target_table.entries
+                       if lab.side == MOVING and twist(setup, lab) == image]
+        elevated = elevator_moving(setup, untwisted, 3)
+        assert elevated.sector == symmetry([0, F(2, 3), 0])
+        assert (elevated.p, elevated.q) == (F(5, 3), F(5, 3))
+        composite = FermatState(setup.W, (0, 2, 0), (3, 0, 1))
+        assert (elevated.sector, elevated.key, elevated.p, elevated.q) == composite.label
 
     @pytest.mark.parametrize("make, error, message", [
         (lambda P: FermatState(P, (1,), (1,)), NotFermatError, "clash at 0"),
         (lambda P: FermatState(P, (0,), (7,)), NotFermatError, "out of range at variable 0"),
-        (lambda P: fermat_elevator_moving(FermatState(P, (0,), (1,)), 6), ZOutOfRangeError,
-         "level 6 outside 1..5"),
-    ], ids=["clash", "out-of-range", "elevator-level"])
+    ], ids=["clash", "out-of-range"])
     def test_bad_states_raise_library_errors(self, make, error, message):
         with pytest.raises(error, match=message):
             make(parse_polynomial("x^6"))
@@ -172,12 +182,22 @@ class TestFermatStates:
             FermatState(parse_polynomial("x^3+y^3"), a, b)
         assert str(info.value) == f"a has {len(a)} and b {len(b)} entries for 2 variables"
 
-    def test_twist_roundtrip(self):
-        P = parse_polynomial("x0^4+x1^4+x2^4+x3^4")
-        for state in fermat_states(P)[:200]:
-            if state.b[0] != 0:
-                back = fermat_twist_inverse(fermat_twist(state))
-                assert (back.a, back.b) == (state.a, state.b)
+    @pytest.mark.parametrize("exponents", [[[0, 2], [3, 0]], [[0, 0, 4], [3, 0, 0], [0, 2, 0]]],
+                             ids=["x1^2+x0^3", "x2^4+x0^3+x1^2"])
+    def test_mirror_map_with_monomials_in_any_order(self, exponents):
+        # the transpose's variables are P's monomials: row r holding x_i^{k_i}
+        # takes (b_i, a_i); every state maps, sector and key exchange, and the
+        # images are the transpose's basis
+        P = from_exponents(exponents)
+        n = P.num_vars
+        states = fermat_states(P)
+        images = [fermat_mirror_map(state) for state in states]
+        for state, image in zip(states, images):
+            assert (image.sector, image.key) == (state.key, state.sector)
+            p, q = state.bidegree
+            assert image.bidegree == (n - p, q)
+            assert fermat_mirror_map(image) == state
+        assert Counter(image.label for image in images) == unprojected_state_space(transpose(P))
 
 
 class TestLgMirrorTheorem:

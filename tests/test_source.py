@@ -126,6 +126,12 @@ def test_one_label_assembly():
     assert _callers("StateLabel") == {"statespace._labeler.label"}
 
 
+def test_one_copy_of_the_twist_and_elevators():
+    # the twist and both elevators share one body, the only place that
+    # checks an entry's side and target level
+    assert _callers("SideMismatchError") == _callers("ZOutOfRangeError") == {"statespace._relabel"}
+
+
 def test_annihilator_has_two_callers():
     # Ann(K) is made once, graded in the setup: the mirror's K is read off
     # its keys, and SL is the dual of <j^T>

@@ -14,6 +14,7 @@ from bhmirror.poly import parse_polynomial, split_cyclic, transpose
 from bhmirror.statespace import (
     FIXED,
     MOVING,
+    StateTable,
     build_state_space,
     elevator_fixed,
     elevator_moving,
@@ -277,6 +278,43 @@ class TestTwistAndElevators:
             for relabel in relabels:
                 with pytest.raises(NoSuchEntryError):
                     relabel(foreign)
+
+
+def _twist_elevator_failures(table: StateTable) -> list:
+    """The proof's maps on one table: each entry, moved to level Z = 1 by
+    its own elevator and twisted if it is moving, must land on a fixed
+    entry at level 1, its base, and each base must receive 2(k - 1)
+    entries, one per side and level, all of the base's dimension.  The
+    bases at which this fails."""
+    setup, entries = table.setup, table.entries
+    received: dict = {}
+    for lab, dim in entries.items():
+        if lab.side == MOVING:
+            base = twist(setup, elevator_moving(setup, lab, 1))
+        else:
+            base = elevator_fixed(setup, lab, 1)
+        received.setdefault(base, []).append((lab.side, lab.z, dim))
+    levels = sorted((side, z) for side in (MOVING, FIXED) for z in range(1, setup.k))
+    return [base for base, got in received.items()
+            if (base.side, base.z) != (FIXED, 1) or base not in entries
+            or sorted((side, z) for side, z, _ in got) != levels
+            or {dim for _, _, dim in got} != {entries[base]}]
+
+
+@pytest.mark.parametrize("case", ADMISSIBLE_CASES, ids=lambda case: case.name)
+def test_twist_and_elevators_on_every_table(pair_cache, case):
+    pair = pair_cache(case.name)
+    for table in (pair.source_table, pair.target_table):
+        assert _twist_elevator_failures(table) == []
+
+
+@pytest.mark.parametrize("case", ADMISSIBLE_CASES, ids=lambda case: case.name)
+def test_dropped_moving_cell_fails_the_twist_and_elevators(pair_cache, case):
+    pair = pair_cache(case.name)
+    for table in (pair.source_table, pair.target_table):
+        cells = dict(table.cells)
+        del cells[next(cell for lab, cell in zip(table.entries, cells) if lab.side == MOVING)]
+        assert _twist_elevator_failures(StateTable(table.setup, cells))
 
 
 class TestWeightDecomposition:
