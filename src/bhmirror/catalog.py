@@ -134,6 +134,8 @@ def load_catalog(path: str) -> tuple[CatalogCase, ...]:
             data = json.load(handle)
         except ValueError as exc:
             raise InputError(f"catalog {path} is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise InputError(f"catalog {path} is nested too deeply to read") from None
     if isinstance(data, dict):
         data = data.get("cases")
     if not isinstance(data, list):

@@ -90,12 +90,13 @@ class SideMismatchError(InputError):
 
 
 class ZOutOfRangeError(InputError):
-    """Elevator/twist level outside 1..k-1."""
+    """Elevator target level that is not an int in 1..k-1."""
 
 
 class NoSuchEntryError(InputError, KeyError):
-    """A state label that names no entry of the table it is looked up in;
-    a KeyError, so the table's label view answers `in` and `get`."""
+    """A state label, or a cell handed to the twist or an elevator, that
+    names no entry; a KeyError, so the table's label view answers `in`
+    and `get`."""
 
 
 class PatternMismatchError(InputError):

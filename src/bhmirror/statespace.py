@@ -10,15 +10,16 @@ d_j = a/k, d_s = b/k and the redundant coordinates (X, Y, Z), follows
 from its cell; side and Z are cross-checked when the table is built.
 Entries split into a moving side (Q_s != 0) and a fixed side (Q_s = 0).
 The twist exchanges the sides at constant (X, Y, Z) and elevators move
-along Z: one body, the library's only copy of these maps, shifts the
-cell of a label, with p and q kept as numerators over N.  Both builders
-take their cells from `milnor.shifted_cells`, which expands each fixed
-set's series once and shifts it per sector; the slices, `sector_cells`
-(the Q_j = 0 part, summed once per table) and the vanishing check read
-the cells.  A label is where a cell becomes rationals: `entries`
-decodes cells with one labeler, and one reader, `_cell`, turns a label
-back into its cell.  With no invariance taken, the unprojected state
-space is the map over every diagonal symmetry: `unprojected_cells` on
+along Z: they act on cells, and one body, the library's only copy of
+these maps, shifts a cell with p and q kept as numerators over N.  Both
+builders take their cells from `milnor.shifted_cells`, which expands
+each fixed set's series once and shifts it per sector; the slices,
+`sector_cells` (the Q_j = 0 part, summed once per table) and the
+vanishing check read the cells.  A label is only output: `entries`
+decodes cells with one labeler, and nothing turns a label back into its
+cell (a lookup reads a map from label to dimension that the view
+decodes once).  With no invariance taken, the unprojected state space
+is the map over every diagonal symmetry: `unprojected_cells` on
 integers, `unprojected_state_space` decoded.
 """
 
@@ -86,14 +87,14 @@ class StateTable:
 
 class StateEntries(Mapping):
     """The cells of a table viewed as `StateLabel` -> dimension.  Iteration
-    decodes the labels in cell order; a lookup reads the label's cell with
-    `_cell`, so no label is hashed."""
+    decodes the labels in cell order; the first lookup decodes the whole
+    table once into a map label -> dimension, which later lookups share."""
 
-    __slots__ = ("_setup", "_cells", "_label")
+    __slots__ = ("_cells", "_label", "_by_label")
 
     def __init__(self, setup: AdmissibleSetup, cells: dict[IntegerCell, int]):
-        self._setup, self._cells = setup, cells
-        self._label = _labeler(setup)
+        self._cells, self._label = cells, _labeler(setup)
+        self._by_label: dict[StateLabel, int] | None = None
 
     def __len__(self) -> int:
         return len(self._cells)
@@ -102,10 +103,12 @@ class StateEntries(Mapping):
         return map(self._label, self._cells)
 
     def __getitem__(self, label: StateLabel) -> int:
-        cell = _cell(self._setup, self._label, label)
-        if cell not in self._cells:
-            raise NoSuchEntryError(label)
-        return self._cells[cell]
+        if self._by_label is None:
+            self._by_label = dict(self.items())
+        try:
+            return self._by_label[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable key names no entry
+            raise NoSuchEntryError(label) from None
 
     def items(self) -> ItemsView:
         return _DecodedItems(self)
@@ -180,28 +183,6 @@ def _labeler(setup: AdmissibleSetup) -> Callable[[IntegerCell], StateLabel]:
     return label
 
 
-def _cell(setup: AdmissibleSetup, label_of: Callable[[IntegerCell], StateLabel],
-          label: StateLabel) -> IntegerCell:
-    """The cell of a label, (sector, key, p, q) times N; NoSuchEntryError
-    unless each is over N, the sector is in `setup.labels`, the key in
-    `setup.keys` and the cell decodes back to the label under `label_of`."""
-    from fractions import Fraction
-
-    n, N = setup.W.num_vars, setup.N
-    if isinstance(label, StateLabel):
-        scaled = [Fraction(x) * N for x in (*label.sector, *label.key, label.p, label.q)]
-        if all(x.denominator == 1 for x in scaled):
-            v = tuple(map(int, scaled))
-            cell = (v[:n], v[n:2 * n], v[-2], v[-1])
-            if cell[0] in setup.labels and cell[1] in setup.keys:
-                try:
-                    if label_of(cell) == label:
-                        return cell
-                except DualityViolationError:  # no entry pairs this sector with this key
-                    pass
-    raise NoSuchEntryError(label)
-
-
 def build_state_space(setup: AdmissibleSetup) -> StateTable:
     """The K-invariant state space over the labelled cosets j^a s^b K: the
     cells of each sector whose key lies in the setup's keys, Ann(K), with the
@@ -227,48 +208,57 @@ def fjrw_state_space(table: StateTable, b: int) -> StateTable:
 # twist and elevators (dimension-preserving relabelings)
 # ---------------------------------------------------------------------------
 
-def _relabel(setup: AdmissibleSetup, label: StateLabel, name: str, side: str, out_side: str,
-             z_new: int, sector_power: int, key_power: int, dp: int, dq: int) -> StateLabel:
-    """The twist and the elevators on the label's cell: sector * s^sector_power,
-    key * s^key_power, (p, q) + (dp, dq)/k as numerators over N, and the image
-    checked to land at (out_side, X, Y, z_new)."""
-    if label.side != side:
+def _relabel(setup: AdmissibleSetup, cell: IntegerCell, name: str, side: str, out_side: str,
+             z_new: int | None, move: Callable[[int], tuple[int, int, int, int]]
+             ) -> IntegerCell:
+    """The twist and the elevators on a cell at level Z: with (sector_power,
+    key_power, dp, dq) = move(Z), sector * s^sector_power, key *
+    s^key_power, (p, q) + (dp, dq)/k as numerators over N, and the image
+    checked to land at (out_side, X, Y, z_new).  The twist changes the side
+    and keeps Z; an elevator keeps the side and takes Z to z_new."""
+    k, N, labels = setup.k, setup.N, setup.labels
+    sector, key, p, q = cell
+    try:
+        at_side, y, z = _coordinates(setup, sector, key)
+    except (KeyError, DualityViolationError):  # off the setup, or no entry pairs them
+        raise NoSuchEntryError(cell) from None
+    if at_side != side:
         raise SideMismatchError(f"{name} applies to {side} entries")
-    k, N = setup.k, setup.N
-    if not 0 < z_new < k:
-        raise ZOutOfRangeError(f"target level {z_new} outside 1..{k - 1}")
-    label_of = _labeler(setup)
-    sector, key, p, q = _cell(setup, label_of, label)
-    sector = tuple((x + sector_power * y) % N for x, y in zip(sector, setup.s))
-    key = tuple((x + key_power * y) % N for x, y in zip(key, setup.s))
-    out = label_of((sector, key, p + dp * N // k, q + dq * N // k))
-    if (out.side, out.x, out.y, out.z) != (out_side, label.x, label.y, z_new):
-        raise DualityViolationError(f"{name} broke (X, Y, Z) at {format_vector(label.sector)}")
-    return out
+    if out_side != side:
+        z_new = z
+    elif not isinstance(z_new, int) or not 0 < z_new < k:
+        raise ZOutOfRangeError(f"target level {z_new!r} is not an integer in 1..{k - 1}")
+    sector_power, key_power, dp, dq = move(z)
+    image = (tuple((c + sector_power * t) % N for c, t in zip(sector, setup.s)),
+             tuple((c + key_power * t) % N for c, t in zip(key, setup.s)))
+    if ((*_coordinates(setup, *image), labels[image[0]][0])
+            != (out_side, y, z_new, labels[sector][0])):
+        raise DualityViolationError(f"{name} broke (X, Y, Z) at {format_vector(sector, N)}")
+    return (*image, p + dp * N // k, q + dq * N // k)
 
 
-def twist(setup: AdmissibleSetup, label: StateLabel) -> StateLabel:
-    """Move a moving entry to the fixed side at the same (X, Y, Z).
+def twist(setup: AdmissibleSetup, cell: IntegerCell) -> IntegerCell:
+    """Move a moving cell to the fixed side at the same (X, Y, Z).
 
     Strips the x0-part of the form and multiplies the sector by s^Z; the
     bidegree transforms as (p, q) -> (p - 1 + 2Z/k, q).
     """
-    z = label.z
-    return _relabel(setup, label, "twist", MOVING, FIXED, z, z, -z, 2 * z - setup.k, 0)
+    return _relabel(setup, cell, "twist", MOVING, FIXED, None,
+                    lambda z: (z, -z, 2 * z - setup.k, 0))
 
 
-def elevator_moving(setup: AdmissibleSetup, label: StateLabel, z_new: int) -> StateLabel:
-    """Shift a moving entry from Z to z_new by the x0-multiplication map;
+def elevator_moving(setup: AdmissibleSetup, cell: IntegerCell, z_new: int) -> IntegerCell:
+    """Shift a moving cell from Z to z_new by the x0-multiplication map;
     (p, q) -> (p - (z_new - Z)/k, q + (z_new - Z)/k)."""
-    delta = z_new - label.z
-    return _relabel(setup, label, "moving elevator", MOVING, MOVING, z_new, 0, delta, -delta, delta)
+    return _relabel(setup, cell, "moving elevator", MOVING, MOVING, z_new,
+                    lambda z: (0, z_new - z, z - z_new, z_new - z))
 
 
-def elevator_fixed(setup: AdmissibleSetup, label: StateLabel, z_new: int) -> StateLabel:
-    """Shift a fixed entry from Z to z_new by multiplying the sector by a
+def elevator_fixed(setup: AdmissibleSetup, cell: IntegerCell, z_new: int) -> IntegerCell:
+    """Shift a fixed cell from Z to z_new by multiplying the sector by a
     power of s; (p, q) -> (p + (z_new - Z)/k, q + (z_new - Z)/k)."""
-    delta = z_new - label.z
-    return _relabel(setup, label, "fixed elevator", FIXED, FIXED, z_new, delta, 0, delta, delta)
+    return _relabel(setup, cell, "fixed elevator", FIXED, FIXED, z_new,
+                    lambda z: (z_new - z, 0, z_new - z, z_new - z))
 
 
 # ---------------------------------------------------------------------------

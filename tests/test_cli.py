@@ -317,6 +317,15 @@ class TestVerify:
         assert code == 2 and "error [Input]" in err
         assert "Traceback" not in err and out == ""
 
+    def test_deeply_nested_catalog_is_an_input_error(self, capsys, tmp_path):
+        # the JSON reader recurses once per level; past its limit the file
+        # is bad input, not a verification failure
+        path = tmp_path / "cases.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "verify", "--catalog", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error [Input]: catalog {path} is nested too deeply to read\n"
+
     def test_repeated_case_name_is_an_input_error(self, capsys, tmp_path):
         # two cases named alike would print blocks and errors that cannot be told apart
         path = tmp_path / "cases.json"

@@ -96,6 +96,7 @@ from bhmirror.statespace import (
     MOVING,
     StateLabel,
     _coordinates,
+    _labeler,
     elevator_fixed,
     elevator_moving,
     twist,
@@ -1243,7 +1244,8 @@ def relabel_outcome(relabel, *args):
 def test_labels_match_cell_by_cell_reference(pair_cache, name):
     # every entry of both tables, decoded through `entries`, against the label
     # assembled cell by cell; then the twist and the elevators of the source
-    # entries, at every level, against the images assembled that way
+    # cells, at every level, decoded by the table's labeler, against the
+    # images of their labels assembled that way
     pair = (build_mirror_pair(parse_polynomial("x0^8+x1^8+x2^4+x3^2")) if name == "octic"
             else pair_cache(name))
     for table in (pair.source_table, pair.target_table):
@@ -1255,11 +1257,12 @@ def test_labels_match_cell_by_cell_reference(pair_cache, name):
             expected = ref_label(setup, cell[0], cell[1], *decode(cell[2:]), decode)
             assert lab == expected
             assert field_types(lab) == field_types(expected)
-    setup = pair.source
-    for lab in pair.source_table.entries:
-        assert relabel_outcome(twist, setup, lab) == relabel_outcome(ref_twist, setup, lab)
+    setup, label = pair.source, _labeler(pair.source)
+    for lab, cell in zip(pair.source_table.entries, pair.source_table.cells):
+        assert (relabel_outcome(lambda: label(twist(setup, cell)))
+                == relabel_outcome(ref_twist, setup, lab))
         for z_new in range(setup.k + 1):
             for relabel, ref in ((elevator_moving, ref_elevator_moving),
                                  (elevator_fixed, ref_elevator_fixed)):
-                assert (relabel_outcome(relabel, setup, lab, z_new)
+                assert (relabel_outcome(lambda: label(relabel(setup, cell, z_new)))
                         == relabel_outcome(ref, setup, lab, z_new))

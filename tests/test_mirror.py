@@ -156,12 +156,14 @@ class TestFermatStates:
                if (lab.sector, lab.key, lab.p, lab.q) == state.label]
         mirrored = fermat_mirror_map(state)
         assert (mirrored.a, mirrored.b) == ((2, 2, 0), (0, 0, 1))
-        [image] = [lab for lab in pair.target_table.entries
+        setup, table = pair.target, pair.target_table
+        [image] = [cell for lab, cell in zip(table.entries, table.cells)
                    if (lab.sector, lab.key, lab.p, lab.q) == mirrored.label]
-        setup = pair.target
-        [untwisted] = [lab for lab in pair.target_table.entries
-                       if lab.side == MOVING and twist(setup, lab) == image]
-        elevated = elevator_moving(setup, untwisted, 3)
+        [untwisted] = [cell for lab, cell in zip(table.entries, table.cells)
+                       if lab.side == MOVING and twist(setup, cell) == image]
+        elevated_cell = elevator_moving(setup, untwisted, 3)
+        [elevated] = [lab for lab, cell in zip(table.entries, table.cells)
+                      if cell == elevated_cell]
         assert elevated.sector == symmetry([0, F(2, 3), 0])
         assert (elevated.p, elevated.q) == (F(5, 3), F(5, 3))
         composite = FermatState(setup.W, (0, 2, 0), (3, 0, 1))

@@ -120,10 +120,27 @@ def test_check_items_are_made_only_by_the_report():
 
 
 def test_one_label_assembly():
-    # every `StateLabel` of the library, a table entry or the image of a twist
-    # or an elevator, is assembled in the one labeler from per-sector and
-    # per-key parts
+    # every `StateLabel` of the library, the decoded form of a table's cell,
+    # is assembled in the one labeler from per-sector and per-key parts
     assert _callers("StateLabel") == {"statespace._labeler.label"}
+
+
+def test_labels_are_only_output():
+    # a label is made in one place and read back nowhere: the one labeler
+    # is built only by the entries view, and no map builds one for its input
+    assert _callers("_labeler") == {"statespace.StateEntries.__init__"}
+
+
+def test_only_the_labeler_imports_fractions_in_statespace():
+    # the twist and the elevators move integer cells; in `statespace` a
+    # `Fraction` is made only where a cell becomes a label
+    [tree] = [tree for path, tree in _library_trees() if path.stem == "statespace"]
+    owners = _owners(tree)
+    importers = {owners[node] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+                 or isinstance(node, ast.Import)
+                 and any(alias.name == "fractions" for alias in node.names)}
+    assert importers == {"_labeler"}
 
 
 def test_one_copy_of_the_twist_and_elevators():

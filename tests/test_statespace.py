@@ -127,14 +127,17 @@ class TestStateTable:
 
     def test_sector_and_key_that_no_entry_pairs_name_no_entry(self, elliptic):
         # a moving entry's sector with a fixed entry's key fails the side
-        # cross-check: the label names no entry, for a lookup and a twist alike
+        # cross-check: it names no entry, for a lookup of its label and a
+        # twist of its cell alike
         setup, table = elliptic
-        moving = next(lab for lab in table.entries if lab.side == MOVING)
-        fixed = next(lab for lab in table.entries if lab.side == FIXED)
+        moving, moving_cell = next((lab, cell) for lab, cell in zip(table.entries, table.cells)
+                                   if lab.side == MOVING)
+        fixed, fixed_cell = next((lab, cell) for lab, cell in zip(table.entries, table.cells)
+                                 if lab.side == FIXED)
         label = fixed._replace(sector=moving.sector, dj=moving.dj, ds=moving.ds, x=moving.x)
         assert label not in table.entries
         with pytest.raises(NoSuchEntryError):
-            twist(setup, label._replace(side=MOVING))
+            twist(setup, (moving_cell[0], *fixed_cell[1:]))
 
     def test_order2_weights_split_by_side(self):
         W = parse_polynomial("x0^2+x1^4+x2^4")
@@ -146,7 +149,7 @@ class TestStateTable:
 
 @pytest.mark.parametrize("case", ADMISSIBLE_CASES, ids=lambda case: case.name)
 def test_entries_are_a_view_of_the_cells(pair_cache, case):
-    # `entries` decodes the cells in order and looks a label up by its cell;
+    # `entries` decodes the cells in order and finds a label's dimension;
     # a label off the table, or with a field its cell does not give, is absent
     pair = pair_cache(case.name)
     for table in (pair.source_table, pair.target_table):
@@ -165,6 +168,22 @@ def test_entries_are_a_view_of_the_cells(pair_cache, case):
                 assert off not in entries and entries.get(off) is None
         assert list(entries) == [lab for lab, _ in entries.items()]
         assert table.total_dimension == sum(table.cells.values()) == sum(entries.values())
+
+
+def test_entries_decode_a_lookup_map_only_when_looked_up(elliptic):
+    # iteration, len, items and values stay lazy (the benchmark digests a
+    # table through len and items); the first lookup builds the map, and a
+    # key that is no label, an unhashable one included, is a miss
+    _, table = elliptic
+    entries = table.entries
+    assert len(entries) == len(list(entries)) == len(list(entries.items()))
+    assert sum(entries.values()) == table.total_dimension
+    assert entries._by_label is None
+    for key in ([1, 2], (1, 2), None):
+        assert key not in entries and entries.get(key) is None
+        with pytest.raises(NoSuchEntryError):
+            entries[key]
+    assert entries._by_label == dict(entries.items())
 
 
 class TestFjrwSlices:
@@ -205,12 +224,14 @@ class TestTwistAndElevators:
 
     def test_twist_label(self, elliptic):
         setup, table = elliptic
-        for lab, dim in table.entries.items():
+        label = statespace._labeler(setup)
+        for cell, dim in table.cells.items():
+            lab = label(cell)
             if lab.side != MOVING:
                 continue
-            out = twist(setup, lab)
-            assert out in table.entries and table.entries[out] == dim
-            assert out.p == lab.p - 1 + F(2 * lab.z, setup.k) and out.q == lab.q
+            out = twist(setup, cell)
+            assert table.cells.get(out) == dim
+            assert label(out).p == lab.p - 1 + F(2 * lab.z, setup.k) and label(out).q == lab.q
 
     def test_elevators_relate_all_levels(self, elliptic, quartic):
         for setup, table in (elliptic, quartic):
@@ -230,75 +251,91 @@ class TestTwistAndElevators:
 
     def test_elevator_labels(self, elliptic):
         setup, table = elliptic
-        k = setup.k
-        for lab, dim in table.entries.items():
+        k, label = setup.k, statespace._labeler(setup)
+        for cell, dim in table.cells.items():
+            lab = label(cell)
             mover = elevator_moving if lab.side == MOVING else elevator_fixed
-            assert mover(setup, lab, lab.z) == lab
+            assert mover(setup, cell, lab.z) == cell
             for z2 in range(1, k):
-                out = mover(setup, lab, z2)
-                assert out in table.entries and table.entries[out] == dim
-                two_step = mover(setup, mover(setup, lab, 1 + (z2 % (k - 1))), z2)
+                out = mover(setup, cell, z2)
+                assert table.cells.get(out) == dim
+                assert (label(out).side, label(out).z) == (lab.side, z2)
+                two_step = mover(setup, mover(setup, cell, 1 + (z2 % (k - 1))), z2)
                 assert two_step == out
 
     def test_twist_commutes_with_elevators(self, elliptic):
         setup, table = elliptic
         k = setup.k
-        for lab in table.entries:
+        for lab, cell in zip(table.entries, table.cells):
             if lab.side != MOVING:
                 continue
             for z2 in range(1, k):
-                via_moving = twist(setup, elevator_moving(setup, lab, z2))
-                via_fixed = elevator_fixed(setup, twist(setup, lab), z2)
+                via_moving = twist(setup, elevator_moving(setup, cell, z2))
+                via_fixed = elevator_fixed(setup, twist(setup, cell), z2)
                 assert via_moving == via_fixed
 
     def test_elevator_errors(self, elliptic):
         setup, table = elliptic
-        lab = next(iter(table.entries))
+        lab, cell = next(iter(table.entries)), next(iter(table.cells))
         wrong = elevator_fixed if lab.side == MOVING else elevator_moving
         with pytest.raises(SideMismatchError):
-            wrong(setup, lab, 1)
+            wrong(setup, cell, 1)
         right = elevator_moving if lab.side == MOVING else elevator_fixed
         with pytest.raises(ZOutOfRangeError):
-            right(setup, lab, 0)
+            right(setup, cell, 0)
         with pytest.raises(ZOutOfRangeError):
-            right(setup, lab, setup.k)
+            right(setup, cell, setup.k)
+
+    @pytest.mark.parametrize("z_new", [1.5, 2.0, "2", None, F(2)], ids=repr)
+    def test_elevator_level_that_is_not_an_integer(self, elliptic, z_new):
+        # a level is an int in 1..k-1; anything else is out of range, not a bare TypeError
+        setup, table = elliptic
+        for lab, cell in zip(table.entries, table.cells):
+            mover = elevator_moving if lab.side == MOVING else elevator_fixed
+            with pytest.raises(ZOutOfRangeError):
+                mover(setup, cell, z_new)
 
     def test_label_off_the_coset_group_names_no_entry(self, pair_cache):
         # the sector shifted by (0, 1/4, 0, 3/4) still fixes W but lies in no
-        # coset j^a s^b K: the twist and the elevators read the label's cell
-        # as a lookup does, so they raise NoSuchEntryError, not a bare KeyError
+        # coset j^a s^b K, and a key off Ann(K) is no key of the setup: the
+        # twist and the elevators raise NoSuchEntryError, not a bare KeyError
         pair = pair_cache("k3-quartic-z2z2")
-        setup, shift = pair.source, (0, F(1, 4), 0, F(3, 4))
-        for side, relabels in ((MOVING, (lambda lab: twist(setup, lab),
-                                         lambda lab: elevator_moving(setup, lab, 2))),
-                               (FIXED, (lambda lab: elevator_fixed(setup, lab, 2),))):
-            lab = next(lab for lab in pair.source_table.entries if lab.side == side)
-            foreign = lab._replace(sector=tuple((a + b) % 1 for a, b in zip(lab.sector, shift)))
-            assert foreign not in pair.source_table.entries
-            for relabel in relabels:
-                with pytest.raises(NoSuchEntryError):
-                    relabel(foreign)
+        setup, table = pair.source, pair.source_table
+        N = setup.N
+        shift = (0, N // 4, 0, 3 * N // 4)
+        foreign_key = next(g for g in aut_group(transpose(setup.W)).codes if g not in setup.keys)
+        for side, relabels in ((MOVING, (lambda cell: twist(setup, cell),
+                                         lambda cell: elevator_moving(setup, cell, 2))),
+                               (FIXED, (lambda cell: elevator_fixed(setup, cell, 2),))):
+            cell = next(cell for lab, cell in zip(table.entries, table.cells) if lab.side == side)
+            foreign = tuple((a + b) % N for a, b in zip(cell[0], shift))
+            assert foreign not in setup.labels
+            for off in ((foreign, *cell[1:]), (cell[0], foreign_key, *cell[2:])):
+                for relabel in relabels:
+                    with pytest.raises(NoSuchEntryError):
+                        relabel(off)
 
 
 def _twist_elevator_failures(table: StateTable) -> list:
-    """The proof's maps on one table: each entry, moved to level Z = 1 by
-    its own elevator and twisted if it is moving, must land on a fixed
-    entry at level 1, its base, and each base must receive 2(k - 1)
-    entries, one per side and level, all of the base's dimension.  The
-    bases at which this fails."""
-    setup, entries = table.setup, table.entries
+    """The proof's maps on one table's cells: each cell, moved to level
+    Z = 1 by its own elevator and twisted if it is moving, must land on a
+    fixed cell at level 1, its base, and each base must receive 2(k - 1)
+    cells, one per side and level, all of the base's dimension.  The bases
+    at which this fails."""
+    setup, cells = table.setup, table.cells
     received: dict = {}
-    for lab, dim in entries.items():
-        if lab.side == MOVING:
-            base = twist(setup, elevator_moving(setup, lab, 1))
+    for cell, dim in cells.items():
+        side, _, z = statespace._coordinates(setup, *cell[:2])
+        if side == MOVING:
+            base = statespace.twist(setup, elevator_moving(setup, cell, 1))
         else:
-            base = elevator_fixed(setup, lab, 1)
-        received.setdefault(base, []).append((lab.side, lab.z, dim))
+            base = elevator_fixed(setup, cell, 1)
+        received.setdefault(base, []).append((side, z, dim))
     levels = sorted((side, z) for side in (MOVING, FIXED) for z in range(1, setup.k))
     return [base for base, got in received.items()
-            if (base.side, base.z) != (FIXED, 1) or base not in entries
+            if base not in cells or statespace._coordinates(setup, *base[:2])[::2] != (FIXED, 1)
             or sorted((side, z) for side, z, _ in got) != levels
-            or {dim for _, _, dim in got} != {entries[base]}]
+            or {dim for _, _, dim in got} != {cells[base]}]
 
 
 @pytest.mark.parametrize("case", ADMISSIBLE_CASES, ids=lambda case: case.name)
@@ -315,6 +352,22 @@ def test_dropped_moving_cell_fails_the_twist_and_elevators(pair_cache, case):
         cells = dict(table.cells)
         del cells[next(cell for lab, cell in zip(table.entries, cells) if lab.side == MOVING)]
         assert _twist_elevator_failures(StateTable(table.setup, cells))
+
+
+@pytest.mark.parametrize("case", ADMISSIBLE_CASES, ids=lambda case: case.name)
+def test_twist_p_shift_off_by_one_over_k_fails_the_twist_and_elevators(
+        pair_cache, case, monkeypatch):
+    # every twist image's p raised by N/k, one step of 1/k
+    pair = pair_cache(case.name)
+    exact = statespace.twist
+
+    def off(setup, cell):
+        sector, key, p, q = exact(setup, cell)
+        return sector, key, p + setup.N // setup.k, q
+
+    monkeypatch.setattr(statespace, "twist", off)
+    for table in (pair.source_table, pair.target_table):
+        assert _twist_elevator_failures(table)
 
 
 class TestWeightDecomposition:
