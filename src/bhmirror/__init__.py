@@ -19,7 +19,6 @@ from .poly import (
     is_fermat_diagonal,
     parse_polynomial,
     restrict,
-    solve_weights,
     split_cyclic,
     transpose,
 )

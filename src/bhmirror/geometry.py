@@ -259,19 +259,11 @@ def lattice_invariants(p: int, g: int, N: int) -> tuple[int, int]:
 
 def lattice_mirror_verdict(report: K3Report, mirror_report: K3Report) -> dict:
     """Lattice invariants of both sides and whether they are mirror:
-    (r', a') = (20 - r, a).
-
-    The library's one-call form of the paper's K3 lattice corollary, for
-    callers that hold two fits; no command calls it, as `k3_corollaries`
-    builds the same verdict from the invariants it reads anyway."""
-    return _lattice_verdict(report.order, k3_invariants(report),
-                            mirror_report.order, k3_invariants(mirror_report))
-
-
-def _lattice_verdict(order: int, inv: K3Invariants, mirror_order: int,
-                     minv: K3Invariants) -> dict:
-    r, a_lat = lattice_invariants(order, inv.g1, inv.N1)
-    rm, am = lattice_invariants(mirror_order, minv.g1, minv.N1)
+    (r', a') = (20 - r, a), the paper's K3 lattice corollary for two fits;
+    `k3_corollaries` reads its verdict here."""
+    inv, minv = k3_invariants(report), k3_invariants(mirror_report)
+    r, a_lat = lattice_invariants(report.order, inv.g1, inv.N1)
+    rm, am = lattice_invariants(mirror_report.order, minv.g1, minv.N1)
     return {
         "r": r, "a": a_lat, "r_mirror": rm, "a_mirror": am,
         "mirror_ok": rm == 20 - r and am == a_lat,
@@ -291,7 +283,7 @@ def k3_corollaries(report: K3Report, mirror_report: K3Report
         holds = holds and 2 * P["a"] + P["b"] + 2 * P["a_dual"] + P["b_dual"] == 24
         return inv, minv, None, holds
     p = report.order
-    lattice = _lattice_verdict(p, inv, mirror_report.order, minv)
+    lattice = lattice_mirror_verdict(report, mirror_report)
     holds = holds and inv.f1 + minv.f1 + 4 == 24 * (p - 2) // (p - 1) and lattice["mirror_ok"]
     return inv, minv, lattice, holds
 

@@ -19,15 +19,17 @@ imported, inside the function that needs it, only for a rational input
 `exponent_inverse`).
 
 E^{-1} is held on integers, as fields of the polynomial: N, `inverse`
-(B) and `characters` (A).  One fraction-free (Bareiss) elimination of
-[E | I] in `from_exponents` gives det E and adj E, so B = +-adj E.  The
-weights and degree are read off the row sums of B, the Milnor number is
-a ratio of integer products, and `exponent_inverse`, E^{-1} as
-`Fraction`s, is an output view.  A transpose and the inner polynomial f
-of W = x0^k + f take theirs from the parent with no second elimination:
+(B) and `characters` (A).  `from_exponents` is the one entry for a
+matrix: one fraction-free (Bareiss) elimination of [E | I] gives det E
+and adj E, so B = +-adj E.  A transpose and the inner polynomial f of
+W = x0^k + f take theirs from the parent with no second elimination:
 N*(E^T)^{-1} is B^T, and E = diag(k, E_f) makes B = diag(N_f, k*B_f).
-Every record checks E*B = N*I on its own matrix.  `transpose` is cached
-per polynomial, so that a polynomial has one transpose object.
+All three build through one constructor, `_record`, which checks
+E*B = N*I on the record's own matrix and reads the weights and degree
+off the row sums of B.  The Milnor number is a ratio of integer
+products, and `exponent_inverse`, E^{-1} as `Fraction`s, is an output
+view.  `transpose` is cached per polynomial, so that a polynomial has
+one transpose object.
 
 The atoms are found by `classify_atoms`, once per polynomial built: one
 product of the monomials' readings and one forward walk (at most 2^12
@@ -81,8 +83,7 @@ class InvertiblePolynomial(namedtuple(
     """An invertible polynomial and its checked inverse: N = |det E|,
     inverse = N*E^{-1} (+-adj E) and characters = inverse mod N, whose
     row i is the dual character of x_i, a code of the transpose.  Made
-    only by `from_exponents`, `transpose` and `split_cyclic`, each of
-    which checks E*inverse = N*I."""
+    only by `_record`, which checks E*inverse = N*I."""
 
     # num_vars: int; exponents: Matrix; weights: tuple[int, ...]; degree: int;
     # atoms: tuple[Atom, ...]; var_names: tuple[str, ...]; N: int;
@@ -192,40 +193,6 @@ def monomial_phases(P: InvertiblePolynomial, D: int, scaled: Sequence[int]) -> t
     return tuple(phases)
 
 
-def _check_product(E: Matrix, N: int, B: Matrix) -> None:
-    """E*B = N*I on integers, checked once per record: it gives A*E = N*I
-    for the rows of A = B mod N, so the columns and row sums of A are codes
-    of symmetries of E's polynomial, and its rows of the transpose's,
-    never checked again."""
-    if any(sum(e * b for e, b in zip(row, col)) != (N if i == j else 0)
-           for i, row in enumerate(E) for j, col in enumerate(zip(*B))):
-        raise InternalError(f"N*E^-1 for N = |det E| = {N} is not an integer inverse of E")
-
-
-def _eliminate(E: Matrix) -> tuple[int, Matrix]:
-    """N = |det E| and B = N*E^{-1} (+-adj E), from one elimination and
-    checked (`_check_product`); the one caller of `adjugate`."""
-    det, adj = adjugate(E)
-    N, B = abs(det), adj if det > 0 else tuple(tuple(-x for x in row) for row in adj)
-    _check_product(E, N, B)
-    return N, B
-
-
-def _inverse_facts(N: int, B: Matrix) -> tuple[tuple[int, ...], int, tuple[Code, ...]]:
-    """The weights, degree and dual characters A = B mod N of a checked
-    B = N*E^{-1}.  The weights are N*q = the row sums of B, as
-    E^{-1}*1 = q, checked positive; the degree is the least positive d
-    with every w_i = d*q_i integral, which keeps every later charge
-    denominator minimal."""
-    sums = [sum(row) for row in B]
-    if any(x <= 0 for x in sums):
-        raise NonPositiveWeightError(
-            f"weight vector {format_vector(sums, N)} has a non-positive entry")
-    degree = N // gcd(N, *sums)
-    return (tuple(x * degree // N for x in sums), degree,
-            tuple(tuple(b % N for b in row) for row in B))
-
-
 def exponent_inverse(P: InvertiblePolynomial) -> tuple[tuple[Fraction, ...], ...]:
     """E^{-1} as `Fraction`s, the output view of the checked N*E^{-1}."""
     from fractions import Fraction
@@ -265,15 +232,6 @@ def decoder(N: int) -> Callable[[Code], tuple[Fraction, ...]]:
 def grading_code(P: InvertiblePolynomial) -> Code:
     """The code of j = E^{-1}*1 = [w_0/d, ..., w_n/d]: the row sums of N*E^{-1} mod N."""
     return tuple(sum(row) % P.N for row in P.characters)
-
-
-def solve_weights(exponents: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int]:
-    """Solve E*q = 1 exactly and scale to integer weights and degree
-    (`_inverse_facts`)."""
-    n = len(exponents)
-    if any(len(row) != n for row in exponents):
-        raise NonSquareError("exponent matrix must be square")
-    return _inverse_facts(*_eliminate(tuple(tuple(row) for row in exponents)))[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +322,8 @@ def classify_atoms(exponents: Sequence[Sequence[int]]) -> tuple[Atom, ...]:
 def from_exponents(exponents: Sequence[Sequence[int]],
                    var_names: Sequence[str] | None = None) -> InvertiblePolynomial:
     """Build and validate a polynomial from its exponent matrix and, if
-    given, one distinct name per variable."""
+    given, one distinct name per variable: the one entry for a matrix, and
+    the one elimination (`adjugate`), made after every input check."""
     n = len(exponents)
     if any(len(row) != n for row in exponents):
         raise NonSquareError(
@@ -376,9 +335,35 @@ def from_exponents(exponents: Sequence[Sequence[int]],
     names = tuple(var_names) if var_names is not None else tuple(f"x{i}" for i in range(n))
     if len(names) != n or len(set(names)) != n:
         raise NonSquareError(f"{len(set(names))} distinct variable names for {n} variables")
-    N, B = _eliminate(E)
-    weights, degree, A = _inverse_facts(N, B)
-    return InvertiblePolynomial(n, E, weights, degree, classify_atoms(E), names, N, B, A)
+    det, adj = adjugate(E)
+    B = adj if det > 0 else tuple(tuple(-x for x in row) for row in adj)
+    return _record(E, abs(det), B, names)
+
+
+def _record(E: Matrix, N: int, B: Matrix, names: tuple[str, ...],
+            atoms: tuple[Atom, ...] | None = None) -> InvertiblePolynomial:
+    """The one constructor of a polynomial record, from E and B = N*E^{-1}.
+
+    E*B = N*I is checked on integers, once per record: it gives A*E = N*I
+    for the rows of A = B mod N, so the columns and row sums of A are codes
+    of symmetries of E's polynomial, and its rows of the transpose's, never
+    checked again.  The weights are N*q = the row sums of B, as
+    E^{-1}*1 = q, checked positive; the degree is the least positive d
+    with every w_i = d*q_i integral, which keeps every later charge
+    denominator minimal.  Only then are the atoms classified, unless the
+    caller passes the ones it inherits."""
+    if any(sum(e * b for e, b in zip(row, col)) != (N if i == j else 0)
+           for i, row in enumerate(E) for j, col in enumerate(zip(*B))):
+        raise InternalError(f"N*E^-1 for N = |det E| = {N} is not an integer inverse of E")
+    sums = [sum(row) for row in B]
+    if any(x <= 0 for x in sums):
+        raise NonPositiveWeightError(
+            f"weight vector {format_vector(sums, N)} has a non-positive entry")
+    degree = N // gcd(N, *sums)
+    return InvertiblePolynomial(
+        len(E), E, tuple(x * degree // N for x in sums), degree,
+        classify_atoms(E) if atoms is None else atoms, names, N, B,
+        tuple(tuple(b % N for b in row) for row in B))
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<op>[+*^]))")
@@ -463,9 +448,6 @@ def parse_polynomial(text: str) -> InvertiblePolynomial:
             raise PolynomialSyntaxError(f"expected '+', found {value!r}", pos)
         i += 1
 
-    if len(monomials) != len(var_order):
-        raise NonSquareError(
-            f"{len(monomials)} monomials on {len(var_order)} variables")
     E = tuple(tuple(mono.get(name, 0) for name in var_order) for mono in monomials)
     return from_exponents(E, var_order)
 
@@ -507,22 +489,18 @@ def format_polynomial(P: InvertiblePolynomial) -> str:
 def transpose(P: InvertiblePolynomial) -> InvertiblePolynomial:
     """Transpose the exponent matrix; variable order is preserved.
 
-    N and N*(E^T)^{-1} = B^T come from P, with no second elimination, and
-    are checked against E^T; the weights are read off B^T and checked
-    positive before the atoms of E^T are classified.  Memoized on P, so
+    N and N*(E^T)^{-1} = B^T come from P, with no second elimination;
+    `_record` checks them against E^T and reads the weights off B^T, checked
+    positive, before the atoms of E^T are classified.  Memoized on P, so
     every request for the transpose of one polynomial returns the same
     object.  An input error names the polynomial whose transpose could
     not be built.
     """
-    E, B = tuple(zip(*P.exponents)), tuple(zip(*P.inverse))
-    _check_product(E, P.N, B)
     try:
-        weights, degree, A = _inverse_facts(P.N, B)
-        atoms = classify_atoms(E)
+        return _record(tuple(zip(*P.exponents)), P.N, tuple(zip(*P.inverse)), P.var_names)
     except InputError as exc:
         exc.args = (f"transpose of {format_polynomial(P)}: {exc}",)
         raise
-    return InvertiblePolynomial(P.num_vars, E, weights, degree, atoms, P.var_names, P.N, B, A)
 
 
 def direct_sum(P: InvertiblePolynomial, Q: InvertiblePolynomial) -> InvertiblePolynomial:
@@ -547,11 +525,11 @@ def split_cyclic(P: InvertiblePolynomial) -> tuple[int, InvertiblePolynomial]:
     E, and of its transpose, is x0^k.
 
     f is E without row and column 0, and E = diag(k, E_f), so N = k*N_f
-    and B = diag(N_f, k*B_f): f's inverse is read off W's, and
-    E_f*B_f = N_f*I is checked, times k, before it is divided by k.  Its atoms are W's
-    without the Fermat atom (0,), the first, each index lowered by one:
-    row 0 has one reading, so W's reading of the other rows is the one
-    `classify_atoms` takes for f."""
+    and B = diag(N_f, k*B_f): f's inverse is read off W's, each entry of
+    k*B_f checked divisible by k before the division, and E_f*B_f = N_f*I
+    checked by `_record`.  Its atoms are W's without the Fermat atom (0,),
+    the first, each index lowered by one: row 0 has one reading, so W's
+    reading of the other rows is the one `classify_atoms` takes for f."""
     rows_with_x0 = [i for i in range(P.num_vars) if P.exponents[i][0] > 0]
     if len(rows_with_x0) != 1:
         raise NotCyclicSplitError(
@@ -567,15 +545,13 @@ def split_cyclic(P: InvertiblePolynomial) -> tuple[int, InvertiblePolynomial]:
     if P.num_vars < 2:
         raise NotCyclicSplitError("no remaining variables for the inner polynomial")
     k = row[0]
-    E = tuple(other[1:] for other in P.exponents[1:])
     kB = tuple(other[1:] for other in P.inverse[1:])
-    _check_product(E, P.N, kB)  # E_f*B_f = N_f*I, times k
-    N, B = P.N // k, tuple(tuple(b // k for b in row) for row in kB)
-    weights, degree, A = _inverse_facts(N, B)
+    if any(b % k for line in kB for b in line):  # no wrong entry vanishes in the division
+        raise InternalError(f"N*E^-1 for N = |det E| = {P.N} is not an integer inverse of E")
     atoms = tuple(Atom(kind, tuple(v - 1 for v in variables), exponents)
                   for kind, variables, exponents in P.atoms[1:])
-    return k, InvertiblePolynomial(P.num_vars - 1, E, weights, degree, atoms,
-                                   P.var_names[1:], N, B, A)
+    return k, _record(tuple(other[1:] for other in P.exponents[1:]), P.N // k,
+                      tuple(tuple(b // k for b in row) for row in kB), P.var_names[1:], atoms)
 
 
 def restrict(P: InvertiblePolynomial, symmetry: Code) -> RestrictedPolynomial:

@@ -215,12 +215,17 @@ def _relabel(setup: AdmissibleSetup, cell: IntegerCell, name: str, side: str, ou
     key_power, dp, dq) = move(Z), sector * s^sector_power, key *
     s^key_power, (p, q) + (dp, dq)/k as numerators over N, and the image
     checked to land at (out_side, X, Y, z_new).  The twist changes the side
-    and keeps Z; an elevator keeps the side and takes Z to z_new."""
+    and keeps Z; an elevator keeps the side and takes Z to z_new.  A cell
+    that is not a 4-tuple of a sector and a key of the setup and two ints
+    names no entry."""
     k, N, labels = setup.k, setup.N, setup.labels
+    if not (isinstance(cell, tuple) and len(cell) == 4
+            and isinstance(cell[2], int) and isinstance(cell[3], int)):
+        raise NoSuchEntryError(cell)
     sector, key, p, q = cell
-    try:
+    try:  # off the setup, an unhashable code, or a pair that no entry has
         at_side, y, z = _coordinates(setup, sector, key)
-    except (KeyError, DualityViolationError):  # off the setup, or no entry pairs them
+    except (KeyError, TypeError, DualityViolationError):
         raise NoSuchEntryError(cell) from None
     if at_side != side:
         raise SideMismatchError(f"{name} applies to {side} entries")

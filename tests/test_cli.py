@@ -54,6 +54,13 @@ class TestAnalyze:
         code, _, err = run(capsys, "table", "x0^3+x1^3+x2^4+x3^12")
         assert code == 2 and "NotAdmissible" in err
 
+    def test_weight_error_before_the_atom_reading(self, capsys):
+        # y is a bare variable, so y + x^2*y^2 has no atom reading; its weight
+        # -1/2 is read first and named
+        code, out, err = run(capsys, "analyze", "y + x^2*y^2")
+        assert (code, out) == (2, "")
+        assert err == "error [NonPositiveWeight]: weight vector [1, -1/2] has a non-positive entry\n"
+
 
 class TestTable:
     def test_elliptic_text_rows(self, capsys):

@@ -31,7 +31,6 @@ from bhmirror.poly import (
     is_calabi_yau,
     parse_polynomial,
     restrict,
-    solve_weights,
     split_cyclic,
     transpose,
 )
@@ -139,16 +138,23 @@ class TestParse:
 
 class TestSolveWeights:
     def test_fermat_quartic(self):
-        weights, degree = solve_weights([[4, 0, 0, 0], [0, 4, 0, 0],
-                                         [0, 0, 4, 0], [0, 0, 0, 4]])
-        assert weights == (1, 1, 1, 1) and degree == 4
+        P = from_exponents([[4, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]])
+        assert P.weights == (1, 1, 1, 1) and P.degree == 4
 
     def test_one_variable(self):
-        assert solve_weights([[7]]) == ((1,), 7)
+        P = from_exponents([[7]])
+        assert (P.weights, P.degree) == ((1,), 7)
 
     def test_chain_by_back_substitution(self):
         # 4q1 = 1 then 3q0 + q1 = 1: q = (1/4, 1/4)
-        assert solve_weights([[3, 1], [0, 4]]) == ((1, 1), 4)
+        P = from_exponents([[3, 1], [0, 4]])
+        assert (P.weights, P.degree) == ((1, 1), 4)
+
+    def test_weights_are_checked_before_the_atoms(self):
+        # y + x^2*y^2 has a bare variable, so no atom reading, and the
+        # weight -1/2: the record reports the weight
+        with pytest.raises(NonPositiveWeightError, match=r"weight vector \[-1/2, 1\]"):
+            from_exponents([[0, 1], [2, 2]])
 
     def test_charge_identity(self):
         for text in KRAWITZ_POLYNOMIALS:

@@ -158,17 +158,18 @@ def test_annihilator_has_two_callers():
 def test_atoms_are_classified_once_per_polynomial():
     # a restriction keeps whole chain tails and loops of the parent's atoms,
     # so `restrict` reads its blocks off them instead of searching again;
-    # f of W = x0^k + f reads its atoms off W's
-    assert _callers("classify_atoms") == {"poly.from_exponents", "poly.transpose"}
+    # f of W = x0^k + f hands the record W's atoms
+    assert _callers("classify_atoms") == {"poly._record"}
 
 
 def test_a_polynomial_is_built_with_its_checked_inverse():
-    # every record is made where its inverse is checked: a parse eliminates
-    # once, and a transpose or an inner f takes its inverse from the parent
-    assert _callers("InvertiblePolynomial") == {"poly.from_exponents", "poly.transpose",
-                                                "poly.split_cyclic"}
-    assert _callers("adjugate") == {"poly._eliminate"}
-    assert _callers("_eliminate") == {"poly.from_exponents", "poly.solve_weights"}
+    # every record is made by one constructor, which checks its inverse: a
+    # parse eliminates once, and a transpose or an inner f takes its inverse
+    # from the parent
+    assert _callers("InvertiblePolynomial") == {"poly._record"}
+    assert _callers("_record") == {"poly.from_exponents", "poly.transpose",
+                                   "poly.split_cyclic"}
+    assert _callers("adjugate") == {"poly.from_exponents"}
 
 
 def test_atom_keeps_kind_variables_and_exponents():

@@ -315,6 +315,30 @@ class TestTwistAndElevators:
                     with pytest.raises(NoSuchEntryError):
                         relabel(off)
 
+    @pytest.mark.parametrize("malform", [
+        lambda cell: ([*cell[0]], *cell[1:]),
+        lambda cell: (cell[0], [*cell[1]], *cell[2:]),
+        lambda cell: cell[:3],
+        lambda cell: (*cell, 0),
+        lambda cell: list(cell),
+        lambda cell: None,
+        lambda cell: (*cell[:2], 1.5, cell[3]),
+        lambda cell: (*cell[:3], F(cell[3])),
+    ], ids=["list-sector", "list-key", "3-tuple", "5-tuple", "list",
+            "None", "float-p", "fraction-q"])
+    @pytest.mark.parametrize("relabel, side", [
+        (lambda setup, cell: twist(setup, cell), MOVING),
+        (lambda setup, cell: elevator_moving(setup, cell, 1), MOVING),
+        (lambda setup, cell: elevator_fixed(setup, cell, 1), FIXED),
+    ], ids=["twist", "elevator_moving", "elevator_fixed"])
+    def test_malformed_cell_names_no_entry(self, elliptic, malform, relabel, side):
+        # a cell is (sector, key, N*p, N*q) with codes of the setup and ints;
+        # anything else names no entry, not a bare TypeError or ValueError
+        setup, table = elliptic
+        cell = next(cell for lab, cell in zip(table.entries, table.cells) if lab.side == side)
+        with pytest.raises(NoSuchEntryError):
+            relabel(setup, malform(cell))
+
 
 def _twist_elevator_failures(table: StateTable) -> list:
     """The proof's maps on one table's cells: each cell, moved to level
