@@ -4,7 +4,7 @@ Two collections: plain polynomials exercising every atom shape for the
 transpose-duality scan, and (W, K) setups for the cyclic-automorphism
 machinery.  K generators are written over the inner variables (x0
 excluded) and must contain the k-th power of the inner grading symmetry
-explicitly; `CatalogCase.K_group` closes them once into the group of f
+explicitly; `CatalogCase.K_group` spans them once into the group of f
 that a setup takes.
 """
 

@@ -90,7 +90,7 @@ def parse_group_spec(spec: str, P: InvertiblePolynomial) -> SymmetryGroup:
 
 def cmd_analyze(args) -> int:
     P = parse_polynomial(args.polynomial)
-    require_within_cap(P)  # |Aut| = |det E|, so Aut is not closed to print its order
+    require_within_cap(P)  # |Aut| = |det E|, so Aut is not enumerated to print its order
     N = P.N
     j = grading_code(P)
     try:

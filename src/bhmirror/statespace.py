@@ -216,17 +216,16 @@ def _relabel(setup: AdmissibleSetup, cell: IntegerCell, name: str, side: str, ou
     s^key_power, (p, q) + (dp, dq)/k as numerators over N, and the image
     checked to land at (out_side, X, Y, z_new).  The twist changes the side
     and keeps Z; an elevator keeps the side and takes Z to z_new.  A cell
-    that is not a 4-tuple of a sector and a key of the setup and two ints
-    names no entry."""
+    that is not a 4-tuple of a sector and a key of the setup and two ints,
+    all of type int (a float or bool hashes like one), names no entry."""
     k, N, labels = setup.k, setup.N, setup.labels
-    if not (isinstance(cell, tuple) and len(cell) == 4
-            and isinstance(cell[2], int) and isinstance(cell[3], int)):
-        raise NoSuchEntryError(cell)
-    sector, key, p, q = cell
-    try:  # off the setup, an unhashable code, or a pair that no entry has
+    try:  # not four fields, off the setup, an unhashable code, or a pair that no entry has
+        sector, key, p, q = cell
         at_side, y, z = _coordinates(setup, sector, key)
-    except (KeyError, TypeError, DualityViolationError):
+    except (KeyError, TypeError, ValueError, DualityViolationError):
         raise NoSuchEntryError(cell) from None
+    if not isinstance(cell, tuple) or not all(type(x) is int for x in (*sector, *key, p, q)):
+        raise NoSuchEntryError(cell)
     if at_side != side:
         raise SideMismatchError(f"{name} applies to {side} entries")
     if out_side != side:

@@ -2,22 +2,20 @@
 
 A diagonal symmetry is a vector [a_0, ..., a_n] of rationals mod 1, acting
 by x_i -> exp(2*pi*i*a_i) x_i.  N = |det E| is the one bound, checked by
-`require_within_cap` before any closure, and the one modulus: inside the
-engine a symmetry is its code N*g mod N (see `poly`).  A `SymmetryGroup`
-is codes only; `elements`, its `Fraction` view, is decoded on every read.
+`require_within_cap` before any enumeration, and the one modulus: inside
+the engine a symmetry is its code N*g mod N (see `poly`).  A
+`SymmetryGroup` is codes only; `elements`, its `Fraction` view, is decoded
+on every read.
 
-One kernel, `_closure`, closes codes, and one constructor, `_span`, makes
-every group from generators: the cap check, the closure and the sort.
-Rational vectors enter once, through `enumerate_group`, which encodes
-each; Aut is spanned by the columns of N*E^{-1} mod N, <j> by the code of
-j (`poly.grading_code`), and SL is the dual of the transpose's <j^T>.  A
-code is made only by `encode`, the checked inverse, `_closure` or
-`annihilator`, and is checked to be a member there only; a setup's cosets
-and keys are codes too.  Nothing is cached: no command asks twice for one
-polynomial's Aut.  `j_element`, `s_element` and `pairing` give or take
-rational vectors, for callers outside the engine: `analyze` prints j and
-s from their codes.  Each imports `fractions` when called, so a command
-that reads and prints no rational loads none.
+Every group is a lattice mod N, made by one constructor, `_span`: the cap
+check, a triangular basis (`_hermite`) and its codes (`_elements`).
+Rational vectors enter once, through `enumerate_group`; Aut is spanned by
+the columns of N*E^{-1} mod N, <j> by the code of j, and SL is the dual of
+the transpose's <j^T>.  A code is made only by `encode`, the checked
+inverse or `_elements`, and is checked to be a member there only.  Nothing
+is cached.  `j_element`, `s_element` and `pairing` give or take rational
+vectors, for callers outside the engine, and import `fractions` when
+called, so a command that reads and prints no rational loads none.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from math import gcd
 
 from .errors import (
     DualityViolationError,
@@ -39,6 +36,7 @@ from .errors import (
 from .poly import (
     Code,
     InvertiblePolynomial,
+    adjugate,
     common_denominator,
     decoder,
     encode,
@@ -83,7 +81,7 @@ def symmetry(entries: Iterable) -> Symmetry:
 
 class SymmetryGroup(namedtuple("SymmetryGroup", "polynomial generators codes")):
     """A group of diagonal symmetries of `polynomial` as codes mod |det E|:
-    its generators and its closure `codes`, sorted.  code -> code/N is
+    its generators and the `codes` they span, sorted.  code -> code/N is
     monotone, so `elements`, the `Fraction` view, is sorted too."""
 
     # polynomial: InvertiblePolynomial; generators, codes: tuple[Code, ...]
@@ -95,38 +93,50 @@ class SymmetryGroup(namedtuple("SymmetryGroup", "polynomial generators codes")):
 
     @property
     def elements(self) -> tuple[Symmetry, ...]:
-        """The closure as rational vectors in [0, 1), decoded anew on every
+        """The codes as rational vectors in [0, 1), decoded anew on every
         read; the engine reads `codes`, and output decodes once."""
         return tuple(map(decoder(self.polynomial.N), self.codes))
 
 
-def _closure(steps: Sequence[Code], num_vars: int, N: int) -> list[Code]:
-    """Closure of codes mod N by cyclic extension: a step g in the group H
-    so far is skipped, else the cosets H + g, H + 2g, ... join until one is
-    H, so the work is linear in |G| <= N.  Returns the codes in closure
-    order: H, then H + g, H + 2g, ... for each step in turn.
-    """
-    elements = {(0,) * num_vars: None}
-    shared = {}.setdefault  # one int object per residue, shared by every code
-    for g in dict.fromkeys(steps):
-        if g in elements:
-            continue
-        coset = list(elements)
-        while True:
-            coset = [tuple([shared(v := (x + y) % N, v) for x, y in zip(e, g)]) for e in coset]
-            if coset[0] in elements:
-                break
-            elements.update(dict.fromkeys(coset))
-    return list(elements)
+def _hermite(generators: Iterable[Code], n: int, N: int) -> list[list[int]]:
+    """A basis of the lattice that the codes span with N*Z^n (Cohen, 2.4):
+    row i is zero left of column i, its pivot d_i divides N and its other
+    entries lie in [0, N).  Row i starts as N*e_i; extended-gcd row
+    operations (unimodular) fold each code in, column by column, reducing
+    mod N, as N*e_j lies in the span of rows j and below.  O(n^2) per code."""
+    rows = [[N * (i == j) for j in range(n)] for i in range(n)]
+    for g in generators:
+        v = [x % N for x in g]
+        for i, row in enumerate(rows):
+            if c := v[i]:
+                d, u, w = _extended_gcd(p := row[i], c)
+                rows[i] = [(u * x + w * y) % N for x, y in zip(row, v)]
+                v = [(c // d * x - p // d * y) % N for x, y in zip(row, v)]
+    return rows
+
+
+def _elements(basis: Sequence[Sequence[int]], N: int) -> list[Code]:
+    """The sorted codes sum c_i*row_i mod N, 0 <= c_i < N/d_i, of a
+    `_hermite` basis, one int object per residue shared by every code.  A
+    repeated code means the basis is not triangular (InternalError)."""
+    shared, codes = {}.setdefault, [(0,) * len(basis)]
+    for i, row in enumerate(basis):
+        if row[i] != N:  # a pivot of N adds no code
+            steps = [[c * y % N for y in row] for c in range(N // row[i])]
+            codes = [tuple([shared(v := (x + y) % N, v) for x, y in zip(e, t)])
+                     for t in steps for e in codes]
+    codes.sort()
+    if any(map(tuple.__eq__, codes, codes[1:])):
+        raise InternalError(f"the basis {basis} mod {N} repeats a code")
+    return codes
 
 
 def _span(P: InvertiblePolynomial, generators: Iterable[Code]) -> SymmetryGroup:
-    """The group that codes of P span, read and closed once |det E|, which
-    bounds it, is within the cap; a rational vector would never close."""
+    """The group that codes of P span, listed once |det E|, which bounds
+    it, is within the cap; a rational vector is first encoded."""
     require_within_cap(P)
     gens = tuple(generators)
-    codes = _closure(gens, P.num_vars, P.N)
-    return SymmetryGroup(P, gens, tuple(sorted(codes)))
+    return SymmetryGroup(P, gens, tuple(_elements(_hermite(gens, P.num_vars, P.N), P.N)))
 
 
 def enumerate_group(P: InvertiblePolynomial,
@@ -139,7 +149,7 @@ def enumerate_group(P: InvertiblePolynomial,
 def aut_group(P: InvertiblePolynomial) -> SymmetryGroup:
     """The full diagonal symmetry group, spanned by the columns of
     N*E^{-1} mod N, its order checked to equal |det E|; GroupTooLargeError
-    before anything is closed when |det E| exceeds the cap."""
+    before anything is enumerated when |det E| exceeds the cap."""
     group = _span(P, zip(*P.characters))
     if group.order != P.N:
         raise InternalError(f"|Aut| = {group.order} differs from |det E| = {P.N}")
@@ -199,30 +209,14 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 def _kernel_basis(generators: Iterable[Code], num_vars: int, N: int) -> list[list[int]]:
     """num_vars vectors, entries mod N, that span L mod N*Z^n, where
-    L = {x : g . x = 0 mod N for every generator g}.  Per generator,
-    extended-gcd column operations (unimodular, so the span is kept) fold
-    the values g . b of the vectors b into one vector b' of value c, the
-    others reaching 0; then b' is scaled by N / gcd(c, N), its least
-    multiple of value 0.  O(n^2) per generator."""
-    basis = [[int(i == j) for j in range(num_vars)] for i in range(num_vars)]
-    for g in generators:
-        pivot = None
-        for i, b in enumerate(basis):
-            c = sum(x * y for x, y in zip(g, b)) % N
-            if c == 0:
-                continue
-            if pivot is None:
-                pivot, value = i, c
-                continue
-            d, u, v = _extended_gcd(value, c)
-            bp = basis[pivot]
-            basis[pivot] = [(u * x + v * y) % N for x, y in zip(bp, b)]
-            basis[i] = [(c // d * x - value // d * y) % N for x, y in zip(bp, b)]
-            value = d
-        if pivot is not None:
-            m = N // gcd(value, N)
-            basis[pivot] = [m * x % N for x in basis[pivot]]
-    return basis
+    L = {x : g . x = 0 mod N for every generator g}: as the `_hermite`
+    basis M spans the generators with N*Z^n, L = {x : M*x in N*Z^n}, spanned
+    by the columns of N*M^{-1} = N*adj(M)/det(M), checked integral."""
+    M = _hermite(generators, num_vars, N)
+    det, adj = adjugate(M)
+    if any(N * x % det for row in adj for x in row):
+        raise InternalError(f"N*M^-1 for N = {N} is not an integer matrix for M = {M}")
+    return [[N * x // det % N for x in column] for column in zip(*adj)]
 
 
 def annihilator(P: InvertiblePolynomial, generators: Iterable[Code], order: int) -> tuple[Code, ...]:
@@ -234,9 +228,9 @@ def annihilator(P: InvertiblePolynomial, generators: Iterable[Code], order: int)
     The transpose's codes are x*A mod N, A = N*E^{-1} mod N, and
     (E*g/N) . (x*A) = g . x mod N, as A*E = N*I.  So Ann is the image of
     the lattice of x with g . x = 0 mod N for every generator g: its
-    `_kernel_basis` is mapped through A and closed, in work proportional
-    to |Ann|.  Each image is checked to pair to zero with each generator
-    (by bilinearity this covers the closure) before it is closed.
+    `_kernel_basis` is mapped through A and spanned, in work proportional
+    to |Ann|, once each image is checked to pair to zero with each
+    generator (by bilinearity this covers every element).
     """
     require_within_cap(transpose(P))  # names a degenerate transpose first
     N = P.N
@@ -251,7 +245,7 @@ def annihilator(P: InvertiblePolynomial, generators: Iterable[Code], order: int)
                 raise DualityViolationError(
                     f"kernel image {format_vector(h, N)} does not pair to zero "
                     f"with {format_vector(g, N)}")
-    elements = tuple(sorted(_closure(images, P.num_vars, N)))
+    elements = tuple(_elements(_hermite(images, P.num_vars, N), N))
     if len(elements) * order != N:
         raise DualityViolationError(
             f"annihilator of order {len(elements)} times group order {order} "
@@ -281,7 +275,7 @@ class AdmissibleSetup(namedtuple("AdmissibleSetup", "W k K_inner N j s labels ke
 
     # W: InvertiblePolynomial; k: int; K_inner: SymmetryGroup, a subgroup of
     # Aut_f in f coordinates; N: int; j, s: Code;
-    # labels: dict[Code, tuple[int, int]], in coset order;
+    # labels: dict[Code, tuple[int, int]], coset by coset, a outer, each in K's order;
     # keys: dict[Code, tuple[int, int]], Ann(K) in the transpose's group -> (k*Q_j, k*Q_s) mod k
     __slots__ = ()
 
@@ -295,12 +289,13 @@ def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) ->
 
     K is a group of f; None (or the empty tuple) is the trivial group.  Its
     codes were checked to fix f where they were made, so only j_f^k in K
-    and K in SL_f are checked here.  The closure of (K, s, j) runs K, its
-    s-cosets, then their j-shifts, so block i of |K| elements is the coset
-    (a, b) = divmod(i, k).  A shorter closure means two labels name one
-    coset (GradingCollisionError): the (a/k, b/k)-gradings would not be
-    single-valued.  |det E|, checked first, bounds K, the coset group and
-    Ann(K), whose keys' charges must be multiples of 1/k.
+    and K in SL_f are checked here.  Each code j^a s^b kappa, for a and b
+    in range(k) and kappa in K, is labelled (a, b), a outer: as j^k lies in
+    K and s^k = 1, these are the whole coset group.  Fewer than k^2*|K|
+    distinct codes means two labels name one coset (GradingCollisionError):
+    the (a/k, b/k)-gradings would not be single-valued.  |det E|, checked
+    first, bounds K, the coset group and Ann(K), whose keys' charges must be
+    multiples of 1/k.
     """
     k, f = split_cyclic(W)
     require_within_cap(W)
@@ -319,16 +314,20 @@ def admissible_setup(W: InvertiblePolynomial, K: SymmetryGroup | None = None) ->
 
     j, s = grading_code(W), (N // k,) + (0,) * f.num_vars
     K_gens = tuple((0, *(k * x for x in g)) for g in K_inner.generators)  # N = k*N_f; fixing x0
-    codes = _closure(K_gens + (s, j), W.num_vars, N)
-    order = K_inner.order  # read once, for the labels of every element
-    sk_order = k * order  # |<s, K>|
-    if len(codes) < k * sk_order:
+    K_codes = [(0, *(k * x for x in g)) for g in K_inner.codes]
+    shared, labels = {}.setdefault, {}  # one int object per residue, shared by every label
+    for a in range(k):
+        for b in range(k):
+            shift, ab = [(a * x + b * y) % N for x, y in zip(j, s)], (a, b)
+            for g in K_codes:
+                labels[tuple([shared(v := (x + y) % N, v) for x, y in zip(shift, g)])] = ab
+    order = K_inner.order
+    if len(labels) < k * k * order:
         # j^a is the first power of j in <s, K>; its first entry a/k puts it in s^a K
-        a = len(codes) // sk_order
+        a = len(labels) // (k * order)
         raise GradingCollisionError(
             f"cosets {(0, a)} and {(a, 0)} coincide; "
             "the (d_j, d_s) grading is not single-valued")
-    labels = {e: divmod(i // order, k) for i, e in enumerate(codes)}
     # Q_j = (E*j/N) . key/N mod 1, and likewise Q_s; E*j = N*1 and E*s = N*e_0,
     # x0^k being row 0, so k*Q_j*N is k*sum(key) and k*Q_s*N is k*key[0]
     if (monomial_phases(W, N, j) != (1,) * W.num_vars

@@ -22,18 +22,20 @@ assembled from per-sector and per-key parts), the atoms found by a
 recursive search for a matching of monomials to head variables (the
 engine before one product of readings and a forward walk), <j>, SL
 and Aut spanned by `Fraction` vectors that `enumerate_group` encodes
-(the engine before they were spanned by codes read off N*E^{-1}), and
+(the engine before they were spanned by codes read off N*E^{-1}),
 the Fermat monomial basis by a recursion over the fixed variables (the
-oracle before one product over their exponents).  The library holds
-symmetries as codes mod |det E|; decoded, they must agree with the
-reference element for element on random invertible polynomials of up to
-four variables.
+oracle before one product over their exponents), and groups closed from
+codes by cyclic extension, coset labels read off that closure's order
+(the engine before every group was listed from a Hermite basis).  The
+library holds symmetries as codes mod |det E|; decoded, they must agree
+with the reference element for element on random invertible polynomials
+of up to four variables.
 """
 
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -45,6 +47,7 @@ from bhmirror.errors import (
     DegenerateShapeError,
     DualityViolationError,
     GradingCollisionError,
+    InternalError,
     NotAdmissibleError,
     NotFermatError,
     SideMismatchError,
@@ -102,6 +105,7 @@ from bhmirror.statespace import (
     unprojected_cells,
     unprojected_state_space,
 )
+from bhmirror import symmetry as symmetry_module
 from bhmirror.symmetry import (
     SymmetryGroup,
     admissible_setup,
@@ -212,14 +216,43 @@ def ref_annihilator(P, generators):
     return tuple(h for h in full if all(ref_pairing(P, g, h) == 0 for g in generators))
 
 
+def old_closure(steps, num_vars, N):
+    """The closure of codes mod N that the Hermite basis replaced, by cyclic
+    extension: a step g in the group H so far is skipped, else the cosets
+    H + g, H + 2g, ... join until one is H.  Returns the codes in closure
+    order: H, then H + g, H + 2g, ... for each step in turn."""
+    elements = {(0,) * num_vars: None}
+    for g in dict.fromkeys(steps):
+        if g in elements:
+            continue
+        coset = list(elements)
+        while True:
+            coset = [tuple((x + y) % N for x, y in zip(e, g)) for e in coset]
+            if coset[0] in elements:
+                break
+            elements.update(dict.fromkeys(coset))
+    return list(elements)
+
+
 def old_annihilator(P, generators):
     """The closure-and-filter that the kernel-basis annihilator replaced:
-    the codes of Aut of the transpose, sorted, with (E*g) . h = 0 mod N
-    for every generator g."""
+    the codes of Aut of the transpose, closed from the columns of its
+    N*E^{-1} and sorted, with (E*g) . h = 0 mod N for every generator g."""
     N = P.N
     vectors = [monomial_phases(P, N, g) for g in generators]
-    return tuple(h for h in aut_group(transpose(P)).codes
+    duals = sorted(old_closure(zip(*transpose(P).characters), P.num_vars, N))
+    return tuple(h for h in duals
                  if all(sum(x * y for x, y in zip(v, h)) % N == 0 for v in vectors))
+
+
+def old_coset_labels(W, K):
+    """A setup's labels as read off the closure order of (K, s, j): block i
+    of |K| codes is the coset divmod(i, k)."""
+    k, f = split_cyclic(W)
+    K_gens = tuple((0, *(k * x for x in g)) for g in K.generators)
+    s = (W.N // k,) + (0,) * f.num_vars
+    codes = old_closure(K_gens + (s, grading_code(W)), W.num_vars, W.N)
+    return {e: divmod(i // K.order, k) for i, e in enumerate(codes)}
 
 
 def old_key_charges(setup):
@@ -805,8 +838,8 @@ def assert_members(P, codes):
 @settings(deadline=None, max_examples=40)
 @given(polynomial_and_generators())
 def test_kernel_codes_are_members(case):
-    # membership is checked where a code is made (`encode`, `_closure`,
-    # `annihilator`) and nowhere later, so every code the kernel returns
+    # membership is checked where a code is made (`encode`, the checked
+    # inverse, `_elements`) and nowhere later, so every code the kernel returns
     # must already be a member
     P, gens = case
     H = enumerate_group(P, gens)
@@ -974,7 +1007,62 @@ def polynomial_and_subgroup(draw):
 @given(polynomial_and_subgroup())
 def test_kernel_basis_annihilator_matches_closure_and_filter(case):
     P, H = case
-    assert annihilator(P, H.generators, H.order) == old_annihilator(P, H.generators)
+    order = len(old_closure(H.generators, P.num_vars, P.N))
+    assert annihilator(P, H.generators, order) == old_annihilator(P, H.generators)
+
+
+def assert_span_matches_old_closure(P, generators):
+    """The codes that `_span` lists and the order read off the `_hermite`
+    basis, the product of N/d_i, against the sorted closure."""
+    N, gens = P.N, tuple(generators)
+    expected = tuple(sorted(old_closure(gens, P.num_vars, N)))
+    basis = symmetry_module._hermite(gens, P.num_vars, N)
+    assert symmetry_module._span(P, gens).codes == expected
+    assert prod(N // row[i] for i, row in enumerate(basis)) == len(expected)
+
+
+@settings(deadline=None, max_examples=80)
+@given(polynomial_and_subgroup())
+def test_hermite_span_matches_old_closure(case):
+    P, H = case
+    assert_span_matches_old_closure(P, H.generators)
+
+
+@settings(deadline=None, max_examples=80)
+@given(cyclic_setups())
+def test_setup_labels_match_old_closure_order(case):
+    # every label's (a, b) as the closure order of (K, s, j) gave it, or the
+    # same collision message
+    W, gens = case
+    k, f = split_cyclic(W)
+    K = enumerate_group(f, gens)
+    expected = old_coset_labels(W, K)
+    try:
+        setup = admissible_setup(W, K)
+    except GradingCollisionError as exc:
+        a = len(expected) // (k * K.order)
+        assert len(expected) < k * k * K.order
+        assert str(exc) == (f"cosets {(0, a)} and {(a, 0)} coincide; "
+                            "the (d_j, d_s) grading is not single-valued")
+    else:
+        assert setup.labels == expected
+
+
+@pytest.mark.parametrize("fault", [
+    lambda basis: basis[:-1],
+    lambda basis: [[basis[0][0] + 1, *basis[0][1:]], *basis[1:]],
+], ids=["dropped-row", "bumped-pivot"])
+@pytest.mark.parametrize("text", sorted({case.polynomial for case in ADMISSIBLE_CASES}))
+def test_a_wrong_hermite_basis_is_caught(monkeypatch, fault, text):
+    # on every catalog polynomial, a basis with its last row dropped or its
+    # first pivot bumped fails the library's own checks or the comparison
+    # of Aut and <j> with the closure
+    P = parse_polynomial(text)
+    real = symmetry_module._hermite
+    monkeypatch.setattr(symmetry_module, "_hermite", lambda *args: fault(real(*args)))
+    with pytest.raises((AssertionError, InternalError)):
+        assert_span_matches_old_closure(P, zip(*P.characters))
+        assert_span_matches_old_closure(P, (grading_code(P),))
 
 
 @settings(deadline=None, max_examples=40)

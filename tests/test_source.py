@@ -165,11 +165,12 @@ def test_atoms_are_classified_once_per_polynomial():
 def test_a_polynomial_is_built_with_its_checked_inverse():
     # every record is made by one constructor, which checks its inverse: a
     # parse eliminates once, and a transpose or an inner f takes its inverse
-    # from the parent
+    # from the parent; the one other adjugate is of a group's Hermite
+    # basis, not of an exponent matrix
     assert _callers("InvertiblePolynomial") == {"poly._record"}
     assert _callers("_record") == {"poly.from_exponents", "poly.transpose",
                                    "poly.split_cyclic"}
-    assert _callers("adjugate") == {"poly.from_exponents"}
+    assert _callers("adjugate") == {"poly.from_exponents", "symmetry._kernel_basis"}
 
 
 def test_atom_keeps_kind_variables_and_exponents():
@@ -243,10 +244,10 @@ def test_fractions_enter_the_engine_once():
 
 
 def test_one_group_constructor():
-    # every `SymmetryGroup` closed from generators is closed by `_span`; the
-    # annihilator closes its kernel images, and a setup its coset group
-    assert _callers("_closure") == {"symmetry._span", "symmetry.annihilator",
-                                    "symmetry.admissible_setup"}
+    # every `SymmetryGroup` spanned by generators is enumerated by `_span`,
+    # and the annihilator enumerates the span of its kernel images; a setup
+    # enumerates no group, it shifts K's codes by j^a s^b
+    assert _callers("_elements") == {"symmetry._span", "symmetry.annihilator"}
 
 
 def _items_loop(node):

@@ -324,8 +324,15 @@ class TestTwistAndElevators:
         lambda cell: None,
         lambda cell: (*cell[:2], 1.5, cell[3]),
         lambda cell: (*cell[:3], F(cell[3])),
+        # floats and bools hash like the setup's int codes
+        lambda cell: (tuple(map(float, cell[0])), *cell[1:]),
+        lambda cell: (cell[0], tuple(map(float, cell[1])), *cell[2:]),
+        lambda cell: (tuple(False if x == 0 else x for x in cell[0]), *cell[1:]),
+        lambda cell: (cell[0], tuple(False if x == 0 else x for x in cell[1]), *cell[2:]),
+        lambda cell: (*cell[:2], True, cell[3]),
     ], ids=["list-sector", "list-key", "3-tuple", "5-tuple", "list",
-            "None", "float-p", "fraction-q"])
+            "None", "float-p", "fraction-q", "float-sector", "float-key",
+            "bool-sector", "bool-key", "bool-p"])
     @pytest.mark.parametrize("relabel, side", [
         (lambda setup, cell: twist(setup, cell), MOVING),
         (lambda setup, cell: elevator_moving(setup, cell, 1), MOVING),
@@ -333,9 +340,11 @@ class TestTwistAndElevators:
     ], ids=["twist", "elevator_moving", "elevator_fixed"])
     def test_malformed_cell_names_no_entry(self, elliptic, malform, relabel, side):
         # a cell is (sector, key, N*p, N*q) with codes of the setup and ints;
-        # anything else names no entry, not a bare TypeError or ValueError
+        # anything else names no entry, not a bare TypeError or ValueError;
+        # the sector and the key each have a 0 entry, for False to stand in
         setup, table = elliptic
-        cell = next(cell for lab, cell in zip(table.entries, table.cells) if lab.side == side)
+        cell = next(cell for lab, cell in zip(table.entries, table.cells)
+                    if lab.side == side and 0 in cell[0] and 0 in cell[1])
         with pytest.raises(NoSuchEntryError):
             relabel(setup, malform(cell))
 

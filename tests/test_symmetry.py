@@ -173,10 +173,10 @@ class TestDualGroup:
         assert dual_group(aut_group(QUARTIC)).order == 1
 
     def test_aut_order_is_checked_against_the_determinant(self, monkeypatch):
-        # the closure of the columns of N*E^{-1} must have |det E| elements
+        # the span of the columns of N*E^{-1} must have |det E| elements
         from bhmirror import symmetry as module
-        real = module._closure
-        monkeypatch.setattr(module, "_closure", lambda *args: real(*args)[:-1])
+        real = module._elements
+        monkeypatch.setattr(module, "_elements", lambda *args: real(*args)[:-1])
         with pytest.raises(InternalError, match=r"\|Aut\| = 35 differs from \|det E\| = 36"):
             module.aut_group(ELLIPTIC)
 
@@ -200,6 +200,20 @@ class TestDualGroup:
         real = module._kernel_basis
         monkeypatch.setattr(module, "_kernel_basis", lambda *args: fault(real(*args)))
         with pytest.raises(DualityViolationError, match=message):
+            annihilator(QUARTIC, (encode(QUARTIC, j_element(QUARTIC)),), 4)
+
+    def test_kernel_basis_checks_its_integrality(self, monkeypatch):
+        # N*M^{-1} is integral only if the rows of M span N*Z^n; a bumped
+        # pivot of the basis of <j> breaks that, and is no kernel to round
+        from bhmirror import symmetry as module
+        real = module._hermite
+
+        def bumped(*args):
+            M = real(*args)
+            return [[M[0][0] + 1, *M[0][1:]], *M[1:]]
+
+        monkeypatch.setattr(module, "_hermite", bumped)
+        with pytest.raises(InternalError, match=r"N\*M\^-1 for N = 256 is not an integer matrix"):
             annihilator(QUARTIC, (encode(QUARTIC, j_element(QUARTIC)),), 4)
 
     def test_order_product(self):
